@@ -51,7 +51,13 @@ import numpy as np
 
 from repro.obs import NULL_TELEMETRY, NullTelemetry
 
-__all__ = ["SplitCounterArray"]
+__all__ = ["SplitCounterArray", "ARM_ASSERT", "ARM_CLEAR", "ARM_FLIP",
+           "ARM_NONE"]
+
+# The write arms of one ``update`` step (the branches of ``_step_towards``)
+# plus "not updated", as inlined replay kernels report them per position in
+# their event codes (see :meth:`SplitCounterArray.count_replayed`).
+ARM_ASSERT, ARM_CLEAR, ARM_FLIP, ARM_NONE = 0, 1, 2, 3
 
 # Saturating-counter transition tables over the packed state
 # s = 2*direction + strength (0 = weak NT, 1 = strong NT, 2 = weak T,
@@ -197,6 +203,29 @@ class SplitCounterArray:
                 if self._prediction[h_index + k * self.hysteresis_size] != first:
                     self._telemetry.count(names[3])
                     break
+
+    def count_replayed(self, weights: np.ndarray, read: np.ndarray,
+                       arm: np.ndarray) -> None:
+        """Account the traffic of a replay kernel that read and wrote this
+        array's raw bytes itself, from the histogram of its event codes.
+
+        ``weights[v]`` is the number of positions whose event code is ``v``;
+        ``read[v]`` says whether code ``v`` read this array at fetch time and
+        ``arm[v]`` which ``ARM_*`` update arm it took here.  The counts equal
+        the scalar :meth:`predict` / :meth:`update` accounting.  Private
+        hysteresis only: a sharing conflict depends on partner state that no
+        event code carries.
+        """
+        if not self._telemetry.enabled:
+            return
+        if self.hysteresis_size != self.size:
+            raise ValueError("event-code accounting needs private hysteresis")
+        names = self._tele_names
+        for name, selected in ((names[0], read), (names[1], arm == ARM_FLIP),
+                               (names[2], arm <= ARM_CLEAR)):
+            total = int(weights[selected].sum())
+            if total:
+                self._telemetry.count(name, total)
 
     # -- index plumbing ----------------------------------------------------
 

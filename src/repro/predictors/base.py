@@ -16,7 +16,12 @@ from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
 from repro.obs import NULL_TELEMETRY, NullTelemetry
 
-__all__ = ["Predictor", "BatchCapable"]
+__all__ = ["Predictor", "BatchCapable", "replay_event_codes"]
+
+EVENT_CHUNK = 1 << 16
+"""Positions per chunk handed to an inlined replay kernel: bounds the
+python-list copies of its index streams; table state carries across
+chunks, so chunking never changes results."""
 
 
 class Predictor:
@@ -101,7 +106,8 @@ class BatchCapable:
     :mod:`repro.indexing.skew`, then either resolve counter updates with
     :meth:`repro.common.counters.SplitCounterArray.batch_access` (single
     independent table) or replay the precomputed indices through a tight
-    scalar loop (multiple update-coupled tables).
+    scalar loop (multiple update-coupled tables; see
+    :func:`replay_event_codes`).
     """
 
     #: Replay-kernel selector: ``"fast"`` lets the predictor use its
@@ -125,3 +131,23 @@ class BatchCapable:
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
         """Predict-then-train over the whole batch; returns predictions."""
         raise NotImplementedError
+
+
+def replay_event_codes(kernel, *streams: np.ndarray) -> np.ndarray:
+    """Run an inlined predict-then-train ``kernel`` over its index and
+    outcome ``streams`` in stream order, :data:`EVENT_CHUNK` positions at a
+    time.
+
+    ``kernel`` takes one python list per stream and returns one small int
+    *event code* per position (bit 0 is the prediction; the rest is the
+    predictor's own record of which arms it took).  Returns the codes as a
+    uint8 array, so predictions are ``codes & 1`` and telemetry is an
+    ``np.bincount`` over the same codes.
+    """
+    n = len(streams[0])
+    chunk = EVENT_CHUNK
+    codes = np.empty(n, dtype=np.uint8)
+    for lo in range(0, n, chunk):
+        codes[lo:lo + chunk] = kernel(*(stream[lo:lo + chunk].tolist()
+                                        for stream in streams))
+    return codes

@@ -14,17 +14,27 @@ cycles would have been unimplementable.
 
 from __future__ import annotations
 
+from array import array
+
+import numpy as np
+
 from repro.common.bitops import mask
-from repro.common.counters import SplitCounterArray
-from repro.history.providers import InfoVector
-from repro.indexing.fold import gshare_index
-from repro.predictors.base import Predictor
+from repro.common.counters import ARM_NONE, SplitCounterArray
+from repro.history.providers import InfoVector, VectorBatch
+from repro.indexing.fold import gshare_index, gshare_index_vec
+from repro.obs import NullTelemetry
+from repro.predictors.base import BatchCapable, Predictor, replay_event_codes
 
 __all__ = ["YagsPredictor"]
 
 
 class _DirectionCache:
-    """A partially tagged cache of exception counters."""
+    """A partially tagged cache of exception counters.
+
+    Tags and valid bits live in flat byte buffers: a ``bytearray`` for tags
+    of up to 8 bits, else the narrowest unsigned ``array.array`` that holds
+    them.
+    """
 
     __slots__ = ("entries", "tag_bits", "_counters", "_tags", "_valid")
 
@@ -32,8 +42,14 @@ class _DirectionCache:
         self.entries = entries
         self.tag_bits = tag_bits
         self._counters = SplitCounterArray(entries, init_taken=init_taken)
-        self._tags = [0] * entries
-        self._valid = [False] * entries
+        if tag_bits <= 8:
+            self._tags = bytearray(entries)
+        else:
+            # Tags are bits of a 64-bit branch address.
+            code = next(code for code in "HIQ"
+                        if 8 * array(code).itemsize >= min(tag_bits, 64))
+            self._tags = array(code, bytes(array(code).itemsize * entries))
+        self._valid = bytearray(entries)
 
     def probe(self, index: int, tag: int) -> bool | None:
         """Counter direction on a tag hit, ``None`` on a miss."""
@@ -47,7 +63,7 @@ class _DirectionCache:
     def insert(self, index: int, tag: int, taken: bool) -> None:
         """Allocate (or re-purpose) the entry for a new exception."""
         self._tags[index] = tag
-        self._valid[index] = True
+        self._valid[index] = 1
         self._counters.set_counter(index, 2 if taken else 1)  # weak outcome
 
     @property
@@ -57,7 +73,7 @@ class _DirectionCache:
                 + self.entries)
 
 
-class YagsPredictor(Predictor):
+class YagsPredictor(BatchCapable, Predictor):
     """Bimodal choice table + two partially tagged exception caches."""
 
     def __init__(self, cache_entries: int, choice_entries: int,
@@ -124,6 +140,104 @@ class YagsPredictor(Predictor):
         if not (choice != taken and cached is not None and cached == taken):
             self.choice.update(choice_index, taken)
         return prediction
+
+    def attach_telemetry(self, sink: NullTelemetry) -> None:
+        """Also route the caches' counters, as ``bank.taken_cache.*`` and
+        ``bank.not_taken_cache.*``."""
+        super().attach_telemetry(sink)
+        self.taken_cache._counters.attach_telemetry(sink, "taken_cache")
+        self.not_taken_cache._counters.attach_telemetry(sink,
+                                                        "not_taken_cache")
+
+    def batch_access(self, batch: VectorBatch) -> np.ndarray:
+        """Batched replay: the choice index, cache index and tag streams
+        are computed once in numpy, then :meth:`_replay` walks them in
+        stream order; telemetry is reduced from the kernel's event codes."""
+        word = batch.branch_pc.astype(np.uint64) >> np.uint64(2)
+        choice_idx = word & np.uint64(self.choice_entries - 1)
+        cache_idx = gshare_index_vec(batch.branch_pc, batch.history,
+                                     self.history_length, self.cache_bits)
+        tags = word & np.uint64(mask(min(self.tag_bits, 64)))
+        codes = replay_event_codes(self._replay, choice_idx, cache_idx, tags,
+                                   batch.takens.astype(np.uint8))
+        if self._telemetry.enabled:
+            self._count_events(codes)
+        return (codes & 1).astype(np.bool_)
+
+    def _replay(self, choice_idx: list, cache_idx: list, tags: list,
+                takens: list) -> list:
+        """Predict-then-train over precomputed indices and tags, on the raw
+        choice, counter, tag and valid buffers: :meth:`_access` with every
+        cache and ``SplitCounterArray`` step spelled out.
+
+        Event code per position: bit 0 the prediction, bit 1 the choice,
+        bit 2 a tag hit, bits 3-4 the probed cache's counter write arm
+        (``ARM_NONE`` on a miss, which allocates iff the choice erred) and
+        bits 5-6 the choice table's (``ARM_*`` from
+        :mod:`repro.common.counters`).
+        """
+        cp, ch = self.choice._prediction, self.choice._hysteresis
+        caches = tuple((cache._counters._prediction,
+                        cache._counters._hysteresis, cache._tags,
+                        cache._valid)
+                       for cache in (self.taken_cache, self.not_taken_cache))
+        codes = []
+        append = codes.append
+        for ci, xi, tag, t in zip(choice_idx, cache_idx, tags, takens):
+            c = cp[ci]
+            kp, kh, kt, kv = caches[c]
+            if kv[xi] and kt[xi] == tag:
+                p = kp[xi]
+                if p == t:
+                    kh[xi] = 1
+                    event = 4 | p
+                elif kh[xi]:
+                    kh[xi] = 0
+                    event = 12 | p
+                else:
+                    kp[xi] = t
+                    event = 20 | p
+                if c == t:
+                    ch[ci] = 1
+                elif p == t:
+                    event |= 96  # the cache corrected the bias: keep it
+                elif ch[ci]:
+                    ch[ci] = 0
+                    event |= 32
+                else:
+                    cp[ci] = t
+                    event |= 64
+            else:
+                event = 24 | c
+                if c == t:
+                    ch[ci] = 1
+                else:
+                    kt[xi] = tag
+                    kv[xi] = 1
+                    kp[xi] = t
+                    kh[xi] = 0
+                    if ch[ci]:
+                        ch[ci] = 0
+                        event |= 32
+                    else:
+                        cp[ci] = t
+                        event |= 64
+            append(event | c << 1)
+        return codes
+
+    def _count_events(self, codes: np.ndarray) -> None:
+        """Every ``bank.*`` counter of the scalar walk, from the codes."""
+        weights = np.bincount(codes, minlength=128)
+        values = np.arange(128)
+        choice = (values >> 1) & 1
+        hit = (values & 4) != 0
+        self.choice.count_replayed(weights, np.ones(128, dtype=np.bool_),
+                                  values >> 5)
+        for cache, probed in ((self.taken_cache, choice == 0),
+                              (self.not_taken_cache, choice == 1)):
+            cache._counters.count_replayed(
+                weights, probed & hit,
+                np.where(probed, (values >> 3) & 3, ARM_NONE))
 
     @property
     def storage_bits(self) -> int:

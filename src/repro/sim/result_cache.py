@@ -25,8 +25,11 @@ Key scheme
   honest if that contract is ever violated and keeps ``wall_seconds``
   provenance attributable).
 
-Objects containing unhashable leaves (open files, callables, ...) raise
-:class:`UncacheableError`; the driver then simply runs uncached.
+Buffers (``bytes``/``bytearray``, numpy arrays and scalars, ``array.array``,
+``memoryview``) key by element type plus content.  Objects containing
+unhashable leaves (open files, callables, objects exposing neither
+``__dict__`` nor ``__slots__``, ...) raise :class:`UncacheableError`; the
+driver then simply runs uncached.
 
 The cache activates when ``REPRO_RESULT_CACHE`` is truthy (the experiment
 runner enables it by default); files live under ``REPRO_RESULT_CACHE_DIR``
@@ -43,6 +46,7 @@ import json
 import os
 import time
 import types
+from array import array
 from collections import deque
 from pathlib import Path
 from weakref import WeakKeyDictionary
@@ -126,10 +130,21 @@ def _update(hasher, value, memo: dict[int, int]) -> None:
     elif isinstance(value, (bytes, bytearray)):
         hasher.update(b"\x00y" + str(len(value)).encode() + b":")
         hasher.update(bytes(value))
-    elif isinstance(value, np.ndarray):
+    elif isinstance(value, (np.ndarray, np.generic)):
+        value = np.asarray(value)
         hasher.update(b"\x00a" + str(value.dtype).encode()
                       + repr(value.shape).encode())
         hasher.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, array):
+        encoded = value.tobytes()
+        hasher.update(b"\x00A" + value.typecode.encode()
+                      + str(len(encoded)).encode() + b":")
+        hasher.update(encoded)
+    elif isinstance(value, memoryview):
+        encoded = value.tobytes()
+        hasher.update(b"\x00V" + value.format.encode()
+                      + repr(value.shape).encode() + b":")
+        hasher.update(encoded)
     elif isinstance(value, (list, tuple, deque)):
         tag = {list: b"\x00L", tuple: b"\x00T", deque: b"\x00D"}[type(value)]
         hasher.update(tag + str(len(value)).encode())
@@ -160,6 +175,12 @@ def _update(hasher, value, memo: dict[int, int]) -> None:
             return
         memo[id(value)] = len(memo)
         cls = type(value)
+        if not hasattr(value, "__dict__") and not any(
+                "__slots__" in vars(klass) for klass in cls.__mro__):
+            # No attributes to walk (a set, a C-level buffer, ...): its
+            # class name alone would key different contents identically.
+            raise UncacheableError(
+                f"cannot fingerprint {cls.__qualname__} by content")
         hasher.update(b"\x00O" + cls.__module__.encode() + b"."
                       + cls.__qualname__.encode())
         attrs: dict[str, object] = {}

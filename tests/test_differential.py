@@ -4,10 +4,12 @@
 the scalar counter walk per component; these tests lock the contract at the
 level the engines actually rely on: Hypothesis generates random predictor
 configurations (per-table sizes, history lengths, hysteresis sharing on/off,
-partial vs total update, ghist vs lghist providers) and random short traces,
-then asserts that the scalar reference walk and the strict batched replay
-produce **bit-identical per-branch predictions**, identical final
-prediction/hysteresis array bytes, and identical telemetry counters.
+partial vs total update, bi-mode and YAGS table sizes and tag widths, ghist
+vs lghist providers) and random short traces, then asserts that the scalar
+reference walk and the strict batched replay produce **bit-identical
+per-branch predictions**, identical final table bytes (every counter array,
+tag and valid buffer the predictor holds, however nested), and identical
+telemetry counters.
 
 The example budget is tunable: ``REPRO_DIFF_FUZZ_EXAMPLES`` (default 230)
 lets the dedicated CI fuzzer step pick a budget that fits its time box
@@ -17,18 +19,20 @@ while local runs keep the full sweep.
 from __future__ import annotations
 
 import os
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.counters import SplitCounterArray
 from repro.history.providers import BlockLghistProvider, BranchGhistProvider
-from repro.obs import Telemetry
+from repro.obs import NullTelemetry, Telemetry
+from repro.predictors.bimode import BiModePredictor
 from repro.predictors.egskew import EGskewPredictor
 from repro.predictors.twobcgskew import (SkewedIndexScheme, TableConfig,
                                          TwoBcGskewPredictor)
+from repro.predictors.yags import YagsPredictor
 from repro.traces.fetch import fetch_blocks_for
 from repro.traces.model import TerminatorKind, TraceBuilder
 
@@ -131,23 +135,37 @@ def fast_walk(predictor, trace, provider) -> np.ndarray:
     return predictor.batch_access(batch)
 
 
-def _bank_arrays(predictor) -> dict[str, SplitCounterArray]:
-    banks = {name: value for name, value in vars(predictor).items()
-             if isinstance(value, SplitCounterArray)}
-    assert banks, "predictor exposes no counter arrays to compare"
-    return banks
+def _table_state(obj, path: str = "") -> dict[str, bytes]:
+    """Every table buffer reachable from ``obj``, keyed by attribute path:
+    byte buffers directly on it, and those of the repro objects it holds
+    (counter arrays, YAGS caches, ...), recursively."""
+    attrs = dict(getattr(obj, "__dict__", {}))
+    for klass in type(obj).__mro__:
+        for slot in getattr(klass, "__slots__", ()):
+            if hasattr(obj, slot):
+                attrs.setdefault(slot, getattr(obj, slot))
+    state = {}
+    for name, value in attrs.items():
+        if isinstance(value, (bytearray, array)):
+            state[path + name] = bytes(value)
+        elif (type(value).__module__.startswith("repro.")
+              and not isinstance(value, NullTelemetry)):
+            state.update(_table_state(value, f"{path}{name}."))
+    return state
 
 
 def _assert_same_state(reference, candidate, arm: str) -> None:
-    for name, bank in _bank_arrays(reference).items():
-        other = getattr(candidate, name)
-        assert bytes(bank._prediction) == bytes(other._prediction), \
-            f"{name} prediction array diverged ({arm})"
-        assert bytes(bank._hysteresis) == bytes(other._hysteresis), \
-            f"{name} hysteresis array diverged ({arm})"
+    expected = _table_state(reference)
+    assert expected, "predictor exposes no table state to compare"
+    actual = _table_state(candidate)
+    assert expected.keys() == actual.keys()
+    for where, data in expected.items():
+        assert data == actual[where], f"{where} diverged ({arm})"
 
 
-def assert_equivalent(make_predictor, trace, make_provider) -> None:
+def assert_equivalent(make_predictor, trace, make_provider) -> dict:
+    """Scalar vs batched vs fast arm; returns the scalar walk's comparable
+    counters (all matched by the batched arm)."""
     scalar_sink, batched_sink = Telemetry(), Telemetry()
     reference = make_predictor()
     candidate = make_predictor()
@@ -174,6 +192,7 @@ def assert_equivalent(make_predictor, trace, make_provider) -> None:
     np.testing.assert_array_equal(
         expected, fast_walk(fast, trace, make_provider()))
     _assert_same_state(reference, fast, "fast kernel")
+    return comparable(scalar_sink)
 
 
 # -- the fuzzers --------------------------------------------------------------
@@ -219,6 +238,79 @@ class TestEGskewDifferential:
                                    g0_history_length=g0_history,
                                    update_policy=policy)
         assert_equivalent(make, trace, BranchGhistProvider)
+
+
+tag_widths = st.one_of(st.integers(min_value=1, max_value=8),
+                       st.integers(min_value=9, max_value=72))
+
+
+class TestBiModeDifferential:
+    @pytest.mark.slow
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+    @given(direction_log2=st.integers(min_value=3, max_value=8),
+           choice_log2=st.integers(min_value=1, max_value=7),
+           history=st.integers(min_value=0, max_value=20),
+           trace=random_traces(), make_provider=providers_factories())
+    def test_random_config_random_trace(self, direction_log2, choice_log2,
+                                        history, trace, make_provider):
+        def make():
+            return BiModePredictor(1 << direction_log2, 1 << choice_log2,
+                                   history)
+        counters = assert_equivalent(make, trace, make_provider)
+        # Each branch reads the choice table and exactly one direction table.
+        branches = trace.conditional_count
+        assert counters.get("bank.choice.reads", 0) == branches
+        assert (counters.get("bank.taken_table.reads", 0)
+                + counters.get("bank.not_taken_table.reads", 0)) == branches
+
+    @settings(max_examples=40, deadline=None)
+    @given(trace=random_traces(), make_provider=providers_factories())
+    def test_tiny_tables(self, trace, make_provider):
+        """4-entry choice and 16-entry direction tables over 12 branch PCs:
+        every choice and direction write arm, under either provider."""
+        assert_equivalent(lambda: BiModePredictor(16, 4, 6), trace,
+                          make_provider)
+
+
+class TestYagsDifferential:
+    @pytest.mark.slow
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+    @given(cache_log2=st.integers(min_value=2, max_value=8),
+           choice_log2=st.integers(min_value=1, max_value=7),
+           history=st.integers(min_value=0, max_value=20),
+           tag_bits=tag_widths, trace=random_traces(),
+           make_provider=providers_factories())
+    def test_random_config_random_trace(self, cache_log2, choice_log2,
+                                        history, tag_bits, trace,
+                                        make_provider):
+        def make():
+            return YagsPredictor(1 << cache_log2, 1 << choice_log2, history,
+                                 tag_bits=tag_bits)
+        assert_equivalent(make, trace, make_provider)
+
+    @settings(max_examples=40, deadline=None)
+    @given(trace=random_traces(), tag_bits=tag_widths)
+    def test_small_cache_exercises_every_arm(self, trace, tag_bits):
+        """A 4-entry cache over 12 branch PCs: tag conflicts, inserts and
+        hits on both caches, so the cache counters' telemetry is compared
+        too, not just the choice table's."""
+        def make():
+            return YagsPredictor(4, 4, 2, tag_bits=tag_bits)
+        assert_equivalent(make, trace, BranchGhistProvider)
+
+
+def test_yags_cache_counters_are_reported():
+    """The caches' counters report as ``bank.*_cache.*`` on both engines."""
+    builder = TraceBuilder("alternating")
+    for i in range(200):
+        pc = _PCS[i % 3]
+        taken = (i // 3) % 3 != 0
+        builder.add(pc, 2, TerminatorKind.CONDITIONAL, taken,
+                    pc if taken else pc + 16)
+    counters = assert_equivalent(lambda: YagsPredictor(8, 8, 3),
+                                 builder.build(), BranchGhistProvider)
+    for cache in ("taken_cache", "not_taken_cache"):
+        assert counters[f"bank.{cache}.reads"] > 0
 
 
 def test_fuzz_budget_meets_acceptance_floor():

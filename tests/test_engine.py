@@ -12,16 +12,19 @@ import numpy as np
 import pytest
 
 from conftest import simple_loop_trace
+from repro.experiments.common import make_fig5_configs
 from repro.history.providers import BlockLghistProvider, BranchGhistProvider
 from repro.predictors import (
     BatchCapable,
     BimodalPredictor,
+    BiModePredictor,
     EGskewPredictor,
     GAsPredictor,
     GsharePredictor,
     LocalPredictor,
     TableConfig,
     TwoBcGskewPredictor,
+    YagsPredictor,
 )
 from repro.sim.engine import (
     ENGINE_ENV_VAR,
@@ -33,6 +36,7 @@ from repro.sim.engine import (
     get_engine,
     register_engine,
 )
+from repro.obs import Telemetry
 from repro.sim.driver import simulate
 from repro.sim.sweep import sweep, sweep_parallel
 
@@ -98,6 +102,45 @@ def test_engines_equivalent_final_table_state(gcc_trace):
     BatchedEngine(strict=True).run(batched_pred, gcc_trace)
     assert scalar_pred._counters._prediction == batched_pred._counters._prediction
     assert scalar_pred._counters._hysteresis == batched_pred._counters._hysteresis
+
+
+@pytest.mark.parametrize("limited", [False, True], ids=["fig5", "fig6"])
+def test_fig5_set_runs_batched_without_fallbacks(limited, gcc_trace):
+    """Every Fig 5/6 configuration, bi-mode and YAGS included, is inside
+    the batched envelope on per-branch ghist: strict batched runs are
+    count-identical to the scalar walk, and a recording sink sees no
+    fallback."""
+    configs = make_fig5_configs(limited=limited)
+    sink = Telemetry()
+    for name, make in configs.items():
+        scalar = ScalarEngine().run(make(), gcc_trace, BranchGhistProvider())
+        batched = BatchedEngine(strict=True).run(
+            make(), gcc_trace, BranchGhistProvider(), telemetry=sink)
+        assert batched.engine == "batched", name
+        assert (batched.mispredictions, batched.branches) == \
+            (scalar.mispredictions, scalar.branches), name
+        BatchedEngine().run(make(), gcc_trace, BranchGhistProvider(),
+                            telemetry=sink)
+    counters = sink.snapshot()["counters"]
+    assert counters.get("engine.batched_fallbacks", 0) == 0
+    assert counters["engine.batched_runs"] == 2 * len(configs)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: BiModePredictor(1 << 10, 1 << 8, 12),
+    lambda: YagsPredictor(1 << 8, 1 << 8, 10, tag_bits=10),
+], ids=["bimode", "yags"])
+def test_event_code_replay_carries_state_across_chunks(factory, gcc_trace,
+                                                       monkeypatch):
+    """The table state carries from one replay chunk to the next."""
+    monkeypatch.setattr("repro.predictors.base.EVENT_CHUNK", 997)
+    scalar_pred, batched_pred = factory(), factory()
+    scalar, batched = (ScalarEngine().run(scalar_pred, gcc_trace),
+                       BatchedEngine(strict=True).run(batched_pred,
+                                                      gcc_trace))
+    assert batched.mispredictions == scalar.mispredictions
+    assert bytes(scalar_pred.choice._prediction) == \
+        bytes(batched_pred.choice._prediction)
 
 
 def test_batched_falls_back_for_non_batch_capable(gcc_trace):

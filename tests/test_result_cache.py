@@ -6,13 +6,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from array import array
 
+import numpy as np
 import pytest
 
 from conftest import simple_loop_trace
 from repro.history.providers import BlockLghistProvider, BranchGhistProvider
 from repro.obs import Telemetry, use_telemetry
-from repro.predictors import GsharePredictor
+from repro.predictors import GsharePredictor, YagsPredictor
 from repro.sim import result_cache
 from repro.sim.driver import simulate
 from repro.sim.metrics import SimulationResult
@@ -102,6 +104,34 @@ class TestResultKey:
         predictor.hook = lambda: None  # a callable attribute
         with pytest.raises(UncacheableError):
             result_key(predictor, trace, None, 0, "scalar")
+
+    def test_buffers_key_by_content(self, trace):
+        def key(value):
+            predictor = _gshare()
+            predictor.extra = value
+            return result_key(predictor, trace, None, 0, "scalar")
+
+        assert key(array("B", [1, 2])) != key(array("B", [9, 9, 9]))
+        assert key(array("B", [1, 2])) != key(array("H", [1, 2]))
+        assert key(memoryview(b"ab")) != key(memoryview(b"ac"))
+        assert key(np.int64(3)) != key(np.int64(5))
+        assert key(array("B", [1, 2])) == key(array("B", [1, 2]))
+
+    def test_objects_without_attributes_raise(self, trace):
+        predictor = _gshare()
+        predictor.extra = {1, 2}  # neither __dict__ nor __slots__
+        with pytest.raises(UncacheableError):
+            result_key(predictor, trace, None, 0, "scalar")
+
+    @pytest.mark.parametrize("tag_bits", [6, 12])
+    def test_yags_tag_contents_key(self, trace, tag_bits):
+        first = YagsPredictor(256, 256, 4, tag_bits=tag_bits)
+        second = YagsPredictor(256, 256, 4, tag_bits=tag_bits)
+        assert result_key(first, trace, None, 0, "scalar") == \
+            result_key(second, trace, None, 0, "scalar")
+        second.taken_cache._tags[17] = 5
+        assert result_key(first, trace, None, 0, "scalar") != \
+            result_key(second, trace, None, 0, "scalar")
 
 
 class TestStorage:
