@@ -59,13 +59,6 @@ __all__ = ["SplitCounterArray", "ARM_ASSERT", "ARM_CLEAR", "ARM_FLIP",
 # their event codes (see :meth:`SplitCounterArray.count_replayed`).
 ARM_ASSERT, ARM_CLEAR, ARM_FLIP, ARM_NONE = 0, 1, 2, 3
 
-# Saturating-counter transition tables over the packed state
-# s = 2*direction + strength (0 = weak NT, 1 = strong NT, 2 = weak T,
-# 3 = strong T): _STEP_NOT_TAKEN[s] / _STEP_TAKEN[s] is the state after
-# training on a not-taken / taken outcome — exactly ``_step_towards``.
-_STEP_NOT_TAKEN = np.array([1, 1, 0, 2], dtype=np.uint8)
-_STEP_TAKEN = np.array([2, 0, 3, 3], dtype=np.uint8)
-
 _MAX_SHARING_RATIO = 5
 """Largest ``size / hysteresis_size`` the batched scan supports: the group
 state packs ``ratio`` direction bits plus the strength bit, so the
@@ -470,100 +463,6 @@ class SplitCounterArray:
         predictions = np.empty(n, dtype=np.bool_)
         predictions[order] = ((state_before >> 1) >> sorted_partner) & 1 != 0
         return predictions
-
-    # -- vectorized scatter/gather helpers (group-unique index sets) ---------
-
-    def predict_many(self, indices: np.ndarray) -> np.ndarray:
-        """Gather direction bits for an int index array (read-only, any
-        duplicates allowed) — the vectorized :meth:`predict`."""
-        if self._telemetry.enabled and len(indices):
-            self._telemetry.count(self._tele_names[0], len(indices))
-        view = np.frombuffer(self._prediction, dtype=np.uint8)
-        return view[indices & (self.size - 1)] != 0
-
-    def packed_many(self, indices: np.ndarray) -> np.ndarray:
-        """Gather packed counter states ``2*direction + strength`` (uint8,
-        read-only, duplicates allowed).  Counts as one fetch-time read per
-        element, exactly like :meth:`predict_many`."""
-        if self._telemetry.enabled and len(indices):
-            self._telemetry.count(self._tele_names[0], len(indices))
-        indices = indices & (self.size - 1)
-        prediction = np.frombuffer(self._prediction, dtype=np.uint8)[indices]
-        hysteresis = np.frombuffer(self._hysteresis, dtype=np.uint8)[
-            indices & (self.hysteresis_size - 1)]
-        return (prediction << 1) | hysteresis
-
-    def train_many_unique(self, indices: np.ndarray, takens: np.ndarray,
-                          strengthen: np.ndarray | None = None,
-                          update: np.ndarray | None = None) -> None:
-        """Vectorized :meth:`strengthen` / :meth:`update` over positions
-        whose **hysteresis groups are pairwise distinct** within the call
-        (the caller guarantees no two selected positions share a hysteresis
-        entry, hence no ordering between them matters).
-
-        ``strengthen`` and ``update`` are disjoint boolean masks selecting
-        which positions receive which operation; unselected positions are
-        untouched.
-        """
-        if strengthen is None and update is None:
-            return
-        if strengthen is None:
-            selected = update
-        elif update is None:
-            selected = strengthen
-        else:
-            selected = strengthen | update
-        if not selected.any():
-            return
-        idx = (indices & (self.size - 1))[selected]
-        taken = takens[selected]
-        h_idx = idx & (self.hysteresis_size - 1)
-        prediction_view = np.frombuffer(self._prediction, dtype=np.uint8)
-        hysteresis_view = np.frombuffer(self._hysteresis, dtype=np.uint8)
-        direction = prediction_view[idx]
-        state = (direction << 1) | hysteresis_view[h_idx]
-        stepped = np.where(taken, _STEP_TAKEN[state], _STEP_NOT_TAKEN[state])
-        if strengthen is not None:
-            # Strengthen with an agreeing direction saturates the strength
-            # bit; with a disagreeing direction it degenerates to a step
-            # (exactly the scalar ``strengthen``).
-            agreeing = strengthen[selected] & ((direction != 0) == taken)
-            stepped = np.where(agreeing, (direction << 1) | 1, stepped)
-        if self._telemetry.enabled:
-            self._account_unique_writes(h_idx, direction, state, taken)
-        prediction_view[idx] = stepped >> 1
-        hysteresis_view[h_idx] = stepped & 1
-
-    def _account_unique_writes(self, h_idx: np.ndarray,
-                               direction: np.ndarray, state: np.ndarray,
-                               taken: np.ndarray) -> None:
-        """Logical write accounting for :meth:`train_many_unique`, mirroring
-        the scalar ``strengthen`` / ``_step_towards`` arms exactly (called
-        with the pre-write state, like the scalar checks).  Strengthen and
-        update ops obey the same rule: an agreeing outcome issues a
-        hysteresis write, a strongly-disagreeing outcome issues a hysteresis
-        write, a weakly-disagreeing outcome issues a prediction write."""
-        strength = state & 1
-        agree = (direction != 0) == taken
-        hysteresis_write = agree | (strength == 1)
-        prediction_write = ~agree & (strength == 0)
-        names = self._tele_names
-        flips = int(np.count_nonzero(prediction_write))
-        if flips:
-            self._telemetry.count(names[1], flips)
-        hyst_writes = int(np.count_nonzero(hysteresis_write))
-        if hyst_writes:
-            self._telemetry.count(names[2], hyst_writes)
-        ratio = self.size // self.hysteresis_size
-        if ratio > 1:
-            view = np.frombuffer(self._prediction, dtype=np.uint8)
-            first = view[h_idx]
-            uniform = np.ones(len(h_idx), dtype=np.bool_)
-            for k in range(1, ratio):
-                uniform &= view[h_idx + k * self.hysteresis_size] == first
-            conflicts = int(np.count_nonzero(hysteresis_write & ~uniform))
-            if conflicts:
-                self._telemetry.count(names[3], conflicts)
 
     def set_counter(self, index: int, value: int) -> None:
         """Force a counter to a conventional 2-bit value (0..3). Test hook."""

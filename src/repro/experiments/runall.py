@@ -25,7 +25,6 @@ from repro.experiments import (
     table3,
 )
 from repro.obs import NullTelemetry, Telemetry, render_summary, use_telemetry
-from repro.sim.engine import ENGINE_ENV_VAR
 from repro.sim.result_cache import CACHE_ENV_VAR
 from repro.workloads.spec95 import default_trace_branches
 
@@ -57,38 +56,33 @@ _SECTIONS = (
 
 
 @contextmanager
-def _runtime_defaults(engine: str | None, use_cache: bool):
-    """Default the engine and cache environment for the duration of a run.
+def _runtime_defaults(use_cache: bool):
+    """Default the result-cache environment for the duration of a run.
 
-    Experiment modules resolve ``engine=None`` and ``use_cache=None``
-    through the environment, so setting these two variables routes every
-    figure through the chosen engine and the persistent result cache.  An
-    already-set variable always wins (the user's environment overrides our
-    defaults), and any variable we set is removed afterwards.
+    Experiment modules resolve ``use_cache=None`` through the environment,
+    so setting this variable routes every figure through the persistent
+    result cache.  An already-set variable always wins (the user's
+    environment overrides our default), and a variable we set is removed
+    afterwards.
     """
-    ours: list[str] = []
-    if engine is not None and ENGINE_ENV_VAR not in os.environ:
-        os.environ[ENGINE_ENV_VAR] = engine
-        ours.append(ENGINE_ENV_VAR)
-    if use_cache and CACHE_ENV_VAR not in os.environ:
+    ours = use_cache and CACHE_ENV_VAR not in os.environ
+    if ours:
         os.environ[CACHE_ENV_VAR] = "1"
-        ours.append(CACHE_ENV_VAR)
     try:
         yield
     finally:
-        for name in ours:
-            os.environ.pop(name, None)
+        if ours:
+            os.environ.pop(CACHE_ENV_VAR, None)
 
 
-def run_all(num_branches: int | None = None, engine: str | None = "batched",
-            use_cache: bool = True,
+def run_all(num_branches: int | None = None, use_cache: bool = True,
             telemetry: NullTelemetry | None = None) -> str:
     """Run every experiment; return the consolidated Markdown report.
 
-    By default every section runs on the batched engine with the
-    persistent result cache enabled, so a repeated invocation skips all
-    unchanged simulations; explicit ``REPRO_SIM_ENGINE`` /
-    ``REPRO_RESULT_CACHE`` environment settings take precedence.
+    Every section runs on the library's default engine (``batched``, or
+    whatever ``REPRO_SIM_ENGINE`` names) with the persistent result cache
+    enabled, so a repeated invocation skips all unchanged simulations; an
+    explicit ``REPRO_RESULT_CACHE`` environment setting takes precedence.
 
     A recording ``telemetry`` sink is installed as the process-global
     active sink for the duration (so every simulation, trace-cache and
@@ -110,7 +104,7 @@ def run_all(num_branches: int | None = None, engine: str | None = "batched",
         "",
     ]
     try:
-        with _runtime_defaults(engine, use_cache), \
+        with _runtime_defaults(use_cache), \
                 use_telemetry(telemetry) as sink:
             for title, module, finding in _SECTIONS:
                 started = time.time()
@@ -147,9 +141,6 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - CLI
     parser.add_argument("--branches", type=int, default=None)
     parser.add_argument("--output", type=Path, default=None,
                         help="write the report to a file instead of stdout")
-    parser.add_argument("--engine", default="batched",
-                        help="simulation engine for every section "
-                             "(default: batched)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the persistent result cache")
     parser.add_argument("--telemetry", type=Path, default=None,
@@ -158,8 +149,8 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - CLI
                              "(.csv for CSV, anything else for JSON)")
     args = parser.parse_args(argv)
     sink = Telemetry() if args.telemetry else None
-    report = run_all(args.branches, engine=args.engine,
-                     use_cache=not args.no_cache, telemetry=sink)
+    report = run_all(args.branches, use_cache=not args.no_cache,
+                     telemetry=sink)
     if sink is not None:
         sink.write(args.telemetry)
         print(f"wrote telemetry to {args.telemetry}")

@@ -101,28 +101,16 @@ class BatchCapable:
     configuration cannot honor the equivalence guarantee (e.g. shared
     hysteresis, a non-vectorizable index scheme).
 
-    Implementations typically precompute their table-index streams with the
+    Implementations precompute their table-index streams with the
     vectorized helpers in :mod:`repro.indexing.fold` /
     :mod:`repro.indexing.skew`, then either resolve counter updates with
     :meth:`repro.common.counters.SplitCounterArray.batch_access` (single
-    independent table) or replay the precomputed indices through a tight
-    scalar loop (multiple update-coupled tables; see
-    :func:`replay_event_codes`).
+    independent table) or replay the precomputed indices through **one**
+    inlined predict-then-train kernel per predictor (multiple update-coupled
+    tables; see :func:`replay_event_codes`).  Telemetry comes from that same
+    replay: from the kernel's event codes, or, for 2Bc-gskew under a
+    recording sink, from the scalar reference's own read/train methods.
     """
-
-    #: Replay-kernel selector: ``"fast"`` lets the predictor use its
-    #: quickest bit-identical replay path; ``"compat"`` pins the original
-    #: accounting path (the one that records per-bank telemetry), which is
-    #: what the ``"batched-compat"`` engine uses to reproduce pre-fabric
-    #: behaviour for honest benchmarking.  Predictors with a single replay
-    #: path may ignore it.
-    _replay_kernel: str = "fast"
-
-    def set_replay_kernel(self, kernel: str) -> None:
-        """Select the replay kernel for subsequent :meth:`batch_access`
-        calls.  Every kernel is bit-identical by contract; the choice only
-        affects throughput and telemetry detail."""
-        self._replay_kernel = kernel
 
     def batch_supported(self) -> bool:
         """Whether this instance's configuration can run batched."""

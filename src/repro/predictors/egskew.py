@@ -16,12 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.bitops import mask
-from repro.common.counters import SplitCounterArray
-from repro.common.replay import REPLAY_CHUNK, uncoupled_positions
+from repro.common.counters import (ARM_CLEAR, ARM_FLIP, ARM_NONE,
+                                   SplitCounterArray)
 from repro.history.providers import InfoVector, VectorBatch
 from repro.indexing.fold import info_word, info_word_vec
 from repro.indexing.skew import skew_index, skew_index_vec
-from repro.predictors.base import BatchCapable, Predictor
+from repro.predictors.base import BatchCapable, Predictor, replay_event_codes
 
 __all__ = ["EGskewPredictor"]
 
@@ -109,77 +109,92 @@ class EGskewPredictor(BatchCapable, Predictor):
         return (bim, skew_index_vec(1, g0_word, self.index_bits),
                 skew_index_vec(2, g1_word, self.index_bits))
 
-    def batch_access(self, batch: VectorBatch,
-                     chunk: int = REPLAY_CHUNK) -> np.ndarray:
-        """Batched replay: chunked, serializing only coupled positions.
-
-        The index streams (the pure, expensive part) are precomputed
-        vectorized.  The partial-update policy couples the three banks
-        through the majority vote, but only between positions that actually
-        share a counter entry: within each chunk, positions unique in all
-        three banks replay in one vectorized pass and the colliding
-        remainder replays scalar in stream order (see
-        :mod:`repro.common.replay`).
-        """
-        banks = (self.bim, self.g0, self.g1)
+    def batch_access(self, batch: VectorBatch) -> np.ndarray:
+        """Batched replay: the three index streams are computed once in
+        numpy, then :meth:`_replay` walks them in stream order; telemetry is
+        reduced from the kernel's event codes."""
         streams = [stream.astype(np.int64, copy=False)
                    & np.int64(bank.size - 1)
-                   for stream, bank in zip(self.batch_indices(batch), banks)]
-        takens = batch.takens
-        n = len(batch)
-        predictions = np.empty(n, dtype=np.bool_)
-        for lo in range(0, n, max(chunk, 1)):
-            hi = min(lo + max(chunk, 1), n)
-            self._replay_chunk([stream[lo:hi] for stream in streams],
-                               takens[lo:hi], predictions[lo:hi])
-        return predictions
+                   for stream, bank in zip(self.batch_indices(batch),
+                                           (self.bim, self.g0, self.g1))]
+        codes = replay_event_codes(self._replay, *streams,
+                                   batch.takens.view(np.uint8))
+        if self._telemetry.enabled:
+            self._count_events(codes)
+        return (codes & 1).astype(np.bool_)
 
-    def _replay_chunk(self, indices: list[np.ndarray], takens: np.ndarray,
-                      out: np.ndarray) -> None:
-        banks = (self.bim, self.g0, self.g1)
-        uncoupled = uncoupled_positions(*(
-            stream & np.int64(bank.hysteresis_size - 1)
-            for stream, bank in zip(indices, banks)))
-        telemetry = self._telemetry
-        if telemetry.enabled:
-            telemetry.count("replay.positions", len(takens))
-            telemetry.count("replay.coupled",
-                            len(takens) - int(np.count_nonzero(uncoupled)))
-        if uncoupled.any():
-            selected = [stream[uncoupled] for stream in indices]
-            taken_u = takens[uncoupled]
-            reads = [bank.predict_many(stream)
-                     for bank, stream in zip(banks, selected)]
-            prediction = (reads[0].astype(np.int8) + reads[1]
-                          + reads[2]) >= 2
-            if self.update_policy == "total":
-                update = np.ones(len(taken_u), dtype=np.bool_)
+    def _replay(self, bim_idx: list, g0_idx: list, g1_idx: list,
+                takens: list) -> list:
+        """Predict-then-train over precomputed indices, on the three banks'
+        raw byte arrays: :meth:`access` and :meth:`_train_with_reads` with
+        every ``SplitCounterArray`` step spelled out (hysteresis is private,
+        so a bank's hysteresis index is its prediction index).
+
+        Event code per position: bit 0 the prediction, then each bank's
+        write arm (``ARM_*`` from :mod:`repro.common.counters`) in bits 1-2
+        (BIM), 3-4 (G0) and 5-6 (G1).
+        """
+        bp, bh = self.bim._prediction, self.bim._hysteresis
+        p0, h0 = self.g0._prediction, self.g0._hysteresis
+        p1, h1 = self.g1._prediction, self.g1._hysteresis
+        partial = self.update_policy == "partial"
+        codes = []
+        append = codes.append
+        for bi, g0i, g1i, t in zip(bim_idx, g0_idx, g1_idx, takens):
+            p_b = bp[bi]
+            p_0 = p0[g0i]
+            p_1 = p1[g1i]
+            event = 1 if p_b + p_0 + p_1 >= 2 else 0
+            if partial and event == t:
+                # Strengthen the banks that voted with the correct majority.
+                if p_b == t:
+                    bh[bi] = 1
+                else:
+                    event |= ARM_NONE << 1
+                if p_0 == t:
+                    h0[g0i] = 1
+                else:
+                    event |= ARM_NONE << 3
+                if p_1 == t:
+                    h1[g1i] = 1
+                else:
+                    event |= ARM_NONE << 5
+                append(event)
+                continue
+            if p_b == t:
+                bh[bi] = 1
+            elif bh[bi]:
+                bh[bi] = 0
+                event |= ARM_CLEAR << 1
             else:
-                update = prediction != taken_u
-            for bank, stream, read in zip(banks, selected, reads):
-                bank.train_many_unique(stream, taken_u,
-                                       strengthen=~update & (read == taken_u),
-                                       update=update)
-            out[uncoupled] = prediction
-        coupled = np.nonzero(~uncoupled)[0]
-        if not len(coupled):
-            return
-        train = self._train_with_reads
-        bim_predict = self.bim.predict
-        g0_predict = self.g0.predict
-        g1_predict = self.g1.predict
-        for position, bim_i, g0_i, g1_i, taken in zip(
-                coupled.tolist(), indices[0][coupled].tolist(),
-                indices[1][coupled].tolist(), indices[2][coupled].tolist(),
-                takens[coupled].tolist()):
-            p_bim = bim_predict(bim_i)
-            p_g0 = g0_predict(g0_i)
-            p_g1 = g1_predict(g1_i)
-            prediction = (int(p_bim) + int(p_g0) + int(p_g1)) >= 2
-            train((bim_i, g0_i, g1_i), (p_bim, p_g0, p_g1), prediction,
-                  taken)
-            out[position] = prediction
-        return
+                bp[bi] = t
+                event |= ARM_FLIP << 1
+            if p_0 == t:
+                h0[g0i] = 1
+            elif h0[g0i]:
+                h0[g0i] = 0
+                event |= ARM_CLEAR << 3
+            else:
+                p0[g0i] = t
+                event |= ARM_FLIP << 3
+            if p_1 == t:
+                h1[g1i] = 1
+            elif h1[g1i]:
+                h1[g1i] = 0
+                event |= ARM_CLEAR << 5
+            else:
+                p1[g1i] = t
+                event |= ARM_FLIP << 5
+            append(event)
+        return codes
+
+    def _count_events(self, codes: np.ndarray) -> None:
+        """Every ``bank.*`` counter of the scalar walk, from the codes."""
+        weights = np.bincount(codes, minlength=128)
+        values = np.arange(128)
+        reads = np.ones(128, dtype=np.bool_)
+        for shift, bank in ((1, self.bim), (3, self.g0), (5, self.g1)):
+            bank.count_replayed(weights, reads, (values >> shift) & 3)
 
     def _train_with_reads(self, indices, reads, prediction: bool,
                           taken: bool) -> None:

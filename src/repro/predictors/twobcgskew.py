@@ -23,25 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.bitops import mask
-from repro.common.counters import (_STEP_NOT_TAKEN, _STEP_TAKEN,
-                                   SplitCounterArray)
-from repro.common.replay import REPLAY_CHUNK, uncoupled_positions
+from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
 from repro.indexing.fold import info_word, info_word_vec
 from repro.indexing.skew import skew_index, skew_index_vec
-from repro.predictors.base import BatchCapable, Predictor
+from repro.predictors.base import BatchCapable, Predictor, replay_event_codes
 
 __all__ = ["TableConfig", "IndexScheme", "SkewedIndexScheme",
            "TwoBcGskewPredictor"]
-
-_UNCOUPLED_VECTOR_THRESHOLD = 0.25
-"""Minimum uncoupled fraction (measured on the first chunk) for the fast
-replay path to keep running the vectorized uncoupled pass.  Long-history
-configurations like Table 1 leave only a few percent of positions uncoupled,
-where the inlined scalar kernel is just as fast on the whole chunk and
-computing :func:`~repro.common.replay.uncoupled_positions` is pure
-overhead; short-history configurations collide constantly the other way
-around and want the vectorized pass."""
 
 _PATH_BITS_PER_BLOCK = 2
 """Address bits taken from each previous-block address when the index scheme
@@ -247,36 +236,18 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
     def batch_supported(self) -> bool:
         return self.index_scheme.vectorized
 
-    def batch_access(self, batch: VectorBatch,
-                     chunk: int = REPLAY_CHUNK) -> np.ndarray:
-        """Batched replay: chunked, serializing only coupled positions.
+    def batch_access(self, batch: VectorBatch) -> np.ndarray:
+        """Batched replay: all four index streams are precomputed with the
+        vectorized index scheme, then replayed in stream order.
 
-        All four index streams are precomputed with the vectorized index
-        scheme.  The partial-update policy couples BIM/G0/G1/Meta through
-        the majority vote and the chooser, so the counter traffic cannot be
-        scanned like a single table's — but the coupling is sparse: within
-        each chunk, positions whose four hysteresis groups are touched by no
-        other position replay in one vectorized pass
-        (:meth:`_train_many_uncoupled`), and only the colliding remainder
-        replays scalar, in stream order (see :mod:`repro.common.replay`).
-
-        Two bit-identical replay kernels back the scalar remainder:
-
-        * the **fast** kernel (:meth:`_replay_coupled_fast`) inlines the
-          four banks' split-counter transitions over their raw byte arrays
-          — no per-position method calls, no telemetry sites; it is the
-          default whenever no recording sink is attached.  When the first
-          chunk shows the uncoupled fraction below
-          :data:`_UNCOUPLED_VECTOR_THRESHOLD`, subsequent chunks skip the
-          uncoupled scan entirely and replay all-scalar through the same
-          kernel (equally fast at that collision rate, and the scan itself
-          is then pure overhead);
-        * the **compat** kernel (:meth:`_replay_chunk`) routes through
-          :meth:`_read`/:meth:`_train`, preserving per-bank telemetry
-          accounting.  Selected when a recording sink is attached or when
-          the engine pins ``replay_kernel="compat"`` (the
-          ``"batched-compat"`` engine, kept as the honest pre-fabric
-          baseline for benchmarks).
+        The partial-update policy couples BIM/G0/G1/Meta through the
+        majority vote and the chooser on almost every branch, so the counter
+        traffic cannot be scanned like a single table's.  Without a
+        recording sink the streams run through the inlined kernel
+        :meth:`_replay`; with one they run through the scalar reference's
+        own :meth:`_read`/:meth:`_train` (:meth:`_replay_reference`), so
+        every ``bank.*``, ``arbitration.*`` and ``update.*`` counter comes
+        from the oracle code rather than from a second kernel.
         """
         tables = (self.bim, self.g0, self.g1, self.meta)
         streams = [stream.astype(np.int64, copy=False)
@@ -284,84 +255,34 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
                    for stream, table in zip(
                        self.index_scheme.compute_batch(batch, self.configs),
                        tables)]
-        takens = batch.takens
-        n = len(batch)
-        predictions = np.empty(n, dtype=np.bool_)
-        fast = self._replay_kernel != "compat" and not self._telemetry.enabled
-        scan_uncoupled = True
-        step = max(chunk, 1)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            sliced = [stream[lo:hi] for stream in streams]
-            if not fast:
-                self._replay_chunk(sliced, takens[lo:hi], predictions[lo:hi])
-            elif scan_uncoupled:
-                fraction = self._replay_chunk_fast(sliced, takens[lo:hi],
-                                                   predictions[lo:hi])
-                if lo == 0 and fraction < _UNCOUPLED_VECTOR_THRESHOLD:
-                    scan_uncoupled = False
-            else:
-                predictions[lo:hi] = self._replay_coupled_fast(
-                    sliced[0].tolist(), sliced[1].tolist(),
-                    sliced[2].tolist(), sliced[3].tolist(),
-                    takens[lo:hi].view(np.uint8).tolist())
+        kernel = (self._replay_reference if self._telemetry.enabled
+                  else self._replay)
+        codes = replay_event_codes(kernel, *streams,
+                                   batch.takens.view(np.uint8))
+        return codes.view(np.bool_)
+
+    def _replay_reference(self, bim_idx: list, g0_idx: list, g1_idx: list,
+                          meta_idx: list, takens: list) -> list:
+        """Predict-then-train through :meth:`_read`/:meth:`_train`, the
+        scalar ``access`` minus the index computation; returns the
+        predictions."""
+        read, train = self._read, self._train
+        predictions = []
+        append = predictions.append
+        for indices, taken in zip(zip(bim_idx, g0_idx, g1_idx, meta_idx),
+                                  takens):
+            state = read(indices)
+            train(indices, state, taken)
+            append(state[-1])
         return predictions
 
-    def _replay_chunk(self, indices: list[np.ndarray], takens: np.ndarray,
-                      out: np.ndarray) -> None:
-        tables = (self.bim, self.g0, self.g1, self.meta)
-        uncoupled = uncoupled_positions(*(
-            stream & np.int64(table.hysteresis_size - 1)
-            for stream, table in zip(indices, tables)))
-        if uncoupled.any():
-            out[uncoupled] = self._train_many_uncoupled(
-                [stream[uncoupled] for stream in indices], takens[uncoupled])
-        telemetry = self._telemetry
-        if telemetry.enabled:
-            telemetry.count("replay.positions", len(takens))
-            telemetry.count("replay.coupled",
-                            len(takens) - int(np.count_nonzero(uncoupled)))
-        coupled = np.nonzero(~uncoupled)[0]
-        if not len(coupled):
-            return
-        read = self._read
-        train = self._train
-        for position, bim_i, g0_i, g1_i, meta_i, taken in zip(
-                coupled.tolist(), indices[0][coupled].tolist(),
-                indices[1][coupled].tolist(), indices[2][coupled].tolist(),
-                indices[3][coupled].tolist(), takens[coupled].tolist()):
-            four = (bim_i, g0_i, g1_i, meta_i)
-            state = read(four)
-            train(four, state, taken)
-            out[position] = state[-1]
-
-    def _replay_chunk_fast(self, indices: list[np.ndarray],
-                           takens: np.ndarray, out: np.ndarray) -> float:
-        """:meth:`_replay_chunk` without telemetry sites, with the coupled
-        remainder replayed by :meth:`_replay_coupled_fast`.  Returns the
-        chunk's uncoupled fraction (the adaptive hint consumed by
-        :meth:`batch_access`)."""
-        tables = (self.bim, self.g0, self.g1, self.meta)
-        uncoupled = uncoupled_positions(*(
-            stream & np.int64(table.hysteresis_size - 1)
-            for stream, table in zip(indices, tables)))
-        count = int(np.count_nonzero(uncoupled))
-        if count:
-            out[uncoupled] = self._train_many_uncoupled(
-                [stream[uncoupled] for stream in indices], takens[uncoupled])
-        if count < len(takens):
-            coupled = np.nonzero(~uncoupled)[0]
-            out[coupled] = self._replay_coupled_fast(
-                indices[0][coupled].tolist(), indices[1][coupled].tolist(),
-                indices[2][coupled].tolist(), indices[3][coupled].tolist(),
-                takens[coupled].view(np.uint8).tolist())
-        return count / len(takens) if len(takens) else 1.0
-
-    def _replay_coupled_fast(self, bim_idx: list, g0_idx: list, g1_idx: list,
-                             meta_idx: list, takens: list) -> list:
-        """The inlined coupled-replay kernel: predict-then-train over python
-        lists of precomputed indices, touching the four banks' prediction and
-        hysteresis byte arrays directly.
+    def _replay(self, bim_idx: list, g0_idx: list, g1_idx: list,
+                meta_idx: list, takens: list) -> list:
+        """The inlined replay kernel: predict-then-train over python lists
+        of precomputed indices, touching the four banks' prediction and
+        hysteresis byte arrays directly.  Returns the 0/1 predictions, which
+        are already bit-0 event codes for
+        :func:`~repro.predictors.base.replay_event_codes`.
 
         Every branch below restates one arm of :meth:`_train_partial` /
         :meth:`_train_total` composed with the
@@ -369,11 +290,10 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
         (``strengthen`` on the participating correct side collapses to
         setting the hysteresis bit because it is only reached with direction
         == target; every other write is ``_step_towards`` spelled out).  The
-        monolithic loop exists because the coupled remainder dominates
-        long-history replay (~96% of Table 1 positions) and per-position
-        method dispatch through :meth:`_read`/:meth:`_train` costs ~3x the
-        transitions themselves.  Bit-identity against the scalar walk is
-        locked by the differential fuzzer (``tests/test_differential.py``).
+        monolithic loop exists because per-position method dispatch through
+        :meth:`_read`/:meth:`_train` costs ~3x the transitions themselves.
+        Bit-identity against the scalar walk is locked by the differential
+        fuzzer (``tests/test_differential.py``).
         """
         bim, g0, g1, meta = self.bim, self.g0, self.g1, self.meta
         bp, bh = bim._prediction, bim._hysteresis
@@ -489,108 +409,7 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
                 p1[g1i] = t
         return res
 
-    def _train_many_uncoupled(self, indices: list[np.ndarray],
-                              takens: np.ndarray) -> np.ndarray:
-        """Vectorized read + train over positions with pairwise-disjoint
-        counter entries; returns the overall predictions.
-
-        Every mask below restates one arm of :meth:`_train_partial` /
-        :meth:`_train_total`; the chooser's post-update re-read is resolved
-        by stepping Meta's packed state through the transition tables
-        without touching the array (the actual write happens once, in
-        ``train_many_unique``).
-        """
-        bim_i, g0_i, g1_i, meta_i = indices
-        p_bim = self.bim.predict_many(bim_i)
-        p_g0 = self.g0.predict_many(g0_i)
-        p_g1 = self.g1.predict_many(g1_i)
-        packed_meta = self.meta.packed_many(meta_i)
-        use_majority = packed_meta >= 2
-        majority = (p_bim.astype(np.int8) + p_g0 + p_g1) >= 2
-        overall = np.where(use_majority, majority, p_bim)
-        disagree = p_bim != majority
-        mtaken = majority == takens
-
-        telemetry = self._telemetry
-        if telemetry.enabled:
-            self._count_arbitration_many(telemetry, p_bim, use_majority,
-                                         majority, overall, takens)
-
-        if self.update_policy == "total":
-            if telemetry.enabled:
-                telemetry.count("update.full", len(takens))
-            self.meta.train_many_unique(meta_i, mtaken, update=disagree)
-            everywhere = np.ones(len(takens), dtype=np.bool_)
-            self.bim.train_many_unique(bim_i, takens, update=everywhere)
-            self.g0.train_many_unique(g0_i, takens, update=everywhere)
-            self.g1.train_many_unique(g1_i, takens, update=everywhere)
-            return overall
-
-        correct = overall == takens
-        all_agree = (p_bim == p_g0) & (p_bim == p_g1)
-        meta_strengthen = correct & disagree
-        meta_update = ~correct & disagree
-        stepped_meta = np.where(mtaken, _STEP_TAKEN[packed_meta],
-                                _STEP_NOT_TAKEN[packed_meta])
-        new_use_majority = stepped_meta >= 2
-        fixed = meta_update & (np.where(new_use_majority, majority, p_bim)
-                               == takens)
-        update_all = (~correct & ~disagree) | (meta_update & ~fixed)
-        majority_side = (correct & ~all_agree & use_majority) \
-            | (fixed & new_use_majority)
-        bim_only = (correct & ~all_agree & ~use_majority) \
-            | (fixed & ~new_use_majority)
-        if telemetry.enabled:
-            suppressed = int(np.count_nonzero(correct & all_agree))
-            if suppressed:
-                telemetry.count("update.suppressed", suppressed)
-                telemetry.count("update.suppressed_writes", 3 * suppressed)
-            strengthened = int(np.count_nonzero(correct & ~all_agree))
-            if strengthened:
-                telemetry.count("update.strengthened", strengthened)
-            chooser_fixed = int(np.count_nonzero(fixed))
-            if chooser_fixed:
-                telemetry.count("update.chooser_fixed", chooser_fixed)
-            full = int(np.count_nonzero(update_all))
-            if full:
-                telemetry.count("update.full", full)
-        self.meta.train_many_unique(meta_i, mtaken,
-                                    strengthen=meta_strengthen,
-                                    update=meta_update)
-        self.bim.train_many_unique(
-            bim_i, takens,
-            strengthen=(majority_side & (p_bim == takens)) | bim_only,
-            update=update_all)
-        self.g0.train_many_unique(g0_i, takens,
-                                  strengthen=majority_side & (p_g0 == takens),
-                                  update=update_all)
-        self.g1.train_many_unique(g1_i, takens,
-                                  strengthen=majority_side & (p_g1 == takens),
-                                  update=update_all)
-        return overall
-
     # -- training ------------------------------------------------------------
-
-    @staticmethod
-    def _count_arbitration_many(telemetry, p_bim, use_majority, majority,
-                                overall, takens) -> None:
-        """Vectorized Meta-arbitration accounting: which side the chooser
-        selected per branch, and which candidates were correct.  Mirrors the
-        scalar accounting in :meth:`_train` exactly (zero counts stay
-        unrecorded, so scalar and batched sinks hold identical keys)."""
-        n = len(takens)
-        majority_chosen = int(np.count_nonzero(use_majority))
-        if majority_chosen:
-            telemetry.count("arbitration.majority_chosen", majority_chosen)
-        if n - majority_chosen:
-            telemetry.count("arbitration.bim_chosen", n - majority_chosen)
-        for name, correct_mask in (
-                ("arbitration.bim_correct", p_bim == takens),
-                ("arbitration.majority_correct", majority == takens),
-                ("arbitration.chosen_correct", overall == takens)):
-            hits = int(np.count_nonzero(correct_mask))
-            if hits:
-                telemetry.count(name, hits)
 
     def _train(self, indices, state, taken: bool) -> None:
         telemetry = self._telemetry

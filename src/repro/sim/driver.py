@@ -56,11 +56,9 @@ def simulate(predictor: Predictor, trace: Trace,
         entries initialised weakly not-taken); kept for sensitivity studies.
     engine:
         Simulation engine: an instance, a registered name (``"scalar"``,
-        ``"batched"``, ``"batched-compat"`` — the batched engine pinned to
-        the original replay kernel, kept for honest before/after
-        benchmarking), or ``None`` for the ``REPRO_SIM_ENGINE`` environment
-        default (scalar).  Engines are count-equivalent; they differ only in
-        throughput.
+        the reference, or ``"batched"``), or ``None`` for the
+        ``REPRO_SIM_ENGINE`` environment default (batched).  Engines are
+        count-equivalent; they differ only in throughput.
     use_cache:
         Consult/populate the persistent result cache
         (:mod:`repro.sim.result_cache`).  ``None`` defers to the

@@ -12,8 +12,9 @@ simulation.  This module makes that hot path a swappable component:
   (:meth:`~repro.history.providers.HistoryProvider.materialize`), the whole
   trace's index streams are precomputed over numpy arrays and the counter
   traffic is resolved in vectorized passes (see
-  :meth:`repro.common.counters.SplitCounterArray.batch_access`), falling
-  back to scalar replay only where true sequential dependence exists.
+  :meth:`repro.common.counters.SplitCounterArray.batch_access`) or, for
+  predictors whose tables are update-coupled, by one inlined replay kernel
+  over the precomputed streams.  This is the default engine.
 
 The contract is strict: ``BatchedEngine`` must produce **bit-identical**
 ``mispredictions``/``branches`` to ``ScalarEngine`` (and equivalent final
@@ -145,10 +146,8 @@ class BatchedEngine(SimulationEngine):
 
     name = "batched"
 
-    def __init__(self, strict: bool = False,
-                 replay_kernel: str = "fast") -> None:
+    def __init__(self, strict: bool = False) -> None:
         self.strict = strict
-        self.replay_kernel = replay_kernel
         self._fallback = ScalarEngine()
 
     def _explain_fallback(self, predictor: Predictor,
@@ -188,7 +187,6 @@ class BatchedEngine(SimulationEngine):
                                           warmup_branches, telemetry=sink)
             if sink.enabled:
                 predictor.attach_telemetry(sink)
-            predictor.set_replay_kernel(self.replay_kernel)
             try:
                 with sink.span("replay"):
                     predictions = predictor.batch_access(batch)
@@ -214,21 +212,9 @@ class BatchedEngine(SimulationEngine):
         )
 
 
-def _batched_compat_engine() -> BatchedEngine:
-    """The batched engine pinned to the original (pre-fabric) replay
-    kernel.  Count-identical to ``"batched"`` by contract; it exists so
-    benchmarks can measure the fast kernel against an honest reproduction
-    of the previous hot path, and keys result-cache entries under its own
-    engine name for provenance."""
-    engine = BatchedEngine(replay_kernel="compat")
-    engine.name = "batched-compat"
-    return engine
-
-
 ENGINES: dict[str, Callable[[], SimulationEngine]] = {
     "scalar": ScalarEngine,
     "batched": BatchedEngine,
-    "batched-compat": _batched_compat_engine,
 }
 
 
@@ -241,8 +227,9 @@ def register_engine(name: str,
 
 def default_engine_name() -> str:
     """The engine used when callers do not choose one: the
-    ``REPRO_SIM_ENGINE`` environment variable, defaulting to ``scalar``."""
-    return os.environ.get(ENGINE_ENV_VAR, "").strip() or "scalar"
+    ``REPRO_SIM_ENGINE`` environment variable, defaulting to ``batched``
+    (``scalar`` stays available by name as the reference oracle)."""
+    return os.environ.get(ENGINE_ENV_VAR, "").strip() or "batched"
 
 
 def get_engine(engine: str | SimulationEngine | None = None

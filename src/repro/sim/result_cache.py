@@ -85,14 +85,10 @@ def cache_dir() -> Path:
 
 _TRACE_HASHES: WeakKeyDictionary = WeakKeyDictionary()
 
-_TELEMETRY_ATTRS = frozenset({"_telemetry", "_tele_names", "_replay_kernel"})
-"""Attribute names carrying telemetry or replay-kernel wiring.  Excluded
-from structural fingerprints: attaching (or detaching) an observability
-sink never changes what a simulation computes, and the replay-kernel
-selector (``fast`` vs ``compat``) only picks between bit-identical
-implementations — so neither may change a cache key.  (Engine *names* still
-key separately: ``batched`` vs ``batched-compat`` entries stay attributable
-even though their counts agree by contract.)"""
+_TELEMETRY_ATTRS = frozenset({"_telemetry", "_tele_names"})
+"""Attribute names carrying telemetry wiring.  Excluded from structural
+fingerprints: attaching (or detaching) an observability sink never changes
+what a simulation computes, so it may not change a cache key."""
 
 
 def _trace_content_digest(trace: Trace) -> bytes:

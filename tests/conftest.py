@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import os
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.history.providers import InfoVector
+from repro.obs import NullTelemetry
 from repro.traces.model import TerminatorKind, Trace, TraceBuilder
 from repro.workloads.spec95 import spec95_trace
 
@@ -35,6 +37,25 @@ def make_vector(pc: int = 0x1000, history: int = 0, address: int | None = None,
     return InfoVector(history=history,
                       address=pc if address is None else address,
                       branch_pc=pc, path=path, bank=bank)
+
+
+def table_state(obj, path: str = "") -> dict[str, bytes]:
+    """Every table buffer reachable from ``obj``, keyed by attribute path:
+    byte buffers directly on it, and those of the repro objects it holds
+    (counter arrays, YAGS caches, ...), recursively."""
+    attrs = dict(getattr(obj, "__dict__", {}))
+    for klass in type(obj).__mro__:
+        for slot in getattr(klass, "__slots__", ()):
+            if hasattr(obj, slot):
+                attrs.setdefault(slot, getattr(obj, slot))
+    state = {}
+    for name, value in attrs.items():
+        if isinstance(value, (bytearray, array)):
+            state[path + name] = bytes(value)
+        elif (type(value).__module__.startswith("repro.")
+              and not isinstance(value, NullTelemetry)):
+            state.update(table_state(value, f"{path}{name}."))
+    return state
 
 
 def simple_loop_trace(iterations: int = 200, name: str = "loop",

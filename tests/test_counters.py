@@ -244,75 +244,3 @@ class TestBatchAccess:
         # The paper's G0/Meta configuration: half-size hysteresis.
         assert SplitCounterArray(1 << 16, 1 << 15).batch_supported
 
-
-class TestTrainManyUnique:
-    """Vectorized strengthen/update over group-distinct index sets must match
-    the scalar operations."""
-
-    def test_update_matches_scalar(self):
-        indices = np.array([1, 3, 6, 12], dtype=np.int64)  # distinct groups
-        takens = np.array([True, False, True, False])
-        reference = SplitCounterArray(16, 8)
-        for value, index in enumerate(indices):
-            reference.set_counter(int(index), value % 4)
-        array = SplitCounterArray(16, 8)
-        for value, index in enumerate(indices):
-            array.set_counter(int(index), value % 4)
-        for index, taken in zip(indices, takens):
-            reference.update(int(index), bool(taken))
-        array.train_many_unique(indices, takens,
-                                update=np.ones(4, dtype=np.bool_))
-        assert array._prediction == reference._prediction
-        assert array._hysteresis == reference._hysteresis
-
-    def test_strengthen_matches_scalar_including_disagreement(self):
-        indices = np.array([0, 1, 2, 3], dtype=np.int64)
-        takens = np.array([True, True, False, False])
-        reference = SplitCounterArray(4)
-        array = SplitCounterArray(4)
-        for counters in (reference, array):
-            counters.set_counter(0, 2)  # agrees with taken -> saturates
-            counters.set_counter(1, 0)  # disagrees -> degenerates to a step
-            counters.set_counter(2, 1)  # agrees with not-taken
-            counters.set_counter(3, 3)  # disagrees -> weakened
-        for index, taken in zip(indices, takens):
-            reference.strengthen(int(index), bool(taken))
-        array.train_many_unique(indices, takens,
-                                strengthen=np.ones(4, dtype=np.bool_))
-        assert array._prediction == reference._prediction
-        assert array._hysteresis == reference._hysteresis
-
-    def test_masks_select_disjoint_operations(self):
-        indices = np.array([0, 1, 2], dtype=np.int64)
-        takens = np.array([True, True, True])
-        strengthen = np.array([True, False, False])
-        update = np.array([False, True, False])
-        reference = SplitCounterArray(8)
-        array = SplitCounterArray(8)
-        reference.strengthen(0, True)
-        reference.update(1, True)
-        array.train_many_unique(indices, takens, strengthen=strengthen,
-                                update=update)
-        # Position 2 selected by neither mask: untouched.
-        assert array._prediction == reference._prediction
-        assert array._hysteresis == reference._hysteresis
-
-    def test_no_masks_is_a_no_op(self):
-        array = SplitCounterArray(8)
-        before = bytes(array._prediction)
-        array.train_many_unique(np.array([1], dtype=np.int64),
-                                np.array([True]))
-        assert bytes(array._prediction) == before
-
-    def test_gather_helpers_match_scalar_reads(self):
-        array = SplitCounterArray(16, 8)
-        rng = np.random.default_rng(3)
-        for index in range(16):
-            array.set_counter(index, int(rng.integers(0, 4)))
-        indices = rng.integers(0, 64, size=40).astype(np.int64)
-        assert array.predict_many(indices).tolist() == \
-            [array.predict(int(i)) for i in indices]
-        packed = array.packed_many(indices)
-        expected = [(int(array.predict(int(i))) << 1)
-                    | int(array.hysteresis(int(i))) for i in indices]
-        assert packed.tolist() == expected

@@ -19,15 +19,15 @@ while local runs keep the full sweep.
 from __future__ import annotations
 
 import os
-from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import table_state
 from repro.history.providers import BlockLghistProvider, BranchGhistProvider
-from repro.obs import NullTelemetry, Telemetry
+from repro.obs import Telemetry
 from repro.predictors.bimode import BiModePredictor
 from repro.predictors.egskew import EGskewPredictor
 from repro.predictors.twobcgskew import (SkewedIndexScheme, TableConfig,
@@ -126,46 +126,26 @@ def batched_walk(predictor, trace, provider, sink) -> np.ndarray:
 
 
 def fast_walk(predictor, trace, provider) -> np.ndarray:
-    """The batched replay under the fast kernel (telemetry disabled — a
-    recording sink forces the compat kernel, so this arm runs without one,
-    exactly like production sweeps)."""
+    """The batched replay with no sink attached, exactly like production
+    sweeps (2Bc-gskew then runs its inlined kernel instead of the
+    reference read/train walk)."""
     batch = provider.materialize(trace)
     assert batch is not None, "provider fell out of the batchable envelope"
-    predictor.set_replay_kernel("fast")
     return predictor.batch_access(batch)
 
 
-def _table_state(obj, path: str = "") -> dict[str, bytes]:
-    """Every table buffer reachable from ``obj``, keyed by attribute path:
-    byte buffers directly on it, and those of the repro objects it holds
-    (counter arrays, YAGS caches, ...), recursively."""
-    attrs = dict(getattr(obj, "__dict__", {}))
-    for klass in type(obj).__mro__:
-        for slot in getattr(klass, "__slots__", ()):
-            if hasattr(obj, slot):
-                attrs.setdefault(slot, getattr(obj, slot))
-    state = {}
-    for name, value in attrs.items():
-        if isinstance(value, (bytearray, array)):
-            state[path + name] = bytes(value)
-        elif (type(value).__module__.startswith("repro.")
-              and not isinstance(value, NullTelemetry)):
-            state.update(_table_state(value, f"{path}{name}."))
-    return state
-
-
 def _assert_same_state(reference, candidate, arm: str) -> None:
-    expected = _table_state(reference)
+    expected = table_state(reference)
     assert expected, "predictor exposes no table state to compare"
-    actual = _table_state(candidate)
+    actual = table_state(candidate)
     assert expected.keys() == actual.keys()
     for where, data in expected.items():
         assert data == actual[where], f"{where} diverged ({arm})"
 
 
 def assert_equivalent(make_predictor, trace, make_provider) -> dict:
-    """Scalar vs batched vs fast arm; returns the scalar walk's comparable
-    counters (all matched by the batched arm)."""
+    """Scalar vs batched with a sink vs batched without one; returns the
+    scalar walk's comparable counters (all matched by the batched arm)."""
     scalar_sink, batched_sink = Telemetry(), Telemetry()
     reference = make_predictor()
     candidate = make_predictor()
@@ -173,11 +153,10 @@ def assert_equivalent(make_predictor, trace, make_provider) -> dict:
     actual = batched_walk(candidate, trace, make_provider(), batched_sink)
 
     np.testing.assert_array_equal(expected, actual)
-    _assert_same_state(reference, candidate, "compat kernel")
+    _assert_same_state(reference, candidate, "batched with a sink")
 
     # Engine-consistent telemetry: logical bank traffic, arbitration and
-    # update-policy event counts must match key-for-key (replay.* is
-    # batched-only bookkeeping and excluded by construction).
+    # update-policy event counts must match key-for-key.
     def comparable(sink):
         return {name: value
                 for name, value in sink.snapshot()["counters"].items()
@@ -185,13 +164,13 @@ def assert_equivalent(make_predictor, trace, make_provider) -> dict:
 
     assert comparable(scalar_sink) == comparable(batched_sink)
 
-    # Third arm: the fast replay kernel (what production sweeps run when no
-    # sink is attached) must be bit-identical to the same scalar reference —
-    # predictions and final table state both.
+    # Third arm: the batched replay with no sink (what production sweeps
+    # run) must be bit-identical to the same scalar reference — predictions
+    # and final table state both.
     fast = make_predictor()
     np.testing.assert_array_equal(
         expected, fast_walk(fast, trace, make_provider()))
-    _assert_same_state(reference, fast, "fast kernel")
+    _assert_same_state(reference, fast, "batched without a sink")
     return comparable(scalar_sink)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import simple_loop_trace
+from conftest import simple_loop_trace, table_state
 from repro.experiments.common import make_fig5_configs
 from repro.history.providers import BlockLghistProvider, BranchGhistProvider
 from repro.predictors import (
@@ -129,7 +129,11 @@ def test_fig5_set_runs_batched_without_fallbacks(limited, gcc_trace):
 @pytest.mark.parametrize("factory", [
     lambda: BiModePredictor(1 << 10, 1 << 8, 12),
     lambda: YagsPredictor(1 << 8, 1 << 8, 10, tag_bits=10),
-], ids=["bimode", "yags"])
+    lambda: EGskewPredictor(1 << 10, 12),
+    lambda: TwoBcGskewPredictor(
+        TableConfig(1 << 10, 0), TableConfig(1 << 11, 9, 1 << 10),
+        TableConfig(1 << 11, 13), TableConfig(1 << 11, 11, 1 << 10)),
+], ids=["bimode", "yags", "egskew", "2bcgskew_ev8_shaped"])
 def test_event_code_replay_carries_state_across_chunks(factory, gcc_trace,
                                                        monkeypatch):
     """The table state carries from one replay chunk to the next."""
@@ -139,8 +143,9 @@ def test_event_code_replay_carries_state_across_chunks(factory, gcc_trace,
                        BatchedEngine(strict=True).run(batched_pred,
                                                       gcc_trace))
     assert batched.mispredictions == scalar.mispredictions
-    assert bytes(scalar_pred.choice._prediction) == \
-        bytes(batched_pred.choice._prediction)
+    expected = table_state(scalar_pred)
+    assert expected
+    assert table_state(batched_pred) == expected
 
 
 def test_batched_falls_back_for_non_batch_capable(gcc_trace):
@@ -261,10 +266,12 @@ def test_get_engine_resolution(monkeypatch):
         get_engine("warp-drive")
 
     monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-    assert default_engine_name() == "scalar"
-    monkeypatch.setenv(ENGINE_ENV_VAR, "batched")
     assert default_engine_name() == "batched"
     assert isinstance(get_engine(None), BatchedEngine)
+    monkeypatch.setenv(ENGINE_ENV_VAR, "scalar")
+    assert default_engine_name() == "scalar"
+    assert isinstance(get_engine(None), ScalarEngine)
+    assert sorted(ENGINES) == ["batched", "scalar"]
 
 
 def test_register_engine(monkeypatch):

@@ -261,13 +261,23 @@ class TestEngineInvariants:
                 >= sink.spans[child]["seconds"]
         assert sink.span_depth == 0
 
-    def test_batched_replay_residue_accounting(self, gcc_trace):
+    def test_batched_counters_match_scalar(self, instrumented_run,
+                                           gcc_trace):
+        """A recording sink on the batched engine sees the scalar run's
+        bank, arbitration and update counters, and ``engine.branches``
+        carries the replayed position count."""
+        _, snapshot, _ = instrumented_run
         sink = Telemetry()
         result = BatchedEngine(strict=True).run(small_2bcgskew(), gcc_trace,
                                                 telemetry=sink)
-        counters = sink.counters
-        assert counters["replay.positions"] == result.branches
-        assert 0 <= counters["replay.coupled"] <= counters["replay.positions"]
+
+        def predictor_counters(counters):
+            return {name: value for name, value in counters.items()
+                    if not name.startswith("engine.")}
+
+        assert predictor_counters(sink.counters) \
+            == predictor_counters(snapshot["counters"])
+        assert sink.counters["engine.branches"] == result.branches
 
     def test_partial_update_suppresses_hysteresis_writes(self, gcc_trace):
         """The Section 4.2 claim, measured: the partial policy issues
