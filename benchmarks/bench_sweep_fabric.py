@@ -1,9 +1,10 @@
-"""End-to-end sweep throughput: plane fabric + work-stealing scheduler.
+"""End-to-end sweep throughput: persistent pool + trace-major work units.
 
 The gate: a Table-1-sized EV8 history sweep (>= 12 points over 4 SPEC95
-stand-in traces) through ``sweep_parallel`` — shared-memory planes,
-persistent pool, ``(point, trace)`` work units — must beat a reproduction
-of the pre-fabric orchestration (fresh default ``ProcessPoolExecutor``,
+stand-in traces) through ``sweep_parallel`` — each trace materialized
+once in the caller, persistent pool, trace-major ``(point, trace)`` work
+units that carry the trace and its batch — must beat a reproduction of
+the whole-point orchestration (fresh default ``ProcessPoolExecutor``,
 whole-point tasks that pickle every trace and re-materialize its
 information vectors in every task) by **>= 1.1x end-to-end wall-clock**,
 while producing **bit-identical** ``SweepPoint.per_benchmark`` values.
@@ -47,7 +48,7 @@ def table1_predictor(g1_history: int) -> EV8BranchPredictor:
 
 def _fresh_traces(branches: int) -> dict[str, Trace]:
     """Distinct trace objects per arm so neither arm inherits the other's
-    materialization or manifest caches."""
+    materialization caches."""
     out = {}
     for name in SWEEP_TRACES:
         trace = spec95_trace(name, branches)
@@ -58,7 +59,7 @@ def _fresh_traces(branches: int) -> dict[str, Trace]:
 
 
 def _legacy_sweep_parallel(values, traces):
-    """The pre-fabric orchestration, reproduced: one fresh default-context
+    """The whole-point orchestration, reproduced: one fresh default-context
     pool per sweep and one whole-point task per value (each task receives a
     pickled copy of every trace and re-materializes each trace's planes),
     on the same ``batched`` engine as the fabric arm."""

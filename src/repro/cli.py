@@ -66,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lengths", type=int, nargs="+",
                        default=[0, 4, 8, 12, 16, 20])
     sweep.add_argument("--parallel", action="store_true",
-                       help="fan the sweep out over the shared-memory "
-                            "plane fabric and persistent worker pool")
+                       help="fan the sweep out over the persistent "
+                            "worker pool")
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes for --parallel "
                             "(default: one per CPU)")

@@ -88,11 +88,6 @@ def run_all(num_branches: int | None = None, use_cache: bool = True,
     active sink for the duration (so every simulation, trace-cache and
     result-cache access records into it) and its summary table is appended
     to the report.
-
-    Any sweep fabric resources the sections accumulate — shared-memory
-    plane segments and the persistent worker pools — are released when the
-    run finishes, even on failure, so a long-lived embedding process does
-    not carry them between reports.
     """
     branches = num_branches or default_trace_branches()
     lines = [
@@ -103,36 +98,28 @@ def run_all(num_branches: int | None = None, use_cache: bool = True,
         f"everywhere.",
         "",
     ]
-    try:
-        with _runtime_defaults(use_cache), \
-                use_telemetry(telemetry) as sink:
-            for title, module, finding in _SECTIONS:
-                started = time.time()
-                with sink.span(module.__name__.rsplit(".", 1)[-1]):
-                    result = module.run(num_branches)
-                rendered = module.render(result)
-                lines.append(f"## {title}")
-                lines.append("")
-                lines.append(f"*Paper finding:* {finding}")
-                lines.append("")
-                lines.append("```")
-                lines.append(rendered)
-                lines.append("```")
-                lines.append(f"*({time.time() - started:.0f}s)*")
-                lines.append("")
-            if sink.enabled:
-                lines.append("## Telemetry summary")
-                lines.append("")
-                lines.append("```")
-                lines.append(render_summary(sink.snapshot()))
-                lines.append("```")
-                lines.append("")
-    finally:
-        from repro.sim.planes import release_attachments, release_plane_store
-        from repro.sim.scheduler import shutdown_schedulers
-        release_attachments()
-        release_plane_store()
-        shutdown_schedulers()
+    with _runtime_defaults(use_cache), use_telemetry(telemetry) as sink:
+        for title, module, finding in _SECTIONS:
+            started = time.time()
+            with sink.span(module.__name__.rsplit(".", 1)[-1]):
+                result = module.run(num_branches)
+            rendered = module.render(result)
+            lines.append(f"## {title}")
+            lines.append("")
+            lines.append(f"*Paper finding:* {finding}")
+            lines.append("")
+            lines.append("```")
+            lines.append(rendered)
+            lines.append("```")
+            lines.append(f"*({time.time() - started:.0f}s)*")
+            lines.append("")
+        if sink.enabled:
+            lines.append("## Telemetry summary")
+            lines.append("")
+            lines.append("```")
+            lines.append(render_summary(sink.snapshot()))
+            lines.append("```")
+            lines.append("")
     return "\n".join(lines)
 
 

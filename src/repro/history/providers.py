@@ -133,15 +133,14 @@ class HistoryProvider:
         return None
 
     def plane_key(self) -> tuple | None:
-        """Hashable configuration key for the shared-memory plane fabric
-        (:mod:`repro.sim.planes`).
+        """Hashable configuration key for a materialized batch.
 
-        A materialized batch is a pure function of (trace, this key), so
-        batches published under the same key may be shared across processes
-        and adopted into the module-level materialization caches via
-        :func:`seed_plane_cache`.  ``None`` means this provider's batches
-        cannot be keyed (e.g. it cannot materialize at all), and the fabric
-        simply skips batch planes for it.
+        A materialized batch is a pure function of (trace, this key), so a
+        parallel sweep materializes it once in the calling process, ships
+        it to the workers with the trace, and they adopt it into the
+        module-level materialization caches via :func:`seed_plane_cache`.
+        ``None`` means this provider's batches cannot be keyed (e.g. it
+        cannot materialize at all), and workers materialize for themselves.
         """
         return None
 
@@ -452,9 +451,10 @@ delay_blocks, capacity, path_depth) — the full provider configuration."""
 
 def _count_materialize_computed() -> None:
     """Record one *actual* materialization compute into the process-global
-    telemetry sink (cache hits and fabric adoptions never reach here).
+    telemetry sink (cache hits and :func:`seed_plane_cache` adoptions never
+    reach here).
 
-    The counter is fabric/orchestration accounting rather than simulation
+    The counter is orchestration accounting rather than simulation
     semantics, so it deliberately bypasses the engine's per-run sink: the
     sweep layer's serial == parallel merged-counter invariant covers the
     simulation namespaces, while ``provider.materialize_computed`` depends
@@ -471,10 +471,10 @@ def seed_plane_cache(plane_key: tuple, trace: Trace, batch: VectorBatch) -> bool
 
     ``plane_key`` must be a key produced by
     :meth:`HistoryProvider.plane_key`; ``batch`` must hold the columns that
-    materializing ``trace`` under that configuration would produce (the
-    plane fabric guarantees this by construction: batches are published
-    under the key of the provider that materialized them, and manifests
-    carry content digests).  Returns ``True`` if the batch was adopted,
+    materializing ``trace`` under that configuration would produce
+    (``sweep_parallel`` guarantees this by construction: it ships each
+    batch with the key of the provider that materialized it, next to the
+    trace it came from).  Returns ``True`` if the batch was adopted,
     ``False`` if the key is unknown or the cache already holds an entry
     (an existing entry always wins — it was materialized locally and is
     bit-identical by the same purity argument).

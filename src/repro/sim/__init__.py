@@ -17,16 +17,6 @@ from repro.sim.metrics import (
     aggregate_misp_per_ki,
     misp_per_ki,
 )
-from repro.sim.planes import (
-    PlaneError,
-    PlaneManifest,
-    PlaneSpec,
-    PlaneStore,
-    attach_batch,
-    attach_trace,
-    get_plane_store,
-    release_plane_store,
-)
 from repro.sim.scheduler import (
     SchedulerUnavailable,
     SweepScheduler,
@@ -57,14 +47,6 @@ __all__ = [
     "SimulationResult",
     "aggregate_misp_per_ki",
     "misp_per_ki",
-    "PlaneError",
-    "PlaneManifest",
-    "PlaneSpec",
-    "PlaneStore",
-    "attach_batch",
-    "attach_trace",
-    "get_plane_store",
-    "release_plane_store",
     "SchedulerUnavailable",
     "SweepScheduler",
     "default_start_method",

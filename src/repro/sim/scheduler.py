@@ -1,6 +1,6 @@
 """Persistent work-stealing scheduler for sweep work units.
 
-The pre-fabric ``sweep_parallel`` built a fresh default
+An earlier ``sweep_parallel`` built a fresh default
 ``ProcessPoolExecutor`` per call and submitted one task per sweep *point*
 (each task simulating every trace serially).  That shape has three costs:
 pool startup is paid on every sweep of a multi-sweep experiment, a slow
@@ -11,8 +11,7 @@ This module replaces all three:
 
 * **persistent pools** — :func:`get_scheduler` memoizes
   :class:`SweepScheduler` instances per ``(max_workers, start_method)``, so
-  ``sweep``, ``sweep_parallel`` and ``runall`` reuse one warm pool across
-  calls.  :func:`shutdown_schedulers` (also registered ``atexit``) tears
+  successive ``sweep_parallel`` calls reuse one warm pool.  :func:`shutdown_schedulers` (also registered ``atexit``) tears
   them down.
 * **explicit start method** — :func:`default_start_method` picks ``fork``
   where it is safe and cheap (Linux) and ``spawn`` where fork is a trap or
@@ -35,7 +34,8 @@ import multiprocessing
 import os
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
 from repro.obs import get_telemetry
@@ -114,7 +114,9 @@ class SweepScheduler:
         """Run ``fn`` over every payload on the pool; results come back in
         submission order.  Raises :class:`SchedulerUnavailable` when the
         pool cannot start or breaks (the broken pool is discarded), and
-        propagates exceptions raised by ``fn`` itself."""
+        propagates exceptions raised by ``fn`` itself unchanged, leaving
+        the pool running.  Every chunk has settled when this returns or
+        raises, so no work is in flight for a later :meth:`shutdown`."""
         chunks = self.chunk_payloads(payloads)
         if not chunks:
             return []
@@ -127,28 +129,35 @@ class SweepScheduler:
         try:
             futures = [executor.submit(_run_chunk, fn, chunk)
                        for chunk in chunks]
-            results: list = []
-            for future in futures:
-                results.extend(future.result())
-            return results
-        except SchedulerUnavailable:
-            raise
-        except Exception as error:
-            # A broken/unusable pool must not poison later runs; workload
-            # exceptions pickle a traceback and re-raise untouched.
-            from concurrent.futures.process import BrokenProcessPool
-            if isinstance(error, (BrokenProcessPool, RuntimeError, OSError)):
-                self.shutdown()
-                raise SchedulerUnavailable(
-                    f"process pool failed: {error!r}") from error
-            raise
+        except RuntimeError as error:  # broken or already shut down
+            self.shutdown()
+            raise SchedulerUnavailable(
+                f"process pool failed: {error!r}") from error
+        # Wait for every chunk, not just up to the first failure.  A chunk
+        # still in flight when the pool is shut down with cancel_futures
+        # and then fails to pickle is never retired by CPython's executor
+        # (its manager thread waits on it forever, and interpreter exit
+        # hangs joining that thread).
+        wait(futures)
+        try:
+            return [result for future in futures
+                    for result in future.result()]
+        except BrokenProcessPool as error:  # a worker died mid-flight
+            self.shutdown()
+            raise SchedulerUnavailable(
+                f"process pool failed: {error!r}") from error
 
     def shutdown(self) -> None:
-        """Stop the pool (idempotent); the next :meth:`run` starts anew."""
+        """Stop the pool (idempotent); the next :meth:`run` starts anew.
+
+        Waits until the pool's threads and workers are gone.  A pool forked
+        while an old pool's manager thread is still exiting copies that
+        thread's held state lock into its workers, and those workers then
+        hang at exit joining it."""
         with self._lock:
             executor, self._executor = self._executor, None
         if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+            executor.shutdown(wait=True, cancel_futures=True)
 
 
 _SCHEDULERS: dict[tuple[int, str], SweepScheduler] = {}

@@ -100,35 +100,24 @@ def _simulate_unit(payload: tuple) -> tuple[float, dict | None]:
     """Worker-side body for one ``(point, trace)`` work unit (module-level
     so process pools can pickle it).
 
-    ``trace_ref``/``batch_ref`` are either shared-memory
-    :class:`~repro.sim.planes.PlaneManifest` handles (the fabric fast path:
-    attach zero-copy, adopt the published batch into the provider's
-    materialization cache so the worker never re-materializes) or plain
-    pickled fallbacks (``batch_ref=None`` means materialize locally, exactly
-    the pre-fabric behaviour).  A batch plane that fails to attach degrades
-    to local materialization; a trace plane that fails to attach raises —
-    there is nothing to simulate — and the caller falls back to serial.
+    ``seed`` is ``(plane_key, batch)`` when the caller materialized the
+    trace's batch, or ``None``.  The batch is adopted into the provider's
+    materialization cache (:func:`seed_plane_cache`), so the worker's own
+    ``materialize`` call is a cache hit instead of a recompute.
 
     Telemetry is recorded into a unit-local sink installed as the
-    process-global active sink for the unit's duration, so fabric-adjacent
-    bookkeeping (cache adoption recomputes, engine spans) lands in the
+    process-global active sink for the unit's duration, so worker-side
+    bookkeeping (materialize recomputes, engine spans) lands in the
     snapshot that travels back for the deterministic fold.
     """
-    (value, trace_ref, batch_ref, make_predictor, make_provider, engine,
-     use_cache, collect_telemetry) = payload
-    if isinstance(trace_ref, planes.PlaneManifest):
-        trace = planes.attach_trace(trace_ref)
-    else:
-        trace = trace_ref
+    (value, trace, seed, make_predictor, make_provider, engine, use_cache,
+     collect_telemetry) = payload
+    if seed is not None:
+        plane_key, batch = seed
+        seed_plane_cache(plane_key, trace, batch)
     sink = Telemetry() if collect_telemetry else None
     scope = use_telemetry(sink) if sink is not None else nullcontext()
     with scope:
-        if isinstance(batch_ref, planes.PlaneManifest):
-            try:
-                batch = planes.attach_batch(batch_ref)
-                seed_plane_cache(batch_ref.provider_key, trace, batch)
-            except planes.PlaneError:
-                pass  # worker materializes locally; slower, still correct
         provider = make_provider() if make_provider is not None else None
         result = simulate(make_predictor(value), trace, provider,
                           engine=engine, use_cache=use_cache, telemetry=sink)
@@ -136,9 +125,10 @@ def _simulate_unit(payload: tuple) -> tuple[float, dict | None]:
 
 
 def _probe_provider(make_provider, engine):
-    """The provider instance whose planes should be published for a sweep:
-    the caller's factory when given, the batched engine's default otherwise
-    (``None`` when the resolved engine would never consume a batch)."""
+    """The provider instance whose batches the caller materializes for a
+    sweep: the caller's factory when given, the batched engine's default
+    otherwise (``None`` when the resolved engine would never consume a
+    batch)."""
     if make_provider is not None:
         try:
             return make_provider()
@@ -148,7 +138,7 @@ def _probe_provider(make_provider, engine):
         if isinstance(get_engine(engine), BatchedEngine):
             return BranchGhistProvider()
     except ValueError:
-        pass  # unknown engine name: let simulate raise it, not the fabric
+        pass  # unknown engine name: let simulate raise it, not the probe
     return None
 
 
@@ -164,30 +154,29 @@ def sweep_parallel(make_predictor: Callable[[int], Predictor],
                    ) -> list[SweepPoint]:
     """:func:`sweep` fanned out over the persistent work-stealing pool.
 
-    The unit of work is one ``(point, trace)`` simulation — finer than the
-    whole-point tasks of earlier revisions, so a slow benchmark no longer
-    straggles an entire point while other workers idle.  Before dispatch,
-    every trace's columns and (when the provider can be keyed) its
-    materialized information-vector planes are published once into the
-    shared-memory plane fabric (:mod:`repro.sim.planes`); workers attach
-    them zero-copy, so neither trace arrays nor batches are pickled per
-    task and each trace's planes are materialized exactly once
-    process-wide.  Where shared memory is unavailable the payloads carry
-    pickled traces instead — slower, never wrong.
+    The unit of work is one ``(point, trace)`` simulation, so a slow
+    benchmark never straggles a whole point while other workers idle.
+    Before dispatch, the calling process materializes each trace's
+    information-vector batch once (when the provider can be keyed); each
+    unit carries its trace and that batch, and the worker adopts the batch
+    instead of recomputing it.  Units are ordered trace-major (every value
+    of the first trace, then the next trace), so a scheduler chunk holds
+    few distinct traces and pickling, which memoizes repeated objects,
+    ships each of them once per chunk.
 
-    The pool itself is persistent and keyed by ``(max_workers,
-    start_method)`` (:func:`repro.sim.scheduler.get_scheduler`), with the
-    start method chosen explicitly per platform (``fork`` on Linux,
-    ``spawn`` on macOS/Windows) unless overridden via ``start_method``.
-    When the pool cannot be used (unpicklable work, restricted platform),
-    the sweep transparently degrades to the serial path with a warning, so
-    callers never lose results.  ``engine`` must be a registered engine
-    *name* here, as engine instances do not cross process boundaries.
+    The pool is persistent and keyed by ``(max_workers, start_method)``
+    (:func:`repro.sim.scheduler.get_scheduler`), with the start method
+    chosen explicitly per platform (``fork`` on Linux, ``spawn`` on
+    macOS/Windows) unless overridden via ``start_method``.  When the pool
+    cannot be used (unpicklable work, restricted platform), the sweep
+    degrades to the serial path with a warning, so callers never lose
+    results.  ``engine`` must be a registered engine *name* here, as
+    engine instances do not cross process boundaries.
 
     Results come back in ``values`` order with ``per_benchmark`` rebuilt in
     ``traces`` order, and per-unit telemetry snapshots fold back into
     ``telemetry`` deterministically (units merge per point in trace order,
-    points merge in values order) — a parallel sweep's points and merged
+    points merge in values order), so a parallel sweep's points and merged
     counters are identical to a serial :func:`sweep` of the same work.
     """
     values = list(values)
@@ -197,20 +186,16 @@ def sweep_parallel(make_predictor: Callable[[int], Predictor],
         return sweep(make_predictor, values, traces, make_provider, engine,
                      use_cache, telemetry=sink)
     try:
-        store = planes.get_plane_store()
+        store = planes.PlaneStore()
         probe = _probe_provider(make_provider, engine)
-        trace_refs: dict[str, object] = {}
-        batch_refs: dict[str, planes.PlaneManifest | None] = {}
+        payloads = []
         for name in names:
-            trace = traces[name]
-            manifest = store.publish_trace(trace)
-            trace_refs[name] = manifest if manifest is not None else trace
-            batch_refs[name] = (store.publish_batch(trace, probe)
-                                if probe is not None else None)
-        payloads = [(value, trace_refs[name], batch_refs[name],
-                     make_predictor, make_provider, engine, use_cache,
-                     sink.enabled)
-                    for value in values for name in names]
+            trace = store.publish_trace(traces[name])
+            seed = (store.publish_batch(trace, probe)
+                    if probe is not None else None)
+            payloads.extend((value, trace, seed, make_predictor,
+                             make_provider, engine, use_cache, sink.enabled)
+                            for value in values)
         pool = sweep_scheduler.get_scheduler(max_workers, start_method)
         outcomes = pool.run(_simulate_unit, payloads)
     except Exception as error:  # unpicklable factory, broken pool, ...
@@ -221,7 +206,7 @@ def sweep_parallel(make_predictor: Callable[[int], Predictor],
                      use_cache, telemetry=sink)
     points = []
     for index, value in enumerate(values):
-        units = outcomes[index * len(names):(index + 1) * len(names)]
+        units = outcomes[index::len(values)]
         per_benchmark = {name: misp for name, (misp, _) in zip(names, units)}
         mean = sum(per_benchmark.values()) / len(per_benchmark)
         points.append(SweepPoint(value=value, mean_misp_per_ki=mean,

@@ -29,10 +29,8 @@ _FORMAT_VERSION = 1
 
 TRACE_COLUMNS = ("starts", "num_instructions", "kinds", "takens",
                  "next_starts")
-"""The trace's array fields in canonical serialization order — shared by
-the ``.npz`` writer below and the shared-memory plane fabric
-(:mod:`repro.sim.planes`), so both media agree on what constitutes a
-trace's content."""
+"""The trace's array fields in canonical serialization order (the
+``.npz`` writer's archive members)."""
 
 
 def trace_columns(trace: Trace) -> list[tuple[str, np.ndarray]]:

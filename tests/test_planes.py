@@ -1,160 +1,103 @@
-"""Unit tests for the shared-memory plane fabric (repro.sim.planes)."""
+"""Unit tests for what a parallel sweep publishes before dispatch
+(repro.sim.planes) and how workers adopt it (seed_plane_cache)."""
 
 from __future__ import annotations
 
-import dataclasses
+import multiprocessing.shared_memory
+import pickle
+from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.history.providers import (BranchGhistProvider, ev8_info_provider,
                                      seed_plane_cache)
 from repro.obs import Telemetry, use_telemetry
 from repro.sim import planes
+from repro.sim.sweep import sweep, sweep_parallel
+from repro.traces.io import TRACE_COLUMNS
 from repro.traces.model import Trace
 from repro.workloads.spec95 import spec95_trace
 
-
-@pytest.fixture()
-def store():
-    """A fresh process-wide store, torn down (and its attachments released)
-    after the test so no segment outlives the test that published it."""
-    planes.release_plane_store()
-    planes.release_attachments()
-    store = planes.get_plane_store()
-    if not store.available:
-        pytest.skip("shared memory unavailable on this platform")
-    yield store
-    planes.release_attachments()
-    planes.release_plane_store()
+from tests_support_sweep import history_predictor
 
 
 def small_trace(name: str = "gcc", branches: int = 2_000) -> Trace:
     trace = spec95_trace(name, branches)
-    # Fresh arrays → fresh Trace object, so WeakKey-cached manifests and
-    # materialization entries from other tests never alias this one.
+    # Fresh arrays → fresh Trace object, so WeakKey-cached materialization
+    # entries from other tests never alias this one.
     return Trace(trace.name, trace.starts.copy(),
                  trace.num_instructions.copy(), trace.kinds.copy(),
                  trace.takens.copy(), trace.next_starts.copy())
 
 
+def assert_same_batch(actual, expected) -> None:
+    for column in ("history", "address", "branch_pc", "path", "takens",
+                   "bank"):
+        want = getattr(expected, column)
+        got = getattr(actual, column)
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
+
+
 class TestPublishAttachRoundtrip:
-    def test_trace_roundtrip_is_bit_identical(self, store):
+    """Published traces and batches travel pickled inside the work units."""
+
+    def test_trace_roundtrip_is_bit_identical(self):
         trace = small_trace()
-        manifest = store.publish_trace(trace)
-        assert manifest is not None and manifest.kind == "trace"
-        attached = planes.attach_trace(manifest)
-        assert attached.name == trace.name
-        for column in ("starts", "num_instructions", "kinds", "takens",
-                       "next_starts"):
-            np.testing.assert_array_equal(getattr(attached, column),
+        published = planes.PlaneStore().publish_trace(trace)
+        assert published is trace
+        shipped = pickle.loads(pickle.dumps(published))
+        assert shipped.name == trace.name
+        for column in TRACE_COLUMNS:
+            np.testing.assert_array_equal(getattr(shipped, column),
                                           getattr(trace, column))
 
-    def test_attached_planes_are_read_only(self, store):
-        manifest = store.publish_trace(small_trace())
-        arrays = planes.attach(manifest)
-        with pytest.raises(ValueError):
-            arrays["starts"][0] = 0
-        planes.detach(manifest.segment)
-
-    def test_batch_roundtrip_matches_local_materialize(self, store):
+    def test_batch_roundtrip_matches_local_materialize(self):
         trace = small_trace()
         provider = ev8_info_provider()
-        manifest = store.publish_batch(trace, provider)
-        assert manifest is not None and manifest.kind == "batch"
-        assert manifest.provider_key == provider.plane_key()
-        attached = planes.attach_batch(manifest)
-        local = ev8_info_provider().materialize(trace)
-        for column in ("history", "address", "branch_pc", "path", "takens",
-                       "bank"):
-            expected = getattr(local, column)
-            actual = getattr(attached, column)
-            if expected is None:
-                assert actual is None
-            else:
-                np.testing.assert_array_equal(actual, expected)
+        key, batch = planes.PlaneStore().publish_batch(trace, provider)
+        assert key == provider.plane_key()
+        assert batch is ev8_info_provider().materialize(trace)
+        shipped = pickle.loads(pickle.dumps(batch))
+        assert_same_batch(shipped, ev8_info_provider().materialize(
+            small_trace()))
 
-    def test_publish_is_idempotent_per_trace(self, store):
+    def test_publish_is_idempotent_per_trace(self):
+        store = planes.PlaneStore()
         trace = small_trace()
-        assert store.publish_trace(trace) is store.publish_trace(trace)
-        provider = ev8_info_provider()
-        assert (store.publish_batch(trace, provider)
-                is store.publish_batch(trace, ev8_info_provider()))
-        # one trace segment + one batch segment, not four
-        assert len(store.segments) == 2
+        sink = Telemetry()
+        with use_telemetry(sink):
+            first = store.publish_batch(trace, ev8_info_provider())
+            second = store.publish_batch(trace, ev8_info_provider())
+        assert first[1] is second[1]
+        assert sink.counters["provider.materialize_computed"] == 1
 
-    def test_unkeyable_provider_publishes_nothing(self, store):
-        trace = small_trace()
+    def test_unkeyable_provider_publishes_nothing(self):
         provider = BranchGhistProvider(capacity=65)  # > 64-bit envelope
         assert provider.plane_key() is None
-        assert store.publish_batch(trace, provider) is None
-
-
-class TestRefcounting:
-    def test_attach_detach_refcount(self, store):
-        manifest = store.publish_trace(small_trace())
-        first = planes.attach(manifest)
-        second = planes.attach(manifest)
-        assert first is second  # one mapping, refcounted
-        planes.detach(manifest.segment)
-        assert manifest.segment in planes._ATTACHMENTS
-        planes.detach(manifest.segment)
-        assert manifest.segment not in planes._ATTACHMENTS
-        planes.detach(manifest.segment)  # over-detach is a no-op
-
-    def test_attach_trace_is_cached_per_segment(self, store):
-        manifest = store.publish_trace(small_trace())
-        assert planes.attach_trace(manifest) is planes.attach_trace(manifest)
-
-
-class TestManifestVerification:
-    def test_digest_mismatch_rejected(self, store):
-        manifest = store.publish_trace(small_trace())
-        bad_plane = dataclasses.replace(manifest.planes[0],
-                                        digest="0" * 32)
-        bad = dataclasses.replace(manifest,
-                                  planes=(bad_plane,) + manifest.planes[1:])
-        with pytest.raises(planes.PlaneError, match="manifest digest"):
-            planes.attach(bad)
-        assert bad.segment not in planes._ATTACHMENTS  # nothing half-mapped
-
-    def test_missing_segment_rejected(self, store):
-        manifest = store.publish_trace(small_trace())
-        gone = dataclasses.replace(manifest,
-                                   segment=f"{planes.SEGMENT_PREFIX}-0-999")
-        with pytest.raises(planes.PlaneError, match="cannot attach"):
-            planes.attach(gone)
-
-    def test_truncated_segment_rejected(self, store):
-        manifest = store.publish_trace(small_trace())
-        lying = dataclasses.replace(manifest, nbytes=manifest.nbytes * 100)
-        with pytest.raises(planes.PlaneError, match="bytes"):
-            planes.attach(lying)
+        assert planes.PlaneStore().publish_batch(small_trace(),
+                                                 provider) is None
 
 
 class TestLifecycle:
-    def test_release_unlinks_everything(self, store):
-        manifest = store.publish_trace(small_trace())
-        store.release()
-        assert store.segments == ()
-        with pytest.raises(planes.PlaneError):
-            planes.attach(manifest)
-
-    def test_release_plane_store_resets_singleton(self, store):
-        store.publish_trace(small_trace())
+    def test_release_unlinks_everything(self):
+        # The benchmark harness scans for segments under SEGMENT_PREFIX
+        # after releasing the store; a sweep must never leave one behind.
+        sweep_parallel(history_predictor, [4, 6], {"gcc": small_trace()},
+                       ev8_info_provider, engine="batched", max_workers=2,
+                       use_cache=False)
         planes.release_plane_store()
-        fresh = planes.get_plane_store()
-        assert fresh is not store
-        assert fresh.segments == ()
-
-    def test_unavailable_store_returns_none(self, store):
-        store._unavailable_reason = "simulated platform failure"
-        assert store.publish_trace(small_trace()) is None
-        assert not store.available
+        planes.release_plane_store()  # idempotent
+        leaked = sorted(Path("/dev/shm").glob(f"{planes.SEGMENT_PREFIX}*"))
+        assert leaked == []
 
 
 class TestSeedPlaneCache:
-    def test_adoption_prevents_recompute(self, store):
+    """Sweep workers adopt the caller's batch via ``seed_plane_cache``."""
+
+    def test_adoption_prevents_recompute(self):
         trace = small_trace()
         provider = ev8_info_provider()
         batch = provider.materialize(trace)
@@ -166,32 +109,40 @@ class TestSeedPlaneCache:
         assert adopted is batch  # cache hit, not a recompute
         assert "provider.materialize_computed" not in sink.counters
 
-    def test_second_seed_is_a_noop(self, store):
+    def test_second_seed_is_a_noop(self):
         trace = small_trace()
         provider = ev8_info_provider()
         batch = provider.materialize(trace)
-        assert not seed_plane_cache(provider.plane_key(), trace, batch)
+        impostor = provider.materialize(small_trace())
+        assert not seed_plane_cache(provider.plane_key(), trace, impostor)
+        assert provider.materialize(trace) is batch  # existing entry wins
 
     def test_unknown_key_is_rejected(self):
         assert not seed_plane_cache(None, None, None)
         assert not seed_plane_cache(("mystery", 1), None, None)
 
 
-class TestFallbackEquivalence:
-    def test_sweep_parallel_without_shared_memory(self, store, monkeypatch):
-        """With the fabric unavailable the sweep pickles traces into the
-        pool and workers materialize locally — same points either way."""
-        from tests_support_sweep import history_predictor
-        from repro.sim.sweep import sweep, sweep_parallel
+class _NoSharedMemory:
+    def __init__(self, *args, **kwargs):
+        raise OSError("shared memory disabled for this test")
 
+
+class TestFallbackEquivalence:
+    def test_sweep_parallel_without_shared_memory(self, monkeypatch):
+        """With shared memory unusable the sweep still runs on the pool
+        (it never needed it) and matches the serial sweep."""
+        monkeypatch.setattr(multiprocessing.shared_memory, "SharedMemory",
+                            _NoSharedMemory)
         traces = {"gcc": small_trace("gcc"), "li": small_trace("li")}
         values = [5, 8]
         expected = sweep(history_predictor, values, traces,
                          ev8_info_provider, engine="batched", use_cache=False)
-        store._unavailable_reason = "simulated platform failure"
-        actual = sweep_parallel(history_predictor, values, traces,
-                                ev8_info_provider, engine="batched",
-                                max_workers=2, use_cache=False)
+        sink = Telemetry()
+        with use_telemetry(sink):
+            actual = sweep_parallel(history_predictor, values, traces,
+                                    ev8_info_provider, engine="batched",
+                                    max_workers=2, use_cache=False)
+        assert sink.counters["scheduler.runs"] == 1  # not the serial fallback
         assert [p.per_benchmark for p in actual] \
             == [p.per_benchmark for p in expected]
         assert [p.mean_misp_per_ki for p in actual] \

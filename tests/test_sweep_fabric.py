@@ -1,30 +1,28 @@
-"""Integration tests: the plane fabric + work-stealing scheduler under
-``sweep_parallel`` (determinism, materialize-once, cleanup)."""
+"""Integration tests: the persistent work-stealing scheduler under
+``sweep_parallel`` (determinism, materialize-once, fallbacks)."""
 
 from __future__ import annotations
 
-import os
-import signal
-import subprocess
+import pickle
 import sys
-import time
-from pathlib import Path
+import threading
 
 import pytest
 
 from repro.history.providers import ev8_info_provider
 from repro.obs import Telemetry, use_telemetry
-from repro.sim import planes, scheduler
-from repro.sim.sweep import sweep, sweep_parallel
+from repro.sim import planes, scheduler, simulate
+from repro.sim.sweep import _simulate_unit, sweep, sweep_parallel
 from repro.traces.model import Trace
 from repro.workloads.spec95 import spec95_trace
 
-from tests_support_sweep import history_predictor
+from tests_support_sweep import (history_predictor, kill_worker,
+                                 raise_workload_error)
 
 
 def fresh_traces(branches: int = 2_500) -> dict[str, Trace]:
     """Distinct trace objects per call, so every test starts with cold
-    WeakKey materialization caches and publishes fresh planes."""
+    WeakKey materialization caches."""
     out = {}
     for name in ("gcc", "compress"):
         trace = spec95_trace(name, branches)
@@ -34,27 +32,44 @@ def fresh_traces(branches: int = 2_500) -> dict[str, Trace]:
     return out
 
 
-@pytest.fixture(autouse=True)
-def fabric_teardown():
-    yield
-    planes.release_attachments()
-    planes.release_plane_store()
-
-
 class TestDeterminism:
     def test_parallel_points_bit_identical_to_serial(self):
-        traces = fresh_traces()
-        values = [4, 6, 8, 10]
-        serial = sweep(history_predictor, values, traces, ev8_info_provider,
-                       engine="batched", use_cache=False)
-        parallel = sweep_parallel(history_predictor, values, fresh_traces(),
+        # Units are trace-major, so an odd value count leaves a trace's
+        # units unaligned with the chunks: 3 x 2 over 3 workers gives one
+        # unit per chunk, 5 x 2 over 2 workers a chunk that straddles both
+        # traces.
+        for values, workers in [([4, 6, 8, 10], 2), ([4, 6, 8], 3),
+                                ([3, 5, 7, 9, 11], 2)]:
+            serial = sweep(history_predictor, values, fresh_traces(),
+                           ev8_info_provider, engine="batched",
+                           use_cache=False)
+            parallel = sweep_parallel(history_predictor, values,
+                                      fresh_traces(), ev8_info_provider,
+                                      engine="batched", max_workers=workers,
+                                      use_cache=False)
+            assert [p.value for p in parallel] == values
+            assert [p.per_benchmark for p in parallel] \
+                == [p.per_benchmark for p in serial]
+            assert [p.mean_misp_per_ki for p in parallel] \
+                == [p.mean_misp_per_ki for p in serial]
+
+    def test_persistent_workers_never_replay_an_earlier_trace(self):
+        # Two sweeps on one warm pool, same trace name, different content
+        # (the harness releases its store between passes): the second
+        # sweep must simulate its own trace.
+        first = {"x": fresh_traces()["gcc"]}
+        second = {"x": fresh_traces()["compress"]}
+        sweep_parallel(history_predictor, [4, 4, 4, 4], first,
+                       ev8_info_provider, engine="batched", max_workers=2,
+                       use_cache=False)
+        planes.release_plane_store()
+        parallel = sweep_parallel(history_predictor, [4, 4, 4, 4], second,
                                   ev8_info_provider, engine="batched",
                                   max_workers=2, use_cache=False)
-        assert [p.value for p in parallel] == [p.value for p in serial]
+        serial = sweep(history_predictor, [4], second, ev8_info_provider,
+                       engine="batched", use_cache=False)
         assert [p.per_benchmark for p in parallel] \
-            == [p.per_benchmark for p in serial]
-        assert [p.mean_misp_per_ki for p in parallel] \
-            == [p.mean_misp_per_ki for p in serial]
+            == [serial[0].per_benchmark] * 4
 
     def test_merged_telemetry_counters_identical_to_serial(self):
         values = [4, 7]
@@ -71,6 +86,38 @@ class TestDeterminism:
                           for name, stats in parallel_sink.spans.items()}
         assert serial_spans == parallel_spans
 
+    def test_units_are_trace_major_and_carry_their_batch(self, monkeypatch):
+        seen = []
+        real_run = scheduler.SweepScheduler.run
+
+        def spy(pool, fn, payloads):
+            seen.extend(payloads)
+            return real_run(pool, fn, payloads)
+
+        monkeypatch.setattr(scheduler.SweepScheduler, "run", spy)
+        traces = fresh_traces()
+        sweep_parallel(history_predictor, [4, 6, 8], traces,
+                       ev8_info_provider, engine="batched", max_workers=2,
+                       use_cache=False)
+        assert [(unit[0], unit[1]) for unit in seen] \
+            == [(value, traces[name]) for name in traces
+                for value in [4, 6, 8]]
+        key = ev8_info_provider().plane_key()
+        for unit in seen:
+            assert unit[2][0] == key
+            assert unit[2][1] is ev8_info_provider().materialize(unit[1])
+
+    def test_parallel_matches_serial_without_a_batch(self):
+        # The scalar engine consumes no batch, so units ship none.
+        values = [4, 6]
+        serial = sweep(history_predictor, values, fresh_traces(1_000),
+                       engine="scalar", use_cache=False)
+        parallel = sweep_parallel(history_predictor, values,
+                                  fresh_traces(1_000), engine="scalar",
+                                  max_workers=2, use_cache=False)
+        assert [p.per_benchmark for p in parallel] \
+            == [p.per_benchmark for p in serial]
+
     def test_work_stealing_chunks_preserve_order(self):
         pool = scheduler.SweepScheduler(max_workers=3)
         payloads = list(range(23))
@@ -81,9 +128,9 @@ class TestDeterminism:
 
 class TestMaterializeOnce:
     def test_each_trace_materialized_exactly_once_process_wide(self):
-        """The acceptance criterion: a 3-point sweep over fresh traces
-        computes each trace's planes once — in the publisher — and every
-        worker unit adopts them (zero worker-side recomputes)."""
+        """A 3-point sweep over fresh traces materializes each trace once,
+        in the calling process, and every worker unit adopts that batch
+        (zero worker-side recomputes)."""
         traces = fresh_traces()
         sink = Telemetry()
         with use_telemetry(sink):
@@ -91,8 +138,23 @@ class TestMaterializeOnce:
                            ev8_info_provider, engine="batched",
                            max_workers=2, use_cache=False, telemetry=sink)
         assert sink.counters["provider.materialize_computed"] == len(traces)
-        assert sink.counters["planes.trace_published"] == len(traces)
-        assert sink.counters["planes.batch_published"] == len(traces)
+
+
+    def test_worker_unit_adopts_the_shipped_batch(self):
+        shipped = fresh_traces()["gcc"]
+        batch = ev8_info_provider().materialize(shipped)
+        received = fresh_traces()["gcc"]  # what a worker unpickles
+        sink = Telemetry()
+        with use_telemetry(sink):
+            misp, _ = _simulate_unit(
+                (6, received, (ev8_info_provider().plane_key(), batch),
+                 history_predictor, ev8_info_provider, "batched", False,
+                 False))
+        assert "provider.materialize_computed" not in sink.counters
+        expected = simulate(history_predictor(6), shipped,
+                            ev8_info_provider(), engine="batched",
+                            use_cache=False)
+        assert misp == expected.misp_per_ki
 
 
 class TestFallbacks:
@@ -107,6 +169,22 @@ class TestFallbacks:
                                     use_cache=False)
         assert [p.per_benchmark for p in actual] \
             == [p.per_benchmark for p in expected]
+
+    def test_pool_survives_an_unpicklable_sweep(self):
+        scheduler.shutdown_schedulers()
+        sink = Telemetry()
+        with use_telemetry(sink):
+            with pytest.warns(RuntimeWarning, match="falling back to serial"):
+                sweep_parallel(lambda h: history_predictor(h), [4, 6],
+                               fresh_traces(), ev8_info_provider,
+                               engine="batched", max_workers=2,
+                               use_cache=False)
+            points = sweep_parallel(history_predictor, [4, 6],
+                                    fresh_traces(), ev8_info_provider,
+                                    engine="batched", max_workers=2,
+                                    use_cache=False)
+        assert [p.value for p in points] == [4, 6]
+        assert sink.counters["scheduler.pools_started"] == 1
 
     def test_single_worker_short_circuits_to_serial(self):
         traces = fresh_traces()
@@ -146,68 +224,58 @@ class TestPersistentScheduler:
         finally:
             pool.shutdown()
 
+    def test_workload_error_propagates_and_keeps_the_pool(self):
+        pool = scheduler.SweepScheduler(max_workers=2)
+        sink = Telemetry()
+        try:
+            with use_telemetry(sink):
+                with pytest.raises(RuntimeError,
+                                   match="workload error 1") as raised:
+                    pool.run(raise_workload_error, [1])
+                assert type(raised.value) is RuntimeError
+                assert pool.run(abs, [-4]) == [4]
+        finally:
+            pool.shutdown()
+        assert sink.counters["scheduler.pools_started"] == 1
+
+    def test_shutdown_after_a_failed_run_stops_the_pool(self):
+        # Every chunk has settled when run() raises, so shutdown() can
+        # wait for the pool's threads without racing a failing pickle.
+        before = set(threading.enumerate())
+        pool = scheduler.SweepScheduler(max_workers=2)
+        try:
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                pool.run(lambda x: x, [1, 2, 3, 4])
+        finally:
+            pool.shutdown()
+        assert set(threading.enumerate()) <= before
+
+    def test_dead_worker_makes_the_pool_unavailable(self):
+        pool = scheduler.SweepScheduler(max_workers=2)
+        sink = Telemetry()
+        try:
+            with use_telemetry(sink):
+                with pytest.raises(scheduler.SchedulerUnavailable):
+                    pool.run(kill_worker, [3])
+                assert pool.run(abs, [-5]) == [5]  # a fresh pool
+        finally:
+            pool.shutdown()
+        assert sink.counters["scheduler.pools_started"] == 2
+
+    def test_run_on_a_shut_down_executor_is_unavailable(self):
+        pool = scheduler.SweepScheduler(max_workers=2)
+        try:
+            assert pool.run(abs, [-1]) == [1]
+            pool._executor.shutdown()  # behind the scheduler's back
+            with pytest.raises(scheduler.SchedulerUnavailable):
+                pool.run(abs, [-2])
+            assert pool.run(abs, [-3]) == [3]
+        finally:
+            pool.shutdown()
+
     def test_default_start_method_is_platform_explicit(self):
         method = scheduler.default_start_method()
         if sys.platform in ("win32", "darwin"):
             assert method == "spawn"
         else:
             assert method == "fork"
-
-
-_SIGINT_SCRIPT = """
-import signal, sys, time
-sys.path.insert(0, {src!r})
-sys.path.insert(0, {tests!r})
-from repro.history.providers import ev8_info_provider
-from repro.sim.sweep import sweep_parallel
-from repro.workloads.spec95 import spec95_trace
-from tests_support_sweep import history_predictor
-
-traces = {{n: spec95_trace(n, 60_000) for n in ("gcc", "compress", "go")}}
-print("READY", flush=True)
-sweep_parallel(history_predictor, list(range(2, 26)), traces,
-               ev8_info_provider, engine="batched", max_workers=2,
-               use_cache=False)
-print("DONE", flush=True)
-"""
-
-
-@pytest.mark.slow
-class TestSignalCleanup:
-    def test_sigint_mid_sweep_leaves_no_segments(self, tmp_path):
-        """Interrupting a sweep must not leak /dev/shm segments: the
-        chained SIGINT handler (and the atexit fallback) release the plane
-        store before the process dies."""
-        shm = Path("/dev/shm")
-        if not shm.is_dir():
-            pytest.skip("no /dev/shm on this platform")
-        repo = Path(__file__).resolve().parent.parent
-        script = _SIGINT_SCRIPT.format(src=str(repo / "src"),
-                                       tests=str(repo / "tests"))
-        process = subprocess.Popen([sys.executable, "-c", script],
-                                   stdout=subprocess.PIPE,
-                                   stderr=subprocess.DEVNULL, text=True,
-                                   cwd=tmp_path)
-        try:
-            assert process.stdout.readline().strip() == "READY"
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                mine = [p for p in shm.iterdir()
-                        if p.name.startswith(
-                            f"{planes.SEGMENT_PREFIX}-{process.pid}-")]
-                if mine:
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.fail("sweep never published a plane segment")
-            process.send_signal(signal.SIGINT)
-            process.wait(timeout=60)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
-        assert process.returncode != 0  # it really was interrupted
-        leaked = [p.name for p in shm.iterdir()
-                  if p.name.startswith(
-                      f"{planes.SEGMENT_PREFIX}-{process.pid}-")]
-        assert not leaked, f"leaked shared-memory segments: {leaked}"

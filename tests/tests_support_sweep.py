@@ -7,6 +7,8 @@ closures.
 
 from __future__ import annotations
 
+import os
+
 from repro.predictors.twobcgskew import TableConfig, TwoBcGskewPredictor
 
 
@@ -16,3 +18,13 @@ def history_predictor(history: int) -> TwoBcGskewPredictor:
     return TwoBcGskewPredictor(
         TableConfig(256, 4), TableConfig(512, history, 256),
         TableConfig(512, history + 4), TableConfig(512, history + 2, 256))
+
+
+def raise_workload_error(value: int) -> None:
+    """A unit function that fails the way a workload bug would."""
+    raise RuntimeError(f"workload error {value}")
+
+
+def kill_worker(value: int) -> None:
+    """A unit function that takes its worker process down with it."""
+    os._exit(value)
