@@ -102,6 +102,15 @@ def _group_step_table(ratio: int) -> np.ndarray:
     return table
 
 
+def _weak_directions(size: int, init_taken: bool) -> bytearray:
+    """A fresh prediction buffer of ``size`` entries, all ``init_taken``.
+
+    Built at C speed: tables run to a million entries, and a list of one
+    Python ``int`` per entry would dominate setting a predictor up.
+    """
+    return bytearray(b"\x01") * size if init_taken else bytearray(size)
+
+
 class SplitCounterArray:
     """An array of 2-bit saturating counters stored as split prediction and
     hysteresis bit arrays, with optional hysteresis sharing.
@@ -139,8 +148,7 @@ class SplitCounterArray:
                 f"hysteresis size {hysteresis_size} exceeds prediction size {size}")
         self.size = size
         self.hysteresis_size = hysteresis_size
-        initial = 1 if init_taken else 0
-        self._prediction = bytearray([initial] * size)
+        self._prediction = _weak_directions(size, init_taken)
         # Weak initial state: hysteresis 0 regardless of direction.
         self._hysteresis = bytearray(hysteresis_size)
         self._telemetry: NullTelemetry = NULL_TELEMETRY
@@ -481,11 +489,8 @@ class SplitCounterArray:
 
     def reset(self, *, init_taken: bool = False) -> None:
         """Reset every counter to the weak state in the given direction."""
-        initial = 1 if init_taken else 0
-        for i in range(self.size):
-            self._prediction[i] = initial
-        for i in range(self.hysteresis_size):
-            self._hysteresis[i] = 0
+        self._prediction[:] = _weak_directions(self.size, init_taken)
+        self._hysteresis[:] = bytes(self.hysteresis_size)
 
     def __len__(self) -> int:
         return self.size

@@ -1,20 +1,24 @@
 """Persistent on-disk simulation-result cache.
 
-A simulation's counts are a pure function of (predictor configuration,
-trace content, provider configuration, warmup, engine): re-running a figure
-after unrelated edits repeats work whose inputs did not change.  This
-module fingerprints those five inputs into a content-addressed key and
-stores each :class:`~repro.sim.metrics.SimulationResult` as a small JSON
-file, so repeated experiment invocations skip simulation entirely.
+A simulation's counts are a pure function of (simulator code, predictor
+configuration, trace content, provider configuration, warmup, engine):
+re-running a figure after unrelated edits repeats work whose inputs did not
+change.  This module fingerprints those six inputs into a content-addressed
+key and stores each :class:`~repro.sim.metrics.SimulationResult` as a small
+JSON file, so repeated experiment invocations skip simulation entirely.
 
 Key scheme
 ----------
 ``result_key`` feeds one SHA-256 with:
 
+* the **simulator code** — a digest of the semantics-bearing sources
+  (``predictors/``, ``common/``, ``history/``, ``indexing/``, ``ev8/`` and
+  ``sim/engine.py``), so editing a kernel or the update policy re-keys
+  every result instead of replaying counts the old code produced;
 * the **predictor** — structural fingerprint of the live object: type
   name plus every attribute, recursively (table sizes, history lengths,
-  update policy, index-scheme parameters, and the initial counter bytes,
-  so ``init_taken`` variants key differently);
+  update policy, index-scheme parameters, and the counter tables, so
+  ``init_taken`` variants key differently);
 * the **trace content** — the four trace columns hashed once and memoized
   per :class:`~repro.traces.model.Trace` object (the trace *name* is
   deliberately excluded: identical content keys identically);
@@ -26,10 +30,12 @@ Key scheme
   provenance attributable).
 
 Buffers (``bytes``/``bytearray``, numpy arrays and scalars, ``array.array``,
-``memoryview``) key by element type plus content.  Objects containing
-unhashable leaves (open files, callables, objects exposing neither
-``__dict__`` nor ``__slots__``, ...) raise :class:`UncacheableError`; the
-driver then simply runs uncached.
+``memoryview``) key by element type plus content; a uniform buffer (every
+table of a freshly built predictor) keys by its length and fill byte, so a
+cache hit costs a few bytes per table rather than the table's size.
+Objects containing unhashable leaves (open files, callables, objects
+exposing neither ``__dict__`` nor ``__slots__``, ...) raise
+:class:`UncacheableError`; the driver then simply runs uncached.
 
 The cache activates when ``REPRO_RESULT_CACHE`` is truthy (the experiment
 runner enables it by default); files live under ``REPRO_RESULT_CACHE_DIR``
@@ -41,6 +47,7 @@ misses and rewritten.  Each result's ``cache`` field records provenance:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -85,6 +92,35 @@ def cache_dir() -> Path:
 
 _TRACE_HASHES: WeakKeyDictionary = WeakKeyDictionary()
 
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+_SEMANTIC_SOURCES = ("predictors", "common", "history", "indexing", "ev8",
+                     "sim/engine.py")
+"""Sources (relative to the ``repro`` package) that decide what a
+simulation computes.  Their digest salts every result key."""
+
+
+@functools.cache
+def _source_digest() -> bytes:
+    """SHA-256 over the semantics-bearing sources, computed once per process.
+
+    Each file contributes its package-relative path and its bytes, in sorted
+    path order, so editing, adding, renaming or deleting any of them
+    re-keys every result: a cache can never answer with a count that older
+    simulator code produced.
+    """
+    files = []
+    for entry in _SEMANTIC_SOURCES:
+        path = _PACKAGE_ROOT / entry
+        files.extend(path.rglob("*.py") if path.is_dir() else [path])
+    hasher = hashlib.sha256()
+    for relative in sorted(path.relative_to(_PACKAGE_ROOT).as_posix()
+                           for path in files):
+        data = (_PACKAGE_ROOT / relative).read_bytes()
+        hasher.update(relative.encode() + b"\x00" + str(len(data)).encode()
+                      + b":")
+        hasher.update(data)
+    return hasher.digest()
+
 _TELEMETRY_ATTRS = frozenset({"_telemetry", "_tele_names"})
 """Attribute names carrying telemetry wiring.  Excluded from structural
 fingerprints: attaching (or detaching) an observability sink never changes
@@ -103,6 +139,23 @@ def _trace_content_digest(trace: Trace) -> bytes:
         digest = hasher.digest()
         _TRACE_HASHES[trace] = digest
     return digest
+
+
+def _update_buffer(hasher, header: bytes, data: bytes | bytearray) -> None:
+    """Feed one raw buffer: its type ``header`` (tag, element type, shape),
+    then its bytes.
+
+    A uniform buffer -- every counter table of a freshly built predictor --
+    is fed in run-length form instead: the ``U`` tag, the header, the byte
+    length and the single fill byte.  The leading tag keeps the two forms
+    apart, so the encoding stays injective.
+    """
+    if data == data[:1] * len(data):
+        hasher.update(b"\x00U" + header + str(len(data)).encode() + b":"
+                      + data[:1])
+    else:
+        hasher.update(header)
+        hasher.update(data)
 
 
 def _update(hasher, value, memo: dict[int, int]) -> None:
@@ -124,23 +177,20 @@ def _update(hasher, value, memo: dict[int, int]) -> None:
         encoded = value.encode()
         hasher.update(b"\x00s" + str(len(encoded)).encode() + b":" + encoded)
     elif isinstance(value, (bytes, bytearray)):
-        hasher.update(b"\x00y" + str(len(value)).encode() + b":")
-        hasher.update(bytes(value))
+        _update_buffer(hasher, b"\x00y" + str(len(value)).encode() + b":",
+                       value)
     elif isinstance(value, (np.ndarray, np.generic)):
         value = np.asarray(value)
-        hasher.update(b"\x00a" + str(value.dtype).encode()
-                      + repr(value.shape).encode())
-        hasher.update(np.ascontiguousarray(value).tobytes())
+        _update_buffer(hasher, b"\x00a" + str(value.dtype).encode()
+                       + repr(value.shape).encode(),
+                       np.ascontiguousarray(value).tobytes())
     elif isinstance(value, array):
         encoded = value.tobytes()
-        hasher.update(b"\x00A" + value.typecode.encode()
-                      + str(len(encoded)).encode() + b":")
-        hasher.update(encoded)
+        _update_buffer(hasher, b"\x00A" + value.typecode.encode()
+                       + str(len(encoded)).encode() + b":", encoded)
     elif isinstance(value, memoryview):
-        encoded = value.tobytes()
-        hasher.update(b"\x00V" + value.format.encode()
-                      + repr(value.shape).encode() + b":")
-        hasher.update(encoded)
+        _update_buffer(hasher, b"\x00V" + value.format.encode()
+                       + repr(value.shape).encode() + b":", value.tobytes())
     elif isinstance(value, (list, tuple, deque)):
         tag = {list: b"\x00L", tuple: b"\x00T", deque: b"\x00D"}[type(value)]
         hasher.update(tag + str(len(value)).encode())
@@ -201,7 +251,7 @@ def result_key(predictor, trace: Trace, provider, warmup_branches: int,
     """
     hasher = hashlib.sha256()
     memo: dict[int, int] = {}
-    hasher.update(b"repro-result-v1")
+    hasher.update(b"repro-result\x00" + _source_digest())
     _update(hasher, predictor, memo)
     hasher.update(b"\x00trace")
     hasher.update(_trace_content_digest(trace))

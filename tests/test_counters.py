@@ -34,6 +34,22 @@ class TestConstruction:
             assert array.counter_value(index) == 2  # weak taken
             assert array.predict(index)
 
+    @pytest.mark.parametrize("init_taken", [False, True])
+    def test_fresh_buffers(self, init_taken):
+        array = SplitCounterArray(1024, 256, init_taken=init_taken)
+        assert type(array._prediction) is bytearray
+        assert array._prediction == bytes([int(init_taken)]) * 1024
+        assert array._hysteresis == bytes(256)
+
+    @pytest.mark.parametrize("init_taken", [False, True])
+    def test_arrays_never_share_buffers(self, init_taken):
+        first = SplitCounterArray(64, init_taken=init_taken)
+        second = SplitCounterArray(64, init_taken=init_taken)
+        first.set_counter(5, 0 if init_taken else 3)
+        assert second.counter_value(5) == (2 if init_taken else 1)
+        assert second._prediction == bytes([int(init_taken)]) * 64
+        assert second._hysteresis == bytes(64)
+
     def test_storage_accounting(self):
         assert SplitCounterArray(64).storage_bits == 128
         assert SplitCounterArray(64, 32).storage_bits == 96
@@ -139,9 +155,15 @@ class TestSharedHysteresis:
 
     def test_reset(self):
         array = SplitCounterArray(8, 4)
+        buffers = (array._prediction, array._hysteresis)
         array.set_counter(2, 3)
         array.reset()
         assert array.counter_value(2) == 1
+        array.set_counter(2, 0)
+        array.reset(init_taken=True)
+        assert [array.counter_value(i) for i in range(8)] == [2] * 8
+        assert array._prediction is buffers[0]
+        assert array._hysteresis is buffers[1]
 
     def test_set_counter_rejects_out_of_range(self):
         array = SplitCounterArray(4)

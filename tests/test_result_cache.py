@@ -5,6 +5,7 @@ the result cache and the trace cache."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from array import array
 
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import simple_loop_trace
+from repro.common.counters import SplitCounterArray
+from repro.ev8.predictor import EV8BranchPredictor
 from repro.history.providers import BlockLghistProvider, BranchGhistProvider
 from repro.obs import Telemetry, use_telemetry
 from repro.predictors import GsharePredictor, YagsPredictor
@@ -116,6 +119,102 @@ class TestResultKey:
         assert key(memoryview(b"ab")) != key(memoryview(b"ac"))
         assert key(np.int64(3)) != key(np.int64(5))
         assert key(array("B", [1, 2])) == key(array("B", [1, 2]))
+        # Uniform contents take the run-length form; they must stay
+        # distinct from each other and from non-uniform contents.
+        assert key(array("B", [7, 7])) != key(array("B", [7, 7, 7]))
+        assert key(array("B", [7, 7])) != key(array("H", [7, 7]))
+        assert key(array("B", [7, 7])) != key(array("B", [7, 8]))
+        assert key(memoryview(b"aa")) != key(memoryview(b"ab"))
+        assert key(memoryview(b"aa")) != key(memoryview(b"aaa"))
+        assert key(np.zeros(4, np.uint8)) != key(np.zeros(4, np.int8))
+        assert key(np.zeros(4, np.uint8)) != key(np.zeros((2, 2), np.uint8))
+        assert key(np.zeros(4, np.uint8)) != key(np.ones(4, np.uint8))
+        assert key(np.zeros(4, np.uint8)) != key(np.arange(4, dtype=np.uint8))
+        assert key(np.int64(0)) != key(np.int32(0))
+
+    def test_uniform_buffers_key_by_content(self, trace):
+        def key(value):
+            predictor = _gshare()
+            predictor.extra = value
+            return result_key(predictor, trace, None, 0, "scalar")
+
+        uniform = bytearray(4096)
+        base = key(uniform)
+        for index in (0, len(uniform) - 1):
+            changed = bytearray(uniform)
+            changed[index] = 1
+            assert key(changed) != base
+        assert key(bytearray(4097)) != base
+        assert key(bytearray(b"\x01") * 4096) != base
+        assert key(bytes(uniform)) == base
+        assert key(b"\x01\x02") == key(bytearray(b"\x01\x02"))
+        assert key(b"") == key(bytearray())
+        assert key(b"") != key(b"\x00")
+
+    def test_counter_init_direction_keys(self, trace):
+        def key(array):
+            predictor = _gshare()
+            predictor.extra = array
+            return result_key(predictor, trace, None, 0, "scalar")
+
+        assert key(SplitCounterArray(1024, init_taken=True)) != \
+            key(SplitCounterArray(1024))
+
+    def test_fresh_tables_hash_in_run_length_form(self):
+        # A cache hit fingerprints a freshly built predictor: its 64K-entry
+        # tables must cost a few header bytes each, not their full size.
+        trace = simple_loop_trace(400)
+        result_key(EV8BranchPredictor(), trace,
+                   EV8BranchPredictor.make_provider(), 0, "batched")
+        fed = []
+        sha256 = hashlib.sha256
+
+        class CountingHasher:
+            def __init__(self, data=b""):
+                self._hasher = sha256(data)
+                fed.append(len(data))
+
+            def update(self, data):
+                fed.append(len(data))
+                self._hasher.update(data)
+
+            def hexdigest(self):
+                return self._hasher.hexdigest()
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(result_cache.hashlib, "sha256", CountingHasher)
+            result_key(EV8BranchPredictor(), trace,
+                       EV8BranchPredictor.make_provider(), 0, "batched")
+        assert fed
+        assert sum(fed) < 16 * 1024
+
+    def test_key_salted_with_simulator_sources(self, trace, monkeypatch):
+        base = result_key(_gshare(), trace, None, 0, "scalar")
+        assert result_key(_gshare(), trace, None, 0, "scalar") == base
+        digest = result_cache._source_digest()
+        assert digest == result_cache._source_digest()
+        assert len(digest) == 32
+        monkeypatch.setattr(result_cache, "_source_digest",
+                            lambda: bytes(32))
+        assert result_key(_gshare(), trace, None, 0, "scalar") != base
+
+    def test_source_digest_covers_semantic_sources(self, tmp_path,
+                                                   monkeypatch):
+        for entry in ("predictors/x.py", "common/x.py", "history/x.py",
+                      "indexing/x.py", "ev8/x.py", "sim/engine.py",
+                      "sim/report.py"):
+            (tmp_path / entry).parent.mkdir(exist_ok=True)
+            (tmp_path / entry).write_text("pass\n")
+        monkeypatch.setattr(result_cache, "_PACKAGE_ROOT", tmp_path)
+        digest = result_cache._source_digest.__wrapped__
+        base = digest()
+        (tmp_path / "sim/report.py").write_text("changed\n")
+        assert digest() == base
+        (tmp_path / "sim/engine.py").write_text("changed\n")
+        edited = digest()
+        assert edited != base
+        (tmp_path / "ev8/x.py").rename(tmp_path / "ev8/y.py")
+        assert digest() not in (base, edited)
 
     def test_objects_without_attributes_raise(self, trace):
         predictor = _gshare()
