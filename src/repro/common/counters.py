@@ -52,12 +52,23 @@ import numpy as np
 from repro.obs import NULL_TELEMETRY, NullTelemetry
 
 __all__ = ["SplitCounterArray", "ARM_ASSERT", "ARM_CLEAR", "ARM_FLIP",
-           "ARM_NONE"]
+           "ARM_NONE", "count_selected"]
 
 # The write arms of one ``update`` step (the branches of ``_step_towards``)
-# plus "not updated", as inlined replay kernels report them per position in
-# their event codes (see :meth:`SplitCounterArray.count_replayed`).
+# plus "not updated", as the compiled replay kernels (``repro/kernels``)
+# report them per position in their event codes (see
+# :meth:`SplitCounterArray.count_replayed`).
 ARM_ASSERT, ARM_CLEAR, ARM_FLIP, ARM_NONE = 0, 1, 2, 3
+
+
+def count_selected(sink: NullTelemetry, name: str, weights: np.ndarray,
+                   selected: np.ndarray, scale: int = 1) -> None:
+    """Count ``scale`` times the weight of the ``selected`` event codes
+    under ``name``; nothing when that is zero, as the scalar walk never
+    counts a zero."""
+    total = int(weights[selected].sum()) * scale
+    if total:
+        sink.count(name, total)
 
 _MAX_SHARING_RATIO = 5
 """Largest ``size / hysteresis_size`` the batched scan supports: the group
@@ -206,27 +217,30 @@ class SplitCounterArray:
                     break
 
     def count_replayed(self, weights: np.ndarray, read: np.ndarray,
-                       arm: np.ndarray) -> None:
+                       arm: np.ndarray,
+                       conflict: np.ndarray | None = None) -> None:
         """Account the traffic of a replay kernel that read and wrote this
         array's raw bytes itself, from the histogram of its event codes.
 
-        ``weights[v]`` is the number of positions whose event code is ``v``;
-        ``read[v]`` says whether code ``v`` read this array at fetch time and
-        ``arm[v]`` which ``ARM_*`` update arm it took here.  The counts equal
-        the scalar :meth:`predict` / :meth:`update` accounting.  Private
-        hysteresis only: a sharing conflict depends on partner state that no
-        event code carries.
+        ``weights[v]`` is the number of positions whose event code is the
+        ``v``-th distinct code; ``read[v]`` says whether that code read this
+        array at fetch time, ``arm[v]`` which ``ARM_*`` update arm it took
+        here and, with shared hysteresis, ``conflict[v]`` whether its
+        hysteresis write hit a sharing group of disagreeing directions.  The
+        counts equal the scalar :meth:`predict` / :meth:`update` accounting.
         """
         if not self._telemetry.enabled:
             return
-        if self.hysteresis_size != self.size:
-            raise ValueError("event-code accounting needs private hysteresis")
         names = self._tele_names
-        for name, selected in ((names[0], read), (names[1], arm == ARM_FLIP),
-                               (names[2], arm <= ARM_CLEAR)):
-            total = int(weights[selected].sum())
-            if total:
-                self._telemetry.count(name, total)
+        selections = [(names[0], read), (names[1], arm == ARM_FLIP),
+                      (names[2], arm <= ARM_CLEAR)]
+        if self.hysteresis_size != self.size:
+            if conflict is None:
+                raise ValueError(
+                    "shared hysteresis needs the sharing-conflict bits")
+            selections.append((names[3], conflict))
+        for name, selected in selections:
+            count_selected(self._telemetry, name, weights, selected)
 
     # -- index plumbing ----------------------------------------------------
 

@@ -16,12 +16,7 @@ from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
 from repro.obs import NULL_TELEMETRY, NullTelemetry
 
-__all__ = ["Predictor", "BatchCapable", "replay_event_codes"]
-
-EVENT_CHUNK = 1 << 16
-"""Positions per chunk handed to an inlined replay kernel: bounds the
-python-list copies of its index streams; table state carries across
-chunks, so chunking never changes results."""
+__all__ = ["Predictor", "BatchCapable"]
 
 
 class Predictor:
@@ -98,18 +93,18 @@ class BatchCapable:
     bit**, and leave the predictor tables in the same final state.  The
     batched engine (:class:`repro.sim.engine.BatchedEngine`) verifies
     :meth:`batch_supported` first and falls back to the scalar engine when a
-    configuration cannot honor the equivalence guarantee (e.g. shared
-    hysteresis, a non-vectorizable index scheme).
+    configuration cannot honor the equivalence guarantee (e.g. an extreme
+    hysteresis sharing ratio, a non-vectorizable index scheme, or no
+    compiled replay tier for a coupled predictor).
 
     Implementations precompute their table-index streams with the
     vectorized helpers in :mod:`repro.indexing.fold` /
     :mod:`repro.indexing.skew`, then either resolve counter updates with
     :meth:`repro.common.counters.SplitCounterArray.batch_access` (single
     independent table) or replay the precomputed indices through **one**
-    inlined predict-then-train kernel per predictor (multiple update-coupled
-    tables; see :func:`replay_event_codes`).  Telemetry comes from that same
-    replay: from the kernel's event codes, or, for 2Bc-gskew under a
-    recording sink, from the scalar reference's own read/train methods.
+    compiled predict-then-train kernel per predictor (multiple
+    update-coupled tables; see :mod:`repro.kernels`).  Telemetry comes from
+    that same replay, as a reduction of the kernel's event codes.
     """
 
     def batch_supported(self) -> bool:
@@ -120,22 +115,3 @@ class BatchCapable:
         """Predict-then-train over the whole batch; returns predictions."""
         raise NotImplementedError
 
-
-def replay_event_codes(kernel, *streams: np.ndarray) -> np.ndarray:
-    """Run an inlined predict-then-train ``kernel`` over its index and
-    outcome ``streams`` in stream order, :data:`EVENT_CHUNK` positions at a
-    time.
-
-    ``kernel`` takes one python list per stream and returns one small int
-    *event code* per position (bit 0 is the prediction; the rest is the
-    predictor's own record of which arms it took).  Returns the codes as a
-    uint8 array, so predictions are ``codes & 1`` and telemetry is an
-    ``np.bincount`` over the same codes.
-    """
-    n = len(streams[0])
-    chunk = EVENT_CHUNK
-    codes = np.empty(n, dtype=np.uint8)
-    for lo in range(0, n, chunk):
-        codes[lo:lo + chunk] = kernel(*(stream[lo:lo + chunk].tolist()
-                                        for stream in streams))
-    return codes

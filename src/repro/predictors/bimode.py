@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.common.counters import ARM_NONE, SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
 from repro.indexing.fold import gshare_index, gshare_index_vec
-from repro.predictors.base import BatchCapable, Predictor, replay_event_codes
+from repro.predictors.base import BatchCapable, Predictor
 
 __all__ = ["BiModePredictor"]
 
@@ -97,71 +98,45 @@ class BiModePredictor(BatchCapable, Predictor):
         if not (choice != taken and prediction == taken):
             self.choice.update(choice_index, taken)
 
+    def batch_supported(self) -> bool:
+        return kernels.available()
+
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
         """Batched replay: the choice and direction index streams are
-        computed once in numpy, then :meth:`_replay` walks them in stream
-        order; telemetry is reduced from the kernel's event codes."""
-        choice_idx = ((batch.branch_pc.astype(np.uint64) >> np.uint64(2))
-                      & np.uint64(self.choice_entries - 1))
-        direction_idx = gshare_index_vec(batch.branch_pc, batch.history,
-                                         self.history_length,
-                                         self.direction_bits)
-        codes = replay_event_codes(self._replay, choice_idx, direction_idx,
-                                   batch.takens.astype(np.uint8))
-        if self._telemetry.enabled:
-            self._count_events(codes)
-        return (codes & 1).astype(np.bool_)
-
-    def _replay(self, choice_idx: list, direction_idx: list,
-                takens: list) -> list:
-        """Predict-then-train over precomputed indices, on the three tables'
-        raw byte arrays: :meth:`access` and :meth:`_train` with every
-        ``SplitCounterArray`` step spelled out.
+        computed once in numpy, then the compiled ``bimode_replay`` kernel
+        (``repro/kernels/replay.c``) walks them in stream order, restating
+        :meth:`access` and :meth:`_train` on the tables' raw buffers.
 
         Event code per position: bit 0 the prediction, bit 1 the choice,
         bits 2-3 the selected direction table's write arm and bits 4-5 the
-        choice table's (``ARM_*`` from :mod:`repro.common.counters`).
+        choice table's (``ARM_*`` from :mod:`repro.common.counters`);
+        telemetry is reduced from the codes.
         """
-        cp, ch = self.choice._prediction, self.choice._hysteresis
-        directions = ((self.not_taken_table._prediction,
-                       self.not_taken_table._hysteresis),
-                      (self.taken_table._prediction,
-                       self.taken_table._hysteresis))
-        codes = []
-        append = codes.append
-        for ci, di, t in zip(choice_idx, direction_idx, takens):
-            c = cp[ci]
-            dp, dh = directions[c]
-            p = dp[di]
-            if p == t:
-                dh[di] = 1
-                event = p
-            elif dh[di]:
-                dh[di] = 0
-                event = 4 | p
-            else:
-                dp[di] = t
-                event = 8 | p
-            if c == t:
-                ch[ci] = 1
-            elif p == t:
-                event |= 48  # the choice erred, the stream did not: keep it
-            elif ch[ci]:
-                ch[ci] = 0
-                event |= 16
-            else:
-                cp[ci] = t
-                event |= 32
-            append(event | c << 1)
-        return codes
+        lib = kernels.require()
+        choice_idx = (batch.branch_pc.astype(np.uint64, copy=False)
+                      >> np.uint64(2))
+        direction_idx = kernels.stream(gshare_index_vec(
+            batch.branch_pc, batch.history, self.history_length,
+            self.direction_bits))
+        takens = kernels.stream(batch.takens, np.bool_)
+        codes = np.empty(len(batch), dtype=np.uint8)
+        banks = kernels.banks(self.choice, self.not_taken_table,
+                              self.taken_table)
+        lib.bimode_replay(len(codes), kernels.address(choice_idx),
+                          kernels.address(direction_idx),
+                          kernels.address(takens), banks.ctypes.data,
+                          codes.ctypes.data)
+        if self._telemetry.enabled:
+            self._count_events(codes)
+        return (codes & 1).view(np.bool_)
 
     def _count_events(self, codes: np.ndarray) -> None:
         """Every ``bank.*`` counter of the scalar walk, from the codes."""
-        weights = np.bincount(codes, minlength=64)
-        values = np.arange(64)
+        values, weights = np.unique(codes, return_counts=True)
         choice = (values >> 1) & 1
-        self.choice.count_replayed(weights, np.ones(64, dtype=np.bool_),
-                                  values >> 4)
+        self.choice.count_replayed(weights, np.ones(len(values),
+                                                    dtype=np.bool_),
+                                   values >> 4)
         for table, selected in ((self.not_taken_table, choice == 0),
                                 (self.taken_table, choice == 1)):
             table.count_replayed(weights, selected,

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.common.bitops import mask
-from repro.common.counters import (ARM_CLEAR, ARM_FLIP, ARM_NONE,
-                                   SplitCounterArray)
+from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
 from repro.indexing.fold import info_word, info_word_vec
 from repro.indexing.skew import skew_index, skew_index_vec
-from repro.predictors.base import BatchCapable, Predictor, replay_event_codes
+from repro.predictors.base import BatchCapable, Predictor
 
 __all__ = ["EGskewPredictor"]
 
@@ -109,90 +109,37 @@ class EGskewPredictor(BatchCapable, Predictor):
         return (bim, skew_index_vec(1, g0_word, self.index_bits),
                 skew_index_vec(2, g1_word, self.index_bits))
 
+    def batch_supported(self) -> bool:
+        return kernels.available()
+
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
         """Batched replay: the three index streams are computed once in
-        numpy, then :meth:`_replay` walks them in stream order; telemetry is
-        reduced from the kernel's event codes."""
-        streams = [stream.astype(np.int64, copy=False)
-                   & np.int64(bank.size - 1)
-                   for stream, bank in zip(self.batch_indices(batch),
-                                           (self.bim, self.g0, self.g1))]
-        codes = replay_event_codes(self._replay, *streams,
-                                   batch.takens.view(np.uint8))
-        if self._telemetry.enabled:
-            self._count_events(codes)
-        return (codes & 1).astype(np.bool_)
-
-    def _replay(self, bim_idx: list, g0_idx: list, g1_idx: list,
-                takens: list) -> list:
-        """Predict-then-train over precomputed indices, on the three banks'
-        raw byte arrays: :meth:`access` and :meth:`_train_with_reads` with
-        every ``SplitCounterArray`` step spelled out (hysteresis is private,
-        so a bank's hysteresis index is its prediction index).
+        numpy, then the compiled ``egskew_replay`` kernel
+        (``repro/kernels/replay.c``) walks them in stream order, restating
+        :meth:`access` and :meth:`_train_with_reads` on the banks' raw
+        buffers.
 
         Event code per position: bit 0 the prediction, then each bank's
         write arm (``ARM_*`` from :mod:`repro.common.counters`) in bits 1-2
-        (BIM), 3-4 (G0) and 5-6 (G1).
+        (BIM), 3-4 (G0) and 5-6 (G1); telemetry is reduced from the codes.
         """
-        bp, bh = self.bim._prediction, self.bim._hysteresis
-        p0, h0 = self.g0._prediction, self.g0._hysteresis
-        p1, h1 = self.g1._prediction, self.g1._hysteresis
-        partial = self.update_policy == "partial"
-        codes = []
-        append = codes.append
-        for bi, g0i, g1i, t in zip(bim_idx, g0_idx, g1_idx, takens):
-            p_b = bp[bi]
-            p_0 = p0[g0i]
-            p_1 = p1[g1i]
-            event = 1 if p_b + p_0 + p_1 >= 2 else 0
-            if partial and event == t:
-                # Strengthen the banks that voted with the correct majority.
-                if p_b == t:
-                    bh[bi] = 1
-                else:
-                    event |= ARM_NONE << 1
-                if p_0 == t:
-                    h0[g0i] = 1
-                else:
-                    event |= ARM_NONE << 3
-                if p_1 == t:
-                    h1[g1i] = 1
-                else:
-                    event |= ARM_NONE << 5
-                append(event)
-                continue
-            if p_b == t:
-                bh[bi] = 1
-            elif bh[bi]:
-                bh[bi] = 0
-                event |= ARM_CLEAR << 1
-            else:
-                bp[bi] = t
-                event |= ARM_FLIP << 1
-            if p_0 == t:
-                h0[g0i] = 1
-            elif h0[g0i]:
-                h0[g0i] = 0
-                event |= ARM_CLEAR << 3
-            else:
-                p0[g0i] = t
-                event |= ARM_FLIP << 3
-            if p_1 == t:
-                h1[g1i] = 1
-            elif h1[g1i]:
-                h1[g1i] = 0
-                event |= ARM_CLEAR << 5
-            else:
-                p1[g1i] = t
-                event |= ARM_FLIP << 5
-            append(event)
-        return codes
+        lib = kernels.require()
+        streams = [kernels.stream(indices)
+                   for indices in self.batch_indices(batch)]
+        takens = kernels.stream(batch.takens, np.bool_)
+        codes = np.empty(len(batch), dtype=np.uint8)
+        banks = kernels.banks(self.bim, self.g0, self.g1)
+        lib.egskew_replay(len(codes), *map(kernels.address, streams),
+                          kernels.address(takens), banks.ctypes.data,
+                          self.update_policy == "partial", codes.ctypes.data)
+        if self._telemetry.enabled:
+            self._count_events(codes)
+        return (codes & 1).view(np.bool_)
 
     def _count_events(self, codes: np.ndarray) -> None:
         """Every ``bank.*`` counter of the scalar walk, from the codes."""
-        weights = np.bincount(codes, minlength=128)
-        values = np.arange(128)
-        reads = np.ones(128, dtype=np.bool_)
+        values, weights = np.unique(codes, return_counts=True)
+        reads = np.ones(len(values), dtype=np.bool_)
         for shift, bank in ((1, self.bim), (3, self.g0), (5, self.g1)):
             bank.count_replayed(weights, reads, (values >> shift) & 3)
 

@@ -22,15 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
 from repro.common.bitops import mask
-from repro.common.counters import SplitCounterArray
+from repro.common.counters import SplitCounterArray, count_selected
 from repro.history.providers import InfoVector, VectorBatch
 from repro.indexing.fold import info_word, info_word_vec
 from repro.indexing.skew import skew_index, skew_index_vec
-from repro.predictors.base import BatchCapable, Predictor, replay_event_codes
+from repro.predictors.base import BatchCapable, Predictor
 
 __all__ = ["TableConfig", "IndexScheme", "SkewedIndexScheme",
            "TwoBcGskewPredictor"]
+
+# The arms of the partial update policy (``_train_partial``), as the replay
+# kernel's event codes carry them (``UPDATE_*`` in ``kernels/replay.c``).
+(_UPDATE_SUPPRESSED, _UPDATE_STRENGTHENED, _UPDATE_CHOOSER_FIXED,
+ _UPDATE_FULL) = range(4)
 
 _PATH_BITS_PER_BLOCK = 2
 """Address bits taken from each previous-block address when the index scheme
@@ -234,180 +240,64 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
         return state[-1]
 
     def batch_supported(self) -> bool:
-        return self.index_scheme.vectorized
+        return self.index_scheme.vectorized and kernels.available()
 
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
         """Batched replay: all four index streams are precomputed with the
-        vectorized index scheme, then replayed in stream order.
+        vectorized index scheme, then replayed in stream order by the
+        compiled ``twobcgskew_replay`` kernel (``repro/kernels/replay.c``).
 
         The partial-update policy couples BIM/G0/G1/Meta through the
         majority vote and the chooser on almost every branch, so the counter
-        traffic cannot be scanned like a single table's.  Without a
-        recording sink the streams run through the inlined kernel
-        :meth:`_replay`; with one they run through the scalar reference's
-        own :meth:`_read`/:meth:`_train` (:meth:`_replay_reference`), so
-        every ``bank.*``, ``arbitration.*`` and ``update.*`` counter comes
-        from the oracle code rather than from a second kernel.
+        traffic cannot be scanned like a single table's.  The kernel
+        restates :meth:`_read` and :meth:`_train` on the banks' raw buffers
+        and writes one event code per position (layout in ``replay.c``);
+        every ``bank.*``, ``arbitration.*`` and ``update.*`` counter is a
+        reduction of those codes (:meth:`_count_events`).
         """
-        tables = (self.bim, self.g0, self.g1, self.meta)
-        streams = [stream.astype(np.int64, copy=False)
-                   & np.int64(table.size - 1)
-                   for stream, table in zip(
-                       self.index_scheme.compute_batch(batch, self.configs),
-                       tables)]
-        kernel = (self._replay_reference if self._telemetry.enabled
-                  else self._replay)
-        codes = replay_event_codes(kernel, *streams,
-                                   batch.takens.view(np.uint8))
-        return codes.view(np.bool_)
+        lib = kernels.require()
+        streams = [kernels.stream(indices) for indices in
+                   self.index_scheme.compute_batch(batch, self.configs)]
+        takens = kernels.stream(batch.takens, np.bool_)
+        codes = np.empty(len(batch), dtype=np.uint32)
+        banks = kernels.banks(self.bim, self.g0, self.g1, self.meta)
+        lib.twobcgskew_replay(len(codes), *map(kernels.address, streams),
+                              kernels.address(takens), banks.ctypes.data,
+                              self.update_policy == "partial",
+                              codes.ctypes.data)
+        if self._telemetry.enabled:
+            self._count_events(codes)
+        return (codes & 1).astype(np.bool_)
 
-    def _replay_reference(self, bim_idx: list, g0_idx: list, g1_idx: list,
-                          meta_idx: list, takens: list) -> list:
-        """Predict-then-train through :meth:`_read`/:meth:`_train`, the
-        scalar ``access`` minus the index computation; returns the
-        predictions."""
-        read, train = self._read, self._train
-        predictions = []
-        append = predictions.append
-        for indices, taken in zip(zip(bim_idx, g0_idx, g1_idx, meta_idx),
-                                  takens):
-            state = read(indices)
-            train(indices, state, taken)
-            append(state[-1])
-        return predictions
-
-    def _replay(self, bim_idx: list, g0_idx: list, g1_idx: list,
-                meta_idx: list, takens: list) -> list:
-        """The inlined replay kernel: predict-then-train over python lists
-        of precomputed indices, touching the four banks' prediction and
-        hysteresis byte arrays directly.  Returns the 0/1 predictions, which
-        are already bit-0 event codes for
-        :func:`~repro.predictors.base.replay_event_codes`.
-
-        Every branch below restates one arm of :meth:`_train_partial` /
-        :meth:`_train_total` composed with the
-        :class:`~repro.common.counters.SplitCounterArray` transitions
-        (``strengthen`` on the participating correct side collapses to
-        setting the hysteresis bit because it is only reached with direction
-        == target; every other write is ``_step_towards`` spelled out).  The
-        monolithic loop exists because per-position method dispatch through
-        :meth:`_read`/:meth:`_train` costs ~3x the transitions themselves.
-        Bit-identity against the scalar walk is locked by the differential
-        fuzzer (``tests/test_differential.py``).
-        """
-        bim, g0, g1, meta = self.bim, self.g0, self.g1, self.meta
-        bp, bh = bim._prediction, bim._hysteresis
-        p0, h0 = g0._prediction, g0._hysteresis
-        p1, h1 = g1._prediction, g1._hysteresis
-        mp, mh = meta._prediction, meta._hysteresis
-        bhm = bim.hysteresis_size - 1
-        g0hm = g0.hysteresis_size - 1
-        g1hm = g1.hysteresis_size - 1
-        mhm = meta.hysteresis_size - 1
-        partial = self.update_policy == "partial"
-        res = []
-        append = res.append
-        for bi, g0i, g1i, mi, t in zip(bim_idx, g0_idx, g1_idx, meta_idx,
-                                       takens):
-            p_b = bp[bi]
-            p_0 = p0[g0i]
-            p_1 = p1[g1i]
-            um = mp[mi]
-            maj = 1 if (p_b + p_0 + p_1) >= 2 else 0
-            ov = maj if um else p_b
-            append(ov)
-            if not partial:
-                if p_b != maj:
-                    mt = 1 if maj == t else 0
-                    mhi = mi & mhm
-                    if mp[mi] == mt:
-                        mh[mhi] = 1
-                    elif mh[mhi]:
-                        mh[mhi] = 0
-                    else:
-                        mp[mi] = mt
-                if p_b == t:
-                    bh[bi & bhm] = 1
-                elif bh[bi & bhm]:
-                    bh[bi & bhm] = 0
-                else:
-                    bp[bi] = t
-                if p_0 == t:
-                    h0[g0i & g0hm] = 1
-                elif h0[g0i & g0hm]:
-                    h0[g0i & g0hm] = 0
-                else:
-                    p0[g0i] = t
-                if p_1 == t:
-                    h1[g1i & g1hm] = 1
-                elif h1[g1i & g1hm]:
-                    h1[g1i & g1hm] = 0
-                else:
-                    p1[g1i] = t
-                continue
-            if ov == t:
-                if p_b == p_0 == p_1:
-                    continue  # Rationale 1: leave the counters stealable
-                if p_b != maj:
-                    mt = 1 if maj == t else 0
-                    mhi = mi & mhm
-                    if mp[mi] == mt:
-                        mh[mhi] = 1
-                    elif mh[mhi]:
-                        mh[mhi] = 0
-                    else:
-                        mp[mi] = mt
-                if um:
-                    if p_b == t:
-                        bh[bi & bhm] = 1
-                    if p_0 == t:
-                        h0[g0i & g0hm] = 1
-                    if p_1 == t:
-                        h1[g1i & g1hm] = 1
-                else:
-                    bh[bi & bhm] = 1
-                continue
-            # Misprediction.
-            if p_b != maj:
-                mt = 1 if maj == t else 0
-                mhi = mi & mhm
-                if mp[mi] == mt:
-                    mh[mhi] = 1
-                elif mh[mhi]:
-                    mh[mhi] = 0
-                else:
-                    mp[mi] = mt
-                if mp[mi]:  # the chooser re-read (peek) after its update
-                    if maj == t:
-                        if p_b == t:
-                            bh[bi & bhm] = 1
-                        if p_0 == t:
-                            h0[g0i & g0hm] = 1
-                        if p_1 == t:
-                            h1[g1i & g1hm] = 1
-                        continue
-                elif p_b == t:
-                    bh[bi & bhm] = 1
-                    continue
-            if p_b == t:
-                bh[bi & bhm] = 1
-            elif bh[bi & bhm]:
-                bh[bi & bhm] = 0
-            else:
-                bp[bi] = t
-            if p_0 == t:
-                h0[g0i & g0hm] = 1
-            elif h0[g0i & g0hm]:
-                h0[g0i & g0hm] = 0
-            else:
-                p0[g0i] = t
-            if p_1 == t:
-                h1[g1i & g1hm] = 1
-            elif h1[g1i & g1hm]:
-                h1[g1i & g1hm] = 0
-            else:
-                p1[g1i] = t
-        return res
+    def _count_events(self, codes: np.ndarray) -> None:
+        """Every counter of the scalar walk's :meth:`_train` and bank
+        reads/writes, from the kernel's event codes."""
+        values, weights = np.unique(codes, return_counts=True)
+        reads = [(values >> bit) & 1 for bit in (1, 2, 3)]
+        majority = (reads[0] + reads[1] + reads[2]) >= 2
+        use_majority = (values >> 4) & 1 == 1
+        taken = (values >> 5) & 1
+        update = (values >> 6) & 3
+        sink = self._telemetry
+        for name, selected in (
+                ("arbitration.majority_chosen", use_majority),
+                ("arbitration.bim_chosen", ~use_majority),
+                ("arbitration.bim_correct", reads[0] == taken),
+                ("arbitration.majority_correct", majority == taken),
+                ("arbitration.chosen_correct", (values & 1) == taken),
+                ("update.suppressed", update == _UPDATE_SUPPRESSED),
+                ("update.strengthened", update == _UPDATE_STRENGTHENED),
+                ("update.chooser_fixed", update == _UPDATE_CHOOSER_FIXED),
+                ("update.full", update == _UPDATE_FULL)):
+            count_selected(sink, name, weights, selected)
+        # Rationale 1 suppressed the three e-gskew bank writes a
+        # total-update policy would have issued.
+        count_selected(sink, "update.suppressed_writes", weights,
+                       update == _UPDATE_SUPPRESSED, 3)
+        every = np.ones(len(values), dtype=np.bool_)
+        for k, bank in enumerate((self.bim, self.g0, self.g1, self.meta)):
+            bank.count_replayed(weights, every, (values >> (8 + 2 * k)) & 3,
+                                (values >> (16 + k)) & 1 == 1)
 
     # -- training ------------------------------------------------------------
 

@@ -18,12 +18,13 @@ from array import array
 
 import numpy as np
 
+from repro import kernels
 from repro.common.bitops import mask
 from repro.common.counters import ARM_NONE, SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
 from repro.indexing.fold import gshare_index, gshare_index_vec
 from repro.obs import NullTelemetry
-from repro.predictors.base import BatchCapable, Predictor, replay_event_codes
+from repro.predictors.base import BatchCapable, Predictor
 
 __all__ = ["YagsPredictor"]
 
@@ -149,90 +150,47 @@ class YagsPredictor(BatchCapable, Predictor):
         self.not_taken_cache._counters.attach_telemetry(sink,
                                                         "not_taken_cache")
 
+    def batch_supported(self) -> bool:
+        return kernels.available()
+
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
         """Batched replay: the choice index, cache index and tag streams
-        are computed once in numpy, then :meth:`_replay` walks them in
-        stream order; telemetry is reduced from the kernel's event codes."""
-        word = batch.branch_pc.astype(np.uint64) >> np.uint64(2)
-        choice_idx = word & np.uint64(self.choice_entries - 1)
-        cache_idx = gshare_index_vec(batch.branch_pc, batch.history,
-                                     self.history_length, self.cache_bits)
-        tags = word & np.uint64(mask(min(self.tag_bits, 64)))
-        codes = replay_event_codes(self._replay, choice_idx, cache_idx, tags,
-                                   batch.takens.astype(np.uint8))
-        if self._telemetry.enabled:
-            self._count_events(codes)
-        return (codes & 1).astype(np.bool_)
-
-    def _replay(self, choice_idx: list, cache_idx: list, tags: list,
-                takens: list) -> list:
-        """Predict-then-train over precomputed indices and tags, on the raw
-        choice, counter, tag and valid buffers: :meth:`_access` with every
-        cache and ``SplitCounterArray`` step spelled out.
+        are computed once in numpy, then the compiled ``yags_replay`` kernel
+        (``repro/kernels/replay.c``) walks them in stream order, restating
+        :meth:`_access` on the raw choice, counter, tag and valid buffers.
 
         Event code per position: bit 0 the prediction, bit 1 the choice,
         bit 2 a tag hit, bits 3-4 the probed cache's counter write arm
         (``ARM_NONE`` on a miss, which allocates iff the choice erred) and
         bits 5-6 the choice table's (``ARM_*`` from
-        :mod:`repro.common.counters`).
+        :mod:`repro.common.counters`); telemetry is reduced from the codes.
         """
-        cp, ch = self.choice._prediction, self.choice._hysteresis
-        caches = tuple((cache._counters._prediction,
-                        cache._counters._hysteresis, cache._tags,
-                        cache._valid)
-                       for cache in (self.taken_cache, self.not_taken_cache))
-        codes = []
-        append = codes.append
-        for ci, xi, tag, t in zip(choice_idx, cache_idx, tags, takens):
-            c = cp[ci]
-            kp, kh, kt, kv = caches[c]
-            if kv[xi] and kt[xi] == tag:
-                p = kp[xi]
-                if p == t:
-                    kh[xi] = 1
-                    event = 4 | p
-                elif kh[xi]:
-                    kh[xi] = 0
-                    event = 12 | p
-                else:
-                    kp[xi] = t
-                    event = 20 | p
-                if c == t:
-                    ch[ci] = 1
-                elif p == t:
-                    event |= 96  # the cache corrected the bias: keep it
-                elif ch[ci]:
-                    ch[ci] = 0
-                    event |= 32
-                else:
-                    cp[ci] = t
-                    event |= 64
-            else:
-                event = 24 | c
-                if c == t:
-                    ch[ci] = 1
-                else:
-                    kt[xi] = tag
-                    kv[xi] = 1
-                    kp[xi] = t
-                    kh[xi] = 0
-                    if ch[ci]:
-                        ch[ci] = 0
-                        event |= 32
-                    else:
-                        cp[ci] = t
-                        event |= 64
-            append(event | c << 1)
-        return codes
+        lib = kernels.require()
+        word = batch.branch_pc.astype(np.uint64, copy=False) >> np.uint64(2)
+        cache_idx = kernels.stream(gshare_index_vec(
+            batch.branch_pc, batch.history, self.history_length,
+            self.cache_bits))
+        tags = word & np.uint64(mask(min(self.tag_bits, 64)))
+        takens = kernels.stream(batch.takens, np.bool_)
+        codes = np.empty(len(batch), dtype=np.uint8)
+        choice = kernels.banks(self.choice)
+        caches = kernels.yags_caches(self.taken_cache, self.not_taken_cache)
+        lib.yags_replay(len(codes), kernels.address(word),
+                        kernels.address(cache_idx), kernels.address(tags),
+                        kernels.address(takens), choice.ctypes.data,
+                        caches.ctypes.data, codes.ctypes.data)
+        if self._telemetry.enabled:
+            self._count_events(codes)
+        return (codes & 1).view(np.bool_)
 
     def _count_events(self, codes: np.ndarray) -> None:
         """Every ``bank.*`` counter of the scalar walk, from the codes."""
-        weights = np.bincount(codes, minlength=128)
-        values = np.arange(128)
+        values, weights = np.unique(codes, return_counts=True)
         choice = (values >> 1) & 1
         hit = (values & 4) != 0
-        self.choice.count_replayed(weights, np.ones(128, dtype=np.bool_),
-                                  values >> 5)
+        self.choice.count_replayed(weights, np.ones(len(values),
+                                                    dtype=np.bool_),
+                                   values >> 5)
         for cache, probed in ((self.taken_cache, choice == 0),
                               (self.not_taken_cache, choice == 1)):
             cache._counters.count_replayed(

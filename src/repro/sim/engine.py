@@ -13,8 +13,9 @@ simulation.  This module makes that hot path a swappable component:
   trace's index streams are precomputed over numpy arrays and the counter
   traffic is resolved in vectorized passes (see
   :meth:`repro.common.counters.SplitCounterArray.batch_access`) or, for
-  predictors whose tables are update-coupled, by one inlined replay kernel
-  over the precomputed streams.  This is the default engine.
+  predictors whose tables are update-coupled, by one compiled replay kernel
+  over the precomputed streams (:mod:`repro.kernels`).  This is the default
+  engine.
 
 The contract is strict: ``BatchedEngine`` must produce **bit-identical**
 ``mispredictions``/``branches`` to ``ScalarEngine`` (and equivalent final
@@ -156,8 +157,8 @@ class BatchedEngine(SimulationEngine):
             return f"{predictor.name} does not implement BatchCapable"
         if not predictor.batch_supported():
             return (f"{predictor.name} configuration cannot run batched "
-                    f"(e.g. non-vectorized index scheme or an extreme "
-                    f"hysteresis sharing ratio)")
+                    f"(e.g. a non-vectorized index scheme, an extreme "
+                    f"hysteresis sharing ratio, or no compiled replay tier)")
         return None
 
     def run(self, predictor: Predictor, trace: Trace,

@@ -94,9 +94,24 @@ _TRACE_HASHES: WeakKeyDictionary = WeakKeyDictionary()
 
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 _SEMANTIC_SOURCES = ("predictors", "common", "history", "indexing", "ev8",
-                     "sim/engine.py")
+                     "kernels", "sim/engine.py")
 """Sources (relative to the ``repro`` package) that decide what a
-simulation computes.  Their digest salts every result key."""
+simulation computes: the Python modules and the C replay kernels in each
+directory, and the named files.  Their digest salts every result key."""
+
+
+def _semantic_files() -> list[str]:
+    """Package-relative paths of every semantics-bearing source, sorted."""
+    files = []
+    for entry in _SEMANTIC_SOURCES:
+        path = _PACKAGE_ROOT / entry
+        if path.is_dir():
+            files.extend(found for pattern in ("*.py", "*.c")
+                         for found in path.rglob(pattern))
+        elif path.is_file():
+            files.append(path)
+    return sorted(path.relative_to(_PACKAGE_ROOT).as_posix()
+                  for path in files)
 
 
 @functools.cache
@@ -108,18 +123,14 @@ def _source_digest() -> bytes:
     re-keys every result: a cache can never answer with a count that older
     simulator code produced.
     """
-    files = []
-    for entry in _SEMANTIC_SOURCES:
-        path = _PACKAGE_ROOT / entry
-        files.extend(path.rglob("*.py") if path.is_dir() else [path])
     hasher = hashlib.sha256()
-    for relative in sorted(path.relative_to(_PACKAGE_ROOT).as_posix()
-                           for path in files):
+    for relative in _semantic_files():
         data = (_PACKAGE_ROOT / relative).read_bytes()
         hasher.update(relative.encode() + b"\x00" + str(len(data)).encode()
                       + b":")
         hasher.update(data)
     return hasher.digest()
+
 
 _TELEMETRY_ATTRS = frozenset({"_telemetry", "_tele_names"})
 """Attribute names carrying telemetry wiring.  Excluded from structural

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.history.providers import InfoVector
 from repro.obs import NullTelemetry
+from repro.traces.fetch import fetch_blocks_for
 from repro.traces.model import TerminatorKind, Trace, TraceBuilder
 from repro.workloads.spec95 import spec95_trace
 
@@ -56,6 +57,19 @@ def table_state(obj, path: str = "") -> dict[str, bytes]:
               and not isinstance(value, NullTelemetry)):
             state.update(table_state(value, f"{path}{name}."))
     return state
+
+
+def scalar_predictions(predictor, trace, provider) -> np.ndarray:
+    """The ScalarEngine loop over ``trace``, returning every per-branch
+    prediction."""
+    predictions = []
+    for block in fetch_blocks_for(trace):
+        if block.branch_pcs:
+            vectors = provider.begin_block(block)
+            for vector, taken in zip(vectors, block.branch_outcomes):
+                predictions.append(predictor.access(vector, taken))
+        provider.end_block(block)
+    return np.asarray(predictions, dtype=np.bool_)
 
 
 def simple_loop_trace(iterations: int = 200, name: str = "loop",

@@ -2,14 +2,15 @@
 
 ``tests/test_counters.py`` locks ``SplitCounterArray.batch_access`` against
 the scalar counter walk per component; these tests lock the contract at the
-level the engines actually rely on: Hypothesis generates random predictor
-configurations (per-table sizes, history lengths, hysteresis sharing on/off,
-partial vs total update, bi-mode and YAGS table sizes and tag widths, ghist
-vs lghist providers) and random short traces, then asserts that the scalar
-reference walk and the strict batched replay produce **bit-identical
-per-branch predictions**, identical final table bytes (every counter array,
-tag and valid buffer the predictor holds, however nested), and identical
-telemetry counters.
+level the engines actually rely on.  Every ``BatchCapable`` predictor has a
+case here (a meta-test fails when one does not): Hypothesis generates random
+predictor configurations (per-table sizes, history lengths, hysteresis
+sharing on/off, partial vs total update, bi-mode and YAGS table sizes and
+tag widths, ghist vs lghist providers) and random short traces, then
+asserts that the scalar reference walk and the strict batched replay
+produce **bit-identical per-branch predictions**, identical final table
+bytes (every counter array, tag and valid buffer the predictor holds,
+however nested), and identical telemetry counters.
 
 The example budget is tunable: ``REPRO_DIFF_FUZZ_EXAMPLES`` (default 230)
 lets the dedicated CI fuzzer step pick a budget that fits its time box
@@ -18,6 +19,7 @@ while local runs keep the full sweep.
 
 from __future__ import annotations
 
+import importlib
 import os
 
 import numpy as np
@@ -25,15 +27,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import table_state
+from conftest import scalar_predictions, table_state
+from repro.ev8.predictor import EV8BranchPredictor
 from repro.history.providers import BlockLghistProvider, BranchGhistProvider
 from repro.obs import Telemetry
+from repro.predictors.base import BatchCapable
+from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.bimode import BiModePredictor
 from repro.predictors.egskew import EGskewPredictor
+from repro.predictors.gas import GAsPredictor
+from repro.predictors.gshare import GsharePredictor
 from repro.predictors.twobcgskew import (SkewedIndexScheme, TableConfig,
                                          TwoBcGskewPredictor)
 from repro.predictors.yags import YagsPredictor
-from repro.traces.fetch import fetch_blocks_for
 from repro.traces.model import TerminatorKind, TraceBuilder
 
 FUZZ_EXAMPLES = int(os.environ.get("REPRO_DIFF_FUZZ_EXAMPLES", "230"))
@@ -107,14 +113,7 @@ def providers_factories(draw):
 def scalar_walk(predictor, trace, provider, sink) -> np.ndarray:
     """The ScalarEngine loop, returning every per-branch prediction."""
     predictor.attach_telemetry(sink)
-    predictions = []
-    for block in fetch_blocks_for(trace):
-        if block.branch_pcs:
-            vectors = provider.begin_block(block)
-            for vector, taken in zip(vectors, block.branch_outcomes):
-                predictions.append(predictor.access(vector, taken))
-        provider.end_block(block)
-    return np.asarray(predictions, dtype=np.bool_)
+    return scalar_predictions(predictor, trace, provider)
 
 
 def batched_walk(predictor, trace, provider, sink) -> np.ndarray:
@@ -127,8 +126,7 @@ def batched_walk(predictor, trace, provider, sink) -> np.ndarray:
 
 def fast_walk(predictor, trace, provider) -> np.ndarray:
     """The batched replay with no sink attached, exactly like production
-    sweeps (2Bc-gskew then runs its inlined kernel instead of the
-    reference read/train walk)."""
+    sweeps (the kernels skip the event-code reduction)."""
     batch = provider.materialize(trace)
     assert batch is not None, "provider fell out of the batchable envelope"
     return predictor.batch_access(batch)
@@ -177,6 +175,8 @@ def assert_equivalent(make_predictor, trace, make_provider) -> dict:
 # -- the fuzzers --------------------------------------------------------------
 
 class TestTwoBcGskewDifferential:
+    predictor = TwoBcGskewPredictor
+
     # slow: the full randomized budget runs in the dedicated CI fuzzer step
     # (which runs this file without the marker filter); the default lane
     # keeps the fixed-shape differential tests below.
@@ -204,6 +204,8 @@ class TestTwoBcGskewDifferential:
 
 
 class TestEGskewDifferential:
+    predictor = EGskewPredictor
+
     @settings(max_examples=60, deadline=None)
     @given(entries_log2=st.integers(min_value=4, max_value=7),
            history=st.integers(min_value=0, max_value=12),
@@ -224,6 +226,8 @@ tag_widths = st.one_of(st.integers(min_value=1, max_value=8),
 
 
 class TestBiModeDifferential:
+    predictor = BiModePredictor
+
     @pytest.mark.slow
     @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
     @given(direction_log2=st.integers(min_value=3, max_value=8),
@@ -252,6 +256,8 @@ class TestBiModeDifferential:
 
 
 class TestYagsDifferential:
+    predictor = YagsPredictor
+
     @pytest.mark.slow
     @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
     @given(cache_log2=st.integers(min_value=2, max_value=8),
@@ -278,6 +284,83 @@ class TestYagsDifferential:
         assert_equivalent(make, trace, BranchGhistProvider)
 
 
+class TestEV8Differential:
+    predictor = EV8BranchPredictor
+
+    @settings(max_examples=20, deadline=None)
+    @given(trace=random_traces(),
+           policy=st.sampled_from(("partial", "total")))
+    def test_table1_random_trace(self, trace, policy):
+        """The full Table 1 predictor on its own lghist/path provider and
+        the hardware-constrained index functions."""
+        assert_equivalent(lambda: EV8BranchPredictor(update_policy=policy),
+                          trace, EV8BranchPredictor.make_provider)
+
+
+class TestBimodalDifferential:
+    predictor = BimodalPredictor
+
+    @settings(max_examples=40, deadline=None)
+    @given(entries_log2=st.integers(min_value=1, max_value=7),
+           sharing_log2=st.integers(min_value=0, max_value=2),
+           trace=random_traces(), make_provider=providers_factories())
+    def test_random_config_random_trace(self, entries_log2, sharing_log2,
+                                        trace, make_provider):
+        entries = 1 << entries_log2
+        hysteresis = max(entries >> sharing_log2, 1)
+        assert_equivalent(lambda: BimodalPredictor(entries, hysteresis),
+                          trace, make_provider)
+
+
+class TestGshareDifferential:
+    predictor = GsharePredictor
+
+    @settings(max_examples=40, deadline=None)
+    @given(entries_log2=st.integers(min_value=1, max_value=8),
+           history=st.integers(min_value=0, max_value=20),
+           trace=random_traces(), make_provider=providers_factories())
+    def test_random_config_random_trace(self, entries_log2, history, trace,
+                                        make_provider):
+        assert_equivalent(lambda: GsharePredictor(1 << entries_log2,
+                                                  history),
+                          trace, make_provider)
+
+
+class TestGAsDifferential:
+    predictor = GAsPredictor
+
+    @settings(max_examples=40, deadline=None)
+    @given(entries_log2=st.integers(min_value=1, max_value=8),
+           history_fraction=st.floats(min_value=0, max_value=1),
+           trace=random_traces(), make_provider=providers_factories())
+    def test_random_config_random_trace(self, entries_log2, history_fraction,
+                                        trace, make_provider):
+        history = int(history_fraction * entries_log2)
+        assert_equivalent(lambda: GAsPredictor(1 << entries_log2, history),
+                          trace, make_provider)
+
+
+def _batch_capable_classes(cls=BatchCapable):
+    for subclass in cls.__subclasses__():
+        yield subclass
+        yield from _batch_capable_classes(subclass)
+
+
+def test_every_batch_capable_predictor_has_a_fuzz_case():
+    """A new batched predictor cannot go unfuzzed: every ``BatchCapable``
+    class in ``repro.predictors`` and ``repro.ev8`` is some test class's
+    ``predictor`` here."""
+    for package in ("repro.predictors", "repro.ev8"):
+        importlib.import_module(package)
+    fuzzed = {value.predictor for value in globals().values()
+              if isinstance(value, type) and hasattr(value, "predictor")}
+    shipped = {cls for cls in _batch_capable_classes()
+               if cls.__module__.startswith("repro.")}
+    assert shipped, "found no BatchCapable predictor"
+    missing = sorted(cls.__qualname__ for cls in shipped - fuzzed)
+    assert not missing, f"BatchCapable predictors with no fuzz case: {missing}"
+
+
 def test_yags_cache_counters_are_reported():
     """The caches' counters report as ``bank.*_cache.*`` on both engines."""
     builder = TraceBuilder("alternating")
@@ -290,6 +373,27 @@ def test_yags_cache_counters_are_reported():
                                  builder.build(), BranchGhistProvider)
     for cache in ("taken_cache", "not_taken_cache"):
         assert counters[f"bank.{cache}.reads"] > 0
+
+
+@pytest.mark.parametrize("tag_bits", [8, 9, 16, 17, 32, 33, 64, 72])
+def test_yags_tags_keep_their_top_bit(tag_bits):
+    """Two branches whose tags differ only in the top tag bit share every
+    cache entry, so each tag width (byte, ``H``, ``I`` and ``Q`` buffers)
+    must store that bit for their hits and inserts to match the scalar
+    walk."""
+    top = min(tag_bits, 61) - 1
+    pcs = (0x4000, 0x4000 + (1 << (2 + top)))
+    builder = TraceBuilder("top-tag-bit")
+    rng = np.random.default_rng(tag_bits)
+    for i in range(300):
+        pc = pcs[i % 2]
+        taken = bool(rng.random() < 0.3 + 0.4 * (i % 2))
+        builder.add(pc, 2, TerminatorKind.CONDITIONAL, taken,
+                    pc if taken else pc + 16)
+    counters = assert_equivalent(
+        lambda: YagsPredictor(4, 4, 0, tag_bits=tag_bits), builder.build(),
+        BranchGhistProvider)
+    assert counters["bank.taken_cache.reads"] > 0
 
 
 def test_fuzz_budget_meets_acceptance_floor():

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import simple_loop_trace, table_state
+from conftest import scalar_predictions, simple_loop_trace, table_state
 from repro.experiments.common import make_fig5_configs
 from repro.history.providers import BlockLghistProvider, BranchGhistProvider
 from repro.predictors import (
@@ -134,18 +134,23 @@ def test_fig5_set_runs_batched_without_fallbacks(limited, gcc_trace):
         TableConfig(1 << 10, 0), TableConfig(1 << 11, 9, 1 << 10),
         TableConfig(1 << 11, 13), TableConfig(1 << 11, 11, 1 << 10)),
 ], ids=["bimode", "yags", "egskew", "2bcgskew_ev8_shaped"])
-def test_event_code_replay_carries_state_across_chunks(factory, gcc_trace,
-                                                       monkeypatch):
-    """The table state carries from one replay chunk to the next."""
-    monkeypatch.setattr("repro.predictors.base.EVENT_CHUNK", 997)
+def test_batch_access_continues_from_previous_call(factory, gcc_trace,
+                                                   compress_trace):
+    """A second ``batch_access``, on another trace, continues from the
+    tables the first call left: its predictions and the final tables equal
+    the scalar walk over both traces."""
     scalar_pred, batched_pred = factory(), factory()
-    scalar, batched = (ScalarEngine().run(scalar_pred, gcc_trace),
-                       BatchedEngine(strict=True).run(batched_pred,
-                                                      gcc_trace))
-    assert batched.mispredictions == scalar.mispredictions
-    expected = table_state(scalar_pred)
-    assert expected
-    assert table_state(batched_pred) == expected
+    expected, actual = [], []
+    for trace in (gcc_trace, compress_trace):
+        expected.append(scalar_predictions(scalar_pred, trace,
+                                           BranchGhistProvider()))
+        actual.append(batched_pred.batch_access(
+            BranchGhistProvider().materialize(trace)))
+    np.testing.assert_array_equal(np.concatenate(actual),
+                                  np.concatenate(expected))
+    expected_state = table_state(scalar_pred)
+    assert expected_state
+    assert table_state(batched_pred) == expected_state
 
 
 def test_batched_falls_back_for_non_batch_capable(gcc_trace):

@@ -216,6 +216,11 @@ class TestResultKey:
         (tmp_path / "ev8/x.py").rename(tmp_path / "ev8/y.py")
         assert digest() not in (base, edited)
 
+    def test_source_digest_covers_the_c_kernels(self):
+        files = result_cache._semantic_files()
+        assert "kernels/replay.c" in files
+        assert "kernels/__init__.py" in files
+
     def test_objects_without_attributes_raise(self, trace):
         predictor = _gshare()
         predictor.extra = {1, 2}  # neither __dict__ nor __slots__
