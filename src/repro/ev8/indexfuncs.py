@@ -35,6 +35,8 @@ remaining bits take path information from block Z.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from repro.history.providers import InfoVector, VectorBatch
@@ -47,13 +49,71 @@ WORDLINE_MODES = ("history", "address")
 history+address bits, or pure address bits ("address only" rows)."""
 
 
+_FIELDS = ("history", "address", "branch_pc", "path", "bank")
+"""The information-vector fields an index may depend on; ``path`` is the
+youngest previous fetch-block address (the paper's Z)."""
+
+_BYTE_TABLES: dict[tuple, list[tuple[str, int, np.ndarray]]] = {}
+"""Byte tables per (scheme class, wordline_mode, use_block_bank)."""
+
+
 def _bit(value: int, position: int) -> int:
     return (value >> position) & 1
 
 
-def _vbit(values: np.ndarray, position: int) -> np.ndarray:
-    """Columnar :func:`_bit`: extract one bit from a uint64 column."""
-    return (values >> np.uint64(position)) & np.uint64(1)
+def _packed(scheme: "EV8IndexScheme", fields: dict[str, int],
+            configs: tuple[TableConfig, ...]) -> int:
+    """``scheme.compute`` of the vector with these fields (others zero), its
+    four indices packed LSB-first into 16-bit lanes."""
+    history, address, branch_pc, path, bank = (fields.get(field, 0)
+                                               for field in _FIELDS)
+    word = 0
+    for lane, index in enumerate(scheme.compute(
+            InfoVector(history, address, branch_pc, (path,), bank), configs)):
+        if not 0 <= index < 1 << 16:
+            raise ValueError(f"index {index} does not fit 16 bits")
+        word |= index << (16 * lane)
+    return word
+
+
+def _build_byte_tables(scheme: "EV8IndexScheme",
+                       configs: tuple[TableConfig, ...]
+                       ) -> list[tuple[str, int, np.ndarray]]:
+    """Tabulate ``scheme.compute`` as ``(field, byte, table)`` lookups.
+
+    Section 7 builds every index bit from XOR gates only, so ``compute`` is
+    linear over GF(2): its value on a vector is the XOR of its values on
+    the vector's set bits.  Probing each unit bit of each field gives those
+    values; the eight bits of a field byte that reaches an index combine
+    into a 256-entry table of packed indices.  Raises :class:`ValueError`
+    for what the tables cannot represent: nonzero indices for the zero
+    vector, an index wider than 16 bits, or a mismatch on 64 seeded random
+    full-width vectors."""
+    if _packed(scheme, {}, configs):
+        raise ValueError("the zero vector has nonzero indices")
+    tables = []
+    for field in _FIELDS:
+        responses = [_packed(scheme, {field: 1 << bit}, configs)
+                     for bit in range(64)]
+        for byte in range(8):
+            basis = responses[8 * byte:8 * byte + 8]
+            if not any(basis):
+                continue
+            table = np.zeros(256, dtype=np.uint64)
+            for bit, response in enumerate(basis):
+                half = 1 << bit
+                table[half:2 * half] = table[:half] ^ np.uint64(response)
+            tables.append((field, byte, table))
+    rng = random.Random(2002)
+    for _ in range(64):
+        fields = {field: rng.getrandbits(64) for field in _FIELDS}
+        tabulated = 0
+        for field, byte, table in tables:
+            tabulated ^= int(table[(fields[field] >> (8 * byte)) & 0xFF])
+        if tabulated != _packed(scheme, fields, configs):
+            raise ValueError(f"{type(scheme).__name__}.compute is not "
+                             f"linear over GF(2): it differs on {fields}")
+    return tables
 
 
 def decompose_index(index: int, column_bits: int = 5) -> tuple[int, int, int, int]:
@@ -85,8 +145,8 @@ class EV8IndexScheme(IndexScheme):
         address interleaving, used by the Fig 9 "address only" rows.
     """
 
-    #: Both the scalar and the batch path are implemented, so the hardware
-    #: configuration is inside the batched engine's envelope.
+    #: :meth:`compute_batch` is tabulated from :meth:`compute`, so the
+    #: hardware configuration runs batched with one definition of the hash.
     vectorized = True
 
     def __init__(self, wordline_mode: str = "history",
@@ -199,107 +259,28 @@ class EV8IndexScheme(IndexScheme):
 
         return bim_index, g0_index, g1_index, meta_index
 
-    # -- batch path ----------------------------------------------------------
-
-    def _shared_batch(self, batch: VectorBatch
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar :meth:`_shared`: (bank, wordline, slot) columns."""
-        a = batch.address
-        if self.use_block_bank:
-            bank = (batch.bank if batch.bank is not None
-                    else np.zeros(len(batch), dtype=np.uint64)) \
-                & np.uint64(0b11)
-        else:
-            bank = (a >> np.uint64(5)) & np.uint64(0b11)
-        if self.wordline_mode == "history":
-            line = ((batch.history & np.uint64(0b1111)) << np.uint64(2)) \
-                | ((a >> np.uint64(7)) & np.uint64(0b11))
-        else:
-            line = (a >> np.uint64(7)) & np.uint64(0b111111)
-        slot = (batch.branch_pc >> np.uint64(2)) & np.uint64(0b111)
-        return bank, line, slot
-
-    @staticmethod
-    def _compose_batch(column: np.ndarray, line: np.ndarray,
-                       slot: np.ndarray, unshuffle: np.ndarray,
-                       bank: np.ndarray) -> np.ndarray:
-        return ((column << np.uint64(11)) | (line << np.uint64(5))
-                | ((slot ^ unshuffle) << np.uint64(2))
-                | bank).astype(np.int64)
-
     def compute_batch(self, batch: VectorBatch,
                       configs: tuple[TableConfig, TableConfig, TableConfig,
                                      TableConfig]
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                  np.ndarray]:
-        """Columnar :meth:`compute`: the same XOR trees evaluated once per
-        bit position over whole uint64 columns instead of once per branch."""
-        bank, line, slot = self._shared_batch(batch)
-        h = batch.history
-        a = batch.address
-        if batch.path_depth:
-            z = batch.path[0]
-        else:
-            z = np.zeros(len(batch), dtype=np.uint64)
-        one = np.uint64(1)
-        two = np.uint64(2)
-
-        bim_column = ((_vbit(a, 11) << two)
-                      | ((_vbit(a, 10) ^ _vbit(z, 6)) << one)
-                      | (_vbit(a, 9) ^ _vbit(z, 5)))
-        bim_unshuffle = ((_vbit(a, 4) << two)
-                         | ((_vbit(a, 3) ^ _vbit(z, 6)) << one)
-                         | (_vbit(a, 2) ^ _vbit(z, 5)))
-        bim_index = self._compose_batch(bim_column, line, slot,
-                                        bim_unshuffle, bank)
-
-        g0_column = (((_vbit(h, 7) ^ _vbit(h, 11)) << np.uint64(4))
-                     | ((_vbit(h, 8) ^ _vbit(h, 12)) << np.uint64(3))
-                     | ((_vbit(h, 6) ^ _vbit(h, 10)) << two)
-                     | ((_vbit(h, 5) ^ _vbit(h, 9)) << one)
-                     | (_vbit(a, 10) ^ _vbit(h, 4)))
-        g0_i4 = (_vbit(a, 3) ^ _vbit(a, 12) ^ _vbit(a, 13) ^ _vbit(h, 5)
-                 ^ _vbit(h, 8) ^ _vbit(h, 11) ^ _vbit(z, 5))
-        g0_i3 = (_vbit(a, 11) ^ _vbit(h, 9) ^ _vbit(h, 10) ^ _vbit(h, 12)
-                 ^ _vbit(z, 6) ^ _vbit(a, 5))
-        g0_i2 = (_vbit(a, 2) ^ _vbit(a, 14) ^ _vbit(a, 10) ^ _vbit(h, 6)
-                 ^ _vbit(h, 4) ^ _vbit(h, 7) ^ _vbit(a, 6))
-        g0_index = self._compose_batch(
-            g0_column, line, slot, (g0_i4 << two) | (g0_i3 << one) | g0_i2,
-            bank)
-
-        g1_column = (((_vbit(h, 19) ^ _vbit(h, 12)) << np.uint64(4))
-                     | ((_vbit(h, 18) ^ _vbit(h, 11)) << np.uint64(3))
-                     | ((_vbit(h, 17) ^ _vbit(h, 10)) << two)
-                     | ((_vbit(h, 16) ^ _vbit(h, 4)) << one)
-                     | (_vbit(h, 15) ^ _vbit(h, 20)))
-        g1_i4 = (_vbit(h, 9) ^ _vbit(h, 14) ^ _vbit(h, 15) ^ _vbit(h, 16)
-                 ^ _vbit(z, 6))
-        g1_i3 = (_vbit(a, 3) ^ _vbit(a, 4) ^ _vbit(a, 6) ^ _vbit(a, 10)
-                 ^ _vbit(a, 11) ^ _vbit(a, 13) ^ _vbit(a, 14) ^ _vbit(h, 5)
-                 ^ _vbit(h, 11) ^ _vbit(h, 20) ^ _vbit(z, 5))
-        g1_i2 = (_vbit(a, 2) ^ _vbit(a, 5) ^ _vbit(a, 9) ^ _vbit(h, 4)
-                 ^ _vbit(h, 7) ^ _vbit(h, 8) ^ _vbit(h, 10) ^ _vbit(h, 12)
-                 ^ _vbit(h, 13) ^ _vbit(h, 14) ^ _vbit(h, 17))
-        g1_index = self._compose_batch(
-            g1_column, line, slot, (g1_i4 << two) | (g1_i3 << one) | g1_i2,
-            bank)
-
-        meta_column = (((_vbit(h, 7) ^ _vbit(h, 11)) << np.uint64(4))
-                       | ((_vbit(h, 8) ^ _vbit(h, 12)) << np.uint64(3))
-                       | ((_vbit(h, 5) ^ _vbit(h, 13)) << two)
-                       | ((_vbit(h, 4) ^ _vbit(h, 9)) << one)
-                       | (_vbit(a, 9) ^ _vbit(h, 6)))
-        meta_i4 = (_vbit(a, 4) ^ _vbit(a, 10) ^ _vbit(a, 5) ^ _vbit(h, 7)
-                   ^ _vbit(h, 10) ^ _vbit(h, 14) ^ _vbit(h, 13)
-                   ^ _vbit(z, 5))
-        meta_i3 = (_vbit(a, 3) ^ _vbit(a, 12) ^ _vbit(a, 14) ^ _vbit(a, 6)
-                   ^ _vbit(h, 4) ^ _vbit(h, 6) ^ _vbit(h, 8) ^ _vbit(h, 14))
-        meta_i2 = (_vbit(a, 2) ^ _vbit(a, 9) ^ _vbit(a, 11) ^ _vbit(a, 13)
-                   ^ _vbit(h, 5) ^ _vbit(h, 9) ^ _vbit(h, 11) ^ _vbit(h, 12)
-                   ^ _vbit(z, 6))
-        meta_index = self._compose_batch(
-            meta_column, line, slot,
-            (meta_i4 << two) | (meta_i3 << one) | meta_i2, bank)
-
-        return bim_index, g0_index, g1_index, meta_index
+        """Columnar :meth:`compute`: XOR one byte-table lookup per input byte
+        that reaches an index (:func:`_build_byte_tables`), then split the
+        packed word into its four 16-bit indices.  A batch without path or
+        bank columns reads them as zero, as :meth:`compute` does."""
+        columns = {"history": batch.history, "address": batch.address,
+                   "branch_pc": batch.branch_pc,
+                   "path": batch.path[0] if batch.path_depth else None,
+                   "bank": batch.bank}
+        # compute ignores configs: the physical layout fixes index widths.
+        key = (type(self), self.wordline_mode, self.use_block_bank)
+        if key not in _BYTE_TABLES:
+            _BYTE_TABLES[key] = _build_byte_tables(self, configs)
+        packed = np.zeros(len(batch), dtype="<u8")
+        for field, byte, table in _BYTE_TABLES[key]:
+            column = columns[field]
+            if column is not None:
+                octets = np.ascontiguousarray(column, "<u8").view(np.uint8)
+                packed ^= table.take(octets[byte::8])
+        lanes = packed.view("<u2").reshape(-1, 4).T.astype(np.uint64)
+        return tuple(lanes)

@@ -22,11 +22,11 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.history.lghist import LghistRegister
+from repro.history.lghist import PATH_BIT_POSITION, LghistRegister
 from repro.history.registers import GlobalHistoryRegister, PathRegister
 from repro.obs import get_telemetry
-from repro.traces.fetch import FETCH_BLOCK_BYTES, FetchBlock, fetch_blocks_for
-from repro.traces.model import INSTRUCTION_BYTES, TerminatorKind, Trace
+from repro.traces.fetch import FetchBlock, block_geometry
+from repro.traces.model import Trace
 
 __all__ = ["InfoVector", "VectorBatch", "HistoryProvider",
            "BranchGhistProvider", "BlockLghistProvider", "ev8_info_provider",
@@ -145,83 +145,19 @@ class HistoryProvider:
         return None
 
 
-def _branch_block_geometry_slow(trace: Trace):
-    """Per-branch (pcs, outcomes, fetch-block ordinal) plus all fetch-block
-    start addresses, extracted by walking the fetch-block objects."""
-    branch_pcs: list[int] = []
-    outcomes: list[bool] = []
-    block_ordinal: list[int] = []
-    blocks = fetch_blocks_for(trace)
-    for ordinal, block in enumerate(blocks):
-        branch_pcs.extend(block.branch_pcs)
-        outcomes.extend(block.branch_outcomes)
-        block_ordinal.extend([ordinal] * len(block.branch_pcs))
-    return (np.array(branch_pcs, dtype=np.uint64),
-            np.array(outcomes, dtype=np.bool_),
-            np.array(block_ordinal, dtype=np.int64),
-            np.array([block.start for block in blocks], dtype=np.uint64))
-
-
-def _branch_block_geometry(trace: Trace):
-    """Vectorized :func:`_branch_block_geometry_slow`.
-
-    Relies on the invariant fetch-block construction itself documents: the
-    basic-block stream is contiguous in the address space except across
-    taken control transfers.  Then the address stream decomposes into
-    contiguous *segments* delimited by taken terminators (and end of trace),
-    and every fetch block within a segment is an aligned
-    ``FETCH_BLOCK_BYTES`` chunk — so block counts, block start addresses and
-    each branch's block ordinal are pure chunk arithmetic.  Returns ``None``
-    if the invariant does not hold for this trace (the caller then walks the
-    fetch blocks instead).
-    """
-    if len(trace) == 0:
-        return (np.empty(0, np.uint64), np.empty(0, np.bool_),
-                np.empty(0, np.int64), np.empty(0, np.uint64))
-    starts = trace.starts
-    ends = starts + trace.num_instructions.astype(np.uint64) \
-        * np.uint64(INSTRUCTION_BYTES)
-    conditional = trace.kinds == int(TerminatorKind.CONDITIONAL)
-    fallthrough = trace.kinds == int(TerminatorKind.FALLTHROUGH)
-    terminator_taken = np.where(conditional, trace.takens, ~fallthrough)
-    if bool(np.any(~terminator_taken[:-1] & (starts[1:] != ends[:-1]))):
-        return None  # discontiguous not-taken boundary: invariant broken
-
-    # Segment = maximal run of records ending at a taken terminator (or the
-    # end of the trace).
-    seg_last = terminator_taken.copy()
-    seg_last[-1] = True
-    seg_first = np.empty_like(seg_last)
-    seg_first[0] = True
-    seg_first[1:] = seg_last[:-1]
-    segment_of_record = np.cumsum(seg_first) - 1
-    seg_start = starts[seg_first]
-    seg_end = ends[seg_last]
-
-    # Chunk arithmetic: fetch blocks of a segment are its aligned chunks.
-    chunk_shift = np.uint64(FETCH_BLOCK_BYTES.bit_length() - 1)
-    first_chunk = seg_start >> chunk_shift
-    last_chunk = (seg_end - np.uint64(1)) >> chunk_shift
-    blocks_per_segment = (last_chunk - first_chunk + np.uint64(1)).astype(np.int64)
-    block_base = np.zeros(len(blocks_per_segment), dtype=np.int64)
-    np.cumsum(blocks_per_segment[:-1], out=block_base[1:])
-
-    total_blocks = int(block_base[-1] + blocks_per_segment[-1])
-    segment_of_block = np.repeat(np.arange(len(block_base)), blocks_per_segment)
-    chunk_in_segment = np.arange(total_blocks) - block_base[segment_of_block]
-    block_starts = (first_chunk[segment_of_block]
-                    + chunk_in_segment.astype(np.uint64)) << chunk_shift
-    np.copyto(block_starts, seg_start[segment_of_block],
-              where=chunk_in_segment == 0)
-
-    # One branch per conditional record: the terminator instruction.
-    pcs = ends[conditional] - np.uint64(INSTRUCTION_BYTES)
-    takens = trace.takens[conditional].copy()
-    branch_segment = segment_of_record[conditional]
-    ordinals = (block_base[branch_segment]
-                + (pcs >> chunk_shift).astype(np.int64)
-                - first_chunk[branch_segment].astype(np.int64))
-    return pcs, takens, ordinals, block_starts
+def _windows(bits: np.ndarray, capacity: int) -> np.ndarray:
+    """Running windows of a bit sequence: ``windows[k]`` packs ``bits[k]``
+    in bit 0 (youngest), ``bits[k - 1]`` in bit 1, ... up to ``capacity``
+    (<= 64) bits.  Log-doubling: after the pass with shift ``s`` a window
+    holds ``2 s`` bits, so 64 bits take six passes."""
+    windows = bits.astype(np.uint64)
+    shift = 1
+    while shift < capacity:
+        windows[shift:] |= windows[:-shift] << np.uint64(shift)
+        shift <<= 1
+    if capacity < 64:
+        windows &= np.uint64((1 << capacity) - 1)
+    return windows
 
 
 _GHIST_BATCH_CACHE: WeakKeyDictionary = WeakKeyDictionary()
@@ -270,9 +206,8 @@ class BranchGhistProvider(HistoryProvider):
         """Whole-trace ghist vectors, bit-identical to the scalar walk.
 
         Per-branch global history is the packed window of the previous
-        outcomes (bit 0 youngest), built with one vectorized OR-shift pass
-        per capacity bit; the path columns are previous fetch-block start
-        addresses gathered from the block stream.
+        outcomes (bit 0 youngest, :func:`_windows`); the path columns are
+        previous fetch-block start addresses gathered from the block stream.
         """
         capacity = self._history.capacity
         if capacity > 64:
@@ -282,19 +217,12 @@ class BranchGhistProvider(HistoryProvider):
         if cached is not None:
             return cached
         _count_materialize_computed()
-        geometry = _branch_block_geometry(trace)
-        if geometry is None:
-            # Discontiguous not-taken record boundary: fall back to the
-            # fetch-block walk, which defines the semantics in that case.
-            pcs, takens, ordinals, starts = _branch_block_geometry_slow(trace)
-        else:
-            pcs, takens, ordinals, starts = geometry
+        pcs, takens, ordinals, starts = block_geometry(trace)
         n = len(pcs)
 
+        # Branch i sees the window that ends at branch i - 1.
         history = np.zeros(n, dtype=np.uint64)
-        outcome_bits = takens.astype(np.uint64)
-        for age in range(1, min(capacity, n) + 1):
-            history[age:] |= outcome_bits[:-age] << np.uint64(age - 1)
+        history[1:] = _windows(takens[:-1], capacity)
 
         path = np.zeros((self._path.depth, n), dtype=np.uint64)
         for age in range(self._path.depth):
@@ -374,26 +302,24 @@ class BlockLghistProvider(HistoryProvider):
         ``j`` is visible when predicting block ``b`` iff
         ``j < b - delay_blocks`` (it must have left the ``delay_blocks``-deep
         pending pipeline before block ``b``'s read).  So: pack the insert-bit
-        sequence into running uint64 windows with one OR-shift pass per
-        capacity bit, and gather each block's window by *counting* (via
-        ``searchsorted``) how many inserting blocks precede its visibility
-        horizon.  Path columns and the front-end bank stream are per-block
-        gathers, shared by every branch of the block.
+        sequence into running uint64 windows (:func:`_windows`), and gather
+        each block's window by *counting* (via ``searchsorted``) how many
+        inserting blocks precede its visibility horizon.  Path columns and
+        the front-end bank stream are per-block gathers, shared by every
+        branch of the block and by every cached configuration of the same
+        path depth.
         """
         register = self._lghist
         if register.capacity > 64:
             return None  # histories no longer fit a uint64 column
         key = (register.include_path, register.delay_blocks,
                register.capacity, self._path.depth)
-        cached = _LGHIST_BATCH_CACHE.setdefault(trace, {}).get(key)
+        per_trace = _LGHIST_BATCH_CACHE.setdefault(trace, {})
+        cached = per_trace.get(key)
         if cached is not None:
             return cached
         _count_materialize_computed()
-        geometry = _branch_block_geometry(trace)
-        if geometry is None:
-            pcs, takens, ordinals, starts = _branch_block_geometry_slow(trace)
-        else:
-            pcs, takens, ordinals, starts = geometry
+        pcs, takens, ordinals, starts = block_geometry(trace)
         n = len(pcs)
         num_blocks = len(starts)
 
@@ -406,41 +332,38 @@ class BlockLghistProvider(HistoryProvider):
         bit_blocks = ordinals[is_last]
         bits = takens[is_last].astype(np.uint64)
         if register.include_path:
-            from repro.history.lghist import PATH_BIT_POSITION
             bits ^= (pcs[is_last] >> np.uint64(PATH_BIT_POSITION)) \
                 & np.uint64(1)
 
-        # windows[k] = packed history after the first k+1 inserted bits
-        # (bit 0 youngest) — the OR-shift pass from the ghist materializer.
-        num_bits = len(bits)
-        windows = np.zeros(num_bits, dtype=np.uint64)
-        for age in range(min(register.capacity, num_bits)):
-            windows[age:] |= bits[:num_bits - age] << np.uint64(age)
+        # windows[k] = packed history after the first k inserted bits.
+        windows = np.zeros(len(bits) + 1, dtype=np.uint64)
+        windows[1:] = _windows(bits, register.capacity)
 
         # Visible history per block: the window after the last bit whose
         # block has aged past the visibility horizon.
         visible_counts = np.searchsorted(
             bit_blocks, np.arange(num_blocks) - register.delay_blocks,
             side="left")
-        block_history = np.zeros(num_blocks, dtype=np.uint64)
-        has_bits = visible_counts > 0
-        block_history[has_bits] = windows[visible_counts[has_bits] - 1]
-
-        block_path = np.zeros((self._path.depth, num_blocks), dtype=np.uint64)
-        for age in range(self._path.depth):
-            block_path[age, age + 1:] = starts[:num_blocks - age - 1]
-        from repro.ev8.banks import bank_numbers_vec
-        block_bank = bank_numbers_vec(starts).astype(np.uint64)
-
-        history = block_history[ordinals]
-        address = starts[ordinals]
-        path = block_path[:, ordinals]
-        bank = block_bank[ordinals]
+        history = windows[visible_counts[ordinals]]
+        history.setflags(write=False)  # cached batches are shared
+        sibling = next((other for (*_, depth), other in per_trace.items()
+                        if depth == self._path.depth), None)
+        if sibling is not None:
+            address, path, bank = sibling.address, sibling.path, sibling.bank
+        else:
+            block_path = np.zeros((self._path.depth, num_blocks),
+                                  dtype=np.uint64)
+            for age in range(self._path.depth):
+                block_path[age, age + 1:] = starts[:num_blocks - age - 1]
+            from repro.ev8.banks import bank_numbers_vec
+            address = starts[ordinals]
+            path = block_path[:, ordinals]
+            bank = bank_numbers_vec(starts).astype(np.uint64)[ordinals]
+            for column in (address, path, bank):
+                column.setflags(write=False)
         batch = VectorBatch(history=history, address=address, branch_pc=pcs,
                             path=path, takens=takens, bank=bank)
-        for column in (history, address, pcs, path, takens, bank):
-            column.setflags(write=False)  # cached batches are shared
-        _LGHIST_BATCH_CACHE[trace][key] = batch
+        per_trace[key] = batch
         return batch
 
 

@@ -81,8 +81,8 @@ class IndexScheme:
     """
 
     #: Whether :meth:`compute_batch` is implemented (the batched engine
-    #: falls back to scalar for schemes that stay False, e.g. the
-    #: hardware-constrained EV8 functions).
+    #: falls back to scalar for schemes that stay False, such as a custom
+    #: scheme with only :meth:`compute`).
     vectorized = False
 
     def compute(self, vector: InfoVector,

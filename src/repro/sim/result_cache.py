@@ -94,7 +94,7 @@ _TRACE_HASHES: WeakKeyDictionary = WeakKeyDictionary()
 
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 _SEMANTIC_SOURCES = ("predictors", "common", "history", "indexing", "ev8",
-                     "kernels", "sim/engine.py")
+                     "kernels", "sim/engine.py", "traces/fetch.py")
 """Sources (relative to the ``repro`` package) that decide what a
 simulation computes: the Python modules and the C replay kernels in each
 directory, and the named files.  Their digest salts every result key."""

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import weakref
 
+import numpy as np
+
 from repro.traces.model import (
     INSTRUCTION_BYTES,
     TerminatorKind,
@@ -30,7 +32,7 @@ from repro.traces.model import (
 )
 
 __all__ = ["FETCH_BLOCK_INSTRUCTIONS", "FETCH_BLOCK_BYTES", "FetchBlock",
-           "build_fetch_blocks", "fetch_blocks_for"]
+           "build_fetch_blocks", "fetch_blocks_for", "block_geometry"]
 
 FETCH_BLOCK_INSTRUCTIONS = 8
 """Maximum instructions per fetch block."""
@@ -160,4 +162,93 @@ def fetch_blocks_for(trace: Trace) -> list[FetchBlock]:
     if cached is None:
         cached = build_fetch_blocks(trace)
         _CACHE[trace] = cached
+    return cached
+
+
+def _geometry_from_blocks(trace: Trace) -> tuple[np.ndarray, ...]:
+    """:func:`block_geometry` by walking the fetch-block objects."""
+    blocks = fetch_blocks_for(trace)
+    return (np.array([pc for b in blocks for pc in b.branch_pcs], np.uint64),
+            np.array([t for b in blocks for t in b.branch_outcomes], np.bool_),
+            np.array([k for k, b in enumerate(blocks) for _ in b.branch_pcs],
+                     np.int64),
+            np.array([b.start for b in blocks], np.uint64))
+
+
+def _compute_block_geometry(trace: Trace) -> tuple[np.ndarray, ...]:
+    """Vectorized :func:`_geometry_from_blocks`.
+
+    Relies on the invariant :func:`build_fetch_blocks` documents: the
+    basic-block stream is contiguous in the address space except across
+    taken control transfers.  Then the address stream decomposes into
+    contiguous *segments* delimited by taken terminators (and end of trace),
+    and every fetch block within a segment is an aligned
+    ``FETCH_BLOCK_BYTES`` chunk, so block counts, block start addresses and
+    each branch's block ordinal are pure chunk arithmetic.  A trace that
+    breaks the invariant is walked block by block instead, since the walk
+    defines the semantics there.
+    """
+    starts = trace.starts
+    ends = starts + trace.num_instructions.astype(np.uint64) \
+        * np.uint64(INSTRUCTION_BYTES)
+    conditional = trace.kinds == int(TerminatorKind.CONDITIONAL)
+    fallthrough = trace.kinds == int(TerminatorKind.FALLTHROUGH)
+    terminator_taken = np.where(conditional, trace.takens, ~fallthrough)
+    if len(trace) == 0 or np.any(~terminator_taken[:-1]
+                                 & (starts[1:] != ends[:-1])):
+        return _geometry_from_blocks(trace)
+
+    # Segment = maximal run of records ending at a taken terminator (or the
+    # end of the trace).
+    seg_last = terminator_taken.copy()
+    seg_last[-1] = True
+    seg_first = np.empty_like(seg_last)
+    seg_first[0] = True
+    seg_first[1:] = seg_last[:-1]
+    segment_of_record = np.cumsum(seg_first) - 1
+    seg_start = starts[seg_first]
+    seg_end = ends[seg_last]
+
+    # Chunk arithmetic: fetch blocks of a segment are its aligned chunks.
+    chunk_shift = np.uint64(FETCH_BLOCK_BYTES.bit_length() - 1)
+    first_chunk = seg_start >> chunk_shift
+    last_chunk = (seg_end - np.uint64(1)) >> chunk_shift
+    blocks_per_segment = (last_chunk - first_chunk + np.uint64(1)).astype(np.int64)
+    block_base = np.zeros(len(blocks_per_segment), dtype=np.int64)
+    np.cumsum(blocks_per_segment[:-1], out=block_base[1:])
+
+    total_blocks = int(block_base[-1] + blocks_per_segment[-1])
+    segment_of_block = np.repeat(np.arange(len(block_base)), blocks_per_segment)
+    chunk_in_segment = np.arange(total_blocks) - block_base[segment_of_block]
+    block_starts = (first_chunk[segment_of_block]
+                    + chunk_in_segment.astype(np.uint64)) << chunk_shift
+    np.copyto(block_starts, seg_start[segment_of_block],
+              where=chunk_in_segment == 0)
+
+    # One branch per conditional record: the terminator instruction.
+    pcs = ends[conditional] - np.uint64(INSTRUCTION_BYTES)
+    takens = trace.takens[conditional]
+    branch_segment = segment_of_record[conditional]
+    ordinals = (block_base[branch_segment]
+                + (pcs >> chunk_shift).astype(np.int64)
+                - first_chunk[branch_segment].astype(np.int64))
+    return pcs, takens, ordinals, block_starts
+
+
+_GEOMETRY_CACHE: "weakref.WeakKeyDictionary[Trace, tuple]" = (
+    weakref.WeakKeyDictionary())
+
+
+def block_geometry(trace: Trace) -> tuple[np.ndarray, ...]:
+    """A trace's fetch blocks as read-only columns, in fetch order:
+    ``(branch_pcs, takens, ordinals, block_starts)``, the first three per
+    conditional branch (``ordinals`` indexes its fetch block), the last per
+    fetch block.  Memoised: Table 2's statistics and every provider that
+    materializes the trace share one computation."""
+    cached = _GEOMETRY_CACHE.get(trace)
+    if cached is None:
+        cached = _compute_block_geometry(trace)
+        for column in cached:
+            column.setflags(write=False)
+        _GEOMETRY_CACHE[trace] = cached
     return cached

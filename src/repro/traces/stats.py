@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.traces.fetch import fetch_blocks_for
+import numpy as np
+
+from repro.traces.fetch import block_geometry
 from repro.traces.model import Trace
 
 __all__ = ["TraceStatistics", "compute_statistics"]
@@ -83,14 +85,13 @@ class TraceStatistics:
 
 def compute_statistics(trace: Trace) -> TraceStatistics:
     """Compute :class:`TraceStatistics` for a trace."""
-    fetch_blocks = fetch_blocks_for(trace)
-    lghist_bits = sum(1 for block in fetch_blocks if block.has_conditional)
+    _, _, ordinals, block_starts = block_geometry(trace)
     return TraceStatistics(
         name=trace.name,
         instruction_count=trace.instruction_count,
         dynamic_conditional=trace.conditional_count,
         static_conditional=len(trace.static_conditional_pcs()),
         taken_rate=trace.taken_rate(),
-        fetch_block_count=len(fetch_blocks),
-        lghist_bits=lghist_bits,
+        fetch_block_count=len(block_starts),
+        lghist_bits=len(np.unique(ordinals)),
     )

@@ -1,14 +1,18 @@
 """Tests for EV8 fetch-block construction (Section 2 semantics)."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.traces.fetch import (
     FETCH_BLOCK_BYTES,
     FETCH_BLOCK_INSTRUCTIONS,
+    _geometry_from_blocks,
+    block_geometry,
     build_fetch_blocks,
     fetch_blocks_for,
 )
+from repro.traces.stats import compute_statistics
 from repro.traces.model import TerminatorKind, TraceBuilder
 from repro.workloads.spec95 import spec95_trace
 
@@ -152,6 +156,42 @@ class TestInvariants:
                                        block.branch_outcomes)]
         pcs, outcomes = trace.branches()
         assert flat == list(zip(pcs, outcomes))
+
+
+class TestBlockGeometry:
+    """The vectorized geometry against the fetch-block walk it replaces."""
+
+    @staticmethod
+    def _assert_matches_walk(trace):
+        for got, expected in zip(block_geometry(trace),
+                                 _geometry_from_blocks(trace)):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
+    @given(consistent_traces())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_block_walk(self, trace):
+        self._assert_matches_walk(trace)
+
+    def test_discontiguous_trace_is_walked(self):
+        # A not-taken branch whose successor starts elsewhere breaks the
+        # contiguity the chunk arithmetic relies on.
+        trace = trace_of((0x1000, 3, TerminatorKind.CONDITIONAL, False,
+                          0x100C),
+                         (0x2000, 2, TerminatorKind.CONDITIONAL, True,
+                          0x1000))
+        self._assert_matches_walk(trace)
+
+    def test_spec_trace_matches_block_walk(self):
+        self._assert_matches_walk(spec95_trace("gcc", 5000))
+
+    @given(consistent_traces())
+    @settings(max_examples=30, deadline=None)
+    def test_statistics_match_block_walk(self, trace):
+        blocks = build_fetch_blocks(trace)
+        stats = compute_statistics(trace)
+        assert stats.fetch_block_count == len(blocks)
+        assert stats.lghist_bits == sum(b.has_conditional for b in blocks)
 
 
 class TestOnRealWorkload:

@@ -1,10 +1,14 @@
 """Tests for the EV8 hardware-constrained index functions (Section 7)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_vector
 from repro.ev8.config import EV8_CONFIG
 from repro.ev8.indexfuncs import EV8IndexScheme, decompose_index
+from repro.history.providers import InfoVector, VectorBatch
 
 CONFIGS = EV8_CONFIG.tables()
 
@@ -188,3 +192,91 @@ class TestPathUsage:
         history_quality = assess_indices(wordlines("history"), 64)
         address_quality = assess_indices(wordlines("address"), 64)
         assert history_quality.entropy > address_quality.entropy
+
+
+words = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@st.composite
+def vector_batches(draw):
+    """A short batch with arbitrary 64-bit fields, between zero and three
+    path rows, and a bank column or none."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    depth = draw(st.integers(min_value=0, max_value=3))
+
+    def column():
+        return np.array(draw(st.lists(words, min_size=n, max_size=n)),
+                        dtype=np.uint64)
+
+    history, address, branch_pc = column(), column(), column()
+    path = np.array([column() for _ in range(depth)],
+                    dtype=np.uint64).reshape(depth, n)
+    bank = column() if draw(st.booleans()) else None
+    return VectorBatch(history=history, address=address, branch_pc=branch_pc,
+                       path=path, takens=np.zeros(n, dtype=np.bool_),
+                       bank=bank)
+
+
+class TestComputeBatch:
+    @pytest.mark.parametrize("mode,use_bank", [("history", True),
+                                               ("history", False),
+                                               ("address", True),
+                                               ("address", False)])
+    @given(batch=vector_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_row_by_row_compute(self, mode, use_bank, batch):
+        scheme = EV8IndexScheme(wordline_mode=mode, use_block_bank=use_bank)
+        columns = scheme.compute_batch(batch, CONFIGS)
+        for i in range(len(batch)):
+            vector = InfoVector(
+                int(batch.history[i]), int(batch.address[i]),
+                int(batch.branch_pc[i]),
+                tuple(int(z) for z in batch.path[:, i]),
+                0 if batch.bank is None else int(batch.bank[i]))
+            assert tuple(int(c[i]) for c in columns) == \
+                scheme.compute(vector, CONFIGS), i
+
+
+class _AndsTwoBits(EV8IndexScheme):
+    """A column bit that ANDs two history bits: not linear over GF(2)."""
+
+    def compute(self, vector, configs):
+        bim, g0, g1, meta = super().compute(vector, configs)
+        both = (vector.history >> 30) & (vector.history >> 31) & 1
+        return bim, g0 ^ (both << 15), g1, meta
+
+
+class _Inverted(EV8IndexScheme):
+    """An affine offset: the zero vector maps to a nonzero index."""
+
+    def compute(self, vector, configs):
+        bim, g0, g1, meta = super().compute(vector, configs)
+        return bim, g0, g1, meta ^ 1
+
+
+class _TooWide(EV8IndexScheme):
+    """A 17th index bit, wider than a 16-bit lane."""
+
+    def compute(self, vector, configs):
+        bim, g0, g1, meta = super().compute(vector, configs)
+        return bim, g0, g1 | ((vector.history >> 40) & 1) << 16, meta
+
+
+class TestByteTableGuards:
+    """The byte tables must refuse an index function they cannot
+    represent instead of replaying a different one."""
+
+    @pytest.mark.parametrize("scheme_class,message", [
+        (_AndsTwoBits, "not linear over GF"),
+        (_Inverted, "zero vector"),
+        (_TooWide, "16 bits"),
+    ])
+    def test_unrepresentable_compute_raises(self, scheme_class, message):
+        batch = VectorBatch(
+            history=np.zeros(4, dtype=np.uint64),
+            address=np.zeros(4, dtype=np.uint64),
+            branch_pc=np.zeros(4, dtype=np.uint64),
+            path=np.zeros((0, 4), dtype=np.uint64),
+            takens=np.zeros(4, dtype=np.bool_))
+        with pytest.raises(ValueError, match=message):
+            scheme_class().compute_batch(batch, CONFIGS)

@@ -8,6 +8,7 @@ from repro.history.providers import (
     BranchGhistProvider,
     ev8_info_provider,
 )
+from repro.traces import fetch
 from repro.traces.fetch import FetchBlock, fetch_blocks_for
 
 
@@ -137,6 +138,21 @@ def _scalar_vector_walk(provider, trace):
     return vectors
 
 
+def _assert_batch_matches_walk(provider_factory, trace):
+    batch = provider_factory().materialize(trace)
+    assert batch is not None
+    vectors = _scalar_vector_walk(provider_factory(), trace)
+    assert len(batch) == len(vectors)
+    for i, vector in enumerate(vectors):
+        assert int(batch.history[i]) == vector.history, i
+        assert int(batch.address[i]) == vector.address, i
+        assert int(batch.branch_pc[i]) == vector.branch_pc, i
+        assert tuple(int(batch.path[d, i])
+                     for d in range(batch.path_depth)) == vector.path, i
+        assert (0 if batch.bank is None else int(batch.bank[i])) \
+            == vector.bank, i
+
+
 class TestLghistMaterialize:
     """``BlockLghistProvider.materialize`` must reproduce the scalar
     begin_block/end_block walk bit for bit — histories, path columns and
@@ -153,26 +169,16 @@ class TestLghistMaterialize:
         (True, 1, 16, 2),
         (False, 2, 8, 1),
         (True, 5, 32, 4),
+        (True, 3, 1, 3),     # capacities off the powers of two
+        (False, 0, 13, 3),
+        (True, 2, 21, 1),
+        (True, 3, 63, 3),
     ]
-
-    @staticmethod
-    def _assert_batch_matches_walk(provider_factory, trace):
-        batch = provider_factory().materialize(trace)
-        assert batch is not None
-        vectors = _scalar_vector_walk(provider_factory(), trace)
-        assert len(batch) == len(vectors)
-        for i, vector in enumerate(vectors):
-            assert int(batch.history[i]) == vector.history, i
-            assert int(batch.address[i]) == vector.address, i
-            assert int(batch.branch_pc[i]) == vector.branch_pc, i
-            assert tuple(int(batch.path[d, i])
-                         for d in range(batch.path_depth)) == vector.path, i
-            assert int(batch.bank[i]) == vector.bank, i
 
     @pytest.mark.parametrize("include_path,delay,capacity,depth", VARIANTS)
     def test_bit_identical_to_scalar_walk_on_gcc(self, include_path, delay,
                                                  capacity, depth, gcc_trace):
-        self._assert_batch_matches_walk(
+        _assert_batch_matches_walk(
             lambda: BlockLghistProvider(include_path=include_path,
                                         delay_blocks=delay,
                                         capacity=capacity,
@@ -185,19 +191,22 @@ class TestLghistMaterialize:
         # Single-block loops exercise the block-boundary bookkeeping: every
         # block inserts a bit and the delay pipeline stays saturated.
         trace = simple_loop_trace(300, taken_pattern=pattern)
-        self._assert_batch_matches_walk(ev8_info_provider, trace)
+        _assert_batch_matches_walk(ev8_info_provider, trace)
 
     def test_over_capacity_histories_do_not_materialize(self, gcc_trace):
         assert BlockLghistProvider(capacity=80).materialize(gcc_trace) is None
 
     def test_materialized_batch_is_cached_per_trace(self, gcc_trace):
         # Two provider instances with the same configuration share the
-        # per-trace batch; a different configuration gets its own.
+        # per-trace batch; a different configuration gets its own, whose
+        # block-level columns are shared when the path depth matches.
         first = ev8_info_provider().materialize(gcc_trace)
         second = ev8_info_provider().materialize(gcc_trace)
         assert first is second
         other = BlockLghistProvider(include_path=False).materialize(gcc_trace)
         assert other is not first
+        assert other.history is not first.history
+        assert other.bank is first.bank and other.path is first.path
 
     def test_materialized_columns_are_read_only(self, gcc_trace):
         batch = ev8_info_provider().materialize(gcc_trace)
@@ -205,3 +214,36 @@ class TestLghistMaterialize:
             batch.history[0] = 0
         with pytest.raises(ValueError):
             batch.bank[0] = 0
+
+
+class TestGhistMaterialize:
+    """``BranchGhistProvider.materialize`` against the scalar walk, for
+    capacities on and off the powers of two (the window is built by
+    log-doubling and then masked)."""
+
+    @pytest.mark.parametrize("capacity", [1, 13, 21, 64])
+    def test_bit_identical_to_scalar_walk_on_gcc(self, capacity, gcc_trace):
+        _assert_batch_matches_walk(
+            lambda: BranchGhistProvider(capacity=capacity), gcc_trace)
+
+    def test_bit_identical_on_loop_pattern(self):
+        trace = simple_loop_trace(300, taken_pattern=(True, True, False))
+        _assert_batch_matches_walk(
+            lambda: BranchGhistProvider(capacity=5, path_depth=2), trace)
+
+
+def test_each_trace_geometry_is_computed_once(monkeypatch):
+    """Every provider, and Table 2's statistics, share one fetch-block
+    geometry per trace."""
+    from repro.traces.stats import compute_statistics
+    calls = []
+    compute = fetch._compute_block_geometry
+    monkeypatch.setattr(fetch, "_compute_block_geometry",
+                        lambda trace: calls.append(trace) or compute(trace))
+    trace = simple_loop_trace(300, taken_pattern=(True, False))
+    for provider in (ev8_info_provider(),
+                     BlockLghistProvider(include_path=False, delay_blocks=3),
+                     BranchGhistProvider()):
+        assert provider.materialize(trace) is not None
+    compute_statistics(trace)
+    assert calls == [trace]

@@ -221,6 +221,11 @@ class TestResultKey:
         assert "kernels/replay.c" in files
         assert "kernels/__init__.py" in files
 
+    def test_source_digest_covers_the_fetch_block_geometry(self):
+        # Fetch blocks and the geometry every materialized batch is built
+        # from decide what a simulation computes.
+        assert "traces/fetch.py" in result_cache._semantic_files()
+
     def test_objects_without_attributes_raise(self, trace):
         predictor = _gshare()
         predictor.extra = {1, 2}  # neither __dict__ nor __slots__
