@@ -28,27 +28,19 @@ its strength.  ``update`` implements the usual saturating-counter step in
 this encoding; ``strengthen`` and ``weaken`` expose the half-steps the
 partial update policy needs.
 
-:meth:`SplitCounterArray.batch_access` is the vectorized heart of the
-batched simulation engine (:mod:`repro.sim.engine`): it replays a whole
-predict-then-train index/outcome stream through the array in numpy,
-bit-identically to calling ``predict`` + ``update`` per branch.  The trick:
-counters in different *hysteresis groups* never interact (with private
-hysteresis a group is a single counter; with shared hysteresis it is the
-``size / hysteresis_size`` prediction entries around one hysteresis bit), so
-a stable sort by group index gathers each group's accesses into a
-contiguous, temporally ordered run; within runs, the group is a state
-machine over ``2^(ratio+1)`` states — the partner direction bits plus the
-shared strength bit — and state-machine transition *composition* is
-associative, so the per-run sequential dependence resolves with a segmented
-Hillis-Steele prefix scan (log2(n) fully-vectorized composition passes)
-instead of a per-branch Python loop.  Private hysteresis is simply the
-4-state, ratio-1 instance of the same machine.
+:meth:`SplitCounterArray.batch_access` is the batched simulation engine's
+replay of a single table (:mod:`repro.sim.engine`): the compiled
+``counter_replay`` kernel (:mod:`repro.kernels`) walks a whole
+predict-then-train index/outcome stream over the array's own buffers,
+bit-identically to calling ``predict`` + ``update`` per branch, shared
+hysteresis included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.obs import NULL_TELEMETRY, NullTelemetry
 
 __all__ = ["SplitCounterArray", "ARM_ASSERT", "ARM_CLEAR", "ARM_FLIP",
@@ -69,48 +61,6 @@ def count_selected(sink: NullTelemetry, name: str, weights: np.ndarray,
     total = int(weights[selected].sum()) * scale
     if total:
         sink.count(name, total)
-
-_MAX_SHARING_RATIO = 5
-"""Largest ``size / hysteresis_size`` the batched scan supports: the group
-state packs ``ratio`` direction bits plus the strength bit, so the
-transition tables have ``2^(ratio+1)`` columns and the scan carries that
-many bytes per access.  The EV8 uses ratio 2; 5 (a 64-state machine) is
-already far beyond any configuration in the paper."""
-
-_GROUP_STEP_CACHE: dict[int, np.ndarray] = {}
-
-
-def _group_step_table(ratio: int) -> np.ndarray:
-    """Transition tables for a hysteresis group of ``ratio`` prediction
-    entries sharing one strength bit.
-
-    Group state ``s = (direction bits << 1) | strength`` (direction bit
-    ``k`` belongs to the prediction entry ``base + k * hysteresis_size``).
-    Row ``2 * k + taken`` maps every state to the state after an ``update``
-    step through partner ``k`` towards ``taken`` — the exact
-    ``_step_towards`` semantics, lifted to the group.  ``ratio == 1``
-    reproduces the classic 4-state saturating-counter tables.
-    """
-    table = _GROUP_STEP_CACHE.get(ratio)
-    if table is not None:
-        return table
-    states = 1 << (ratio + 1)
-    table = np.empty((2 * ratio, states), dtype=np.uint8)
-    for partner in range(ratio):
-        for taken in (0, 1):
-            for state in range(states):
-                strength = state & 1
-                directions = state >> 1
-                direction = (directions >> partner) & 1
-                if direction == taken:
-                    strength = 1
-                elif strength:
-                    strength = 0
-                else:
-                    directions ^= 1 << partner  # flip, stay weak
-                table[2 * partner + taken, state] = (directions << 1) | strength
-    _GROUP_STEP_CACHE[ratio] = table
-    return table
 
 
 def _weak_directions(size: int, init_taken: bool) -> bytearray:
@@ -349,142 +299,41 @@ class SplitCounterArray:
 
     @property
     def batch_supported(self) -> bool:
-        """Whether :meth:`batch_access` is available.
+        """Whether :meth:`batch_access` is available: whether the compiled
+        replay tier loaded.  Every hysteresis sharing ratio is inside the
+        envelope."""
+        return kernels.available()
 
-        Shared hysteresis couples the prediction entries around each
-        hysteresis bit, but the coupling is *local to the group*: grouping
-        the access stream by hysteresis index restores the independence the
-        sort-and-scan relies on, with the group's joint (directions,
-        strength) state as the scanned state machine.  Only absurd sharing
-        ratios (state space beyond ``2^(ratio+1)`` = 64 states) fall outside
-        the envelope.
+    def batch_access(self, indices: np.ndarray,
+                     takens: np.ndarray) -> np.ndarray:
+        """Predict-then-train over a whole access stream.
+
+        Equivalent to ``self.predict(i)`` then ``self.update(i, t)`` per
+        element, in stream order: returns the per-access predictions (bool
+        array) and leaves every counter in the same final state the scalar
+        walk would, shared hysteresis included.  The compiled
+        ``counter_replay`` kernel writes one event code per access (bit 0
+        the prediction, bits 1-2 the ``ARM_*`` write arm, bit 3 the
+        sharing-conflict bit), and telemetry is reduced from the codes.
         """
-        return self.size // self.hysteresis_size <= _MAX_SHARING_RATIO
-
-    def batch_access(self, indices: np.ndarray, takens: np.ndarray,
-                     chunk: int = 1 << 20) -> np.ndarray:
-        """Vectorized predict-then-train over a whole access stream.
-
-        Equivalent to ``[self.predict(i) for i in indices]`` interleaved with
-        ``self.update(i, t)`` per element, in stream order: returns the
-        per-access predictions (bool array) and leaves every counter in the
-        same final state the scalar replay would — including shared/half-size
-        hysteresis configurations, which scan over the joint group state.
-        Processed in chunks of ``chunk`` accesses to bound the scan's working
-        memory; the table state carries between chunks, so chunking does not
-        change results.
-        """
-        if not self.batch_supported:
-            raise ValueError(
-                f"batch_access supports hysteresis sharing ratios up to "
-                f"{_MAX_SHARING_RATIO}, got "
-                f"{self.size // self.hysteresis_size}")
-        indices = np.asarray(indices).astype(np.int64, copy=False)
+        indices = np.asarray(indices)
         takens = np.asarray(takens, dtype=np.bool_)
         if indices.shape != takens.shape:
             raise ValueError(
                 f"index/outcome streams have mismatched shapes: "
                 f"{indices.shape} vs {takens.shape}")
-        indices = indices & (self.size - 1)
-        if self._telemetry.enabled and len(indices):
-            self._telemetry.count(self._tele_names[0], len(indices))
-        predictions = np.empty(len(indices), dtype=np.bool_)
-        for lo in range(0, len(indices), max(chunk, 1)):
-            hi = lo + max(chunk, 1)
-            predictions[lo:hi] = self._batch_access_chunk(indices[lo:hi],
-                                                          takens[lo:hi])
-        return predictions
-
-    def _batch_access_chunk(self, indices: np.ndarray,
-                            takens: np.ndarray) -> np.ndarray:
-        n = len(indices)
-        if n == 0:
-            return np.empty(0, dtype=np.bool_)
-        ratio = self.size // self.hysteresis_size
-        groups = indices & (self.hysteresis_size - 1)
-        partners = indices >> (self.hysteresis_size.bit_length() - 1)
-        order = np.argsort(groups, kind="stable")
-        sorted_group = groups[order]
-        sorted_partner = partners[order].astype(np.uint8)
-
-        # Per-access transition functions as rows of 2^(ratio+1) next-states
-        # — row ``2 * partner + taken`` of the group step table — then an
-        # inclusive segmented prefix scan composing them (segment = run of
-        # equal group indices; the sort makes segment membership a plain
-        # equality test at any doubling distance).
-        table = _group_step_table(ratio)
-        sorted_taken = takens[order]
-        variant = 2 * sorted_partner + sorted_taken
-        prefix = table[variant]
-        shift = 1
-        while shift < n:
-            rows = np.nonzero(sorted_group[shift:] == sorted_group[:-shift])[0]
-            if rows.size == 0:
-                # Runs are contiguous, so no pair at this distance in the
-                # same segment means the longest run is <= shift: done.
-                break
-            prefix[shift + rows] = np.take_along_axis(prefix[shift + rows],
-                                                      prefix[rows], axis=1)
-            shift <<= 1
-
-        prediction_view = np.frombuffer(self._prediction, dtype=np.uint8)
-        hysteresis_view = np.frombuffer(self._hysteresis, dtype=np.uint8)
-        directions = np.zeros(n, dtype=np.uint8)
-        for k in range(ratio):
-            directions |= prediction_view[sorted_group
-                                          + k * self.hysteresis_size] << k
-        initial = (directions << 1) | hysteresis_view[sorted_group]
-
-        first = np.empty(n, dtype=np.bool_)
-        first[0] = True
-        first[1:] = sorted_group[1:] != sorted_group[:-1]
-        state_before = np.empty(n, dtype=np.uint8)
-        state_before[first] = initial[first]
-        if n > 1:
-            carried = np.take_along_axis(prefix[:-1], initial[1:, None],
-                                         axis=1)[:, 0]
-            interior = ~first[1:]
-            state_before[1:][interior] = carried[interior]
-
+        lib = kernels.require()
+        indices = kernels.stream(indices)
+        takens = kernels.stream(takens, np.bool_)
+        bank = kernels.banks(self)
+        codes = np.empty(len(indices), dtype=np.uint8)
+        lib.counter_replay(len(codes), indices.ctypes.data, takens.ctypes.data,
+                           bank.ctypes.data, codes.ctypes.data)
         if self._telemetry.enabled:
-            # Logical write accounting, identical to the scalar
-            # ``_step_towards`` arms: with the pre-access state in hand,
-            # which array each access writes is a pure function of
-            # (direction, strength, outcome).
-            own_direction = ((state_before >> 1) >> sorted_partner) & 1
-            strength = state_before & 1
-            agree = own_direction == sorted_taken
-            hysteresis_write = agree | (strength == 1)
-            flips = int(np.count_nonzero(~agree & (strength == 0)))
-            if flips:
-                self._telemetry.count(self._tele_names[1], flips)
-            hyst_writes = int(np.count_nonzero(hysteresis_write))
-            if hyst_writes:
-                self._telemetry.count(self._tele_names[2], hyst_writes)
-            if ratio > 1:
-                directions = state_before >> 1
-                uniform = (directions == 0) | (directions == (1 << ratio) - 1)
-                conflicts = int(np.count_nonzero(hysteresis_write & ~uniform))
-                if conflicts:
-                    self._telemetry.count(self._tele_names[3], conflicts)
-
-        # Final state per touched group: the inclusive prefix of each
-        # segment's last access, applied to that group's initial state.
-        last = np.empty(n, dtype=np.bool_)
-        last[-1] = True
-        last[:-1] = first[1:]
-        state_after = np.take_along_axis(prefix[last],
-                                         initial[last][:, None], axis=1)[:, 0]
-        touched = sorted_group[last]
-        hysteresis_view[touched] = state_after & 1
-        final_directions = state_after >> 1
-        for k in range(ratio):
-            prediction_view[touched + k * self.hysteresis_size] = \
-                (final_directions >> k) & 1
-
-        predictions = np.empty(n, dtype=np.bool_)
-        predictions[order] = ((state_before >> 1) >> sorted_partner) & 1 != 0
-        return predictions
+            values, weights = np.unique(codes, return_counts=True)
+            self.count_replayed(weights, np.ones(len(values), dtype=np.bool_),
+                                (values >> 1) & 3, (values & 8) != 0)
+        return (codes & 1).view(np.bool_)
 
     def set_counter(self, index: int, value: int) -> None:
         """Force a counter to a conventional 2-bit value (0..3). Test hook."""

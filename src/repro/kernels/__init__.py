@@ -1,10 +1,13 @@
 """The compiled replay tier: ``replay.c`` built on first use and loaded with
 :mod:`ctypes`.
 
-The update-coupled predictors (2Bc-gskew and the EV8 built on it, e-gskew,
-bi-mode and YAGS) replay their precomputed index streams through one C
-predict-then-train kernel each, which updates the predictor's own table
-buffers in place and writes one event code per position.
+Every batched predictor replays its precomputed index streams through one
+C predict-then-train kernel, which updates the predictor's own table
+buffers in place and writes one event code per position: the single-table
+ones (bimodal, gshare, GAs) through ``counter_replay``, by way of
+:meth:`repro.common.counters.SplitCounterArray.batch_access`, and the
+update-coupled ones (2Bc-gskew and the EV8 built on it, e-gskew, bi-mode
+and YAGS) through a kernel each.
 
 The first use in a process (:func:`available`, :func:`require` or
 :func:`library_path`) builds ``replay.c`` with the system
@@ -18,7 +21,7 @@ A build is written under a temporary name and moved into place with
 library.  Deleting the cache directory forces a rebuild.
 
 Without a compiler, or when the build or the load fails, :func:`available`
-is False: every coupled predictor then reports
+is False: every batched predictor then reports
 ``batch_supported() == False`` and the batched engine falls back to the
 scalar walk (or raises, when strict).
 """
@@ -47,6 +50,7 @@ _BUILD_TIMEOUT_S = 120
 
 _POINTER, _INT64 = ctypes.c_void_p, ctypes.c_int64
 _SIGNATURES = {
+    "counter_replay": (_INT64, *[_POINTER] * 4),
     "twobcgskew_replay": (_INT64, *[_POINTER] * 6, ctypes.c_int, _POINTER),
     "egskew_replay": (_INT64, *[_POINTER] * 5, ctypes.c_int, _POINTER),
     "bimode_replay": (_INT64, *[_POINTER] * 5),

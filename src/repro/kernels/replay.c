@@ -1,6 +1,6 @@
-/* Compiled predict-then-train replay kernels for the update-coupled
- * predictors: 2Bc-gskew (and the EV8 built on it), e-gskew, bi-mode and
- * YAGS.
+/* Compiled predict-then-train replay kernels for every batched predictor:
+ * the single-table ones (bimodal, gshare, GAs) and the update-coupled ones
+ * (2Bc-gskew and the EV8 built on it, e-gskew, bi-mode and YAGS).
  *
  * Each kernel walks precomputed index streams in stream order and reads and
  * writes the predictor's own table buffers in place (the bytearray /
@@ -177,6 +177,21 @@ void twobcgskew_replay(int64_t n, const uint64_t *bim_idx,
         codes[i] = code | update << 6 | arm_bits(bim_step, 0)
             | arm_bits(g0_step, 1) | arm_bits(g1_step, 2)
             | arm_bits(meta_step, 3);
+    }
+}
+
+/* bank_words: one table (bimodal, gshare, GAs), any hysteresis sharing.
+ * Event code (uint8) per position: bit 0 the prediction, bits 1-2 the write
+ * arm, bit 3 the sharing-conflict bit. */
+void counter_replay(int64_t n, const uint64_t *idx, const uint8_t *takens,
+                    const uint64_t *bank_words, uint8_t *codes)
+{
+    const bank_t bank = bank_at(bank_words);
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t index = masked(&bank, idx[i]);
+        unsigned prediction = bank.prediction[index];
+        codes[i] = (uint8_t)(prediction
+                             | step(&bank, index, takens[i] != 0) << 1);
     }
 }
 

@@ -93,18 +93,17 @@ class BatchCapable:
     bit**, and leave the predictor tables in the same final state.  The
     batched engine (:class:`repro.sim.engine.BatchedEngine`) verifies
     :meth:`batch_supported` first and falls back to the scalar engine when a
-    configuration cannot honor the equivalence guarantee (e.g. an extreme
-    hysteresis sharing ratio, a non-vectorizable index scheme, or no
-    compiled replay tier for a coupled predictor).
+    configuration cannot honor the equivalence guarantee (e.g. a
+    non-vectorizable index scheme, or no compiled replay tier).
 
     Implementations precompute their table-index streams with the
     vectorized helpers in :mod:`repro.indexing.fold` /
-    :mod:`repro.indexing.skew`, then either resolve counter updates with
-    :meth:`repro.common.counters.SplitCounterArray.batch_access` (single
-    independent table) or replay the precomputed indices through **one**
-    compiled predict-then-train kernel per predictor (multiple
-    update-coupled tables; see :mod:`repro.kernels`).  Telemetry comes from
-    that same replay, as a reduction of the kernel's event codes.
+    :mod:`repro.indexing.skew`, then replay them through **one** compiled
+    predict-then-train kernel per predictor (see :mod:`repro.kernels`): a
+    single-table predictor through
+    :meth:`repro.common.counters.SplitCounterArray.batch_access`, an
+    update-coupled one through its own kernel.  Telemetry comes from that
+    same replay, as a reduction of the kernel's event codes.
     """
 
     def batch_supported(self) -> bool:

@@ -51,8 +51,6 @@ class BimodalPredictor(BatchCapable, Predictor):
         return prediction
 
     def batch_supported(self) -> bool:
-        # Shared hysteresis couples table entries; only the private-hysteresis
-        # configuration decomposes per index.
         return self._counters.batch_supported
 
     def batch_access(self, batch: VectorBatch) -> np.ndarray:

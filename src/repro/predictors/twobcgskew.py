@@ -248,12 +248,12 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
         compiled ``twobcgskew_replay`` kernel (``repro/kernels/replay.c``).
 
         The partial-update policy couples BIM/G0/G1/Meta through the
-        majority vote and the chooser on almost every branch, so the counter
-        traffic cannot be scanned like a single table's.  The kernel
-        restates :meth:`_read` and :meth:`_train` on the banks' raw buffers
-        and writes one event code per position (layout in ``replay.c``);
-        every ``bank.*``, ``arbitration.*`` and ``update.*`` counter is a
-        reduction of those codes (:meth:`_count_events`).
+        majority vote and the chooser on almost every branch, so one kernel
+        walks all four tables together.  It restates :meth:`_read` and
+        :meth:`_train` on the banks' raw buffers and writes one event code
+        per position (layout in ``replay.c``); every ``bank.*``,
+        ``arbitration.*`` and ``update.*`` counter is a reduction of those
+        codes (:meth:`_count_events`).
         """
         lib = kernels.require()
         streams = [kernels.stream(indices) for indices in

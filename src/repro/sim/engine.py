@@ -10,12 +10,11 @@ simulation.  This module makes that hot path a swappable component:
   in via :class:`~repro.predictors.base.BatchCapable` and providers that can
   materialize their information vectors trace-side
   (:meth:`~repro.history.providers.HistoryProvider.materialize`), the whole
-  trace's index streams are precomputed over numpy arrays and the counter
-  traffic is resolved in vectorized passes (see
-  :meth:`repro.common.counters.SplitCounterArray.batch_access`) or, for
-  predictors whose tables are update-coupled, by one compiled replay kernel
-  over the precomputed streams (:mod:`repro.kernels`).  This is the default
-  engine.
+  trace's index streams are precomputed over numpy arrays and replayed in
+  stream order by one compiled predict-then-train kernel per predictor
+  (:mod:`repro.kernels`; single-table predictors reach theirs through
+  :meth:`repro.common.counters.SplitCounterArray.batch_access`).  This is
+  the default engine.
 
 The contract is strict: ``BatchedEngine`` must produce **bit-identical**
 ``mispredictions``/``branches`` to ``ScalarEngine`` (and equivalent final
@@ -140,8 +139,8 @@ class BatchedEngine(SimulationEngine):
     The provider materializes the whole trace's information vectors as
     numpy columns (history self-dependence is a pure function of earlier
     trace outcomes, so it is resolved trace-side); the predictor then
-    replays the batch with vectorized index computation and chunked numpy
-    counter passes.  Configurations outside the batchable envelope fall back
+    replays the batch with vectorized index computation and one compiled
+    replay kernel.  Configurations outside the batchable envelope fall back
     to :class:`ScalarEngine` — or raise if ``strict``.
     """
 
@@ -157,8 +156,8 @@ class BatchedEngine(SimulationEngine):
             return f"{predictor.name} does not implement BatchCapable"
         if not predictor.batch_supported():
             return (f"{predictor.name} configuration cannot run batched "
-                    f"(e.g. a non-vectorized index scheme, an extreme "
-                    f"hysteresis sharing ratio, or no compiled replay tier)")
+                    f"(e.g. a non-vectorized index scheme or no compiled "
+                    f"replay tier)")
         return None
 
     def run(self, predictor: Predictor, trace: Trace,

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.counters import SplitCounterArray
+from repro.obs import Telemetry
 
 
 class TestConstruction:
@@ -179,9 +180,11 @@ class TestIndexWrapping:
         assert array.counter_value(3 + 16) == 3
 
 
-def _scalar_replay(size, hysteresis_size, indices, takens):
+def _scalar_replay(size, hysteresis_size, indices, takens, sink=None):
     """Reference: predict-then-update one access at a time."""
     array = SplitCounterArray(size, hysteresis_size)
+    if sink is not None:
+        array.attach_telemetry(sink)
     predictions = []
     for index, taken in zip(indices, takens):
         predictions.append(array.predict(int(index)))
@@ -198,10 +201,27 @@ def _random_stream(size, length, seed=0):
     return indices.astype(np.int64), takens
 
 
+def _assert_replay_with_telemetry(size, hysteresis_size):
+    """Predictions, both buffers and every ``bank.*`` counter,
+    ``sharing_conflicts`` included, equal the scalar walk's."""
+    indices, takens = _random_stream(size, 3000, seed=hysteresis_size)
+    scalar_sink, batched_sink = Telemetry(), Telemetry()
+    reference, expected = _scalar_replay(size, hysteresis_size, indices,
+                                         takens, scalar_sink)
+    array = SplitCounterArray(size, hysteresis_size)
+    array.attach_telemetry(batched_sink)
+    assert array.batch_access(indices, takens).tolist() == expected
+    assert array._prediction == reference._prediction
+    assert array._hysteresis == reference._hysteresis
+    counters = scalar_sink.snapshot()["counters"]
+    assert counters["bank.counters.sharing_conflicts"] > 0
+    assert batched_sink.snapshot()["counters"] == counters
+
+
 class TestBatchAccess:
     """``batch_access`` must replay a whole stream bit-identically to the
     scalar predict/update walk — including shared/half-size hysteresis,
-    where the scan runs over the joint group state (Section 4.4)."""
+    where partners couple through one strength bit (Section 4.4)."""
 
     @pytest.mark.parametrize("size,hysteresis_size",
                              [(64, 64), (64, 32), (64, 16), (128, 32),
@@ -217,14 +237,18 @@ class TestBatchAccess:
         assert array._hysteresis == reference._hysteresis
 
     def test_chunking_does_not_change_results(self):
+        """Replaying a stream in two ``batch_access`` calls equals replaying
+        it in one: the table state carries across calls."""
         indices, takens = _random_stream(64, 2000, seed=7)
         whole = SplitCounterArray(64, 16)
-        chunked = SplitCounterArray(64, 16)
+        split = SplitCounterArray(64, 16)
         whole_predictions = whole.batch_access(indices, takens)
-        chunked_predictions = chunked.batch_access(indices, takens, chunk=13)
-        assert (whole_predictions == chunked_predictions).all()
-        assert whole._prediction == chunked._prediction
-        assert whole._hysteresis == chunked._hysteresis
+        split_predictions = np.concatenate(
+            [split.batch_access(indices[:700], takens[:700]),
+             split.batch_access(indices[700:], takens[700:])])
+        assert (whole_predictions == split_predictions).all()
+        assert whole._prediction == split._prediction
+        assert whole._hysteresis == split._hysteresis
 
     def test_partner_interference_through_shared_bit(self):
         """The Section 4.4 aliasing scenario, replayed in one batch: hammering
@@ -255,12 +279,16 @@ class TestBatchAccess:
         assert array._prediction == reference._prediction
         assert array._hysteresis == reference._hysteresis
 
-    def test_extreme_sharing_ratio_outside_envelope(self):
-        array = SplitCounterArray(256, 8)  # ratio 32
-        assert not array.batch_supported
-        with pytest.raises(ValueError, match="sharing ratio"):
-            array.batch_access(np.zeros(4, dtype=np.int64),
-                               np.zeros(4, dtype=np.bool_))
+    @pytest.mark.parametrize("size,hysteresis_size", [(64, 32), (64, 16)])
+    def test_shared_hysteresis_telemetry_matches_scalar(self, size,
+                                                        hysteresis_size):
+        _assert_replay_with_telemetry(size, hysteresis_size)
+
+    def test_ratio_32_matches_scalar_replay(self):
+        """A sharing ratio far beyond the paper's 2 is inside the
+        envelope."""
+        assert SplitCounterArray(256, 8).batch_supported
+        _assert_replay_with_telemetry(256, 8)
 
     def test_ev8_ratio_two_is_supported(self):
         # The paper's G0/Meta configuration: half-size hysteresis.

@@ -3,7 +3,8 @@
 ``tests/test_counters.py`` locks ``SplitCounterArray.batch_access`` against
 the scalar counter walk per component; these tests lock the contract at the
 level the engines actually rely on.  Every ``BatchCapable`` predictor has a
-case here (a meta-test fails when one does not): Hypothesis generates random
+config strategy in :data:`FUZZ_CASES` (a meta-test fails when one does not),
+and one parametrized test runs them all: Hypothesis generates random
 predictor configurations (per-table sizes, history lengths, hysteresis
 sharing on/off, partial vs total update, bi-mode and YAGS table sizes and
 tag widths, ghist vs lghist providers) and random short traces, then
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import importlib
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scalar_predictions, table_state
+from repro.ev8.indexfuncs import WORDLINE_MODES, EV8IndexScheme
 from repro.ev8.predictor import EV8BranchPredictor
 from repro.history.providers import BlockLghistProvider, BranchGhistProvider
 from repro.obs import Telemetry
@@ -172,22 +175,103 @@ def assert_equivalent(make_predictor, trace, make_provider) -> dict:
     return comparable(scalar_sink)
 
 
-# -- the fuzzers --------------------------------------------------------------
+# -- config strategies --------------------------------------------------------
 
-class TestTwoBcGskewDifferential:
-    predictor = TwoBcGskewPredictor
+def sizes(low: int, high: int):
+    """Powers of two from ``2**low`` to ``2**high``."""
+    return st.integers(min_value=low,
+                       max_value=high).map(lambda log2: 1 << log2)
 
+
+def histories(high: int):
+    return st.integers(min_value=0, max_value=high)
+
+
+policies = st.sampled_from(("partial", "total"))
+tag_widths = st.one_of(st.integers(min_value=1, max_value=8),
+                       st.integers(min_value=9, max_value=72))
+
+egskew_configs = st.fixed_dictionaries(dict(
+    entries=sizes(4, 7), history_length=histories(12),
+    g0_history_length=histories(12), update_policy=policies))
+bimode_configs = st.fixed_dictionaries(dict(
+    direction_entries=sizes(3, 8), choice_entries=sizes(1, 7),
+    history_length=histories(20)))
+yags_configs = st.fixed_dictionaries(dict(
+    cache_entries=sizes(2, 8), choice_entries=sizes(1, 7),
+    history_length=histories(20), tag_bits=tag_widths))
+# Table 1 tables under each Fig 9 index-function variant.
+ev8_configs = st.fixed_dictionaries(dict(
+    index_scheme=st.builds(EV8IndexScheme,
+                           wordline_mode=st.sampled_from(WORDLINE_MODES),
+                           use_block_bank=st.booleans()),
+    update_policy=policies))
+gshare_configs = st.fixed_dictionaries(dict(
+    entries=sizes(1, 8), history_length=histories(20)))
+
+
+@st.composite
+def bimodal_configs(draw):
+    entries = 1 << draw(st.integers(min_value=1, max_value=7))
+    sharing_log2 = draw(st.integers(min_value=0, max_value=2))
+    return dict(entries=entries,
+                hysteresis_entries=max(entries >> sharing_log2, 1))
+
+
+@st.composite
+def gas_configs(draw):
+    entries_log2 = draw(st.integers(min_value=1, max_value=8))
+    fraction = draw(st.floats(min_value=0, max_value=1))
+    return dict(entries=1 << entries_log2,
+                history_length=int(fraction * entries_log2))
+
+
+# -- the fuzzer ---------------------------------------------------------------
+
+class FuzzCase(NamedTuple):
+    """How one ``BatchCapable`` class is fuzzed: a strategy of constructor
+    keyword arguments, the example budget, the provider factories and
+    whether the case runs only in the slow lane."""
+    configs: st.SearchStrategy
+    examples: int = 40
+    providers: st.SearchStrategy = providers_factories()
+    slow: bool = False
+
+
+FUZZ_CASES: dict[type, FuzzCase] = {
     # slow: the full randomized budget runs in the dedicated CI fuzzer step
     # (which runs this file without the marker filter); the default lane
     # keeps the fixed-shape differential tests below.
-    @pytest.mark.slow
-    @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
-    @given(config=twobcgskew_configs(), trace=random_traces(),
-           make_provider=providers_factories())
-    def test_random_config_random_trace(self, config, trace, make_provider):
-        assert_equivalent(lambda: TwoBcGskewPredictor(**config), trace,
-                          make_provider)
+    TwoBcGskewPredictor: FuzzCase(twobcgskew_configs(), FUZZ_EXAMPLES,
+                                  slow=True),
+    EGskewPredictor: FuzzCase(egskew_configs, 60,
+                              st.just(BranchGhistProvider)),
+    BiModePredictor: FuzzCase(bimode_configs, FUZZ_EXAMPLES, slow=True),
+    YagsPredictor: FuzzCase(yags_configs, FUZZ_EXAMPLES, slow=True),
+    EV8BranchPredictor: FuzzCase(ev8_configs, 20),
+    BimodalPredictor: FuzzCase(bimodal_configs()),
+    GsharePredictor: FuzzCase(gshare_configs),
+    GAsPredictor: FuzzCase(gas_configs()),
+}
 
+
+@pytest.mark.parametrize("predictor", [
+    pytest.param(predictor, id=predictor.__name__,
+                 marks=[pytest.mark.slow] if case.slow else [])
+    for predictor, case in FUZZ_CASES.items()])
+def test_random_config_random_trace(predictor):
+    case = FUZZ_CASES[predictor]
+
+    @settings(max_examples=case.examples, deadline=None)
+    @given(config=case.configs, trace=random_traces(),
+           make_provider=case.providers)
+    def check(config, trace, make_provider):
+        assert_equivalent(lambda: predictor(**config), trace, make_provider)
+
+    check()
+
+
+class TestTwoBcGskewDifferential:
     @settings(max_examples=40, deadline=None)
     @given(trace=random_traces(), make_provider=providers_factories())
     def test_ev8_shaped_sharing(self, trace, make_provider):
@@ -203,76 +287,22 @@ class TestTwoBcGskewDifferential:
         assert_equivalent(make, trace, make_provider)
 
 
-class TestEGskewDifferential:
-    predictor = EGskewPredictor
-
-    @settings(max_examples=60, deadline=None)
-    @given(entries_log2=st.integers(min_value=4, max_value=7),
-           history=st.integers(min_value=0, max_value=12),
-           g0_history=st.integers(min_value=0, max_value=12),
-           policy=st.sampled_from(("partial", "total")),
-           trace=random_traces())
-    def test_random_config_random_trace(self, entries_log2, history,
-                                        g0_history, policy, trace):
-        def make():
-            return EGskewPredictor(1 << entries_log2, history,
-                                   g0_history_length=g0_history,
-                                   update_policy=policy)
-        assert_equivalent(make, trace, BranchGhistProvider)
-
-
-tag_widths = st.one_of(st.integers(min_value=1, max_value=8),
-                       st.integers(min_value=9, max_value=72))
-
-
 class TestBiModeDifferential:
-    predictor = BiModePredictor
-
-    @pytest.mark.slow
-    @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
-    @given(direction_log2=st.integers(min_value=3, max_value=8),
-           choice_log2=st.integers(min_value=1, max_value=7),
-           history=st.integers(min_value=0, max_value=20),
-           trace=random_traces(), make_provider=providers_factories())
-    def test_random_config_random_trace(self, direction_log2, choice_log2,
-                                        history, trace, make_provider):
-        def make():
-            return BiModePredictor(1 << direction_log2, 1 << choice_log2,
-                                   history)
-        counters = assert_equivalent(make, trace, make_provider)
+    @settings(max_examples=40, deadline=None)
+    @given(trace=random_traces(), make_provider=providers_factories())
+    def test_tiny_tables(self, trace, make_provider):
+        """4-entry choice and 16-entry direction tables over 12 branch PCs:
+        every choice and direction write arm, under either provider."""
+        counters = assert_equivalent(lambda: BiModePredictor(16, 4, 6),
+                                     trace, make_provider)
         # Each branch reads the choice table and exactly one direction table.
         branches = trace.conditional_count
         assert counters.get("bank.choice.reads", 0) == branches
         assert (counters.get("bank.taken_table.reads", 0)
                 + counters.get("bank.not_taken_table.reads", 0)) == branches
 
-    @settings(max_examples=40, deadline=None)
-    @given(trace=random_traces(), make_provider=providers_factories())
-    def test_tiny_tables(self, trace, make_provider):
-        """4-entry choice and 16-entry direction tables over 12 branch PCs:
-        every choice and direction write arm, under either provider."""
-        assert_equivalent(lambda: BiModePredictor(16, 4, 6), trace,
-                          make_provider)
-
 
 class TestYagsDifferential:
-    predictor = YagsPredictor
-
-    @pytest.mark.slow
-    @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
-    @given(cache_log2=st.integers(min_value=2, max_value=8),
-           choice_log2=st.integers(min_value=1, max_value=7),
-           history=st.integers(min_value=0, max_value=20),
-           tag_bits=tag_widths, trace=random_traces(),
-           make_provider=providers_factories())
-    def test_random_config_random_trace(self, cache_log2, choice_log2,
-                                        history, tag_bits, trace,
-                                        make_provider):
-        def make():
-            return YagsPredictor(1 << cache_log2, 1 << choice_log2, history,
-                                 tag_bits=tag_bits)
-        assert_equivalent(make, trace, make_provider)
-
     @settings(max_examples=40, deadline=None)
     @given(trace=random_traces(), tag_bits=tag_widths)
     def test_small_cache_exercises_every_arm(self, trace, tag_bits):
@@ -285,8 +315,6 @@ class TestYagsDifferential:
 
 
 class TestEV8Differential:
-    predictor = EV8BranchPredictor
-
     @settings(max_examples=20, deadline=None)
     @given(trace=random_traces(),
            policy=st.sampled_from(("partial", "total")))
@@ -297,49 +325,6 @@ class TestEV8Differential:
                           trace, EV8BranchPredictor.make_provider)
 
 
-class TestBimodalDifferential:
-    predictor = BimodalPredictor
-
-    @settings(max_examples=40, deadline=None)
-    @given(entries_log2=st.integers(min_value=1, max_value=7),
-           sharing_log2=st.integers(min_value=0, max_value=2),
-           trace=random_traces(), make_provider=providers_factories())
-    def test_random_config_random_trace(self, entries_log2, sharing_log2,
-                                        trace, make_provider):
-        entries = 1 << entries_log2
-        hysteresis = max(entries >> sharing_log2, 1)
-        assert_equivalent(lambda: BimodalPredictor(entries, hysteresis),
-                          trace, make_provider)
-
-
-class TestGshareDifferential:
-    predictor = GsharePredictor
-
-    @settings(max_examples=40, deadline=None)
-    @given(entries_log2=st.integers(min_value=1, max_value=8),
-           history=st.integers(min_value=0, max_value=20),
-           trace=random_traces(), make_provider=providers_factories())
-    def test_random_config_random_trace(self, entries_log2, history, trace,
-                                        make_provider):
-        assert_equivalent(lambda: GsharePredictor(1 << entries_log2,
-                                                  history),
-                          trace, make_provider)
-
-
-class TestGAsDifferential:
-    predictor = GAsPredictor
-
-    @settings(max_examples=40, deadline=None)
-    @given(entries_log2=st.integers(min_value=1, max_value=8),
-           history_fraction=st.floats(min_value=0, max_value=1),
-           trace=random_traces(), make_provider=providers_factories())
-    def test_random_config_random_trace(self, entries_log2, history_fraction,
-                                        trace, make_provider):
-        history = int(history_fraction * entries_log2)
-        assert_equivalent(lambda: GAsPredictor(1 << entries_log2, history),
-                          trace, make_provider)
-
-
 def _batch_capable_classes(cls=BatchCapable):
     for subclass in cls.__subclasses__():
         yield subclass
@@ -348,12 +333,11 @@ def _batch_capable_classes(cls=BatchCapable):
 
 def test_every_batch_capable_predictor_has_a_fuzz_case():
     """A new batched predictor cannot go unfuzzed: every ``BatchCapable``
-    class in ``repro.predictors`` and ``repro.ev8`` is some test class's
-    ``predictor`` here."""
+    class in ``repro.predictors`` and ``repro.ev8`` has a
+    :data:`FUZZ_CASES` entry."""
     for package in ("repro.predictors", "repro.ev8"):
         importlib.import_module(package)
-    fuzzed = {value.predictor for value in globals().values()
-              if isinstance(value, type) and hasattr(value, "predictor")}
+    fuzzed = set(FUZZ_CASES)
     shipped = {cls for cls in _batch_capable_classes()
                if cls.__module__.startswith("repro.")}
     assert shipped, "found no BatchCapable predictor"

@@ -164,8 +164,8 @@ def test_batched_falls_back_for_non_batch_capable(gcc_trace):
 
 
 def test_batched_handles_shared_hysteresis(gcc_trace):
-    """Half-size hysteresis is inside the batched envelope: the grouped
-    segmented replay must match the scalar walk bit for bit."""
+    """Half-size hysteresis is inside the batched envelope: the compiled
+    single-table replay must match the scalar walk bit for bit."""
     factory = lambda: BimodalPredictor(1 << 12, hysteresis_entries=1 << 10)  # noqa: E731
     assert factory().batch_supported()
     scalar, batched = _both_engines(factory, gcc_trace)
@@ -190,7 +190,7 @@ def test_ev8_table1_batched_strict_bit_identical(gcc_trace):
     assert (batched.mispredictions, batched.branches) == \
         (scalar.mispredictions, scalar.branches)
     # Equivalence extends to the final state of all four tables (G0 and
-    # Meta exercise the shared-hysteresis group scan).
+    # Meta exercise shared hysteresis).
     for table in ("bim", "g0", "g1", "meta"):
         scalar_table = getattr(scalar_pred, table)
         batched_table = getattr(batched_pred, table)

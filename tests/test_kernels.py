@@ -15,11 +15,17 @@ from repro import kernels
 from repro.ev8.predictor import EV8BranchPredictor
 from repro.history.providers import BranchGhistProvider
 from repro.obs import Telemetry
-from repro.predictors import (BiModePredictor, EGskewPredictor, TableConfig,
-                              TwoBcGskewPredictor, YagsPredictor)
+from repro.predictors import (BiModePredictor, BimodalPredictor,
+                              EGskewPredictor, GAsPredictor, GsharePredictor,
+                              TableConfig, TwoBcGskewPredictor, YagsPredictor)
 from repro.sim.engine import BatchedEngine, ScalarEngine
+from test_differential import _batch_capable_classes
 
-COUPLED = {
+BATCHED = {
+    "bimodal": lambda: BimodalPredictor(1 << 10),
+    "bimodal-shared": lambda: BimodalPredictor(1 << 10, 1 << 8),
+    "gshare": lambda: GsharePredictor(1 << 12, 10),
+    "gas": lambda: GAsPredictor(1 << 12, 6),
     "2bc-gskew": lambda: TwoBcGskewPredictor(
         TableConfig(1 << 10, 0), TableConfig(1 << 10, 9),
         TableConfig(1 << 10, 15), TableConfig(1 << 10, 11)),
@@ -110,11 +116,22 @@ def test_unwritable_cache_home_falls_back_to_the_temp_dir(tmp_path,
     assert path.parent.parent == tmp_path / "tmp"
 
 
-@pytest.mark.parametrize("name", sorted(COUPLED))
+def test_every_batch_capable_predictor_has_a_fallback_case():
+    """Every ``BatchCapable`` class in ``repro.predictors`` and
+    ``repro.ev8`` is built by some factory above."""
+    covered = {type(factory()) for factory in BATCHED.values()}
+    shipped = {cls for cls in _batch_capable_classes()
+               if cls.__module__.startswith("repro.")}
+    assert shipped, "found no BatchCapable predictor"
+    missing = sorted(cls.__qualname__ for cls in shipped - covered)
+    assert not missing, f"BatchCapable predictors with no case: {missing}"
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
 def test_no_compiler_falls_back_to_scalar(name, gcc_trace, cache_home,
                                           monkeypatch):
     monkeypatch.setattr(kernels, "_find_compiler", lambda: None)
-    factory = COUPLED[name]
+    factory = BATCHED[name]
     predictor = factory()
     assert not predictor.batch_supported()
     provider = (EV8BranchPredictor.make_provider if name == "ev8"
