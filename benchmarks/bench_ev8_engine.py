@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 
-from conftest import emit, emit_json, run_once
+from conftest import emit, run_once
 from repro.ev8.predictor import EV8BranchPredictor
 from repro.obs import NullTelemetry, Telemetry
 from repro.sim.engine import BatchedEngine, ScalarEngine
@@ -64,15 +64,6 @@ def test_ev8_engine_speedup(benchmark):
              "-" * 42,
              f"speedup {speedup:.1f}x"]
     emit("\n".join(lines), "bench_ev8_engine")
-    emit_json({
-        "wall_s": {"scalar": scalar.wall_seconds,
-                   "batched": batched.wall_seconds},
-        "speedup": speedup,
-        "branches": scalar.branches,
-        "branches_per_second": {
-            "scalar": scalar.branches_per_second,
-            "batched": batched.branches_per_second},
-    }, "BENCH_ev8_engine")
 
     assert batched.engine == "batched"
     assert (batched.mispredictions, batched.branches) == \

@@ -13,8 +13,8 @@ ratio measures orchestration alone.  A second, smaller pass asserts the
 merged telemetry counters of a recording parallel sweep are identical to
 the serial fold.
 
-Results land in ``results/BENCH_sweep.json`` (commit-stamped, so successive
-runs form a perf trajectory).
+The table lands in ``results/bench_sweep_fabric.txt``; the commit-stamped
+perf trajectory is perfbench's ``g1_sweep`` workload.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from conftest import emit, emit_json, run_once
+from conftest import emit, run_once
 from repro.ev8.config import EV8_CONFIG
 from repro.ev8.predictor import EV8BranchPredictor
 from repro.history.providers import ev8_info_provider
@@ -105,16 +105,6 @@ def test_sweep_fabric_speedup(benchmark):
              "-" * 32,
              f"speedup {speedup:.2f}x (gate: >= 1.1x)"]
     emit("\n".join(lines), "bench_sweep_fabric")
-    emit_json({
-        "wall_s": {"legacy": legacy_seconds, "fabric": fabric_seconds},
-        "speedup": speedup,
-        "points": len(SWEEP_VALUES),
-        "traces": len(SWEEP_TRACES),
-        "branches_per_trace": branches,
-        "branches_per_second": {
-            "legacy": total_branches / legacy_seconds,
-            "fabric": total_branches / fabric_seconds},
-    }, "BENCH_sweep")
 
     assert [p.value for p in fabric] == [p.value for p in legacy]
     assert [p.per_benchmark for p in fabric] \

@@ -228,10 +228,23 @@ class TraceBuilder:
         return len(self.starts)
 
     def build(self) -> Trace:
-        """Freeze into an immutable :class:`Trace`."""
+        """Freeze into an immutable :class:`Trace`.
+
+        Re-applies :meth:`add`'s checks over whole columns, for writers
+        (the program executor) that append to them directly."""
+        starts = np.array(self.starts, dtype=np.uint64)
+        counts = np.array(self.num_instructions, dtype=np.int64)
+        short = np.flatnonzero(counts < 1)
+        if len(short):
+            raise ValueError("a block execution needs at least 1 instruction, "
+                             f"got {counts[short[0]]}")
+        misaligned = np.flatnonzero(starts % INSTRUCTION_BYTES)
+        if len(misaligned):
+            raise ValueError(f"block start {int(starts[misaligned[0]]):#x} "
+                             "is not instruction-aligned")
         return Trace(
             self.name,
-            np.array(self.starts, dtype=np.uint64),
+            starts,
             np.array(self.num_instructions, dtype=np.uint16),
             np.array(self.kinds, dtype=np.uint8),
             np.array(self.takens, dtype=np.bool_),

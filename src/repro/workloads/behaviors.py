@@ -17,6 +17,18 @@ Each behaviour is a deterministic function of the executor state plus a
 deterministic per-behaviour RNG stream, so a given program produces an
 identical trace on every run.
 
+Stream contract.  A behaviour takes exactly one draw from its parent
+generator, at construction: the seed of a private PCG64 stream
+(:func:`~repro.common.rng.child_seed`).  The stream itself is created on the
+behaviour's first draw, so most static branches of a large program, which a
+trace never executes, never pay for one.  Draws that fix the behaviour
+(a truth table, an initial state, an inversion) are made by ``_setup`` as
+the first draws of the stream; every later draw follows in execution order.
+Behaviours whose later draws are all doubles take them from a buffer filled
+by ``random(k)``, which yields the values of ``k`` scalar ``random()``
+calls in order; a jittered :class:`LoopBehavior` interleaves normal draws,
+so it keeps scalar draws.
+
 The executor passes an :class:`ExecutionContext` giving behaviours read-only
 access to the architectural outcome history and per-branch occurrence
 counters.
@@ -29,6 +41,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.common.bitops import mask
+from repro.common.rng import child_seed
 
 __all__ = [
     "ExecutionContext",
@@ -64,6 +77,14 @@ class ExecutionContext(Protocol):
     def occurrence(self, branch_id: int) -> int: ...
 
 
+_DOUBLES_PER_REFILL = 32
+"""Doubles a behaviour takes from its stream each time its buffer runs
+dry: enough to amortise the call, few enough that the many branches a
+trace executes only a handful of times do not draw far ahead."""
+
+_EXHAUSTED = iter(())
+
+
 class Behavior:
     """Base class: a generator of outcomes for one static conditional branch.
 
@@ -72,14 +93,37 @@ class Behavior:
     idealised behaviour.
     """
 
-    __slots__ = ("noise", "_rng")
+    __slots__ = ("noise", "_seed", "_rng", "_doubles")
 
     def __init__(self, rng: np.random.Generator, noise: float = 0.0) -> None:
         if not 0.0 <= noise <= 1.0:
             raise ValueError(f"noise must be a probability, got {noise}")
         self.noise = noise
         # Private child stream so behaviours cannot perturb one another.
-        self._rng = np.random.default_rng(rng.integers(0, 2**63))
+        self._seed = child_seed(rng)
+        self._rng: np.random.Generator | None = None
+        self._doubles = _EXHAUSTED
+
+    def _stream(self) -> np.random.Generator:
+        """The private stream, created (and :meth:`_setup` run) on first
+        use."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+            self._setup(self._rng)
+        return self._rng
+
+    def _setup(self, rng: np.random.Generator) -> None:
+        """Make the draws that fix the behaviour; they come first in its
+        stream."""
+
+    def _random(self) -> float:
+        """The stream's next double, served from the refill buffer."""
+        try:
+            return next(self._doubles)
+        except StopIteration:
+            self._doubles = iter(
+                self._stream().random(_DOUBLES_PER_REFILL).tolist())
+            return next(self._doubles)
 
     def outcome(self, branch_id: int, ctx: ExecutionContext) -> bool:
         """Return the idealised outcome; overridden by subclasses."""
@@ -88,7 +132,7 @@ class Behavior:
     def next(self, branch_id: int, ctx: ExecutionContext) -> bool:
         """Return the emitted outcome (idealised outcome plus noise)."""
         value = self.outcome(branch_id, ctx)
-        if self.noise and self._rng.random() < self.noise:
+        if self.noise and self._random() < self.noise:
             return not value
         return value
 
@@ -110,7 +154,7 @@ class BiasedBehavior(Behavior):
         self.p_taken = p_taken
 
     def outcome(self, branch_id: int, ctx: ExecutionContext) -> bool:
-        return bool(self._rng.random() < self.p_taken)
+        return self._random() < self.p_taken
 
 
 class RandomBehavior(BiasedBehavior):
@@ -145,8 +189,12 @@ class LoopBehavior(Behavior):
         if self.trip_jitter <= 0.0:
             return self.mean_trips
         spread = max(1.0, self.mean_trips * self.trip_jitter)
-        draw = self._rng.normal(self.mean_trips, spread)
+        draw = self._stream().normal(self.mean_trips, spread)
         return max(1, int(round(draw)))
+
+    def _random(self) -> float:
+        # Noise draws interleave with the normal trip draws: no buffer.
+        return self._stream().random()
 
     def enter(self) -> None:
         """Called by the executor at loop entry: draw this activation's
@@ -207,9 +255,11 @@ class GlobalCorrelatedBehavior(Behavior):
         if len(lags) > 16:
             raise ValueError(f"at most 16 lags supported, got {len(lags)}")
         self.lags = sorted(set(lags))
-        table_size = 1 << len(self.lags)
+        self._table: list[bool] | None = None
+
+    def _setup(self, rng: np.random.Generator) -> None:
         self._table = [bool(b) for b in
-                       self._rng.integers(0, 2, size=table_size)]
+                       rng.integers(0, 2, size=1 << len(self.lags))]
 
     @property
     def depth(self) -> int:
@@ -217,6 +267,8 @@ class GlobalCorrelatedBehavior(Behavior):
         return max(self.lags)
 
     def outcome(self, branch_id: int, ctx: ExecutionContext) -> bool:
+        if self._table is None:
+            self._stream()
         history = ctx.global_history
         index = 0
         for position, lag in enumerate(self.lags):
@@ -240,11 +292,16 @@ class LocalCorrelatedBehavior(Behavior):
         if not 1 <= depth <= 16:
             raise ValueError(f"depth must be in 1..16, got {depth}")
         self.depth = depth
-        self._table = [bool(b) for b in
-                       self._rng.integers(0, 2, size=1 << depth)]
+        self._table: list[bool] | None = None
         self._self_history = 0
 
+    def _setup(self, rng: np.random.Generator) -> None:
+        self._table = [bool(b) for b in
+                       rng.integers(0, 2, size=1 << self.depth)]
+
     def outcome(self, branch_id: int, ctx: ExecutionContext) -> bool:
+        if self._table is None:
+            self._stream()
         value = self._table[self._self_history & mask(self.depth)]
         self._self_history = ((self._self_history << 1) | int(value))
         return value
@@ -265,11 +322,15 @@ class MarkovBehavior(Behavior):
                 raise ValueError(f"{name} must be a probability, got {p}")
         self.p_stay_taken = p_stay_taken
         self.p_stay_not_taken = p_stay_not_taken
-        self._state = bool(self._rng.integers(0, 2))
+        self._state = False
+
+    def _setup(self, rng: np.random.Generator) -> None:
+        self._state = bool(rng.integers(0, 2))
 
     def outcome(self, branch_id: int, ctx: ExecutionContext) -> bool:
+        draw = self._random()  # first, so _setup has drawn the state
         stay = self.p_stay_taken if self._state else self.p_stay_not_taken
-        if self._rng.random() >= stay:
+        if draw >= stay:
             self._state = not self._state
         return self._state
 
@@ -311,7 +372,7 @@ class PredicatePool:
         if any(not 0.0 < p < 1.0 for p in flip_probabilities):
             raise ValueError("flip probabilities must be in (0, 1)")
         self.size = size
-        self._rng = np.random.default_rng(rng.integers(0, 2**63))
+        self._rng = np.random.default_rng(child_seed(rng))
         self._values = [bool(b) for b in self._rng.integers(0, 2, size)]
         self._flip_probabilities = flip_probabilities
         self._time = 0
@@ -353,7 +414,7 @@ class PredicateBehavior(Behavior):
     The executor context must expose ``time`` (resolved-branch counter).
     """
 
-    __slots__ = ("pool", "predicate_ids", "invert", "_table")
+    __slots__ = ("pool", "predicate_ids", "_invert", "_table")
 
     def __init__(self, rng: np.random.Generator, pool: PredicatePool,
                  predicate_ids: list[int], noise: float = 0.0) -> None:
@@ -368,18 +429,29 @@ class PredicateBehavior(Behavior):
                 f"at most 8 predicates per branch, got {len(predicate_ids)}")
         self.pool = pool
         self.predicate_ids = list(predicate_ids)
+        self._invert: bool | None = None
+        self._table: list[bool] | None = None
+
+    def _setup(self, rng: np.random.Generator) -> None:
         if len(self.predicate_ids) == 1:
-            self.invert = bool(self._rng.integers(0, 2))
-            self._table = None
+            self._invert = bool(rng.integers(0, 2))
         else:
-            self.invert = False
-            self._table = [bool(b) for b in self._rng.integers(
+            self._invert = False
+            self._table = [bool(b) for b in rng.integers(
                 0, 2, 1 << len(self.predicate_ids))]
 
+    @property
+    def invert(self) -> bool:
+        """Whether a single-predicate branch tests the predicate's
+        complement."""
+        self._stream()
+        return self._invert
+
     def outcome(self, branch_id: int, ctx) -> bool:
+        invert = self.invert  # opens the stream: _setup draws the table
         time = ctx.time
         if self._table is None:
-            return self.pool.value(self.predicate_ids[0], time) ^ self.invert
+            return self.pool.value(self.predicate_ids[0], time) ^ invert
         index = 0
         for position, predicate in enumerate(self.predicate_ids):
             index |= int(self.pool.value(predicate, time)) << position
@@ -421,7 +493,7 @@ class ConditionLeaderBehavior(Behavior):
         self.p_taken = p_taken
 
     def outcome(self, branch_id: int, ctx: ExecutionContext) -> bool:
-        self.cell.value = bool(self._rng.random() < self.p_taken)
+        self.cell.value = self._random() < self.p_taken
         return self.cell.value
 
 
@@ -433,14 +505,24 @@ class ConditionFollowerBehavior(Behavior):
     reflection of the cell since the leader last ran.
     """
 
-    __slots__ = ("cell", "invert")
+    __slots__ = ("cell", "_invert")
 
     def __init__(self, rng: np.random.Generator, cell: ConditionCell,
                  invert: bool | None = None, noise: float = 0.0) -> None:
         super().__init__(rng, noise)
         self.cell = cell
-        self.invert = (bool(self._rng.integers(0, 2)) if invert is None
-                       else invert)
+        self._invert = invert  # None: drawn by _setup
+
+    def _setup(self, rng: np.random.Generator) -> None:
+        if self._invert is None:
+            self._invert = bool(rng.integers(0, 2))
+
+    @property
+    def invert(self) -> bool:
+        """Whether the branch tests the condition's complement."""
+        if self._invert is None:
+            self._stream()
+        return self._invert
 
     def outcome(self, branch_id: int, ctx: ExecutionContext) -> bool:
         return self.cell.value ^ self.invert

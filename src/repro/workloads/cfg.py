@@ -32,11 +32,13 @@ Layout conventions (matching compiler output for optimised code):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.common.bitops import mask
+from repro.common.rng import child_seed, choice_cdf
 from repro.traces.model import (
     INSTRUCTION_BYTES,
     TerminatorKind,
@@ -62,6 +64,12 @@ __all__ = [
 
 _HISTORY_BITS = 64
 _HISTORY_MASK = mask(_HISTORY_BITS)
+
+_FALLTHROUGH = int(TerminatorKind.FALLTHROUGH)
+_CONDITIONAL = int(TerminatorKind.CONDITIONAL)
+_JUMP = int(TerminatorKind.JUMP)
+_CALL = int(TerminatorKind.CALL)
+_RETURN = int(TerminatorKind.RETURN)
 
 _LOOP_ITERATION_CAP = 1_000_000
 """Safety valve against a pathological behaviour never exiting a loop."""
@@ -117,8 +125,7 @@ class Straight(Node):
     def execute(self, executor: "Executor") -> None:
         if self.n:
             end = self.start + self.n * INSTRUCTION_BYTES
-            executor.emit(self.start, self.n, TerminatorKind.FALLTHROUGH,
-                          False, end)
+            executor.emit(self.start, self.n, _FALLTHROUGH, False, end)
 
 
 class Sequence(Node):
@@ -185,8 +192,7 @@ class IfNode(Node):
     def execute(self, executor: "Executor") -> None:
         taken = executor.resolve(self.branch)
         target = self._else_start if taken else self._then_start
-        executor.emit(self.start, self.lead + 1, TerminatorKind.CONDITIONAL,
-                      taken, target)
+        executor.emit(self.start, self.lead + 1, _CONDITIONAL, taken, target)
         if taken:
             if self.else_body is not None:
                 self.else_body.execute(executor)
@@ -194,7 +200,7 @@ class IfNode(Node):
             self.then_body.execute(executor)
             if self.else_body is not None:
                 jump_pc = self._else_start - INSTRUCTION_BYTES
-                executor.emit(jump_pc, 1, TerminatorKind.JUMP, True, self._join)
+                executor.emit(jump_pc, 1, _JUMP, True, self._join)
 
     def static_branches(self):
         yield self.branch
@@ -235,8 +241,8 @@ class LoopNode(Node):
             self.body.execute(executor)
             taken = executor.resolve(self.branch)
             target = self.start if taken else self._exit
-            executor.emit(self._latch_start, self.lead,
-                          TerminatorKind.CONDITIONAL, taken, target)
+            executor.emit(self._latch_start, self.lead, _CONDITIONAL, taken,
+                          target)
             if not taken:
                 return
         raise RuntimeError(
@@ -262,8 +268,7 @@ class CallNode(Node):
 
     def execute(self, executor: "Executor") -> None:
         return_address = self.start + INSTRUCTION_BYTES
-        executor.emit(self.start, 1, TerminatorKind.CALL, True,
-                      self.callee.entry)
+        executor.emit(self.start, 1, _CALL, True, self.callee.entry)
         self.callee.execute_body(executor, return_address, via_call=True)
 
 
@@ -276,7 +281,8 @@ class DispatchNode(Node):
     for correlated behaviours — as in real code.
     """
 
-    __slots__ = ("callees", "transition", "_state", "_rng", "start")
+    __slots__ = ("callees", "transition", "_cdfs", "_state", "_seed", "_rng",
+                 "start")
 
     def __init__(self, rng: np.random.Generator, callees: list["Function"],
                  transition: np.ndarray) -> None:
@@ -292,8 +298,11 @@ class DispatchNode(Node):
             raise ValueError("transition matrix rows must sum to 1")
         self.callees = callees
         self.transition = transition
+        self._cdfs = [choice_cdf(row) for row in transition]
         self._state = 0
-        self._rng = np.random.default_rng(rng.integers(0, 2**63))
+        # A private stream, created on the first dispatch.
+        self._seed = child_seed(rng)
+        self._rng: np.random.Generator | None = None
         self.start = -1
 
     def layout(self, address: int) -> int:
@@ -301,15 +310,17 @@ class DispatchNode(Node):
         return address + INSTRUCTION_BYTES
 
     def execute(self, executor: "Executor") -> None:
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
         callee = self.callees[self._state]
-        self._state = int(self._rng.choice(len(self.callees),
-                                           p=self.transition[self._state]))
+        # rng.choice(n, p=transition[state]), from the same single draw.
+        self._state = bisect_right(self._cdfs[self._state], self._rng.random())
         # Threaded-interpreter dispatch: the handler is entered through an
         # indirect JUMP (not a call) and exits through an indirect jump
         # back to the dispatch instruction — the pattern that famously
         # defeats return-address stacks and jump tables in real
         # interpreters.
-        executor.emit(self.start, 1, TerminatorKind.JUMP, True, callee.entry)
+        executor.emit(self.start, 1, _JUMP, True, callee.entry)
         callee.execute_body(executor, self.start, via_call=False)
 
 
@@ -338,7 +349,7 @@ class Function:
         hardware RAS) when the function was entered by a call, or an
         indirect JUMP when it was entered by a threaded dispatch."""
         self.body.execute(executor)
-        kind = TerminatorKind.RETURN if via_call else TerminatorKind.JUMP
+        kind = _RETURN if via_call else _JUMP
         executor.emit(self._return_pc, 1, kind, True, return_address)
 
     def static_branches(self):
@@ -446,14 +457,24 @@ class Executor:
             self._occurrences.get(branch.branch_id, 0) + 1)
         return outcome
 
-    def emit(self, start: int, num_instructions: int, kind: TerminatorKind,
+    def emit(self, start: int, num_instructions: int, kind: int,
              taken: bool, next_start: int) -> None:
         """Record one block execution; raise :class:`ExecutionLimit` when the
-        trace is long enough."""
-        self.builder.add(start, num_instructions, kind, taken, next_start)
-        if kind == TerminatorKind.CONDITIONAL:
+        trace is long enough.
+
+        Appends straight to the builder's columns (``kind`` as its integer
+        :class:`TerminatorKind` value); :meth:`TraceBuilder.build` checks
+        them whole."""
+        builder = self.builder
+        builder.starts.append(start)
+        builder.num_instructions.append(num_instructions)
+        builder.kinds.append(kind)
+        builder.takens.append(taken)
+        builder.next_starts.append(next_start)
+        if kind == _CONDITIONAL:
             self._branches_emitted += 1
             if self._branches_emitted >= self.max_branches:
                 raise ExecutionLimit
-        if self.max_blocks is not None and len(self.builder) >= self.max_blocks:
+        if (self.max_blocks is not None
+                and len(builder.starts) >= self.max_blocks):
             raise ExecutionLimit

@@ -21,11 +21,12 @@ and if-trees, so that:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from repro.common.rng import DEFAULT_SEED, seed_from_name
+from repro.common.rng import DEFAULT_SEED, choice_cdf, seed_from_name
 from repro.traces.model import Trace
 from repro.workloads.behaviors import (
     Behavior,
@@ -33,7 +34,6 @@ from repro.workloads.behaviors import (
     ConditionCell,
     ConditionFollowerBehavior,
     ConditionLeaderBehavior,
-    GlobalCorrelatedBehavior,
     LocalCorrelatedBehavior,
     LoopBehavior,
     MarkovBehavior,
@@ -156,14 +156,7 @@ class WorkloadProfile:
 
     def cache_parameters(self) -> dict:
         """Stable dictionary of all generation parameters (trace-cache key)."""
-        result = {"generator_version": GENERATOR_VERSION}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, BehaviorMix):
-                value = vars(value).copy() if not hasattr(value, "__dict__") else {
-                    f: getattr(value, f) for f in value.__dataclass_fields__}
-            result[name] = value
-        return result
+        return {"generator_version": GENERATOR_VERSION, **asdict(self)}
 
     def with_seed(self, root_seed: int) -> "WorkloadProfile":
         """A copy of the profile with a different root seed (for SMT threads
@@ -179,7 +172,8 @@ class _ProgramBuilder:
         self.rng = np.random.default_rng(
             seed_from_name(profile.name, profile.root_seed))
         self._next_branch_id = 0
-        self._behavior_names, self._behavior_weights = profile.mix.as_items()
+        self._behavior_names, weights = profile.mix.as_items()
+        self._behavior_cdf = choice_cdf(weights)
         # Open condition groups: (cell, followers still to hand out).
         # Shallow groups are refilled rapidly so their members end up
         # adjacent in the program; deep draws are rare, so one deep group's
@@ -221,17 +215,11 @@ class _ProgramBuilder:
         mean = max(1.0, self.profile.mean_lead_instructions)
         return int(self.rng.geometric(1.0 / mean))
 
-    def _draw_lag_set(self, span: tuple[int, int]) -> list[int]:
-        low, high = span
-        taps = min(self.profile.correlation_taps, high - low + 1)
-        lags = self.rng.choice(np.arange(low, high + 1), size=taps,
-                               replace=False)
-        return [int(lag) for lag in lags]
-
     def _draw_if_behavior(self, depth: int = 0) -> Behavior:
         profile = self.profile
-        kind = self._behavior_names[int(self.rng.choice(
-            len(self._behavior_names), p=self._behavior_weights))]
+        # rng.choice(n, p=weights), from the same single draw.
+        kind = self._behavior_names[bisect_right(self._behavior_cdf,
+                                                 self.rng.random())]
         if kind == "biased_hard" and depth >= 2 and self.rng.random() < 0.7:
             # Deep inner loops are the optimised hot paths; a data-dependent
             # coin-flip there would dominate the whole trace's dynamic mix

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.traces.io import TraceCache
 from repro.workloads.generator import (
     BehaviorMix,
     WorkloadProfile,
     generate_program,
     generate_trace,
 )
+from repro.workloads.spec95 import spec95_profiles
 
 
 def small_profile(**overrides) -> WorkloadProfile:
@@ -117,6 +119,24 @@ class TestProfileHelpers:
         assert params["name"] == "unit"
         assert isinstance(params["mix"], dict)
         assert "biased_easy" in params["mix"]
+
+    def test_stand_in_cache_keys_unchanged(self, tmp_path):
+        # Pinned trace-cache keys of the eight stand-ins at the default
+        # length, so existing caches stay valid across refactors.
+        cache = TraceCache(tmp_path)
+        keys = {name: cache._key(name, {**profile.cache_parameters(),
+                                        "num_branches": 300_000})
+                for name, profile in spec95_profiles().items()}
+        assert keys == {
+            "compress": "compress-v1-b93d177d4fc0ad5e",
+            "gcc": "gcc-v1-6b83db2e4410bb1f",
+            "go": "go-v1-24cf52384bde70bc",
+            "ijpeg": "ijpeg-v1-d60082a11855caf2",
+            "li": "li-v1-4d6c8fe18a997098",
+            "m88ksim": "m88ksim-v1-74227c557dc0f75d",
+            "perl": "perl-v1-425803d9d81b95f7",
+            "vortex": "vortex-v1-38d3e6c407ad6473",
+        }
 
     def test_with_seed(self):
         profile = small_profile()

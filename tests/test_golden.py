@@ -1,4 +1,4 @@
-"""Golden misprediction counts for the paper's headline predictors.
+"""Golden misprediction counts and trace digests.
 
 ``golden_misp.json`` pins (branches, mispredictions) for the Table 1 EV8
 predictor and every Fig 5 configuration on two short SPEC95 stand-in
@@ -7,27 +7,41 @@ simulator's semantics (a kernel, the update policy, counter initialisation,
 an index function) shows up as a reviewed diff of the fixture rather than
 as silently different figures.
 
-Regenerate after an *intentional* semantic change with::
+``golden_traces.json`` pins the content digest of every stand-in trace at
+two seeds, generated directly by ``generate_trace``.  The misp fixture
+loads its traces through the trace cache, whose key is only
+``GENERATOR_VERSION`` plus the profile parameters, so a warm cache would
+hide a generator change that forgot the version bump; this one cannot.
+
+Regenerate both after an *intentional* semantic change with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.ev8.predictor import EV8BranchPredictor
 from repro.experiments.common import make_fig5_configs
 from repro.history.providers import BranchGhistProvider
+from repro.common.rng import DEFAULT_SEED
 from repro.sim.engine import BatchedEngine, ScalarEngine
-from repro.workloads.spec95 import spec95_trace
+from repro.workloads.generator import generate_trace
+from repro.workloads.spec95 import SPEC95_BENCHMARKS, profile_for, spec95_trace
 
 FIXTURE = Path(__file__).with_name("golden_misp.json")
 TRACES = ("gcc", "go")
 BRANCHES = 2_000
+
+TRACE_FIXTURE = Path(__file__).with_name("golden_traces.json")
+TRACE_SEEDS = (DEFAULT_SEED, 77)
+TRACE_BRANCHES = 5_000
 
 
 def _cells():
@@ -60,8 +74,35 @@ def test_golden_mispredictions(engine):
     assert _measure(engine) == expected["counts"]
 
 
+def trace_digest(trace) -> str:
+    """SHA-256 over the five trace columns, in column order."""
+    hasher = hashlib.sha256()
+    for column in (trace.starts, trace.num_instructions, trace.kinds,
+                   trace.takens, trace.next_starts):
+        hasher.update(np.ascontiguousarray(column).tobytes())
+    return hasher.hexdigest()
+
+
+def _trace_digests() -> dict[str, dict[str, str]]:
+    """``{seed: {benchmark: digest}}``, bypassing every trace cache."""
+    return {str(seed): {name: trace_digest(generate_trace(
+                            profile_for(name).with_seed(seed), TRACE_BRANCHES))
+                        for name in SPEC95_BENCHMARKS}
+            for seed in TRACE_SEEDS}
+
+
+def test_golden_trace_digests():
+    expected = json.loads(TRACE_FIXTURE.read_text())
+    assert expected["branches_per_trace"] == TRACE_BRANCHES
+    assert _trace_digests() == expected["digests"]
+
+
 if __name__ == "__main__":
     FIXTURE.write_text(json.dumps(
         {"branches_per_trace": BRANCHES, "counts": _measure(ScalarEngine())},
         indent=2, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}")
+    TRACE_FIXTURE.write_text(json.dumps(
+        {"branches_per_trace": TRACE_BRANCHES, "digests": _trace_digests()},
+        indent=2, sort_keys=True) + "\n")
+    print(f"wrote {TRACE_FIXTURE}")

@@ -38,6 +38,25 @@ class TestBuilder:
         with pytest.raises(ValueError):
             builder.add(0x1001, 1, TerminatorKind.JUMP, True, 0)
 
+    @pytest.mark.parametrize("start, count, message", [
+        (0x1000, 0, "at least 1 instruction, got 0"),
+        (0x1000, -2, "at least 1 instruction, got -2"),
+        (0x1002, 1, "block start 0x1002 is not instruction-aligned"),
+    ])
+    def test_build_checks_columns_written_directly(self, start, count,
+                                                   message):
+        # The program executor appends to the columns without add().
+        builder = TraceBuilder("bad")
+        builder.add(0x1000, 1, TerminatorKind.JUMP, True, 0x2000)
+        for column, value in ((builder.starts, start),
+                              (builder.num_instructions, count),
+                              (builder.kinds, int(TerminatorKind.JUMP)),
+                              (builder.takens, True),
+                              (builder.next_starts, 0x1000)):
+            column.append(value)
+        with pytest.raises(ValueError, match=message):
+            builder.build()
+
     def test_builder_len(self):
         builder = TraceBuilder("demo")
         assert len(builder) == 0
