@@ -1,29 +1,34 @@
-"""The compiled replay tier: ``replay.c`` built on first use and loaded with
+"""The compiled tier: C sources built on first use and loaded with
 :mod:`ctypes`.
 
-Every batched predictor replays its precomputed index streams through one
+Two libraries are built this way.  ``replay.c`` holds the replay kernels:
+every batched predictor replays its precomputed index streams through one
 C predict-then-train kernel, which updates the predictor's own table
 buffers in place and writes one event code per position: the single-table
 ones (bimodal, gshare, GAs) through ``counter_replay``, by way of
 :meth:`repro.common.counters.SplitCounterArray.batch_access`, and the
 update-coupled ones (2Bc-gskew and the EV8 built on it, e-gskew, bi-mode
-and YAGS) through a kernel each.
+and YAGS) through a kernel each.  ``workloads/executor.c`` is the program
+executor behind :meth:`repro.workloads.cfg.Program.run`, loaded through
+:func:`library`.
 
-The first use in a process (:func:`available`, :func:`require` or
-:func:`library_path`) builds ``replay.c`` with the system
+The first use of a source in a process (for ``replay.c``: :func:`available`,
+:func:`require` or :func:`library_path`) builds it with the system
 ``gcc -O2 -shared -fPIC`` unless a build already sits in the cache
 directory: ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``), or a
 ``repro-<uid>`` directory under :func:`tempfile.gettempdir` when that is not
-writable.  The file name carries a SHA-256 of the C source and of
-``gcc --version``, so an edited kernel or another compiler builds afresh.
-A build is written under a temporary name and moved into place with
-:func:`os.replace`, so processes racing to build never load a partial
-library.  Deleting the cache directory forces a rebuild.
+writable.  The file name is the source's stem and a SHA-256 of the C source
+and of ``gcc --version``, so an edited source or another compiler builds
+afresh.  A build is written under a temporary name and moved into place
+with :func:`os.replace`, so processes racing to build never load a partial
+library.  Deleting the cache directory forces every library to rebuild.
 
-Without a compiler, or when the build or the load fails, :func:`available`
-is False: every batched predictor then reports
-``batch_supported() == False`` and the batched engine falls back to the
-scalar walk (or raises, when strict).
+Without a compiler, or when the build or the load fails, a library is
+unavailable.  For ``replay.c`` :func:`available` is then False: every
+batched predictor reports ``batch_supported() == False`` and the batched
+engine falls back to the scalar walk (or raises, when strict).  Without the
+executor, :meth:`~repro.workloads.cfg.Program.run` interprets the program
+in Python.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["SOURCE", "library_path", "available", "require",
+__all__ = ["SOURCE", "library", "library_path", "available", "require",
            "address", "stream", "banks", "yags_caches"]
 
 SOURCE = Path(__file__).with_name("replay.c")
@@ -49,16 +54,17 @@ _BUILD_TIMEOUT_S = 120
 
 
 _POINTER, _INT64 = ctypes.c_void_p, ctypes.c_int64
-_SIGNATURES = {
-    "counter_replay": (_INT64, *[_POINTER] * 4),
-    "twobcgskew_replay": (_INT64, *[_POINTER] * 6, ctypes.c_int, _POINTER),
-    "egskew_replay": (_INT64, *[_POINTER] * 5, ctypes.c_int, _POINTER),
-    "bimode_replay": (_INT64, *[_POINTER] * 5),
-    "yags_replay": (_INT64, *[_POINTER] * 7),
-}
-"""Argument types per kernel.  Every pointer, table descriptors included,
-passes as a plain address: building ``ctypes.Structure`` types at import
-time measurably changes how much memory the process keeps resident."""
+_SIGNATURES = (
+    ("counter_replay", (_INT64, *[_POINTER] * 4)),
+    ("twobcgskew_replay", (_INT64, *[_POINTER] * 6, ctypes.c_int, _POINTER)),
+    ("egskew_replay", (_INT64, *[_POINTER] * 5, ctypes.c_int, _POINTER)),
+    ("bimode_replay", (_INT64, *[_POINTER] * 5)),
+    ("yags_replay", (_INT64, *[_POINTER] * 7)),
+)
+"""Argument types per replay kernel.  Every pointer, table descriptors
+included, passes as a plain address: building ``ctypes.Structure`` types
+at import time measurably changes how much memory the process keeps
+resident."""
 
 
 def _find_compiler() -> str | None:
@@ -85,14 +91,14 @@ def _cache_dir() -> Path | None:
     return None
 
 
-def _build(compiler: str, target: Path) -> bool:
-    """Compile :data:`SOURCE` into ``target`` atomically; on failure leave
+def _build(compiler: str, source: Path, target: Path) -> bool:
+    """Compile ``source`` into ``target`` atomically; on failure leave
     nothing behind."""
     partial = target.with_name(
         f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         subprocess.run([compiler, "-O2", "-shared", "-fPIC", "-o",
-                        str(partial), str(SOURCE)],
+                        str(partial), str(source)],
                        check=True, capture_output=True,
                        timeout=_BUILD_TIMEOUT_S)
         os.replace(partial, target)
@@ -104,7 +110,11 @@ def _build(compiler: str, target: Path) -> bool:
 
 
 @functools.cache
-def _load() -> tuple[ctypes.CDLL, Path] | None:
+def _load(source: Path = SOURCE, signatures: tuple = _SIGNATURES
+          ) -> tuple[ctypes.CDLL, Path] | None:
+    """``source`` built (unless cached) and loaded, with each
+    ``(name, argtypes)`` of ``signatures`` declared; ``None`` when that
+    fails."""
     compiler = _find_compiler()
     if compiler is None:
         return None
@@ -112,25 +122,34 @@ def _load() -> tuple[ctypes.CDLL, Path] | None:
         version = subprocess.run([compiler, "--version"], check=True,
                                  capture_output=True,
                                  timeout=_BUILD_TIMEOUT_S).stdout
-        source = SOURCE.read_bytes()
+        text = source.read_bytes()
     except (OSError, subprocess.SubprocessError):
         return None
     directory = _cache_dir()
     if directory is None:
         return None
-    key = hashlib.sha256(source + b"\x00" + version).hexdigest()[:32]
-    target = directory / f"replay-{key}.so"
-    if not target.exists() and not _build(compiler, target):
+    key = hashlib.sha256(text + b"\x00" + version).hexdigest()[:32]
+    target = directory / f"{source.stem}-{key}.so"
+    if not target.exists() and not _build(compiler, source, target):
         return None
     try:
         lib = ctypes.CDLL(str(target))
-        for name, argtypes in _SIGNATURES.items():
+        for name, argtypes in signatures:
             function = getattr(lib, name)
             function.argtypes = argtypes
             function.restype = None
     except (OSError, AttributeError):
         return None
     return lib, target
+
+
+def library(source: Path, signatures: tuple) -> ctypes.CDLL | None:
+    """The library built from the C file ``source`` (on first use in the
+    process, unless cached) with each ``(name, argtypes)`` of
+    ``signatures`` declared, or ``None`` when it cannot be built or
+    loaded."""
+    loaded = _load(source, signatures)
+    return loaded[0] if loaded else None
 
 
 def library_path() -> Path | None:

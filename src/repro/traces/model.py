@@ -27,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "INSTRUCTION_BYTES",
+    "MAX_BLOCK_INSTRUCTIONS",
     "TerminatorKind",
     "BlockExecution",
     "Trace",
@@ -35,6 +36,10 @@ __all__ = [
 
 INSTRUCTION_BYTES = 4
 """Alpha instructions are fixed 4-byte words."""
+
+MAX_BLOCK_INSTRUCTIONS = 0xFFFF
+"""The most instructions one block execution holds: a trace stores its
+counts as ``uint16``."""
 
 
 class TerminatorKind(IntEnum):
@@ -57,6 +62,32 @@ class TerminatorKind(IntEnum):
     RETURN = 4
     """Function return: always taken; target predicted by popping the
     return-address stack (Alpha RET hint)."""
+
+
+_KINDS = frozenset(int(kind) for kind in TerminatorKind)
+
+
+def count_error(count: int) -> ValueError:
+    """The error for a block instruction count outside
+    1..:data:`MAX_BLOCK_INSTRUCTIONS`."""
+    if count < 1:
+        return ValueError(
+            f"a block execution needs at least 1 instruction, got {count}")
+    return ValueError(f"a block execution holds at most "
+                      f"{MAX_BLOCK_INSTRUCTIONS} instructions, got {count}")
+
+
+def _kind_error(kind: int) -> ValueError:
+    return ValueError(f"block kind {kind} is not a TerminatorKind")
+
+
+def _checked(values, dtype, low: int, high: int, error) -> np.ndarray:
+    """``values`` as an array of ``dtype``, once every value is known to lie
+    in ``low..high`` (so the conversion cannot wrap)."""
+    array = np.asarray(values)
+    if array.size and (array.min() < low or array.max() > high):
+        raise error(array[(array < low) | (array > high)][0].item())
+    return array.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -117,8 +148,10 @@ class Trace:
             raise ValueError(f"trace arrays have mismatched lengths: {lengths}")
         self.name = name
         self.starts = np.asarray(starts, dtype=np.uint64)
-        self.num_instructions = np.asarray(num_instructions, dtype=np.uint16)
-        self.kinds = np.asarray(kinds, dtype=np.uint8)
+        self.num_instructions = _checked(num_instructions, np.uint16, 1,
+                                         MAX_BLOCK_INSTRUCTIONS, count_error)
+        self.kinds = _checked(kinds, np.uint8, min(_KINDS), max(_KINDS),
+                              _kind_error)
         self.takens = np.asarray(takens, dtype=np.bool_)
         self.next_starts = np.asarray(next_starts, dtype=np.uint64)
         self._branch_view: tuple[list[int], list[bool]] | None = None
@@ -213,9 +246,10 @@ class TraceBuilder:
     def add(self, start: int, num_instructions: int, kind: TerminatorKind,
             taken: bool, next_start: int) -> None:
         """Append one block execution."""
-        if num_instructions < 1:
-            raise ValueError(
-                f"a block execution needs at least 1 instruction, got {num_instructions}")
+        if not 1 <= num_instructions <= MAX_BLOCK_INSTRUCTIONS:
+            raise count_error(num_instructions)
+        if kind not in _KINDS:
+            raise _kind_error(kind)
         if start % INSTRUCTION_BYTES:
             raise ValueError(f"block start {start:#x} is not instruction-aligned")
         self.starts.append(start)
@@ -230,14 +264,10 @@ class TraceBuilder:
     def build(self) -> Trace:
         """Freeze into an immutable :class:`Trace`.
 
-        Re-applies :meth:`add`'s checks over whole columns, for writers
-        (the program executor) that append to them directly."""
+        Re-applies :meth:`add`'s checks over whole columns (the counts and
+        kinds in :class:`Trace` itself), for writers (the Python program
+        executor) that append to them directly."""
         starts = np.array(self.starts, dtype=np.uint64)
-        counts = np.array(self.num_instructions, dtype=np.int64)
-        short = np.flatnonzero(counts < 1)
-        if len(short):
-            raise ValueError("a block execution needs at least 1 instruction, "
-                             f"got {counts[short[0]]}")
         misaligned = np.flatnonzero(starts % INSTRUCTION_BYTES)
         if len(misaligned):
             raise ValueError(f"block start {int(starts[misaligned[0]]):#x} "
@@ -245,8 +275,8 @@ class TraceBuilder:
         return Trace(
             self.name,
             starts,
-            np.array(self.num_instructions, dtype=np.uint16),
-            np.array(self.kinds, dtype=np.uint8),
+            np.array(self.num_instructions, dtype=np.int64),
+            np.array(self.kinds, dtype=np.int64),
             np.array(self.takens, dtype=np.bool_),
             np.array(self.next_starts, dtype=np.uint64),
         )

@@ -24,10 +24,13 @@ behaviour's first draw, so most static branches of a large program, which a
 trace never executes, never pay for one.  Draws that fix the behaviour
 (a truth table, an initial state, an inversion) are made by ``_setup`` as
 the first draws of the stream; every later draw follows in execution order.
-Behaviours whose later draws are all doubles take them from a buffer filled
-by ``random(k)``, which yields the values of ``k`` scalar ``random()``
-calls in order; a jittered :class:`LoopBehavior` interleaves normal draws,
-so it keeps scalar draws.
+Those later draws come from a buffer that ``_fill`` refills 32 at a time:
+doubles from ``random(out=...)``, which yields the values of as many scalar
+``random()`` calls in order, or, for a jittered :class:`LoopBehavior`,
+normals from ``normal(size=...)``, which equal as many scalar ``normal``
+calls.  A jittered loop with noise interleaves the two kinds, so it keeps
+scalar draws.  The compiled executor (:mod:`repro.workloads.compiled`)
+fills the same buffers through the same ``_fill``.
 
 The executor passes an :class:`ExecutionContext` giving behaviours read-only
 access to the architectural outcome history and per-branch occurrence
@@ -45,6 +48,7 @@ from repro.common.rng import child_seed
 
 __all__ = [
     "ExecutionContext",
+    "PrivateStream",
     "Behavior",
     "BiasedBehavior",
     "LoopBehavior",
@@ -77,32 +81,24 @@ class ExecutionContext(Protocol):
     def occurrence(self, branch_id: int) -> int: ...
 
 
-_DOUBLES_PER_REFILL = 32
-"""Doubles a behaviour takes from its stream each time its buffer runs
-dry: enough to amortise the call, few enough that the many branches a
-trace executes only a handful of times do not draw far ahead."""
+DRAWS_PER_REFILL = 32
+"""Draws a stream takes each time its buffer runs dry: enough to amortise
+the call, few enough that the many branches a trace executes only a
+handful of times do not draw far ahead."""
 
 _EXHAUSTED = iter(())
 
 
-class Behavior:
-    """Base class: a generator of outcomes for one static conditional branch.
+class PrivateStream:
+    """A private PCG64 stream, seeded by one draw from a parent generator
+    and created on first use, with a buffer of execution-time draws."""
 
-    Subclasses implement :meth:`outcome`. ``noise`` flips the model's answer
-    with the given probability, modelling data-dependent deviation from the
-    idealised behaviour.
-    """
+    __slots__ = ("_seed", "_rng", "_draws")
 
-    __slots__ = ("noise", "_seed", "_rng", "_doubles")
-
-    def __init__(self, rng: np.random.Generator, noise: float = 0.0) -> None:
-        if not 0.0 <= noise <= 1.0:
-            raise ValueError(f"noise must be a probability, got {noise}")
-        self.noise = noise
-        # Private child stream so behaviours cannot perturb one another.
+    def __init__(self, rng: np.random.Generator) -> None:
         self._seed = child_seed(rng)
         self._rng: np.random.Generator | None = None
-        self._doubles = _EXHAUSTED
+        self._draws = _EXHAUSTED
 
     def _stream(self) -> np.random.Generator:
         """The private stream, created (and :meth:`_setup` run) on first
@@ -113,17 +109,44 @@ class Behavior:
         return self._rng
 
     def _setup(self, rng: np.random.Generator) -> None:
-        """Make the draws that fix the behaviour; they come first in its
+        """Make the draws that fix the owner; they come first in its
         stream."""
 
-    def _random(self) -> float:
-        """The stream's next double, served from the refill buffer."""
+    def _fill(self, out: np.ndarray) -> None:
+        """Write the stream's next ``len(out)`` buffered draws into
+        ``out``: doubles, unless a subclass buffers another kind."""
+        self._stream().random(out=out)
+
+    def _draw(self) -> float:
+        """The next buffered draw, refilling the buffer when it is dry."""
         try:
-            return next(self._doubles)
+            return next(self._draws)
         except StopIteration:
-            self._doubles = iter(
-                self._stream().random(_DOUBLES_PER_REFILL).tolist())
-            return next(self._doubles)
+            buffer = np.empty(DRAWS_PER_REFILL)
+            self._fill(buffer)
+            self._draws = iter(buffer.tolist())
+            return next(self._draws)
+
+
+class Behavior(PrivateStream):
+    """Base class: a generator of outcomes for one static conditional branch.
+
+    Subclasses implement :meth:`outcome`. ``noise`` flips the model's answer
+    with the given probability, modelling data-dependent deviation from the
+    idealised behaviour.
+    """
+
+    __slots__ = ("noise",)
+
+    def __init__(self, rng: np.random.Generator, noise: float = 0.0) -> None:
+        if not 0.0 <= noise <= 1.0:
+            raise ValueError(f"noise must be a probability, got {noise}")
+        self.noise = noise
+        # Private child stream so behaviours cannot perturb one another.
+        super().__init__(rng)
+
+    _random = PrivateStream._draw
+    """The stream's next double."""
 
     def outcome(self, branch_id: int, ctx: ExecutionContext) -> bool:
         """Return the idealised outcome; overridden by subclasses."""
@@ -185,16 +208,30 @@ class LoopBehavior(Behavior):
         self.trip_jitter = trip_jitter
         self._remaining = self._draw_trips()
 
+    def _spread(self) -> float:
+        return max(1.0, self.mean_trips * self.trip_jitter)
+
+    def _fill(self, out: np.ndarray) -> None:
+        if self.trip_jitter <= 0.0:
+            super()._fill(out)
+        else:
+            out[:] = self._stream().normal(self.mean_trips, self._spread(),
+                                           len(out))
+
     def _draw_trips(self) -> int:
         if self.trip_jitter <= 0.0:
             return self.mean_trips
-        spread = max(1.0, self.mean_trips * self.trip_jitter)
-        draw = self._stream().normal(self.mean_trips, spread)
+        if self.noise:
+            # Noise doubles interleave with the trip normals: no buffer.
+            draw = self._stream().normal(self.mean_trips, self._spread())
+        else:
+            draw = self._draw()
         return max(1, int(round(draw)))
 
     def _random(self) -> float:
-        # Noise draws interleave with the normal trip draws: no buffer.
-        return self._stream().random()
+        if self.trip_jitter <= 0.0:
+            return self._draw()
+        return self._stream().random()  # interleaves with the trip normals
 
     def enter(self) -> None:
         """Called by the executor at loop entry: draw this activation's
@@ -225,7 +262,7 @@ class PatternBehavior(Behavior):
             pattern = [c in "1tT" for c in pattern]
         if not pattern:
             raise ValueError("pattern must be non-empty")
-        self.pattern = list(pattern)
+        self.pattern = [bool(value) for value in pattern]
 
     def outcome(self, branch_id: int, ctx: ExecutionContext) -> bool:
         return self.pattern[ctx.occurrence(branch_id) % len(self.pattern)]
@@ -302,8 +339,9 @@ class LocalCorrelatedBehavior(Behavior):
     def outcome(self, branch_id: int, ctx: ExecutionContext) -> bool:
         if self._table is None:
             self._stream()
-        value = self._table[self._self_history & mask(self.depth)]
-        self._self_history = ((self._self_history << 1) | int(value))
+        window = mask(self.depth)
+        value = self._table[self._self_history & window]
+        self._self_history = ((self._self_history << 1) | int(value)) & window
         return value
 
 
@@ -511,7 +549,8 @@ class ConditionFollowerBehavior(Behavior):
                  invert: bool | None = None, noise: float = 0.0) -> None:
         super().__init__(rng, noise)
         self.cell = cell
-        self._invert = invert  # None: drawn by _setup
+        # None: drawn by _setup.
+        self._invert = None if invert is None else bool(invert)
 
     def _setup(self, rng: np.random.Generator) -> None:
         if self._invert is None:

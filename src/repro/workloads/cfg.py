@@ -15,8 +15,11 @@ synthetic programs that preserve what the EV8 predictor actually observes:
 
 The program is a small AST (:class:`Straight`, :class:`IfNode`,
 :class:`LoopNode`, :class:`CallNode`, :class:`Sequence`,
-:class:`DispatchNode`) compiled once by :meth:`Program.layout` (address
-assignment) and interpreted by :class:`Executor`.
+:class:`DispatchNode`) laid out once by :class:`Program` (address
+assignment) and executed by :meth:`Program.run`: in C by
+:mod:`repro.workloads.compiled` when it covers the program, otherwise by
+the Python :class:`Executor`, which is also the reference the compiled
+executor is tested against.
 
 Layout conventions (matching compiler output for optimised code):
 
@@ -38,14 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.bitops import mask
-from repro.common.rng import child_seed, choice_cdf
+from repro.common.rng import choice_cdf
 from repro.traces.model import (
     INSTRUCTION_BYTES,
     TerminatorKind,
     Trace,
     TraceBuilder,
 )
-from repro.workloads.behaviors import Behavior, LoopBehavior
+from repro.workloads.behaviors import Behavior, LoopBehavior, PrivateStream
 
 __all__ = [
     "StaticBranch",
@@ -272,17 +275,17 @@ class CallNode(Node):
         self.callee.execute_body(executor, return_address, via_call=True)
 
 
-class DispatchNode(Node):
+class DispatchNode(Node, PrivateStream):
     """An indirect dispatch over a set of callees following a Markov chain.
 
     Models the outer phase structure of an integer program: an interpreter
     or driver loop invoking program regions in recurring sequences.  The
     chain (not IID choice) keeps the global history context stable enough
-    for correlated behaviours — as in real code.
+    for correlated behaviours — as in real code.  Each dispatch takes one
+    double from a private stream, created on the first dispatch.
     """
 
-    __slots__ = ("callees", "transition", "_cdfs", "_state", "_seed", "_rng",
-                 "start")
+    __slots__ = ("callees", "transition", "_cdfs", "_state", "start")
 
     def __init__(self, rng: np.random.Generator, callees: list["Function"],
                  transition: np.ndarray) -> None:
@@ -300,9 +303,7 @@ class DispatchNode(Node):
         self.transition = transition
         self._cdfs = [choice_cdf(row) for row in transition]
         self._state = 0
-        # A private stream, created on the first dispatch.
-        self._seed = child_seed(rng)
-        self._rng: np.random.Generator | None = None
+        PrivateStream.__init__(self, rng)
         self.start = -1
 
     def layout(self, address: int) -> int:
@@ -310,11 +311,9 @@ class DispatchNode(Node):
         return address + INSTRUCTION_BYTES
 
     def execute(self, executor: "Executor") -> None:
-        if self._rng is None:
-            self._rng = np.random.default_rng(self._seed)
         callee = self.callees[self._state]
         # rng.choice(n, p=transition[state]), from the same single draw.
-        self._state = bisect_right(self._cdfs[self._state], self._rng.random())
+        self._state = bisect_right(self._cdfs[self._state], self._draw())
         # Threaded-interpreter dispatch: the handler is entered through an
         # indirect JUMP (not a call) and exits through an indirect jump
         # back to the dispatch instruction — the pattern that famously
@@ -399,16 +398,21 @@ class Program:
 
     def run(self, max_branches: int, *,
             max_blocks: int | None = None) -> Trace:
-        """Execute until ``max_branches`` dynamic conditional branches have
-        been emitted; return the trace."""
-        executor = Executor(self.name, max_branches=max_branches,
-                            max_blocks=max_blocks)
-        try:
-            while True:
-                self.main.execute(executor)
-        except ExecutionLimit:
-            pass
-        return executor.builder.build()
+        """Execute until ``max_branches`` dynamic conditional branches (or
+        ``max_blocks`` blocks) have been emitted; return the trace.
+
+        Runs in C when :func:`repro.workloads.compiled.run` covers the
+        program, otherwise in the Python :class:`Executor`; both give the
+        same trace and leave every behaviour in the same state."""
+        from repro.workloads import compiled  # it imports this module
+
+        if max_branches < 1:
+            raise ValueError(f"max_branches must be >= 1, got {max_branches}")
+        trace = compiled.run(self, max_branches, max_blocks)
+        if trace is None:
+            trace = Executor(self.name, max_branches=max_branches,
+                             max_blocks=max_blocks).run(self.main)
+        return trace
 
 
 class ExecutionLimit(Exception):
@@ -437,6 +441,16 @@ class Executor:
         self.max_blocks = max_blocks
         self._branches_emitted = 0
         self._occurrences: dict[int, int] = {}
+
+    def run(self, main: Node) -> Trace:
+        """Execute ``main`` repeatedly until a limit is reached; return the
+        trace."""
+        try:
+            while True:
+                main.execute(self)
+        except ExecutionLimit:
+            pass
+        return self.builder.build()
 
     # ExecutionContext protocol ------------------------------------------
 

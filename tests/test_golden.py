@@ -8,7 +8,8 @@ an index function) shows up as a reviewed diff of the fixture rather than
 as silently different figures.
 
 ``golden_traces.json`` pins the content digest of every stand-in trace at
-two seeds, generated directly by ``generate_trace``.  The misp fixture
+two seeds, generated directly by ``generate_trace``, once through the
+compiled executor and once through the Python one.  The misp fixture
 loads its traces through the trace cache, whose key is only
 ``GENERATOR_VERSION`` plus the profile parameters, so a warm cache would
 hide a generator change that forgot the version bump; this one cannot.
@@ -32,6 +33,8 @@ from repro.experiments.common import make_fig5_configs
 from repro.history.providers import BranchGhistProvider
 from repro.common.rng import DEFAULT_SEED
 from repro.sim.engine import BatchedEngine, ScalarEngine
+from repro.workloads import compiled
+from repro.workloads.cfg import Executor
 from repro.workloads.generator import generate_trace
 from repro.workloads.spec95 import SPEC95_BENCHMARKS, profile_for, spec95_trace
 
@@ -91,7 +94,19 @@ def _trace_digests() -> dict[str, dict[str, str]]:
             for seed in TRACE_SEEDS}
 
 
-def test_golden_trace_digests():
+@pytest.fixture(params=["compiled", "python"])
+def executor(request, monkeypatch):
+    """Make ``Program.run`` take only the named executor."""
+    if request.param == "compiled":
+        def refuse(self, main):
+            raise AssertionError("ran the Python executor")
+        monkeypatch.setattr(Executor, "run", refuse)
+    else:
+        monkeypatch.setattr(compiled, "run", lambda *args: None)
+    return request.param
+
+
+def test_golden_trace_digests(executor):
     expected = json.loads(TRACE_FIXTURE.read_text())
     assert expected["branches_per_trace"] == TRACE_BRANCHES
     assert _trace_digests() == expected["digests"]

@@ -41,6 +41,7 @@ class TestBuilder:
     @pytest.mark.parametrize("start, count, message", [
         (0x1000, 0, "at least 1 instruction, got 0"),
         (0x1000, -2, "at least 1 instruction, got -2"),
+        (0x1000, 70_000, "at most 65535 instructions, got 70000"),
         (0x1002, 1, "block start 0x1002 is not instruction-aligned"),
     ])
     def test_build_checks_columns_written_directly(self, start, count,
@@ -109,6 +110,30 @@ class TestTraceViews:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("count, message", [
+        (70_000, "at most 65535 instructions, got 70000"),
+        (65_536, "at most 65535 instructions, got 65536"),
+        (0, "at least 1 instruction, got 0"),
+    ])
+    def test_out_of_range_counts_rejected_not_wrapped(self, count, message):
+        # uint16 storage used to keep 70000 as 4464.
+        with pytest.raises(ValueError, match=message):
+            Trace("y", [0x1000], [count], [1], [True], [0])
+        with pytest.raises(ValueError, match=message):
+            TraceBuilder("y").add(0x1000, count, TerminatorKind.JUMP, True, 0)
+
+    @pytest.mark.parametrize("kind", [5, 255, 257, -1])
+    def test_unknown_kinds_rejected(self, kind):
+        with pytest.raises(ValueError, match=f"block kind {kind} "):
+            Trace("y", [0x1000], [1], [kind], [True], [0])
+        with pytest.raises(ValueError, match=f"block kind {kind} "):
+            TraceBuilder("y").add(0x1000, 1, kind, True, 0)
+
+    def test_widest_block_accepted(self):
+        builder = TraceBuilder("wide")
+        builder.add(0x1000, 65_535, TerminatorKind.JUMP, True, 0)
+        assert builder.build().instruction_count == 65_535
+
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(ValueError):
             Trace("bad", np.zeros(2, dtype=np.uint64),
