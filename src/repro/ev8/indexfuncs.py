@@ -35,11 +35,8 @@ remaining bits take path information from block Z.
 
 from __future__ import annotations
 
-import random
-
-import numpy as np
-
-from repro.history.providers import InfoVector, VectorBatch
+from repro.history.providers import InfoVector
+from repro.indexing.gf2 import byte_tables
 from repro.predictors.twobcgskew import IndexScheme, TableConfig
 
 __all__ = ["EV8IndexScheme", "decompose_index", "WORDLINE_MODES"]
@@ -49,71 +46,8 @@ WORDLINE_MODES = ("history", "address")
 history+address bits, or pure address bits ("address only" rows)."""
 
 
-_FIELDS = ("history", "address", "branch_pc", "path", "bank")
-"""The information-vector fields an index may depend on; ``path`` is the
-youngest previous fetch-block address (the paper's Z)."""
-
-_BYTE_TABLES: dict[tuple, list[tuple[str, int, np.ndarray]]] = {}
-"""Byte tables per (scheme class, wordline_mode, use_block_bank)."""
-
-
 def _bit(value: int, position: int) -> int:
     return (value >> position) & 1
-
-
-def _packed(scheme: "EV8IndexScheme", fields: dict[str, int],
-            configs: tuple[TableConfig, ...]) -> int:
-    """``scheme.compute`` of the vector with these fields (others zero), its
-    four indices packed LSB-first into 16-bit lanes."""
-    history, address, branch_pc, path, bank = (fields.get(field, 0)
-                                               for field in _FIELDS)
-    word = 0
-    for lane, index in enumerate(scheme.compute(
-            InfoVector(history, address, branch_pc, (path,), bank), configs)):
-        if not 0 <= index < 1 << 16:
-            raise ValueError(f"index {index} does not fit 16 bits")
-        word |= index << (16 * lane)
-    return word
-
-
-def _build_byte_tables(scheme: "EV8IndexScheme",
-                       configs: tuple[TableConfig, ...]
-                       ) -> list[tuple[str, int, np.ndarray]]:
-    """Tabulate ``scheme.compute`` as ``(field, byte, table)`` lookups.
-
-    Section 7 builds every index bit from XOR gates only, so ``compute`` is
-    linear over GF(2): its value on a vector is the XOR of its values on
-    the vector's set bits.  Probing each unit bit of each field gives those
-    values; the eight bits of a field byte that reaches an index combine
-    into a 256-entry table of packed indices.  Raises :class:`ValueError`
-    for what the tables cannot represent: nonzero indices for the zero
-    vector, an index wider than 16 bits, or a mismatch on 64 seeded random
-    full-width vectors."""
-    if _packed(scheme, {}, configs):
-        raise ValueError("the zero vector has nonzero indices")
-    tables = []
-    for field in _FIELDS:
-        responses = [_packed(scheme, {field: 1 << bit}, configs)
-                     for bit in range(64)]
-        for byte in range(8):
-            basis = responses[8 * byte:8 * byte + 8]
-            if not any(basis):
-                continue
-            table = np.zeros(256, dtype=np.uint64)
-            for bit, response in enumerate(basis):
-                half = 1 << bit
-                table[half:2 * half] = table[:half] ^ np.uint64(response)
-            tables.append((field, byte, table))
-    rng = random.Random(2002)
-    for _ in range(64):
-        fields = {field: rng.getrandbits(64) for field in _FIELDS}
-        tabulated = 0
-        for field, byte, table in tables:
-            tabulated ^= int(table[(fields[field] >> (8 * byte)) & 0xFF])
-        if tabulated != _packed(scheme, fields, configs):
-            raise ValueError(f"{type(scheme).__name__}.compute is not "
-                             f"linear over GF(2): it differs on {fields}")
-    return tables
 
 
 def decompose_index(index: int, column_bits: int = 5) -> tuple[int, int, int, int]:
@@ -144,10 +78,6 @@ class EV8IndexScheme(IndexScheme):
         information vector (the EV8).  When False, bank = (a6, a5) — pure
         address interleaving, used by the Fig 9 "address only" rows.
     """
-
-    #: :meth:`compute_batch` is tabulated from :meth:`compute`, so the
-    #: hardware configuration runs batched with one definition of the hash.
-    vectorized = True
 
     def __init__(self, wordline_mode: str = "history",
                  use_block_bank: bool = True) -> None:
@@ -259,28 +189,12 @@ class EV8IndexScheme(IndexScheme):
 
         return bim_index, g0_index, g1_index, meta_index
 
-    def compute_batch(self, batch: VectorBatch,
-                      configs: tuple[TableConfig, TableConfig, TableConfig,
-                                     TableConfig]
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray]:
-        """Columnar :meth:`compute`: XOR one byte-table lookup per input byte
-        that reaches an index (:func:`_build_byte_tables`), then split the
-        packed word into its four 16-bit indices.  A batch without path or
-        bank columns reads them as zero, as :meth:`compute` does."""
-        columns = {"history": batch.history, "address": batch.address,
-                   "branch_pc": batch.branch_pc,
-                   "path": batch.path[0] if batch.path_depth else None,
-                   "bank": batch.bank}
-        # compute ignores configs: the physical layout fixes index widths.
-        key = (type(self), self.wordline_mode, self.use_block_bank)
-        if key not in _BYTE_TABLES:
-            _BYTE_TABLES[key] = _build_byte_tables(self, configs)
-        packed = np.zeros(len(batch), dtype="<u8")
-        for field, byte, table in _BYTE_TABLES[key]:
-            column = columns[field]
-            if column is not None:
-                octets = np.ascontiguousarray(column, "<u8").view(np.uint8)
-                packed ^= table.take(octets[byte::8])
-        lanes = packed.view("<u2").reshape(-1, 4).T.astype(np.uint64)
-        return tuple(lanes)
+    def tables(self, configs, path_depth):
+        # compute reads path[0] but not configs (the physical layout fixes
+        # index widths), so one table set serves every G1 history length.
+        return byte_tables(
+            (type(self), self.wordline_mode, self.use_block_bank),
+            lambda vector: self.compute(vector, configs), 1)
+
+    def compute_batch(self, batch, configs):
+        return super().compute_batch(batch, configs)

@@ -12,7 +12,8 @@ from collections import deque
 
 from repro.common.bitops import mask
 
-__all__ = ["GlobalHistoryRegister", "PathRegister", "LocalHistoryTable"]
+__all__ = ["GlobalHistoryRegister", "PathRegister", "LocalHistoryTable",
+           "DEFAULT_PATH_DEPTH"]
 
 
 class GlobalHistoryRegister:
@@ -50,6 +51,9 @@ class GlobalHistoryRegister:
         self._value = 0
 
 
+DEFAULT_PATH_DEPTH = 3  # the paper's Z, Y and X
+
+
 class PathRegister:
     """Addresses of the most recent fetch blocks (or branches).
 
@@ -60,7 +64,7 @@ class PathRegister:
 
     __slots__ = ("depth", "_addresses")
 
-    def __init__(self, depth: int = 3) -> None:
+    def __init__(self, depth: int = DEFAULT_PATH_DEPTH) -> None:
         if depth < 1:
             raise ValueError(f"path depth must be >= 1, got {depth}")
         self.depth = depth

@@ -6,26 +6,17 @@ addresses) must be compressed into that width.  The standard academic
 technique, used throughout the paper's own simulations, is to concatenate
 the fields and XOR-fold the result.
 
-The ``*_vec`` variants compute the same functions over whole numpy arrays of
-branches at once — the index-computation half of the batched simulation
-engine (:mod:`repro.sim.engine`).  They are bit-identical to the scalar
-functions: XOR-folding is GF(2)-linear, so a concatenation folds to the XOR
-of its independently folded fields, and a field shifted by a whole number of
-fold segments folds to the same value (segments only change places under the
-XOR).  That identity lets the vector path fold each ≤64-bit field separately
-in uint64 arithmetic even though the concatenated word (PC + up to 64
-history bits + path) exceeds 64 bits.
+These scalar functions are the only definition of each hash.  XOR-folding
+and concatenation are linear over GF(2), so the batched engine compiles
+every index function built from them into byte tables
+(:mod:`repro.indexing.gf2`) instead of restating it over numpy arrays.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.common.bitops import mask, xor_fold
 
-__all__ = ["PC_FIELD_BITS", "info_word", "gshare_index",
-           "xor_fold_vec", "fold_field_vec", "info_word_vec",
-           "gshare_index_vec"]
+__all__ = ["PC_FIELD_BITS", "info_word", "gshare_index"]
 
 PC_FIELD_BITS = 20
 """Address bits retained in information words (instruction-granular: the
@@ -72,86 +63,4 @@ def gshare_index(pc: int, history: int, history_length: int,
         history_part = history << (width - history_length)
     else:
         history_part = xor_fold(history, width)
-    return pc_part ^ history_part
-
-
-# -- vectorized variants (numpy uint64 arrays, one element per branch) -------
-
-def xor_fold_vec(values: np.ndarray, width: int) -> np.ndarray:
-    """Elementwise :func:`repro.common.bitops.xor_fold` over a uint64 array.
-
-    >>> int(xor_fold_vec(np.array([0b1111_0000_1010], dtype=np.uint64), 4)[0])
-    5
-    """
-    if width <= 0:
-        raise ValueError(f"fold width must be positive, got {width}")
-    values = values.astype(np.uint64, copy=True)
-    folded = np.zeros_like(values)
-    segment_mask = np.uint64(mask(min(width, 64)))
-    while values.any():
-        folded ^= values & segment_mask
-        if width >= 64:
-            break  # one segment covers the whole uint64
-        values >>= np.uint64(width)
-    return folded
-
-
-def fold_field_vec(values: np.ndarray, offset: int, width: int) -> np.ndarray:
-    """XOR-fold of ``values << offset`` down to ``width`` bits, elementwise.
-
-    ``values`` must fit in uint64; the shifted field may conceptually exceed
-    64 bits, which is why the fold is performed segment-by-segment instead of
-    materializing the shift.  Because segments that move by a whole fold
-    width land on the same fold positions, only ``offset % width`` matters.
-    """
-    if width <= 0:
-        raise ValueError(f"fold width must be positive, got {width}")
-    if offset < 0:
-        raise ValueError(f"field offset must be >= 0, got {offset}")
-    cur = values.astype(np.uint64, copy=True)
-    folded = np.zeros_like(cur)
-    position = offset % width
-    while cur.any():
-        take = min(width - position, 64)
-        chunk = (cur & np.uint64(mask(take))) << np.uint64(position)
-        folded ^= chunk
-        if take >= 64:
-            break
-        cur >>= np.uint64(take)
-        position = 0
-    return folded
-
-
-def info_word_vec(pc: np.ndarray, history: np.ndarray, history_length: int,
-                  width: int, path: np.ndarray | None = None,
-                  path_bits: int = 0) -> np.ndarray:
-    """Vectorized :func:`info_word` (bit-identical, see module docstring)."""
-    if history_length < 0:
-        raise ValueError(f"history length must be >= 0, got {history_length}")
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    pc_field = (pc.astype(np.uint64) >> np.uint64(2)) & np.uint64(mask(PC_FIELD_BITS))
-    word = fold_field_vec(pc_field, 0, width)
-    offset = PC_FIELD_BITS
-    if history_length:
-        hist_field = history.astype(np.uint64) & np.uint64(mask(history_length))
-        word ^= fold_field_vec(hist_field, offset, width)
-        offset += history_length
-    if path_bits and path is not None:
-        path_field = path.astype(np.uint64) & np.uint64(mask(path_bits))
-        word ^= fold_field_vec(path_field, offset, width)
-    return word
-
-
-def gshare_index_vec(pc: np.ndarray, history: np.ndarray,
-                     history_length: int, width: int) -> np.ndarray:
-    """Vectorized :func:`gshare_index` (bit-identical)."""
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    pc_part = (pc.astype(np.uint64) >> np.uint64(2)) & np.uint64(mask(width))
-    hist = history.astype(np.uint64) & np.uint64(mask(history_length))
-    if history_length <= width:
-        history_part = hist << np.uint64(width - history_length)
-    else:
-        history_part = xor_fold_vec(hist, width)
     return pc_part ^ history_part

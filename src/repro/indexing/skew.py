@@ -21,16 +21,18 @@ of::
 
 Two words that differ in either half map to different indices under at least
 three of the four functions ("inter-bank dispersion").
+
+``H`` and its inverse are shifts with XOR feedback, linear over GF(2), so the
+batched engine compiles the skewed index functions into byte tables
+(:mod:`repro.indexing.gf2`) from these scalar definitions; there is no
+separate array version to keep in step.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.common.bitops import mask
 
-__all__ = ["h_function", "h_inverse", "skew_index", "SKEW_FUNCTION_COUNT",
-           "h_function_vec", "h_inverse_vec", "skew_index_vec"]
+__all__ = ["h_function", "h_inverse", "skew_index", "SKEW_FUNCTION_COUNT"]
 
 SKEW_FUNCTION_COUNT = 4
 
@@ -87,43 +89,3 @@ def skew_index(rank: int, info: int, width: int) -> int:
     if rank == 2:
         return h_inverse(v1, width) ^ h_function(v2, width) ^ v2
     return h_inverse(v1, width) ^ h_function(v2, width) ^ v1
-
-
-# -- vectorized variants (numpy uint64 arrays, used by the batched engine) ---
-
-def h_function_vec(values: np.ndarray, width: int) -> np.ndarray:
-    """Elementwise :func:`h_function` over a uint64 array (bit-identical)."""
-    if width < 2:
-        raise ValueError(f"H needs at least 2 bits, got width={width}")
-    values = values.astype(np.uint64) & np.uint64(mask(width))
-    top = (values >> np.uint64(width - 1)) & np.uint64(1)
-    second = (values >> np.uint64(width - 2)) & np.uint64(1)
-    return ((values << np.uint64(1)) & np.uint64(mask(width))) | (top ^ second)
-
-
-def h_inverse_vec(values: np.ndarray, width: int) -> np.ndarray:
-    """Elementwise :func:`h_inverse` over a uint64 array (bit-identical)."""
-    if width < 2:
-        raise ValueError(f"H needs at least 2 bits, got width={width}")
-    values = values.astype(np.uint64) & np.uint64(mask(width))
-    low = values & np.uint64(1)
-    rest = values >> np.uint64(1)
-    top_restored = (low ^ (rest >> np.uint64(width - 2))) & np.uint64(1)
-    return rest | (top_restored << np.uint64(width - 1))
-
-
-def skew_index_vec(rank: int, info: np.ndarray, width: int) -> np.ndarray:
-    """Elementwise :func:`skew_index` over a uint64 array of info words."""
-    if not 0 <= rank < SKEW_FUNCTION_COUNT:
-        raise ValueError(
-            f"rank must be in 0..{SKEW_FUNCTION_COUNT - 1}, got {rank}")
-    info = info.astype(np.uint64)
-    v1 = info & np.uint64(mask(width))
-    v2 = (info >> np.uint64(width)) & np.uint64(mask(width))
-    if rank == 0:
-        return h_function_vec(v1, width) ^ h_inverse_vec(v2, width) ^ v2
-    if rank == 1:
-        return h_function_vec(v1, width) ^ h_inverse_vec(v2, width) ^ v1
-    if rank == 2:
-        return h_inverse_vec(v1, width) ^ h_function_vec(v2, width) ^ v2
-    return h_inverse_vec(v1, width) ^ h_function_vec(v2, width) ^ v1

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
+from repro.indexing.gf2 import ByteTables, NotLinear
 from repro.obs import NULL_TELEMETRY, NullTelemetry
 
 __all__ = ["Predictor", "BatchCapable"]
@@ -93,24 +95,41 @@ class BatchCapable:
     bit**, and leave the predictor tables in the same final state.  The
     batched engine (:class:`repro.sim.engine.BatchedEngine`) verifies
     :meth:`batch_supported` first and falls back to the scalar engine when a
-    configuration cannot honor the equivalence guarantee (e.g. a
-    non-vectorizable index scheme, or no compiled replay tier).
+    configuration cannot honor the equivalence guarantee (an index function
+    that is not linear over GF(2), or no compiled replay tier).
 
-    Implementations precompute their table-index streams with the
-    vectorized helpers in :mod:`repro.indexing.fold` /
-    :mod:`repro.indexing.skew`, then replay them through **one** compiled
-    predict-then-train kernel per predictor (see :mod:`repro.kernels`): a
-    single-table predictor through
+    Implementations name their scalar index function and what it reads in
+    :meth:`_index_tables`; :mod:`repro.indexing.gf2` compiles it into the
+    byte tables that give the batch's index streams (:meth:`_index_streams`),
+    replayed through **one** compiled predict-then-train kernel per
+    predictor (see :mod:`repro.kernels`): a single-table predictor through
     :meth:`repro.common.counters.SplitCounterArray.batch_access`, an
     update-coupled one through its own kernel.  Telemetry comes from that
     same replay, as a reduction of the kernel's event codes.
     """
 
+    def _index_tables(self) -> ByteTables:
+        """The compiled tables of this configuration's scalar index function
+        (:func:`repro.indexing.gf2.byte_tables`); raises ``NotLinear``."""
+        raise NotImplementedError
+
     def batch_supported(self) -> bool:
-        """Whether this instance's configuration can run batched."""
+        """Whether this instance's configuration can run batched: the
+        compiled replay tier loaded and the index tables compile."""
+        if not kernels.available():
+            return False
+        try:
+            self._index_tables()
+        except NotLinear:
+            return False
         return True
+
+    def _index_streams(self, batch: VectorBatch) -> tuple[np.ndarray, ...]:
+        """The scalar index function's outputs over ``batch``, one
+        ``uint64`` stream each, timed as the ``index`` telemetry span."""
+        with self._telemetry.span("index"):
+            return self._index_tables()(batch)
 
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
         """Predict-then-train over the whole batch; returns predictions."""
         raise NotImplementedError
-

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
+from repro.indexing.gf2 import ByteTables, byte_tables
 from repro.predictors.base import BatchCapable, Predictor
 
 __all__ = ["BimodalPredictor"]
@@ -50,11 +51,11 @@ class BimodalPredictor(BatchCapable, Predictor):
         self._counters.update(index, taken)
         return prediction
 
-    def batch_supported(self) -> bool:
-        return self._counters.batch_supported
+    def _index_tables(self) -> ByteTables:
+        return byte_tables((type(self), self._mask), self._index)
 
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
-        indices = (batch.branch_pc >> np.uint64(2)) & np.uint64(self._mask)
+        (indices,) = self._index_streams(batch)
         return self._counters.batch_access(indices, batch.takens)
 
     @property

@@ -18,7 +18,8 @@ import numpy as np
 from repro import kernels
 from repro.common.counters import ARM_NONE, SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
-from repro.indexing.fold import gshare_index, gshare_index_vec
+from repro.indexing.fold import gshare_index
+from repro.indexing.gf2 import ByteTables, byte_tables
 from repro.predictors.base import BatchCapable, Predictor
 
 __all__ = ["BiModePredictor"]
@@ -98,14 +99,17 @@ class BiModePredictor(BatchCapable, Predictor):
         if not (choice != taken and prediction == taken):
             self.choice.update(choice_index, taken)
 
-    def batch_supported(self) -> bool:
-        return kernels.available()
+    def _index_tables(self) -> ByteTables:
+        return byte_tables((type(self), self.choice_entries,
+                            self.history_length, self.direction_bits),
+                           self._indices)
 
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
         """Batched replay: the choice and direction index streams are
-        computed once in numpy, then the compiled ``bimode_replay`` kernel
-        (``repro/kernels/replay.c``) walks them in stream order, restating
-        :meth:`access` and :meth:`_train` on the tables' raw buffers.
+        compiled from :meth:`_indices` (:mod:`repro.indexing.gf2`), then the
+        compiled ``bimode_replay`` kernel (``repro/kernels/replay.c``) walks
+        them in stream order, restating :meth:`access` and :meth:`_train` on
+        the tables' raw buffers.
 
         Event code per position: bit 0 the prediction, bit 1 the choice,
         bits 2-3 the selected direction table's write arm and bits 4-5 the
@@ -113,11 +117,7 @@ class BiModePredictor(BatchCapable, Predictor):
         telemetry is reduced from the codes.
         """
         lib = kernels.require()
-        choice_idx = (batch.branch_pc.astype(np.uint64, copy=False)
-                      >> np.uint64(2))
-        direction_idx = kernels.stream(gshare_index_vec(
-            batch.branch_pc, batch.history, self.history_length,
-            self.direction_bits))
+        choice_idx, direction_idx = self._index_streams(batch)
         takens = kernels.stream(batch.takens, np.bool_)
         codes = np.empty(len(batch), dtype=np.uint8)
         banks = kernels.banks(self.choice, self.not_taken_table,

@@ -19,8 +19,9 @@ from repro import kernels
 from repro.common.bitops import mask
 from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
-from repro.indexing.fold import info_word, info_word_vec
-from repro.indexing.skew import skew_index, skew_index_vec
+from repro.indexing.fold import info_word
+from repro.indexing.gf2 import ByteTables, byte_tables
+from repro.indexing.skew import skew_index
 from repro.predictors.base import BatchCapable, Predictor
 
 __all__ = ["EGskewPredictor"]
@@ -97,35 +98,23 @@ class EGskewPredictor(BatchCapable, Predictor):
         prediction = sum(map(int, reads)) >= 2
         self._train_with_reads(indices, reads, prediction, taken)
 
-    def batch_indices(self, batch: VectorBatch) -> tuple[np.ndarray,
-                                                         np.ndarray,
-                                                         np.ndarray]:
-        """Vectorized :meth:`_indices` over a whole batch (bit-identical)."""
-        bim = (batch.branch_pc >> np.uint64(2)) & np.uint64(mask(self.index_bits))
-        g0_word = info_word_vec(batch.address, batch.history,
-                                self.g0_history_length, 2 * self.index_bits)
-        g1_word = info_word_vec(batch.address, batch.history,
-                                self.history_length, 2 * self.index_bits)
-        return (bim, skew_index_vec(1, g0_word, self.index_bits),
-                skew_index_vec(2, g1_word, self.index_bits))
-
-    def batch_supported(self) -> bool:
-        return kernels.available()
+    def _index_tables(self) -> ByteTables:
+        return byte_tables((type(self), self.index_bits, self.history_length,
+                            self.g0_history_length), self._indices)
 
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
-        """Batched replay: the three index streams are computed once in
-        numpy, then the compiled ``egskew_replay`` kernel
-        (``repro/kernels/replay.c``) walks them in stream order, restating
-        :meth:`access` and :meth:`_train_with_reads` on the banks' raw
-        buffers.
+        """Batched replay: the three index streams are compiled from
+        :meth:`_indices` (:mod:`repro.indexing.gf2`), then the compiled
+        ``egskew_replay`` kernel (``repro/kernels/replay.c``) walks them in
+        stream order, restating :meth:`access` and :meth:`_train_with_reads`
+        on the banks' raw buffers.
 
         Event code per position: bit 0 the prediction, then each bank's
         write arm (``ARM_*`` from :mod:`repro.common.counters`) in bits 1-2
         (BIM), 3-4 (G0) and 5-6 (G1); telemetry is reduced from the codes.
         """
         lib = kernels.require()
-        streams = [kernels.stream(indices)
-                   for indices in self.batch_indices(batch)]
+        streams = self._index_streams(batch)
         takens = kernels.stream(batch.takens, np.bool_)
         codes = np.empty(len(batch), dtype=np.uint8)
         banks = kernels.banks(self.bim, self.g0, self.g1)

@@ -13,7 +13,7 @@ import numpy as np
 from repro.common.bitops import mask, xor_fold
 from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
-from repro.indexing.fold import xor_fold_vec
+from repro.indexing.gf2 import ByteTables, byte_tables
 from repro.predictors.base import BatchCapable, Predictor
 
 __all__ = ["GAsPredictor"]
@@ -60,19 +60,12 @@ class GAsPredictor(BatchCapable, Predictor):
         self._counters.update(index, taken)
         return prediction
 
-    def batch_supported(self) -> bool:
-        return self._counters.batch_supported
+    def _index_tables(self) -> ByteTables:
+        return byte_tables(
+            (type(self), self.history_length, self.address_bits), self._index)
 
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
-        pc_words = batch.branch_pc >> np.uint64(2)
-        if self.address_bits >= 20:
-            address_part = pc_words & np.uint64(mask(self.address_bits))
-        elif self.address_bits:
-            address_part = xor_fold_vec(pc_words, self.address_bits)
-        else:
-            address_part = np.zeros_like(pc_words)
-        history_part = batch.history & np.uint64(mask(self.history_length))
-        indices = (history_part << np.uint64(self.address_bits)) | address_part
+        (indices,) = self._index_streams(batch)
         return self._counters.batch_access(indices, batch.takens)
 
     @property

@@ -13,7 +13,8 @@ import numpy as np
 from repro.common.bitops import mask
 from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
-from repro.indexing.fold import gshare_index, gshare_index_vec
+from repro.indexing.fold import gshare_index
+from repro.indexing.gf2 import ByteTables, byte_tables
 from repro.predictors.base import BatchCapable, Predictor
 
 __all__ = ["GsharePredictor"]
@@ -52,12 +53,12 @@ class GsharePredictor(BatchCapable, Predictor):
         self._counters.update(index, taken)
         return prediction
 
-    def batch_supported(self) -> bool:
-        return self._counters.batch_supported
+    def _index_tables(self) -> ByteTables:
+        return byte_tables((type(self), self.history_length, self.index_bits),
+                           self._index)
 
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
-        indices = gshare_index_vec(batch.branch_pc, batch.history,
-                                   self.history_length, self.index_bits)
+        (indices,) = self._index_streams(batch)
         return self._counters.batch_access(indices, batch.takens)
 
     @property

@@ -26,8 +26,10 @@ from repro import kernels
 from repro.common.bitops import mask
 from repro.common.counters import SplitCounterArray, count_selected
 from repro.history.providers import InfoVector, VectorBatch
-from repro.indexing.fold import info_word, info_word_vec
-from repro.indexing.skew import skew_index, skew_index_vec
+from repro.history.registers import DEFAULT_PATH_DEPTH
+from repro.indexing.fold import info_word
+from repro.indexing.gf2 import ByteTables, NotLinear, byte_tables
+from repro.indexing.skew import skew_index
 from repro.predictors.base import BatchCapable, Predictor
 
 __all__ = ["TableConfig", "IndexScheme", "SkewedIndexScheme",
@@ -77,26 +79,44 @@ class IndexScheme:
 
     Injected into :class:`TwoBcGskewPredictor`; the default is the academic
     skewed family below, and :mod:`repro.ev8.indexfuncs` provides the
-    hardware-constrained EV8 functions.
+    hardware-constrained EV8 functions.  A scheme defines :meth:`compute`
+    only: :meth:`compute_batch` is compiled from it into GF(2) byte tables
+    (:mod:`repro.indexing.gf2`), so a linear scheme runs batched with one
+    definition of its hash, and a non-linear one runs scalar.
     """
-
-    #: Whether :meth:`compute_batch` is implemented (the batched engine
-    #: falls back to scalar for schemes that stay False, such as a custom
-    #: scheme with only :meth:`compute`).
-    vectorized = False
 
     def compute(self, vector: InfoVector,
                 configs: tuple[TableConfig, TableConfig, TableConfig,
                                TableConfig]) -> tuple[int, int, int, int]:
         raise NotImplementedError
 
+    def tables(self, configs: tuple[TableConfig, ...],
+               path_depth: int) -> ByteTables:
+        """The byte tables of :meth:`compute` for ``path_depth`` path rows
+        (raises :class:`~repro.indexing.gf2.NotLinear`), memoised under the
+        class, attributes, configurations and path depth; subclasses narrow
+        the key to what their :meth:`compute` reads."""
+        state = tuple(sorted(getattr(self, "__dict__", {}).items()))
+        return byte_tables((type(self), state, configs, path_depth),
+                           lambda vector: self.compute(vector, configs),
+                           path_depth)
+
+    def vectorized(self, configs: tuple[TableConfig, ...]) -> bool:
+        """Whether :meth:`tables` compile (at the providers' default path
+        depth), so :meth:`compute_batch` runs."""
+        try:
+            self.tables(configs, DEFAULT_PATH_DEPTH)
+        except NotLinear:
+            return False
+        return True
+
     def compute_batch(self, batch: VectorBatch,
                       configs: tuple[TableConfig, TableConfig, TableConfig,
                                      TableConfig]
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray]:
-        """Vectorized :meth:`compute` over a whole batch (bit-identical)."""
-        raise NotImplementedError
+                      ) -> tuple[np.ndarray, ...]:
+        """:meth:`compute` over a whole batch, one ``uint64`` stream per
+        table (bit-identical)."""
+        return self.tables(configs, batch.path_depth)(batch)
 
 
 class SkewedIndexScheme(IndexScheme):
@@ -122,8 +142,6 @@ class SkewedIndexScheme(IndexScheme):
             offset += _PATH_BITS_PER_BLOCK
         return word, offset
 
-    vectorized = True
-
     def compute(self, vector, configs):
         bim, g0, g1, meta = configs
         path_word, path_bits = self._path_word(vector)
@@ -143,35 +161,18 @@ class SkewedIndexScheme(IndexScheme):
             indices.append(skew_index(rank, word, config.index_bits))
         return tuple(indices)
 
-    def _path_word_batch(self, batch: VectorBatch) -> tuple[np.ndarray | None,
-                                                            int]:
-        if not self.use_path_addresses or batch.path_depth == 0:
-            return None, 0
-        word = np.zeros(len(batch), dtype=np.uint64)
-        offset = 0
-        for age in range(batch.path_depth):
-            field = ((batch.path[age] >> np.uint64(2))
-                     & np.uint64(mask(_PATH_BITS_PER_BLOCK)))
-            word |= field << np.uint64(offset)
-            offset += _PATH_BITS_PER_BLOCK
-        return word, offset
+    def tables(self, configs, path_depth):
+        # compute reads each table's history length and index width, and
+        # the path rows only with use_path_addresses.
+        depth = path_depth if self.use_path_addresses else 0
+        reads = tuple((config.history_length, config.index_bits)
+                      for config in configs)
+        return byte_tables(
+            (type(self), self.use_path_addresses, reads, depth),
+            lambda vector: self.compute(vector, configs), depth)
 
     def compute_batch(self, batch, configs):
-        bim, g0, g1, meta = configs
-        path_word, path_bits = self._path_word_batch(batch)
-        if bim.history_length:
-            bim_index = info_word_vec(batch.branch_pc, batch.history,
-                                      bim.history_length, bim.index_bits)
-        else:
-            bim_index = ((batch.branch_pc >> np.uint64(2))
-                         & np.uint64(mask(bim.index_bits)))
-        indices = [bim_index]
-        for rank, config in ((1, g0), (2, g1), (3, meta)):
-            word = info_word_vec(batch.address, batch.history,
-                                 config.history_length,
-                                 2 * config.index_bits, path_word, path_bits)
-            indices.append(skew_index_vec(rank, word, config.index_bits))
-        return tuple(indices)
+        return super().compute_batch(batch, configs)
 
 
 class TwoBcGskewPredictor(BatchCapable, Predictor):
@@ -240,12 +241,14 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
         return state[-1]
 
     def batch_supported(self) -> bool:
-        return self.index_scheme.vectorized and kernels.available()
+        return (kernels.available()
+                and self.index_scheme.vectorized(self.configs))
 
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
-        """Batched replay: all four index streams are precomputed with the
-        vectorized index scheme, then replayed in stream order by the
-        compiled ``twobcgskew_replay`` kernel (``repro/kernels/replay.c``).
+        """Batched replay: the index scheme's compiled
+        :meth:`~IndexScheme.compute_batch` gives all four index streams,
+        replayed in stream order by the compiled ``twobcgskew_replay``
+        kernel (``repro/kernels/replay.c``).
 
         The partial-update policy couples BIM/G0/G1/Meta through the
         majority vote and the chooser on almost every branch, so one kernel
@@ -256,8 +259,8 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
         codes (:meth:`_count_events`).
         """
         lib = kernels.require()
-        streams = [kernels.stream(indices) for indices in
-                   self.index_scheme.compute_batch(batch, self.configs)]
+        with self._telemetry.span("index"):
+            streams = self.index_scheme.compute_batch(batch, self.configs)
         takens = kernels.stream(batch.takens, np.bool_)
         codes = np.empty(len(batch), dtype=np.uint32)
         banks = kernels.banks(self.bim, self.g0, self.g1, self.meta)

@@ -22,7 +22,8 @@ from repro import kernels
 from repro.common.bitops import mask
 from repro.common.counters import ARM_NONE, SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
-from repro.indexing.fold import gshare_index, gshare_index_vec
+from repro.indexing.fold import gshare_index
+from repro.indexing.gf2 import ByteTables, byte_tables
 from repro.obs import NullTelemetry
 from repro.predictors.base import BatchCapable, Predictor
 
@@ -150,14 +151,17 @@ class YagsPredictor(BatchCapable, Predictor):
         self.not_taken_cache._counters.attach_telemetry(sink,
                                                         "not_taken_cache")
 
-    def batch_supported(self) -> bool:
-        return kernels.available()
+    def _index_tables(self) -> ByteTables:
+        return byte_tables((type(self), self.choice_entries,
+                            self.history_length, self.cache_bits,
+                            self.tag_bits), self._indices)
 
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
         """Batched replay: the choice index, cache index and tag streams
-        are computed once in numpy, then the compiled ``yags_replay`` kernel
-        (``repro/kernels/replay.c``) walks them in stream order, restating
-        :meth:`_access` on the raw choice, counter, tag and valid buffers.
+        are compiled from :meth:`_indices` (:mod:`repro.indexing.gf2`), then
+        the compiled ``yags_replay`` kernel (``repro/kernels/replay.c``)
+        walks them in stream order, restating :meth:`_access` on the raw
+        choice, counter, tag and valid buffers.
 
         Event code per position: bit 0 the prediction, bit 1 the choice,
         bit 2 a tag hit, bits 3-4 the probed cache's counter write arm
@@ -166,16 +170,12 @@ class YagsPredictor(BatchCapable, Predictor):
         :mod:`repro.common.counters`); telemetry is reduced from the codes.
         """
         lib = kernels.require()
-        word = batch.branch_pc.astype(np.uint64, copy=False) >> np.uint64(2)
-        cache_idx = kernels.stream(gshare_index_vec(
-            batch.branch_pc, batch.history, self.history_length,
-            self.cache_bits))
-        tags = word & np.uint64(mask(min(self.tag_bits, 64)))
+        choice_idx, cache_idx, tags = self._index_streams(batch)
         takens = kernels.stream(batch.takens, np.bool_)
         codes = np.empty(len(batch), dtype=np.uint8)
         choice = kernels.banks(self.choice)
         caches = kernels.yags_caches(self.taken_cache, self.not_taken_cache)
-        lib.yags_replay(len(codes), kernels.address(word),
+        lib.yags_replay(len(codes), kernels.address(choice_idx),
                         kernels.address(cache_idx), kernels.address(tags),
                         kernels.address(takens), choice.ctypes.data,
                         caches.ctypes.data, codes.ctypes.data)

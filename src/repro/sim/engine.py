@@ -10,8 +10,9 @@ simulation.  This module makes that hot path a swappable component:
   in via :class:`~repro.predictors.base.BatchCapable` and providers that can
   materialize their information vectors trace-side
   (:meth:`~repro.history.providers.HistoryProvider.materialize`), the whole
-  trace's index streams are precomputed over numpy arrays and replayed in
-  stream order by one compiled predict-then-train kernel per predictor
+  trace's index streams are gathered from GF(2) byte tables compiled from
+  each predictor's scalar index function (:mod:`repro.indexing.gf2`) and
+  replayed in stream order by one compiled predict-then-train kernel per predictor
   (:mod:`repro.kernels`; single-table predictors reach theirs through
   :meth:`repro.common.counters.SplitCounterArray.batch_access`).  This is
   the default engine.
@@ -139,7 +140,7 @@ class BatchedEngine(SimulationEngine):
     The provider materializes the whole trace's information vectors as
     numpy columns (history self-dependence is a pure function of earlier
     trace outcomes, so it is resolved trace-side); the predictor then
-    replays the batch with vectorized index computation and one compiled
+    replays the batch with compiled index tables and one compiled
     replay kernel.  Configurations outside the batchable envelope fall back
     to :class:`ScalarEngine` — or raise if ``strict``.
     """
@@ -156,8 +157,8 @@ class BatchedEngine(SimulationEngine):
             return f"{predictor.name} does not implement BatchCapable"
         if not predictor.batch_supported():
             return (f"{predictor.name} configuration cannot run batched "
-                    f"(e.g. a non-vectorized index scheme or no compiled "
-                    f"replay tier)")
+                    f"(an index function that is not linear over GF(2), "
+                    f"or no compiled replay tier)")
         return None
 
     def run(self, predictor: Predictor, trace: Trace,

@@ -8,8 +8,9 @@ from array import array
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
-from repro.history.providers import InfoVector
+from repro.history.providers import InfoVector, VectorBatch
 from repro.obs import NullTelemetry
 from repro.traces.fetch import fetch_blocks_for
 from repro.traces.model import TerminatorKind, Trace, TraceBuilder
@@ -38,6 +39,38 @@ def make_vector(pc: int = 0x1000, history: int = 0, address: int | None = None,
     return InfoVector(history=history,
                       address=pc if address is None else address,
                       branch_pc=pc, path=path, bank=bank)
+
+
+words = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@st.composite
+def vector_batches(draw, min_size: int = 1, max_depth: int = 3):
+    """A short batch with arbitrary 64-bit fields, between zero and
+    ``max_depth`` path rows, and a bank column or none."""
+    n = draw(st.integers(min_value=min_size, max_value=24))
+    depth = draw(st.integers(min_value=0, max_value=max_depth))
+
+    def column():
+        return np.array(draw(st.lists(words, min_size=n, max_size=n)),
+                        dtype=np.uint64)
+
+    history, address, branch_pc = column(), column(), column()
+    path = np.array([column() for _ in range(depth)],
+                    dtype=np.uint64).reshape(depth, n)
+    bank = column() if draw(st.booleans()) else None
+    return VectorBatch(history=history, address=address, branch_pc=branch_pc,
+                       path=path, takens=np.zeros(n, dtype=np.bool_),
+                       bank=bank)
+
+
+def batch_rows(batch: VectorBatch):
+    """The batch's rows as the scalar :class:`InfoVector` objects."""
+    for i in range(len(batch)):
+        yield InfoVector(
+            int(batch.history[i]), int(batch.address[i]),
+            int(batch.branch_pc[i]), tuple(int(z) for z in batch.path[:, i]),
+            0 if batch.bank is None else int(batch.bank[i]))
 
 
 def table_state(obj, path: str = "") -> dict[str, bytes]:

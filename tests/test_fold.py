@@ -70,3 +70,28 @@ class TestGshareIndex:
            st.integers(1, 24))
     def test_fits_width(self, pc, history, history_length, width):
         assert 0 <= gshare_index(pc, history, history_length, width) < (1 << width)
+
+
+class TestKnownAnswers:
+    """Fixed vectors pinned to their indices.  The batched engine compiles
+    its index streams from these scalar functions, so a scalar/batched
+    comparison cannot catch a bug in them; these pins (and the golden
+    misprediction counts) can."""
+
+    @pytest.mark.parametrize("args,expected", [
+        ((0x1234, 0b1011, 4, 10, 0b11, 2), 183),
+        ((0xDEADBEEC, 0x3FFFF, 18, 16), 36991),
+        ((0x401000, 0x5A5A5A5A5A, 40, 13, 0x2D, 6), 1657),
+        ((0xFFFC, 0, 0, 7), 0),
+    ])
+    def test_info_word(self, args, expected):
+        assert info_word(*args) == expected
+
+    @pytest.mark.parametrize("args,expected", [
+        ((0x1234, 0b101, 3, 10), 0b0010001101 ^ 0b1010000000),
+        ((0x1234, 0x3FF, 10, 10), 0b0010001101 ^ 0x3FF),
+        ((0xABCDE8, 0x12345, 17, 12), 0x37A ^ 0x345 ^ 0x12),
+        ((0x8000, 0, 0, 8), 0),
+    ])
+    def test_gshare_index(self, args, expected):
+        assert gshare_index(*args) == expected

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import make_vector
+from conftest import batch_rows, make_vector, vector_batches
 from repro.ev8.config import EV8_CONFIG
 from repro.ev8.indexfuncs import EV8IndexScheme, decompose_index
-from repro.history.providers import InfoVector, VectorBatch
+from repro.history.providers import VectorBatch
 
 CONFIGS = EV8_CONFIG.tables()
 
@@ -194,29 +193,6 @@ class TestPathUsage:
         assert history_quality.entropy > address_quality.entropy
 
 
-words = st.integers(min_value=0, max_value=2**64 - 1)
-
-
-@st.composite
-def vector_batches(draw):
-    """A short batch with arbitrary 64-bit fields, between zero and three
-    path rows, and a bank column or none."""
-    n = draw(st.integers(min_value=1, max_value=24))
-    depth = draw(st.integers(min_value=0, max_value=3))
-
-    def column():
-        return np.array(draw(st.lists(words, min_size=n, max_size=n)),
-                        dtype=np.uint64)
-
-    history, address, branch_pc = column(), column(), column()
-    path = np.array([column() for _ in range(depth)],
-                    dtype=np.uint64).reshape(depth, n)
-    bank = column() if draw(st.booleans()) else None
-    return VectorBatch(history=history, address=address, branch_pc=branch_pc,
-                       path=path, takens=np.zeros(n, dtype=np.bool_),
-                       bank=bank)
-
-
 class TestComputeBatch:
     @pytest.mark.parametrize("mode,use_bank", [("history", True),
                                                ("history", False),
@@ -225,14 +201,13 @@ class TestComputeBatch:
     @given(batch=vector_batches())
     @settings(max_examples=60, deadline=None)
     def test_equals_row_by_row_compute(self, mode, use_bank, batch):
-        scheme = EV8IndexScheme(wordline_mode=mode, use_block_bank=use_bank)
+        self.check_rows(EV8IndexScheme(wordline_mode=mode,
+                                       use_block_bank=use_bank), batch)
+
+    @staticmethod
+    def check_rows(scheme, batch):
         columns = scheme.compute_batch(batch, CONFIGS)
-        for i in range(len(batch)):
-            vector = InfoVector(
-                int(batch.history[i]), int(batch.address[i]),
-                int(batch.branch_pc[i]),
-                tuple(int(z) for z in batch.path[:, i]),
-                0 if batch.bank is None else int(batch.bank[i]))
+        for i, vector in enumerate(batch_rows(batch)):
             assert tuple(int(c[i]) for c in columns) == \
                 scheme.compute(vector, CONFIGS), i
 
@@ -254,12 +229,20 @@ class _Inverted(EV8IndexScheme):
         return bim, g0, g1, meta ^ 1
 
 
-class _TooWide(EV8IndexScheme):
+class _Wide(EV8IndexScheme):
     """A 17th index bit, wider than a 16-bit lane."""
 
     def compute(self, vector, configs):
         bim, g0, g1, meta = super().compute(vector, configs)
         return bim, g0, g1 | ((vector.history >> 40) & 1) << 16, meta
+
+
+class _Over64(EV8IndexScheme):
+    """A 65th index bit, wider than any lane."""
+
+    def compute(self, vector, configs):
+        bim, g0, g1, meta = super().compute(vector, configs)
+        return bim, g0, g1 | ((vector.history >> 40) & 1) << 64, meta
 
 
 class TestByteTableGuards:
@@ -269,7 +252,7 @@ class TestByteTableGuards:
     @pytest.mark.parametrize("scheme_class,message", [
         (_AndsTwoBits, "not linear over GF"),
         (_Inverted, "zero vector"),
-        (_TooWide, "16 bits"),
+        (_Over64, "64 bits"),
     ])
     def test_unrepresentable_compute_raises(self, scheme_class, message):
         batch = VectorBatch(
@@ -280,3 +263,11 @@ class TestByteTableGuards:
             takens=np.zeros(4, dtype=np.bool_))
         with pytest.raises(ValueError, match=message):
             scheme_class().compute_batch(batch, CONFIGS)
+
+    @given(batch=vector_batches())
+    @settings(max_examples=30, deadline=None)
+    def test_wider_index_takes_wider_lanes(self, batch):
+        """A 17-bit index is packed in 32-bit lanes instead of refused."""
+        scheme = _Wide()
+        assert scheme.tables(CONFIGS, batch.path_depth).lane_bits == 32
+        TestComputeBatch.check_rows(scheme, batch)

@@ -47,6 +47,14 @@ class TestHFunction:
 
 
 class TestSkewIndex:
+    def test_known_values(self):
+        # v1 = 0x4C, v2 = 0xB7 on 8 bits: H(v1) = 153, Hinv(v2) = 91,
+        # Hinv(v1) = 38, H(v2) = 111.
+        assert [skew_index(rank, 0xB74C, 8) for rank in range(4)] == [
+            153 ^ 91 ^ 0xB7, 153 ^ 91 ^ 0x4C, 38 ^ 111 ^ 0xB7, 38 ^ 111 ^ 0x4C]
+        assert (h_function(0x4C, 8), h_inverse(0xB7, 8),
+                h_inverse(0x4C, 8), h_function(0xB7, 8)) == (153, 91, 38, 111)
+
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             skew_index(4, 0, 8)

@@ -1,7 +1,11 @@
 """Tests for trace statistics (Tables 2 and 3 machinery)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.traces.fetch import block_geometry
 from repro.traces.model import TerminatorKind, TraceBuilder
 from repro.traces.stats import compute_statistics
 
@@ -60,6 +64,48 @@ class TestStatistics:
         assert stats.lghist_to_ghist_ratio == 0.0
         assert stats.branches_per_kilo_instruction == 0.0
         assert stats.instructions_per_branch == 4.0
+
+
+@st.composite
+def traces(draw):
+    """Random traces over a small code footprint (so PCs repeat).  With
+    ``jumpy`` a not-taken branch's successor may start anywhere, which
+    breaks the contiguity the vectorized fetch-block geometry relies on and
+    sends it down the block-walk fallback."""
+    jumpy = draw(st.booleans())
+    builder = TraceBuilder("prop")
+    position = draw(st.integers(0, 255)) * 4
+    for _ in range(draw(st.integers(0, 80))):
+        n = draw(st.integers(1, 10))
+        kind = draw(st.sampled_from([TerminatorKind.CONDITIONAL,
+                                     TerminatorKind.JUMP,
+                                     TerminatorKind.FALLTHROUGH]))
+        taken = (draw(st.booleans()) if kind == TerminatorKind.CONDITIONAL
+                 else kind == TerminatorKind.JUMP)
+        end = position + 4 * n
+        target = (draw(st.integers(0, 255)) * 4 if taken or jumpy
+                  and draw(st.booleans()) else end)
+        builder.add(position, n, kind, taken, target)
+        position = target
+    return builder.build()
+
+
+class TestDistinctCounts:
+    @given(traces())
+    @settings(max_examples=80, deadline=None)
+    def test_counts_match_hashed_counts(self, trace):
+        """The sort-and-count statistics equal the set and ``np.unique``
+        counts they replace."""
+        stats = compute_statistics(trace)
+        _, _, ordinals, _ = block_geometry(trace)
+        assert stats.static_conditional == len(trace.static_conditional_pcs())
+        assert stats.lghist_bits == len(np.unique(ordinals))
+        assert stats.dynamic_conditional == trace.conditional_count
+
+    def test_memoised_per_trace(self):
+        trace = chain_trace()
+        assert compute_statistics(trace) is compute_statistics(trace)
+        assert compute_statistics(chain_trace()) == compute_statistics(trace)
 
 
 class TestOnWorkloads:
