@@ -17,15 +17,17 @@ Because B_A is derived from the *two-blocks-ahead* address Y [18], it is
 ready one full cycle before the predictor read, adding no delay (Fig 3); and
 by construction B_A != B_Z, so any two successive blocks land in distinct
 banks.
+
+The recurrence is serial, so a materialized batch's bank column comes from
+``block_columns`` in ``repro/kernels/replay.c``, which restates
+:class:`BankNumberGenerator` over the trace's fetch blocks in one pass.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.common.bitops import bits
 
-__all__ = ["bank_number", "bank_numbers_vec", "BankNumberGenerator"]
+__all__ = ["bank_number", "BankNumberGenerator"]
 
 BANK_COUNT = 4
 _BANK_BIT_LOW = 5
@@ -50,45 +52,6 @@ def bank_number(previous_previous_address: int, previous_bank: int) -> int:
     if seed == previous_bank:
         return seed ^ 1
     return seed
-
-
-def bank_numbers_vec(block_starts: np.ndarray) -> np.ndarray:
-    """Vectorized bank-number stream: the bank of every fetch block, in
-    order, identical to feeding :class:`BankNumberGenerator` the same
-    addresses.
-
-    The recurrence looks inherently serial — ``bank[b]`` consults
-    ``bank[b-1]`` — but only through bit 0: with ``seed[b]`` the address
-    bits (y6, y5) of block ``b-2`` (zero for the architected start-up
-    blocks), ``bank[b] = seed[b] ^ e[b]`` where the flip bit obeys
-
-        e[b] = 0                                     if y6 changed,
-        e[b] = e[b-1] XOR (seed[b] == seed[b-1])     otherwise,
-
-    i.e. a *segmented XOR prefix scan* with segments delimited by changes
-    of the seed's high bit — computed with a cumulative sum and a running
-    maximum of reset positions, no Python loop.
-    """
-    n = len(block_starts)
-    if n == 0:
-        return np.empty(0, dtype=np.uint8)
-    # Seed stream with a virtual predecessor modelling the architected
-    # start-up state (blocks -2/-1 at address 0, bank 0): seed = 0, e = 0.
-    seed = np.zeros(n + 1, dtype=np.uint8)
-    if n > 2:
-        seed[3:] = (block_starts[:n - 2] >> np.uint64(_BANK_BIT_LOW)) \
-            & np.uint64(0b11)
-    positions = np.arange(n + 1)
-    reset = np.empty(n + 1, dtype=np.bool_)
-    reset[0] = True
-    reset[1:] = (seed[1:] >> 1) != (seed[:-1] >> 1)
-    equal = np.zeros(n + 1, dtype=np.int64)
-    equal[1:] = seed[1:] == seed[:-1]
-    cumulative = np.cumsum(equal)
-    last_reset = np.maximum.accumulate(np.where(reset, positions, 0))
-    flip = ((cumulative - cumulative[last_reset]) & 1).astype(np.uint8)
-    flip[reset] = 0
-    return (seed ^ flip)[1:]
 
 
 class BankNumberGenerator:

@@ -22,7 +22,8 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.history.lghist import PATH_BIT_POSITION, LghistRegister
+from repro import kernels
+from repro.history.lghist import LghistRegister
 from repro.history.registers import GlobalHistoryRegister, PathRegister
 from repro.obs import get_telemetry
 from repro.traces.fetch import FetchBlock, block_geometry
@@ -145,19 +146,26 @@ class HistoryProvider:
         return None
 
 
-def _windows(bits: np.ndarray, capacity: int) -> np.ndarray:
-    """Running windows of a bit sequence: ``windows[k]`` packs ``bits[k]``
-    in bit 0 (youngest), ``bits[k - 1]`` in bit 1, ... up to ``capacity``
-    (<= 64) bits.  Log-doubling: after the pass with shift ``s`` a window
-    holds ``2 s`` bits, so 64 bits take six passes."""
-    windows = bits.astype(np.uint64)
-    shift = 1
-    while shift < capacity:
-        windows[shift:] |= windows[:-shift] << np.uint64(shift)
-        shift <<= 1
-    if capacity < 64:
-        windows &= np.uint64((1 << capacity) - 1)
-    return windows
+def _block_columns(ordinals: np.ndarray, starts: np.ndarray, depth: int,
+                   banked: bool) -> tuple[np.ndarray, ...]:
+    """Read-only ``(path, address, bank)`` columns per branch from its
+    fetch-block ordinal (``block_columns`` in ``kernels/replay.c``):
+    previous block starts, the branch's own block start and that block's
+    bank number.  ``address`` and ``bank`` are ``None`` unless
+    ``banked``."""
+    n = len(ordinals)
+    path = np.empty((depth, n), dtype=np.uint64)
+    address, bank = ((np.empty(n, dtype=np.uint64),
+                      np.empty(n, dtype=np.uint64)) if banked
+                     else (None, None))
+    kernels.require().block_columns(
+        n, ordinals.ctypes.data, starts.ctypes.data, depth, path.ctypes.data,
+        *(None if column is None else column.ctypes.data
+          for column in (address, bank)))
+    for column in (path, address, bank):
+        if column is not None:
+            column.setflags(write=False)  # cached batches are shared
+    return path, address, bank
 
 
 _GHIST_BATCH_CACHE: WeakKeyDictionary = WeakKeyDictionary()
@@ -205,35 +213,28 @@ class BranchGhistProvider(HistoryProvider):
     def materialize(self, trace: Trace) -> VectorBatch | None:
         """Whole-trace ghist vectors, bit-identical to the scalar walk.
 
-        Per-branch global history is the packed window of the previous
-        outcomes (bit 0 youngest, :func:`_windows`); the path columns are
-        previous fetch-block start addresses gathered from the block stream.
+        Per-branch global history is a shift register of the previous
+        outcomes (``ghist_history``); the path columns are previous
+        fetch-block start addresses (:func:`_block_columns`).  ``None``
+        without the compiled tier.
         """
         capacity = self._history.capacity
         if capacity > 64:
             return None  # histories no longer fit a uint64 column
         key = (capacity, self._path.depth)
         cached = _GHIST_BATCH_CACHE.setdefault(trace, {}).get(key)
-        if cached is not None:
+        if cached is not None or not kernels.available():
             return cached
         _count_materialize_computed()
         pcs, takens, ordinals, starts = block_geometry(trace)
-        n = len(pcs)
-
-        # Branch i sees the window that ends at branch i - 1.
-        history = np.zeros(n, dtype=np.uint64)
-        history[1:] = _windows(takens[:-1], capacity)
-
-        path = np.zeros((self._path.depth, n), dtype=np.uint64)
-        for age in range(self._path.depth):
-            source = ordinals - 1 - age
-            valid = source >= 0
-            path[age, valid] = starts[source[valid]]
-
+        history = np.empty(len(pcs), dtype=np.uint64)
+        kernels.require().ghist_history(len(pcs), takens.ctypes.data,
+                                        capacity, history.ctypes.data)
+        history.setflags(write=False)  # cached batches are shared
+        path, _, _ = _block_columns(ordinals, starts, self._path.depth,
+                                    banked=False)
         batch = VectorBatch(history=history, address=pcs, branch_pc=pcs,
                             path=path, takens=takens)
-        for column in (history, pcs, path, takens):
-            column.setflags(write=False)  # cached batches are shared
         _GHIST_BATCH_CACHE[trace][key] = batch
         return batch
 
@@ -295,19 +296,11 @@ class BlockLghistProvider(HistoryProvider):
     def materialize(self, trace: Trace) -> VectorBatch | None:
         """Whole-trace lghist vectors, bit-identical to the scalar walk.
 
-        The register semantics vectorize cleanly because lghist is a pure
-        function of *which blocks inserted a bit* and *when those bits age
-        in*: only the last conditional branch of a block inserts (outcome
-        XOR PC bit 4 when ``include_path``), and the bit inserted by block
-        ``j`` is visible when predicting block ``b`` iff
-        ``j < b - delay_blocks`` (it must have left the ``delay_blocks``-deep
-        pending pipeline before block ``b``'s read).  So: pack the insert-bit
-        sequence into running uint64 windows (:func:`_windows`), and gather
-        each block's window by *counting* (via ``searchsorted``) how many
-        inserting blocks precede its visibility horizon.  Path columns and
-        the front-end bank stream are per-block gathers, shared by every
-        branch of the block and by every cached configuration of the same
-        path depth.
+        The history column is :class:`LghistRegister` walked over the
+        branch-holding fetch blocks (``lghist_history``).  Path, address and
+        bank columns are per-block values gathered per branch
+        (:func:`_block_columns`), shared by every cached configuration of
+        the same path depth.  ``None`` without the compiled tier.
         """
         register = self._lghist
         if register.capacity > 64:
@@ -316,51 +309,23 @@ class BlockLghistProvider(HistoryProvider):
                register.capacity, self._path.depth)
         per_trace = _LGHIST_BATCH_CACHE.setdefault(trace, {})
         cached = per_trace.get(key)
-        if cached is not None:
+        if cached is not None or not kernels.available():
             return cached
         _count_materialize_computed()
         pcs, takens, ordinals, starts = block_geometry(trace)
-        n = len(pcs)
-        num_blocks = len(starts)
-
-        # Insert-bit sequence: one bit per block that ends >= 1 conditional
-        # branch, from that block's *last* branch.
-        is_last = np.empty(n, dtype=np.bool_)
-        if n:
-            is_last[-1] = True
-            is_last[:-1] = ordinals[1:] != ordinals[:-1]
-        bit_blocks = ordinals[is_last]
-        bits = takens[is_last].astype(np.uint64)
-        if register.include_path:
-            bits ^= (pcs[is_last] >> np.uint64(PATH_BIT_POSITION)) \
-                & np.uint64(1)
-
-        # windows[k] = packed history after the first k inserted bits.
-        windows = np.zeros(len(bits) + 1, dtype=np.uint64)
-        windows[1:] = _windows(bits, register.capacity)
-
-        # Visible history per block: the window after the last bit whose
-        # block has aged past the visibility horizon.
-        visible_counts = np.searchsorted(
-            bit_blocks, np.arange(num_blocks) - register.delay_blocks,
-            side="left")
-        history = windows[visible_counts[ordinals]]
+        history = np.empty(len(pcs), dtype=np.uint64)
+        kernels.require().lghist_history(
+            len(pcs), pcs.ctypes.data, takens.ctypes.data, ordinals.ctypes.data,
+            register.include_path, register.delay_blocks, register.capacity,
+            history.ctypes.data)
         history.setflags(write=False)  # cached batches are shared
         sibling = next((other for (*_, depth), other in per_trace.items()
                         if depth == self._path.depth), None)
         if sibling is not None:
-            address, path, bank = sibling.address, sibling.path, sibling.bank
+            path, address, bank = sibling.path, sibling.address, sibling.bank
         else:
-            block_path = np.zeros((self._path.depth, num_blocks),
-                                  dtype=np.uint64)
-            for age in range(self._path.depth):
-                block_path[age, age + 1:] = starts[:num_blocks - age - 1]
-            from repro.ev8.banks import bank_numbers_vec
-            address = starts[ordinals]
-            path = block_path[:, ordinals]
-            bank = bank_numbers_vec(starts).astype(np.uint64)[ordinals]
-            for column in (address, path, bank):
-                column.setflags(write=False)
+            path, address, bank = _block_columns(ordinals, starts,
+                                                 self._path.depth, banked=True)
         batch = VectorBatch(history=history, address=address, branch_pc=pcs,
                             path=path, takens=takens, bank=bank)
         per_trace[key] = batch

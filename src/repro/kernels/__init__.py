@@ -8,9 +8,13 @@ buffers in place and writes one event code per position: the single-table
 ones (bimodal, gshare, GAs) through ``counter_replay``, by way of
 :meth:`repro.common.counters.SplitCounterArray.batch_access`, and the
 update-coupled ones (2Bc-gskew and the EV8 built on it, e-gskew, bi-mode
-and YAGS) through a kernel each.  ``workloads/executor.c`` is the program
-executor behind :meth:`repro.workloads.cfg.Program.run`, loaded through
-:func:`library`.
+and YAGS) through a kernel each.  It also holds the trace-side walks:
+``fetch_geometry`` builds :func:`repro.traces.fetch.block_geometry`, and
+``ghist_history``, ``lghist_history`` and ``block_columns`` build the
+columns of every
+:meth:`~repro.history.providers.HistoryProvider.materialize` batch.
+``workloads/executor.c`` is the program executor behind
+:meth:`repro.workloads.cfg.Program.run`, loaded through :func:`library`.
 
 The first use of a source in a process (for ``replay.c``: :func:`available`,
 :func:`require` or :func:`library_path`) builds it with the system
@@ -26,9 +30,10 @@ library.  Deleting the cache directory forces every library to rebuild.
 Without a compiler, or when the build or the load fails, a library is
 unavailable.  For ``replay.c`` :func:`available` is then False: every
 batched predictor reports ``batch_supported() == False`` and the batched
-engine falls back to the scalar walk (or raises, when strict).  Without the
-executor, :meth:`~repro.workloads.cfg.Program.run` interprets the program
-in Python.
+engine falls back to the scalar walk (or raises, when strict);
+``materialize`` returns ``None``, and ``block_geometry`` walks the
+:class:`~repro.traces.fetch.FetchBlock` objects.  Without the executor,
+:meth:`~repro.workloads.cfg.Program.run` interprets the program in Python.
 """
 
 from __future__ import annotations
@@ -60,8 +65,15 @@ _SIGNATURES = (
     ("egskew_replay", (_INT64, *[_POINTER] * 5, ctypes.c_int, _POINTER)),
     ("bimode_replay", (_INT64, *[_POINTER] * 5)),
     ("yags_replay", (_INT64, *[_POINTER] * 7)),
+    ("fetch_geometry", (_INT64, *[_POINTER] * 4, ctypes.c_int,
+                        *[_POINTER] * 5)),
+    ("ghist_history", (_INT64, _POINTER, ctypes.c_int, _POINTER)),
+    ("lghist_history", (_INT64, *[_POINTER] * 3, ctypes.c_int, _INT64,
+                        ctypes.c_int, _POINTER)),
+    ("block_columns", (_INT64, _POINTER, _POINTER, _INT64,
+                       *[_POINTER] * 3)),
 )
-"""Argument types per replay kernel.  Every pointer, table descriptors
+"""Argument types per kernel.  Every pointer, table descriptors
 included, passes as a plain address: building ``ctypes.Structure`` types
 at import time measurably changes how much memory the process keeps
 resident."""

@@ -341,3 +341,157 @@ void yags_replay(int64_t n, const uint64_t *choice_idx,
         codes[i] = (uint8_t)(code | c << 1 | choice_arm << 5);
     }
 }
+
+/* ---- Trace-side materialization ------------------------------------------
+ *
+ * The front end's view of a trace (repro.traces.fetch.block_geometry) and
+ * the columns of a materialized VectorBatch (repro.history.providers), each
+ * one serial walk restating its scalar definition. */
+
+/* repro.traces.model: instruction bytes and TerminatorKind values. */
+#define INSTRUCTION_BYTES 4
+#define KIND_FALLTHROUGH 0
+#define KIND_CONDITIONAL 1
+/* repro.traces.fetch.FETCH_BLOCK_BYTES, repro.history.lghist's
+ * PATH_BIT_POSITION and the low bank seed bit of repro.ev8.banks. */
+#define FETCH_BLOCK_BYTES 32
+#define PATH_BIT_POSITION 4
+#define BANK_BIT_LOW 5
+
+/* repro.traces.fetch.block_geometry: build_fetch_blocks over `records`
+ * basic-block executions, line for line.  A fetch block ends at an aligned
+ * FETCH_BLOCK_BYTES boundary or on a taken terminator, and a trailing
+ * partial block is flushed at the end.  Writes sizes[0] = fetch blocks and
+ * sizes[1] = conditional branches; with `fill` it also writes, per branch,
+ * its PC, outcome and fetch-block ordinal, and per block its start address
+ * (arrays sized by a first, counting call). */
+void fetch_geometry(int64_t records, const uint64_t *starts,
+                    const uint16_t *counts, const uint8_t *kinds,
+                    const uint8_t *takens, int fill, int64_t *sizes,
+                    uint64_t *pcs, uint8_t *outcomes, int64_t *ordinals,
+                    uint64_t *block_starts)
+{
+    int64_t blocks = 0, branches = 0;
+    int open = 0;
+    uint64_t block_start = 0;
+    for (int64_t r = 0; r < records; r++) {
+        uint64_t start = starts[r];
+        uint64_t end = start + (uint64_t)counts[r] * INSTRUCTION_BYTES;
+        unsigned kind = kinds[r], taken = takens[r] != 0;
+        unsigned terminator_taken = kind == KIND_CONDITIONAL
+            ? taken : kind != KIND_FALLTHROUGH;
+        for (uint64_t pos = start; pos < end;) {
+            if (!open) {
+                open = 1;
+                block_start = pos;
+            }
+            uint64_t boundary = (pos & ~(uint64_t)(FETCH_BLOCK_BYTES - 1))
+                + FETCH_BLOCK_BYTES;
+            uint64_t chunk_end = boundary < end ? boundary : end;
+            int holds_terminator = chunk_end == end;
+            if (holds_terminator && kind == KIND_CONDITIONAL) {
+                if (fill) {
+                    pcs[branches] = end - INSTRUCTION_BYTES;
+                    outcomes[branches] = (uint8_t)taken;
+                    ordinals[branches] = blocks;
+                }
+                branches++;
+            }
+            pos = chunk_end;
+            if ((holds_terminator && terminator_taken)
+                    || chunk_end == boundary) {
+                if (fill)
+                    block_starts[blocks] = block_start;
+                blocks++;
+                open = 0;
+            }
+        }
+    }
+    if (open) {
+        if (fill)
+            block_starts[blocks] = block_start;
+        blocks++;
+    }
+    sizes[0] = blocks;
+    sizes[1] = branches;
+}
+
+static inline uint64_t history_mask(int capacity)
+{
+    return capacity >= 64 ? ~(uint64_t)0 : ((uint64_t)1 << capacity) - 1;
+}
+
+/* BranchGhistProvider's history column: branch i sees the outcomes of the
+ * branches before it, shifted into a `capacity`-bit register (bit 0 the
+ * youngest; GlobalHistoryRegister). */
+void ghist_history(int64_t n, const uint8_t *takens, int capacity,
+                   uint64_t *history)
+{
+    uint64_t mask = history_mask(capacity), value = 0;
+    for (int64_t i = 0; i < n; i++) {
+        history[i] = value;
+        value = ((value << 1) | (takens[i] != 0)) & mask;
+    }
+}
+
+/* BlockLghistProvider's history column (LghistRegister).  Every fetch
+ * block holding a branch inserts one bit: its last branch's outcome, XOR
+ * PC bit 4 with `include_path`.  The register's FIFO of `delay` pending
+ * blocks shifts block a's bit in when block a + delay is pushed, so it is
+ * visible from block a + delay + 1 on; blocks without branches hold a FIFO
+ * slot but insert nothing, so they never appear here.  Branches of one
+ * block share its history, since ordinals never decrease. */
+void lghist_history(int64_t n, const uint64_t *pcs, const uint8_t *takens,
+                    const int64_t *ordinals, int include_path, int64_t delay,
+                    int capacity, uint64_t *history)
+{
+    uint64_t mask = history_mask(capacity), visible = 0;
+    int64_t aged = 0; /* first branch of the next block to age in */
+    for (int64_t i = 0; i < n;) {
+        int64_t block = ordinals[i];
+        while (aged < i && ordinals[aged] < block - delay) {
+            int64_t last = aged;
+            while (ordinals[last + 1] == ordinals[aged])
+                last++;
+            uint64_t bit = takens[last] != 0;
+            if (include_path)
+                bit ^= (pcs[last] >> PATH_BIT_POSITION) & 1;
+            visible = ((visible << 1) | bit) & mask;
+            aged = last + 1;
+        }
+        for (; i < n && ordinals[i] == block; i++)
+            history[i] = visible;
+    }
+}
+
+/* The per-branch block columns of a materialized batch: path row `age`
+ * (row-major, depth x n) holds the start of the block age + 1 before the
+ * branch's (0 before the first block; PathRegister), `address` the start of
+ * its own block, and `bank` its block's bank number, the serial
+ * repro.ev8.banks.bank_number rule from the architected start-up state
+ * (BankNumberGenerator).  `address` and `bank` may be NULL. */
+void block_columns(int64_t n, const int64_t *ordinals,
+                   const uint64_t *block_starts, int64_t depth,
+                   uint64_t *path, uint64_t *address, uint64_t *bank)
+{
+    uint64_t y = 0, z = 0, previous = 0;
+    int64_t next = 0; /* the next block the bank stream reaches */
+    for (int64_t i = 0; i < n; i++) {
+        int64_t block = ordinals[i];
+        for (int64_t age = 0; age < depth; age++) {
+            int64_t source = block - 1 - age;
+            path[age * n + i] = source >= 0 ? block_starts[source] : 0;
+        }
+        if (address)
+            address[i] = block_starts[block];
+        if (bank) {
+            for (; next <= block; next++) {
+                uint64_t seed = (y >> BANK_BIT_LOW) & 3;
+                previous = seed == previous ? seed ^ 1 : seed;
+                y = z;
+                z = block_starts[next];
+            }
+            bank[i] = previous;
+        }
+    }
+}

@@ -12,9 +12,13 @@ Key scheme
 ``result_key`` feeds one SHA-256 with:
 
 * the **simulator code** — a digest of the semantics-bearing sources
-  (``predictors/``, ``common/``, ``history/``, ``indexing/``, ``ev8/`` and
-  ``sim/engine.py``), so editing a kernel or the update policy re-keys
-  every result instead of replaying counts the old code produced;
+  (``predictors/``, ``common/``, ``history/``, ``indexing/``, ``ev8/``,
+  ``kernels/`` with its C source, ``sim/engine.py`` and
+  ``traces/fetch.py``), so editing a kernel or the update policy re-keys
+  every result instead of replaying counts the old code produced.
+  ``kernels/replay.c`` holds the trace-side materialization walks as well
+  as the replay kernels, so an edit to either re-keys every cached result
+  once: the first run after it re-simulates;
 * the **predictor** — structural fingerprint of the live object: type
   name plus every attribute, recursively (table sizes, history lengths,
   update policy, index-scheme parameters, and the counter tables, so
@@ -100,10 +104,12 @@ simulation computes: the Python modules and the C replay kernels in each
 directory, and the named files.  Their digest salts every result key."""
 
 
-def _semantic_files() -> list[str]:
-    """Package-relative paths of every semantics-bearing source, sorted."""
+def _semantic_files(entries: tuple[str, ...] = _SEMANTIC_SOURCES
+                    ) -> list[str]:
+    """Package-relative paths of every source ``entries`` names (the
+    ``.py`` and ``.c`` files under a directory, or a file), sorted."""
     files = []
-    for entry in _SEMANTIC_SOURCES:
+    for entry in entries:
         path = _PACKAGE_ROOT / entry
         if path.is_dir():
             files.extend(found for pattern in ("*.py", "*.c")
@@ -115,16 +121,18 @@ def _semantic_files() -> list[str]:
 
 
 @functools.cache
-def _source_digest() -> bytes:
-    """SHA-256 over the semantics-bearing sources, computed once per process.
+def _source_digest(entries: tuple[str, ...] = _SEMANTIC_SOURCES) -> bytes:
+    """SHA-256 over the sources ``entries`` names (by default the
+    semantics-bearing ones), computed once per process.
 
     Each file contributes its package-relative path and its bytes, in sorted
     path order, so editing, adding, renaming or deleting any of them
     re-keys every result: a cache can never answer with a count that older
-    simulator code produced.
+    simulator code produced.  :class:`repro.traces.io.TraceCache` salts its
+    keys the same way with the trace generator's sources.
     """
     hasher = hashlib.sha256()
-    for relative in _semantic_files():
+    for relative in _semantic_files(entries):
         data = (_PACKAGE_ROOT / relative).read_bytes()
         hasher.update(relative.encode() + b"\x00" + str(len(data)).encode()
                       + b":")

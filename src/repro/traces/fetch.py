@@ -25,6 +25,7 @@ import weakref
 
 import numpy as np
 
+from repro import kernels
 from repro.traces.model import (
     INSTRUCTION_BYTES,
     TerminatorKind,
@@ -176,63 +177,28 @@ def _geometry_from_blocks(trace: Trace) -> tuple[np.ndarray, ...]:
 
 
 def _compute_block_geometry(trace: Trace) -> tuple[np.ndarray, ...]:
-    """Vectorized :func:`_geometry_from_blocks`.
-
-    Relies on the invariant :func:`build_fetch_blocks` documents: the
-    basic-block stream is contiguous in the address space except across
-    taken control transfers.  Then the address stream decomposes into
-    contiguous *segments* delimited by taken terminators (and end of trace),
-    and every fetch block within a segment is an aligned
-    ``FETCH_BLOCK_BYTES`` chunk, so block counts, block start addresses and
-    each branch's block ordinal are pure chunk arithmetic.  A trace that
-    breaks the invariant is walked block by block instead, since the walk
-    defines the semantics there.
-    """
-    starts = trace.starts
-    ends = starts + trace.num_instructions.astype(np.uint64) \
-        * np.uint64(INSTRUCTION_BYTES)
-    conditional = trace.kinds == int(TerminatorKind.CONDITIONAL)
-    fallthrough = trace.kinds == int(TerminatorKind.FALLTHROUGH)
-    terminator_taken = np.where(conditional, trace.takens, ~fallthrough)
-    if len(trace) == 0 or np.any(~terminator_taken[:-1]
-                                 & (starts[1:] != ends[:-1])):
+    """:func:`block_geometry` by the compiled walk (``fetch_geometry`` in
+    ``kernels/replay.c``, a port of :func:`build_fetch_blocks` that counts
+    blocks and branches in one pass and fills the columns in a second), or
+    by :func:`_geometry_from_blocks` when the compiled tier is
+    unavailable."""
+    if not kernels.available():
         return _geometry_from_blocks(trace)
-
-    # Segment = maximal run of records ending at a taken terminator (or the
-    # end of the trace).
-    seg_last = terminator_taken.copy()
-    seg_last[-1] = True
-    seg_first = np.empty_like(seg_last)
-    seg_first[0] = True
-    seg_first[1:] = seg_last[:-1]
-    segment_of_record = np.cumsum(seg_first) - 1
-    seg_start = starts[seg_first]
-    seg_end = ends[seg_last]
-
-    # Chunk arithmetic: fetch blocks of a segment are its aligned chunks.
-    chunk_shift = np.uint64(FETCH_BLOCK_BYTES.bit_length() - 1)
-    first_chunk = seg_start >> chunk_shift
-    last_chunk = (seg_end - np.uint64(1)) >> chunk_shift
-    blocks_per_segment = (last_chunk - first_chunk + np.uint64(1)).astype(np.int64)
-    block_base = np.zeros(len(blocks_per_segment), dtype=np.int64)
-    np.cumsum(blocks_per_segment[:-1], out=block_base[1:])
-
-    total_blocks = int(block_base[-1] + blocks_per_segment[-1])
-    segment_of_block = np.repeat(np.arange(len(block_base)), blocks_per_segment)
-    chunk_in_segment = np.arange(total_blocks) - block_base[segment_of_block]
-    block_starts = (first_chunk[segment_of_block]
-                    + chunk_in_segment.astype(np.uint64)) << chunk_shift
-    np.copyto(block_starts, seg_start[segment_of_block],
-              where=chunk_in_segment == 0)
-
-    # One branch per conditional record: the terminator instruction.
-    pcs = ends[conditional] - np.uint64(INSTRUCTION_BYTES)
-    takens = trace.takens[conditional]
-    branch_segment = segment_of_record[conditional]
-    ordinals = (block_base[branch_segment]
-                + (pcs >> chunk_shift).astype(np.int64)
-                - first_chunk[branch_segment].astype(np.int64))
-    return pcs, takens, ordinals, block_starts
+    walk = kernels.require().fetch_geometry
+    columns = [kernels.stream(column, dtype)
+               for column, dtype in ((trace.starts, np.uint64),
+                                     (trace.num_instructions, np.uint16),
+                                     (trace.kinds, np.uint8),
+                                     (trace.takens, np.bool_))]
+    records = [column.ctypes.data for column in columns]
+    sizes = np.zeros(2, dtype=np.int64)
+    walk(len(trace), *records, 0, sizes.ctypes.data, None, None, None, None)
+    blocks, branches = sizes.tolist()
+    geometry = (np.empty(branches, np.uint64), np.empty(branches, np.bool_),
+                np.empty(branches, np.int64), np.empty(blocks, np.uint64))
+    walk(len(trace), *records, 1, sizes.ctypes.data,
+         *(column.ctypes.data for column in geometry))
+    return geometry
 
 
 _GEOMETRY_CACHE: "weakref.WeakKeyDictionary[Trace, tuple]" = (

@@ -3,8 +3,9 @@
 Traces are stored as compressed ``.npz`` files (one array per
 :class:`~repro.traces.model.Trace` field).  Synthetic workload generation is
 deterministic but not free, so :class:`TraceCache` memoises generated traces
-on disk keyed by ``(name, version, parameters digest)``; experiments and
-benches share one cache directory and regenerate only on a key miss.
+on disk keyed by ``(name, version, parameters digest)`` and salted with a
+digest of the generator's sources (:data:`GENERATOR_SOURCES`); experiments
+and benches share one cache directory and regenerate only on a key miss.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 from repro.obs import NullTelemetry, get_telemetry
 from repro.traces.model import Trace
 
-__all__ = ["TRACE_COLUMNS", "trace_columns", "save_trace", "load_trace",
-           "TraceCache", "default_cache_dir"]
+__all__ = ["TRACE_COLUMNS", "GENERATOR_SOURCES", "trace_columns",
+           "save_trace", "load_trace", "TraceCache", "default_cache_dir"]
 
 _FORMAT_VERSION = 1
 
@@ -65,6 +66,19 @@ def load_trace(path: str | os.PathLike) -> Trace:
             data["takens"],
             data["next_starts"],
         )
+
+
+GENERATOR_SOURCES = ("workloads", "traces/model.py", "common/rng.py")
+"""Sources (relative to the ``repro`` package) that decide what a generated
+trace holds; their digest salts every :class:`TraceCache` file name, so a
+generator edit never loads a trace the older generator wrote."""
+
+
+def _generator_digest() -> bytes:
+    """SHA-256 of :data:`GENERATOR_SOURCES`, computed once per process."""
+    # Imported here: repro.sim imports repro.traces.
+    from repro.sim.result_cache import _source_digest
+    return _source_digest(GENERATOR_SOURCES)
 
 
 def default_cache_dir() -> Path:
@@ -131,7 +145,7 @@ class TraceCache:
             if sink.enabled:
                 sink.count("trace_cache.memory_hits")
             return trace
-        path = self.directory / f"{key}.npz"
+        path = self.directory / f"{key}-{_generator_digest().hex()[:16]}.npz"
         corrupt = False
         if path.exists():
             try:

@@ -1,9 +1,11 @@
 """Tests for EV8 fetch-block construction (Section 2 semantics)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.traces import fetch
 from repro.traces.fetch import (
     FETCH_BLOCK_BYTES,
     FETCH_BLOCK_INSTRUCTIONS,
@@ -15,6 +17,22 @@ from repro.traces.fetch import (
 from repro.traces.stats import compute_statistics
 from repro.traces.model import TerminatorKind, TraceBuilder
 from repro.workloads.spec95 import spec95_trace
+
+
+def walk_tripwire(trace):
+    raise AssertionError("block_geometry walked the FetchBlock objects")
+
+
+def assert_geometry_matches_walk(trace):
+    """The compiled geometry, with the Python walk made to fail, against
+    that walk."""
+    expected = _geometry_from_blocks(trace)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fetch, "_geometry_from_blocks", walk_tripwire)
+        got = block_geometry(trace)
+    for column, reference in zip(got, expected, strict=True):
+        assert column.dtype == reference.dtype
+        np.testing.assert_array_equal(column, reference)
 
 
 def trace_of(*blocks):
@@ -159,31 +177,25 @@ class TestInvariants:
 
 
 class TestBlockGeometry:
-    """The vectorized geometry against the fetch-block walk it replaces."""
-
-    @staticmethod
-    def _assert_matches_walk(trace):
-        for got, expected in zip(block_geometry(trace),
-                                 _geometry_from_blocks(trace)):
-            assert got.dtype == expected.dtype
-            np.testing.assert_array_equal(got, expected)
+    """The compiled geometry (``fetch_geometry`` in ``kernels/replay.c``)
+    against the fetch-block walk it ports."""
 
     @given(consistent_traces())
     @settings(max_examples=60, deadline=None)
     def test_matches_block_walk(self, trace):
-        self._assert_matches_walk(trace)
+        assert_geometry_matches_walk(trace)
 
     def test_discontiguous_trace_is_walked(self):
-        # A not-taken branch whose successor starts elsewhere breaks the
-        # contiguity the chunk arithmetic relies on.
+        # A not-taken branch whose successor starts elsewhere: the open
+        # fetch block runs on at the new address, as the walk defines.
         trace = trace_of((0x1000, 3, TerminatorKind.CONDITIONAL, False,
                           0x100C),
                          (0x2000, 2, TerminatorKind.CONDITIONAL, True,
                           0x1000))
-        self._assert_matches_walk(trace)
+        assert_geometry_matches_walk(trace)
 
     def test_spec_trace_matches_block_walk(self):
-        self._assert_matches_walk(spec95_trace("gcc", 5000))
+        assert_geometry_matches_walk(spec95_trace("gcc", 5000))
 
     @given(consistent_traces())
     @settings(max_examples=30, deadline=None)

@@ -148,3 +148,53 @@ def test_no_compiler_falls_back_to_scalar(name, gcc_trace, cache_home,
     with pytest.raises(RuntimeError, match="unavailable"):
         kernels.require()
     assert not cache_home.exists() or list(cache_home.iterdir()) == []
+
+
+def test_no_compiler_walks_the_trace_side_in_python(monkeypatch):
+    """Without gcc, Table 2's statistics come from the fetch-block walk
+    unchanged, no provider materializes, and a batched run or a parallel
+    sweep falls back to the scalar counts."""
+    from repro.history.providers import ev8_info_provider
+    from repro.sim.scheduler import shutdown_schedulers
+    from repro.sim.sweep import sweep, sweep_parallel
+    from repro.traces import fetch
+    from repro.traces.stats import compute_statistics
+    from test_sweep_fabric import fresh_traces
+    from tests_support_sweep import history_predictor
+
+    compiled = compute_statistics(fresh_traces()["gcc"])
+    monkeypatch.setattr(kernels, "_find_compiler", lambda: None)
+    kernels._load.cache_clear()
+    walked = []
+    walk = fetch._geometry_from_blocks
+    monkeypatch.setattr(fetch, "_geometry_from_blocks",
+                        lambda trace: walked.append(trace) or walk(trace))
+    traces = fresh_traces()
+    trace = traces["gcc"]
+    assert compute_statistics(trace) == compiled
+    assert walked == [trace]
+    assert BranchGhistProvider().materialize(trace) is None
+    assert ev8_info_provider().materialize(trace) is None
+
+    sink = Telemetry()
+    result = BatchedEngine().run(EV8BranchPredictor(), trace,
+                                 ev8_info_provider(), telemetry=sink)
+    assert result.engine == "scalar"
+    assert sink.snapshot()["counters"]["engine.batched_fallbacks"] == 1
+    reference = ScalarEngine().run(EV8BranchPredictor(), trace,
+                                   ev8_info_provider())
+    assert result.mispredictions == reference.mispredictions
+
+    # A cold pool, so its workers fork without a compiler too, and none of
+    # them outlives the patch.
+    shutdown_schedulers()
+    try:
+        parallel = sweep_parallel(history_predictor, [4, 8], traces,
+                                  ev8_info_provider, engine="batched",
+                                  max_workers=2, use_cache=False)
+    finally:
+        shutdown_schedulers()
+    serial = sweep(history_predictor, [4, 8], fresh_traces(),
+                   ev8_info_provider, engine="scalar", use_cache=False)
+    assert [point.per_benchmark for point in parallel] \
+        == [point.per_benchmark for point in serial]

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import simple_loop_trace
+from repro import kernels
 from repro.history.providers import (
     BlockLghistProvider,
     BranchGhistProvider,
@@ -10,6 +11,7 @@ from repro.history.providers import (
 )
 from repro.traces import fetch
 from repro.traces.fetch import FetchBlock, fetch_blocks_for
+from test_fetch_blocks import walk_tripwire
 
 
 def make_block(start, branch_pcs, branch_outcomes, ended_taken=True):
@@ -234,16 +236,19 @@ class TestGhistMaterialize:
 
 def test_each_trace_geometry_is_computed_once(monkeypatch):
     """Every provider, and Table 2's statistics, share one fetch-block
-    geometry per trace."""
+    geometry per trace, built by the compiled walk (a counting pass and a
+    filling pass), never by walking the FetchBlock objects."""
     from repro.traces.stats import compute_statistics
+    library = kernels.require()
     calls = []
-    compute = fetch._compute_block_geometry
-    monkeypatch.setattr(fetch, "_compute_block_geometry",
-                        lambda trace: calls.append(trace) or compute(trace))
+    walk = library.fetch_geometry
+    monkeypatch.setattr(library, "fetch_geometry",
+                        lambda *args: calls.append(args[0]) or walk(*args))
+    monkeypatch.setattr(fetch, "_geometry_from_blocks", walk_tripwire)
     trace = simple_loop_trace(300, taken_pattern=(True, False))
     for provider in (ev8_info_provider(),
                      BlockLghistProvider(include_path=False, delay_blocks=3),
                      BranchGhistProvider()):
         assert provider.materialize(trace) is not None
     compute_statistics(trace)
-    assert calls == [trace]
+    assert calls == [len(trace)] * 2

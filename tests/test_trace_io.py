@@ -1,8 +1,14 @@
 """Tests for trace serialisation and caching."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from repro.sim import result_cache
+from repro.traces import io
 from repro.traces.io import TraceCache, load_trace, save_trace
 from repro.traces.model import TerminatorKind, TraceBuilder
 
@@ -130,3 +136,43 @@ class TestCache:
         cache.clear_memory()
         cache.get_or_generate("demo", {"n": 3}, generate)
         assert len(calls) == 1  # reloaded from disk, not regenerated
+
+
+class TestGeneratorSalt:
+    """A trace cache entry is keyed by the generator's sources too, so an
+    edit to the generator never serves a trace the older code wrote."""
+
+    def test_digest_covers_the_generator_sources(self):
+        files = result_cache._semantic_files(io.GENERATOR_SOURCES)
+        for source in ("workloads/generator.py", "workloads/executor.c",
+                       "traces/model.py", "common/rng.py"):
+            assert source in files
+        assert "traces/fetch.py" not in files
+
+    def test_changed_generator_digest_misses(self, tmp_path, monkeypatch):
+        calls = []
+
+        def generate():
+            calls.append(1)
+            return demo_trace()
+
+        TraceCache(tmp_path).get_or_generate("demo", {"n": 3}, generate)
+        monkeypatch.setattr(io, "_generator_digest", lambda: bytes(32))
+        TraceCache(tmp_path).get_or_generate("demo", {"n": 3}, generate)
+        assert len(calls) == 2
+        assert len(list(tmp_path.glob("*.npz"))) == 2
+
+    def test_unchanged_tree_hits_from_a_second_process(self, tmp_path):
+        TraceCache(tmp_path).get_or_generate("demo", {"n": 3}, demo_trace)
+        code = ("import sys\n"
+                "from repro.traces.io import TraceCache\n"
+                "def refuse():\n"
+                "    raise AssertionError('regenerated a cached trace')\n"
+                "trace = TraceCache(sys.argv[1]).get_or_generate(\n"
+                "    'demo', {'n': 3}, refuse)\n"
+                "print(trace.conditional_count)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             env=env, check=True, capture_output=True,
+                             text=True).stdout
+        assert out.strip() == "2"
