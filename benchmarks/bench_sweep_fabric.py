@@ -1,10 +1,10 @@
 """End-to-end sweep throughput: persistent pool + trace-major work units.
 
 The gate: a Table-1-sized EV8 history sweep (>= 12 points over 4 SPEC95
-stand-in traces) through ``sweep_parallel`` — each trace materialized
-once in the caller, persistent pool, trace-major ``(point, trace)`` work
-units that carry the trace and its batch — must beat a reproduction of
-the whole-point orchestration (fresh default ``ProcessPoolExecutor``,
+stand-in traces) through ``sweep_parallel`` — persistent pool, trace-major
+``(point, trace)`` work units that carry only their trace, each worker
+materializing once per chunk and trace — must beat a reproduction of the
+whole-point orchestration (fresh default ``ProcessPoolExecutor``,
 whole-point tasks that pickle every trace and re-materialize its
 information vectors in every task) by **>= 1.1x end-to-end wall-clock**,
 while producing **bit-identical** ``SweepPoint.per_benchmark`` values.
@@ -29,7 +29,8 @@ from repro.ev8.predictor import EV8BranchPredictor
 from repro.history.providers import ev8_info_provider
 from repro.obs import Telemetry
 from repro.predictors.twobcgskew import TableConfig
-from repro.sim.sweep import _evaluate_point, sweep, sweep_parallel
+from repro.sim.driver import simulate
+from repro.sim.sweep import sweep, sweep_parallel
 from repro.traces.model import Trace
 from repro.workloads.spec95 import default_trace_branches, spec95_trace
 
@@ -58,17 +59,24 @@ def _fresh_traces(branches: int) -> dict[str, Trace]:
     return out
 
 
+def _whole_point(value: int, traces: dict[str, Trace]) -> dict[str, float]:
+    """One legacy task: every trace of one sweep point, simulated serially
+    in the worker (module-level so the pool can pickle it)."""
+    return {name: simulate(table1_predictor(value), trace,
+                           ev8_info_provider(), engine="batched",
+                           use_cache=False).misp_per_ki
+            for name, trace in traces.items()}
+
+
 def _legacy_sweep_parallel(values, traces):
     """The whole-point orchestration, reproduced: one fresh default-context
     pool per sweep and one whole-point task per value (each task receives a
     pickled copy of every trace and re-materializes each trace's planes),
     on the same ``batched`` engine as the fabric arm."""
     with ProcessPoolExecutor(max_workers=MAX_WORKERS) as pool:
-        futures = [pool.submit(_evaluate_point, table1_predictor, value,
-                               traces, ev8_info_provider, "batched",
-                               False, False)
+        futures = [pool.submit(_whole_point, value, traces)
                    for value in values]
-        return [future.result()[0] for future in futures]
+        return [future.result() for future in futures]
 
 
 def test_sweep_fabric_speedup(benchmark):
@@ -106,9 +114,8 @@ def test_sweep_fabric_speedup(benchmark):
              f"speedup {speedup:.2f}x (gate: >= 1.1x)"]
     emit("\n".join(lines), "bench_sweep_fabric")
 
-    assert [p.value for p in fabric] == [p.value for p in legacy]
-    assert [p.per_benchmark for p in fabric] \
-        == [p.per_benchmark for p in legacy], \
+    assert [p.value for p in fabric] == SWEEP_VALUES
+    assert [p.per_benchmark for p in fabric] == legacy, \
         "fabric sweep is not bit-identical to the legacy orchestration"
     assert speedup >= 1.1, (
         f"fabric sweep only {speedup:.2f}x faster "

@@ -30,8 +30,7 @@ from repro.traces.fetch import FetchBlock, block_geometry
 from repro.traces.model import Trace
 
 __all__ = ["InfoVector", "VectorBatch", "HistoryProvider",
-           "BranchGhistProvider", "BlockLghistProvider", "ev8_info_provider",
-           "seed_plane_cache"]
+           "BranchGhistProvider", "BlockLghistProvider", "ev8_info_provider"]
 
 
 class InfoVector:
@@ -127,54 +126,89 @@ class HistoryProvider:
     def materialize(self, trace: Trace) -> VectorBatch | None:
         """Bulk-produce the whole trace's vectors as a :class:`VectorBatch`.
 
-        Returns ``None`` when this provider cannot materialize (the batched
-        engine then falls back to the scalar path).  Materialization starts
-        from reset register state, matching a fresh provider instance.
+        Returns ``None`` when this provider cannot materialize or the
+        compiled tier is missing (the batched engine then falls back to the
+        scalar path).  Materialization starts from reset register state,
+        matching a fresh provider instance.  Batches are cached per trace
+        under :meth:`plane_key`, so sweeps (many predictors, one trace) pay
+        the walk once.
         """
-        return None
+        key = self.plane_key()
+        if key is None:
+            return None
+        per_trace = _MATERIALIZED.setdefault(trace, {})
+        batch = per_trace.get(key)
+        if batch is None and kernels.available():
+            # Orchestration accounting, not simulation semantics: counted in
+            # the process-global sink of whichever process computes, never
+            # in the engine's per-run sink, so serial and parallel sweeps
+            # merge identical counters (scope one with ``use_telemetry``).
+            sink = get_telemetry(None)
+            if sink.enabled:
+                sink.count("provider.materialize_computed")
+            batch = per_trace[key] = self._batch(trace)
+        return batch
 
     def plane_key(self) -> tuple | None:
         """Hashable configuration key for a materialized batch.
 
-        A materialized batch is a pure function of (trace, this key), so a
-        parallel sweep materializes it once in the calling process, ships
-        it to the workers with the trace, and they adopt it into the
-        module-level materialization caches via :func:`seed_plane_cache`.
-        ``None`` means this provider's batches cannot be keyed (e.g. it
-        cannot materialize at all), and workers materialize for themselves.
+        A materialized batch is a pure function of (trace, this key), so
+        :meth:`materialize` caches it per trace under this key.  ``None``
+        means this provider cannot materialize at all (histories wider
+        than a ``uint64`` column, or no vectorized walk).
         """
         return None
 
+    def _batch(self, trace: Trace) -> VectorBatch:
+        """The uncached columns behind :meth:`materialize` (called only
+        with the compiled tier loaded and a non-``None`` plane key)."""
+        raise NotImplementedError
 
-def _block_columns(ordinals: np.ndarray, starts: np.ndarray, depth: int,
-                   banked: bool) -> tuple[np.ndarray, ...]:
+
+_MATERIALIZED: WeakKeyDictionary = WeakKeyDictionary()
+"""Per trace, every materialized batch keyed by its provider's
+:meth:`~HistoryProvider.plane_key`, and the shared block columns keyed by
+``("block_columns", path_depth)``.
+
+Each entry is a pure function of the trace and its key; cached columns are
+marked read-only because every consumer shares them.
+"""
+
+
+def _block_columns(trace: Trace, depth: int,
+                   banked: bool) -> tuple[np.ndarray | None, ...]:
     """Read-only ``(path, address, bank)`` columns per branch from its
     fetch-block ordinal (``block_columns`` in ``kernels/replay.c``):
     previous block starts, the branch's own block start and that block's
-    bank number.  ``address`` and ``bank`` are ``None`` unless
-    ``banked``."""
-    n = len(ordinals)
-    path = np.empty((depth, n), dtype=np.uint64)
-    address, bank = ((np.empty(n, dtype=np.uint64),
-                      np.empty(n, dtype=np.uint64)) if banked
-                     else (None, None))
-    kernels.require().block_columns(
-        n, ordinals.ctypes.data, starts.ctypes.data, depth, path.ctypes.data,
-        *(None if column is None else column.ctypes.data
-          for column in (address, bank)))
-    for column in (path, address, bank):
-        if column is not None:
-            column.setflags(write=False)  # cached batches are shared
+    bank number.  ``address`` and ``bank`` are ``None`` unless ``banked``.
+
+    Memoised per (trace, path depth), so every provider configuration of
+    that depth reads the same arrays and the kernel builds each column
+    once.  The banked columns are built only when a banked caller first
+    asks, so a trace read only through per-branch ghist never holds them.
+    """
+    per_trace = _MATERIALIZED.setdefault(trace, {})
+    key = ("block_columns", depth)
+    path, address, bank = per_trace.get(key, (None, None, None))
+    new_path, new_banks = path is None, banked and bank is None
+    if new_path or new_banks:
+        _, _, ordinals, starts = block_geometry(trace)
+        n = len(ordinals)
+        if new_path:
+            path = np.empty((depth, n), dtype=np.uint64)
+        if new_banks:
+            address = np.empty(n, dtype=np.uint64)
+            bank = np.empty(n, dtype=np.uint64)
+        kernels.require().block_columns(
+            n, ordinals.ctypes.data, starts.ctypes.data,
+            depth if new_path else 0, path.ctypes.data if new_path else None,
+            *(column.ctypes.data if new_banks else None
+              for column in (address, bank)))
+        for column in (path, address, bank):
+            if column is not None:
+                column.setflags(write=False)  # cached columns are shared
+        per_trace[key] = (path, address, bank)
     return path, address, bank
-
-
-_GHIST_BATCH_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-"""Materialized ghist batches per trace, keyed by (capacity, path_depth).
-
-Materialization is a pure function of the trace and those two parameters,
-so sweeps (many predictors, one trace) pay the block walk once; the cached
-columns are marked read-only because every consumer shares them.
-"""
 
 
 class BranchGhistProvider(HistoryProvider):
@@ -207,36 +241,29 @@ class BranchGhistProvider(HistoryProvider):
 
     def plane_key(self) -> tuple | None:
         if self._history.capacity > 64:
-            return None  # cannot materialize, so nothing to share
+            return None  # histories no longer fit a uint64 column
         return ("ghist", self._history.capacity, self._path.depth)
 
-    def materialize(self, trace: Trace) -> VectorBatch | None:
+    # Bound in the class itself so that each provider's materialize can
+    # be wrapped on its own (perfbench's tracer times it per class).
+    materialize = HistoryProvider.materialize
+
+    def _batch(self, trace: Trace) -> VectorBatch:
         """Whole-trace ghist vectors, bit-identical to the scalar walk.
 
         Per-branch global history is a shift register of the previous
         outcomes (``ghist_history``); the path columns are previous
-        fetch-block start addresses (:func:`_block_columns`).  ``None``
-        without the compiled tier.
+        fetch-block start addresses (:func:`_block_columns`).
         """
-        capacity = self._history.capacity
-        if capacity > 64:
-            return None  # histories no longer fit a uint64 column
-        key = (capacity, self._path.depth)
-        cached = _GHIST_BATCH_CACHE.setdefault(trace, {}).get(key)
-        if cached is not None or not kernels.available():
-            return cached
-        _count_materialize_computed()
-        pcs, takens, ordinals, starts = block_geometry(trace)
+        pcs, takens, _, _ = block_geometry(trace)
         history = np.empty(len(pcs), dtype=np.uint64)
         kernels.require().ghist_history(len(pcs), takens.ctypes.data,
-                                        capacity, history.ctypes.data)
+                                        self._history.capacity,
+                                        history.ctypes.data)
         history.setflags(write=False)  # cached batches are shared
-        path, _, _ = _block_columns(ordinals, starts, self._path.depth,
-                                    banked=False)
-        batch = VectorBatch(history=history, address=pcs, branch_pc=pcs,
-                            path=path, takens=takens)
-        _GHIST_BATCH_CACHE[trace][key] = batch
-        return batch
+        path, _, _ = _block_columns(trace, self._path.depth, banked=False)
+        return VectorBatch(history=history, address=pcs, branch_pc=pcs,
+                           path=path, takens=takens)
 
 
 class BlockLghistProvider(HistoryProvider):
@@ -289,98 +316,32 @@ class BlockLghistProvider(HistoryProvider):
     def plane_key(self) -> tuple | None:
         register = self._lghist
         if register.capacity > 64:
-            return None  # cannot materialize, so nothing to share
+            return None  # histories no longer fit a uint64 column
         return ("lghist", register.include_path, register.delay_blocks,
                 register.capacity, self._path.depth)
 
-    def materialize(self, trace: Trace) -> VectorBatch | None:
+    materialize = HistoryProvider.materialize  # see BranchGhistProvider
+
+    def _batch(self, trace: Trace) -> VectorBatch:
         """Whole-trace lghist vectors, bit-identical to the scalar walk.
 
         The history column is :class:`LghistRegister` walked over the
         branch-holding fetch blocks (``lghist_history``).  Path, address and
         bank columns are per-block values gathered per branch
-        (:func:`_block_columns`), shared by every cached configuration of
-        the same path depth.  ``None`` without the compiled tier.
+        (:func:`_block_columns`).
         """
         register = self._lghist
-        if register.capacity > 64:
-            return None  # histories no longer fit a uint64 column
-        key = (register.include_path, register.delay_blocks,
-               register.capacity, self._path.depth)
-        per_trace = _LGHIST_BATCH_CACHE.setdefault(trace, {})
-        cached = per_trace.get(key)
-        if cached is not None or not kernels.available():
-            return cached
-        _count_materialize_computed()
-        pcs, takens, ordinals, starts = block_geometry(trace)
+        pcs, takens, ordinals, _ = block_geometry(trace)
         history = np.empty(len(pcs), dtype=np.uint64)
         kernels.require().lghist_history(
             len(pcs), pcs.ctypes.data, takens.ctypes.data, ordinals.ctypes.data,
             register.include_path, register.delay_blocks, register.capacity,
             history.ctypes.data)
         history.setflags(write=False)  # cached batches are shared
-        sibling = next((other for (*_, depth), other in per_trace.items()
-                        if depth == self._path.depth), None)
-        if sibling is not None:
-            path, address, bank = sibling.path, sibling.address, sibling.bank
-        else:
-            path, address, bank = _block_columns(ordinals, starts,
-                                                 self._path.depth, banked=True)
-        batch = VectorBatch(history=history, address=address, branch_pc=pcs,
-                            path=path, takens=takens, bank=bank)
-        per_trace[key] = batch
-        return batch
-
-
-_LGHIST_BATCH_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-"""Materialized lghist batches per trace, keyed by (include_path,
-delay_blocks, capacity, path_depth) — the full provider configuration."""
-
-
-def _count_materialize_computed() -> None:
-    """Record one *actual* materialization compute into the process-global
-    telemetry sink (cache hits and :func:`seed_plane_cache` adoptions never
-    reach here).
-
-    The counter is orchestration accounting rather than simulation
-    semantics, so it deliberately bypasses the engine's per-run sink: the
-    sweep layer's serial == parallel merged-counter invariant covers the
-    simulation namespaces, while ``provider.materialize_computed`` depends
-    on which process did the work — tests wrap sweeps in
-    :func:`repro.obs.use_telemetry` to observe it.
-    """
-    sink = get_telemetry(None)
-    if sink.enabled:
-        sink.count("provider.materialize_computed")
-
-
-def seed_plane_cache(plane_key: tuple, trace: Trace, batch: VectorBatch) -> bool:
-    """Adopt an externally materialized batch into the module-level cache.
-
-    ``plane_key`` must be a key produced by
-    :meth:`HistoryProvider.plane_key`; ``batch`` must hold the columns that
-    materializing ``trace`` under that configuration would produce
-    (``sweep_parallel`` guarantees this by construction: it ships each
-    batch with the key of the provider that materialized it, next to the
-    trace it came from).  Returns ``True`` if the batch was adopted,
-    ``False`` if the key is unknown or the cache already holds an entry
-    (an existing entry always wins — it was materialized locally and is
-    bit-identical by the same purity argument).
-    """
-    if not plane_key:
-        return False
-    if plane_key[0] == "ghist":
-        cache = _GHIST_BATCH_CACHE
-    elif plane_key[0] == "lghist":
-        cache = _LGHIST_BATCH_CACHE
-    else:
-        return False
-    per_trace = cache.setdefault(trace, {})
-    key = tuple(plane_key[1:])
-    if key in per_trace:
-        return False
-    per_trace[key] = batch
-    return True
+        path, address, bank = _block_columns(trace, self._path.depth,
+                                             banked=True)
+        return VectorBatch(history=history, address=address, branch_pc=pcs,
+                           path=path, takens=takens, bank=bank)
 
 
 def ev8_info_provider(capacity: int = 64) -> BlockLghistProvider:

@@ -18,9 +18,10 @@ simulation stack records into:
 
 Sinks serialize to JSON and CSV (:meth:`Telemetry.to_json` /
 :meth:`Telemetry.to_csv`), merge deterministically
-(:meth:`Telemetry.merge_snapshot` — the mechanism ``sweep_parallel`` uses to
-fold per-worker sinks back together), and render a human summary
-(:func:`render_summary`, the table ``runall`` appends to its report).
+(:meth:`Telemetry.merge_snapshot` — the mechanism ``sweep`` and
+``sweep_parallel`` use to fold per-unit sinks back together), and render a
+human summary (:func:`render_summary`, the table ``runall`` appends to its
+report).
 
 A process-global *active* sink (default: the null sink) lets deep layers —
 the trace cache, the result cache, experiment modules — record without

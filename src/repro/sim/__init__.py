@@ -9,7 +9,6 @@ from repro.sim.engine import (
     SimulationEngine,
     default_engine_name,
     get_engine,
-    register_engine,
 )
 from repro.sim.interference import InterferenceReport, measure_interference
 from repro.sim.metrics import (
@@ -41,7 +40,6 @@ __all__ = [
     "SimulationEngine",
     "default_engine_name",
     "get_engine",
-    "register_engine",
     "InterferenceReport",
     "measure_interference",
     "SimulationResult",

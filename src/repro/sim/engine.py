@@ -23,9 +23,9 @@ table state) for every opted-in predictor; configurations that cannot honor
 that guarantee transparently fall back to the scalar path (or raise when the
 engine was constructed with ``strict=True``).
 
-Engines are registered by name; :func:`get_engine` resolves names, instances
-and the ``REPRO_SIM_ENGINE`` environment variable (the hook through which
-the experiment and bench layers route every run).
+Engines are named in :data:`ENGINES`; :func:`get_engine` resolves names,
+instances and the ``REPRO_SIM_ENGINE`` environment variable (the hook
+through which the experiment and bench layers route every run).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.traces.fetch import fetch_blocks_for
 from repro.traces.model import Trace
 
 __all__ = ["SimulationEngine", "ScalarEngine", "BatchedEngine", "ENGINES",
-           "register_engine", "get_engine", "default_engine_name"]
+           "get_engine", "default_engine_name"]
 
 ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
 
@@ -217,13 +217,6 @@ ENGINES: dict[str, Callable[[], SimulationEngine]] = {
     "scalar": ScalarEngine,
     "batched": BatchedEngine,
 }
-
-
-def register_engine(name: str,
-                    factory: Callable[[], SimulationEngine]) -> None:
-    """Register an engine factory under ``name`` (overwrites allowed, so
-    tests and extensions can shadow the built-ins)."""
-    ENGINES[name] = factory
 
 
 def default_engine_name() -> str:

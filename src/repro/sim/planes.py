@@ -1,15 +1,16 @@
-"""Publishing hooks for :func:`repro.sim.sweep.sweep_parallel`.
+"""Publishing hooks that :func:`repro.sim.sweep.sweep_parallel` no longer
+calls.
 
-A parallel sweep materializes each trace's information-vector batch once,
-in the calling process, and ships trace and batch to the workers inside
-pickled work units.  Nothing here shares memory between processes.
+A parallel sweep ships each trace inside its pickled work units, and every
+worker materializes the batches it needs for itself.  Nothing here shares
+memory between processes, and nothing in ``repro`` calls this module.
 
 These names exist only because the benchmark harness (``perfbench/``)
-still references them: its tracer times ``PlaneStore.publish_trace`` and
-``PlaneStore.publish_batch`` as the ``sim.planes.publish`` span, and its
-teardown calls :func:`release_plane_store` and scans for segments named
-with :data:`SEGMENT_PREFIX`.  Once the harness drops them, this module
-folds into :mod:`repro.sim.sweep`.
+still references them: its tracer wraps ``PlaneStore.publish_trace`` and
+``PlaneStore.publish_batch`` as the ``sim.planes.publish`` span (which
+therefore reads zero), and its teardown calls :func:`release_plane_store`
+and scans for segments named with :data:`SEGMENT_PREFIX`.  Once the
+harness drops them, this module can go.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ SEGMENT_PREFIX = "repro-planes"
 
 
 class PlaneStore:
-    """What a sweep publishes once per trace before dispatching units."""
+    """What a sweep once published per trace before dispatching units."""
 
     def publish_trace(self, trace: Trace) -> Trace:
-        """The trace itself: it travels pickled inside the work units."""
+        """The trace itself."""
         return trace
 
     def publish_batch(self, trace: Trace, provider: HistoryProvider

@@ -177,6 +177,9 @@ def _update_buffer(hasher, header: bytes, data: bytes | bytearray) -> None:
         hasher.update(data)
 
 
+_SEQUENCE_TAGS = {list: b"\x00L", tuple: b"\x00T", deque: b"\x00D"}
+
+
 def _update(hasher, value, memo: dict[int, int]) -> None:
     """Feed one value into the hash, recursively and type-tagged.
 
@@ -211,7 +214,17 @@ def _update(hasher, value, memo: dict[int, int]) -> None:
         _update_buffer(hasher, b"\x00V" + value.format.encode()
                        + repr(value.shape).encode() + b":", value.tobytes())
     elif isinstance(value, (list, tuple, deque)):
-        tag = {list: b"\x00L", tuple: b"\x00T", deque: b"\x00D"}[type(value)]
+        tag = _SEQUENCE_TAGS.get(type(value))
+        if tag is None:
+            # A subclass (a namedtuple, say): its qualified class name keys
+            # it apart from equal items of another type, and its instance
+            # attributes, if any, follow the items.
+            cls = type(value)
+            hasher.update(b"\x00Q" + cls.__module__.encode() + b"."
+                          + cls.__qualname__.encode() + b"\x00")
+            _update(hasher, list(value), memo)
+            _update(hasher, getattr(value, "__dict__", {}), memo)
+            return
         hasher.update(tag + str(len(value)).encode())
         for item in value:
             _update(hasher, item, memo)

@@ -5,26 +5,27 @@ penalty of clamping history to log2(table size) (Fig 6).  These helpers run
 a predictor factory across a range of a parameter and locate the best
 configuration by mean misp/KI across benchmarks.
 
-Sweeps are the workload the engine layer exists for: every point is an
-independent (predictor, trace) simulation, so points vectorize through the
-batched engine (``engine="batched"``) and fan out across processes
-(:func:`sweep_parallel`).
+Sweeps are the workload the engine layer exists for: every (point, trace)
+pair is an independent simulation, so points vectorize through the batched
+engine (``engine="batched"``) and fan out across processes
+(:func:`sweep_parallel`).  :func:`sweep` and :func:`sweep_parallel` build
+the same trace-major work units, run them through the same unit function
+(serially, or on the persistent pool) and fold the results the same way,
+so they return identical points and merged telemetry counters.
 """
 
 from __future__ import annotations
 
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.history.providers import (BranchGhistProvider, HistoryProvider,
-                                     seed_plane_cache)
-from repro.obs import NullTelemetry, Telemetry, get_telemetry, use_telemetry
+from repro.history.providers import HistoryProvider
+from repro.obs import NullTelemetry, Telemetry, get_telemetry
 from repro.predictors.base import Predictor
-from repro.sim import planes, scheduler as sweep_scheduler
+from repro.sim import scheduler as sweep_scheduler
 from repro.sim.driver import simulate
-from repro.sim.engine import BatchedEngine, SimulationEngine, get_engine
+from repro.sim.engine import SimulationEngine
 from repro.traces.model import Trace
 
 __all__ = ["SweepPoint", "sweep", "sweep_parallel", "best_history_length"]
@@ -39,34 +40,55 @@ class SweepPoint:
     per_benchmark: dict[str, float]
 
 
-def _evaluate_point(make_predictor: Callable[[int], Predictor],
-                    value: int,
-                    traces: dict[str, Trace],
-                    make_provider: Callable[[], HistoryProvider] | None,
-                    engine: str | SimulationEngine | None,
-                    use_cache: bool | None = None,
-                    collect_telemetry: bool = False
-                    ) -> tuple[SweepPoint, dict | None]:
-    """Evaluate one sweep point (module-level so process pools can run it).
+def _units(make_predictor, values: list[int], traces: dict[str, Trace],
+           make_provider, engine, use_cache, collect_telemetry) -> list[tuple]:
+    """One ``(value, trace, factories, engine, use_cache,
+    collect_telemetry)`` unit per (point, trace), trace-major: every value
+    of the first trace, then the next trace.  A scheduler chunk then holds
+    few distinct traces, and pickling, which memoizes repeated objects,
+    ships each of them once per chunk."""
+    return [(value, trace, make_predictor, make_provider, engine, use_cache,
+             collect_telemetry)
+            for trace in traces.values() for value in values]
 
-    Returns the point plus, when ``collect_telemetry``, the snapshot of a
-    point-local recording sink.  Each point gets its *own* child sink —
-    worker processes share no memory with the caller, so telemetry crosses
-    the pool boundary as plain snapshot dicts that the caller merges back
-    deterministically (serial and parallel sweeps fold the same per-point
-    snapshots in the same ``values`` order).
+
+def _simulate_unit(unit: tuple) -> tuple[float, dict | None]:
+    """Simulate one ``(point, trace)`` unit (module-level so process pools
+    can pickle it).
+
+    The provider's own ``materialize`` builds the trace's batch, once per
+    trace object: a worker unpickles one trace object per chunk, so later
+    units of the chunk hit the provider's per-trace cache.  With
+    ``collect_telemetry``, the unit records into a fresh sink passed to
+    :func:`simulate` only; its snapshot travels back for the fold, while
+    process-global bookkeeping (``provider.materialize_computed``) stays
+    in the process that did the work.
     """
+    (value, trace, make_predictor, make_provider, engine, use_cache,
+     collect_telemetry) = unit
     sink = Telemetry() if collect_telemetry else None
-    per_benchmark = {}
-    for name, trace in traces.items():
-        provider = make_provider() if make_provider is not None else None
-        result = simulate(make_predictor(value), trace, provider,
-                          engine=engine, use_cache=use_cache, telemetry=sink)
-        per_benchmark[name] = result.misp_per_ki
-    mean = sum(per_benchmark.values()) / len(per_benchmark)
-    point = SweepPoint(value=value, mean_misp_per_ki=mean,
-                       per_benchmark=per_benchmark)
-    return point, (sink.snapshot() if sink is not None else None)
+    provider = make_provider() if make_provider is not None else None
+    result = simulate(make_predictor(value), trace, provider, engine=engine,
+                      use_cache=use_cache, telemetry=sink)
+    return result.misp_per_ki, (sink.snapshot() if sink is not None else None)
+
+
+def _points(values: list[int], names: list[str], outcomes: list[tuple],
+            sink: NullTelemetry) -> list[SweepPoint]:
+    """Fold trace-major unit outcomes into one point per value, in
+    ``values`` order with ``per_benchmark`` in ``names`` order; unit
+    telemetry merges into ``sink`` per point in trace order."""
+    points = []
+    for index, value in enumerate(values):
+        units = outcomes[index::len(values)]
+        per_benchmark = {name: misp for name, (misp, _) in zip(names, units)}
+        mean = sum(per_benchmark.values()) / len(per_benchmark)
+        points.append(SweepPoint(value=value, mean_misp_per_ki=mean,
+                                 per_benchmark=per_benchmark))
+        for _, snapshot in units:
+            if snapshot is not None:
+                sink.merge_snapshot(snapshot)
+    return points
 
 
 def sweep(make_predictor: Callable[[int], Predictor],
@@ -79,67 +101,18 @@ def sweep(make_predictor: Callable[[int], Predictor],
           ) -> list[SweepPoint]:
     """Evaluate ``make_predictor(value)`` for every value, on every trace.
 
-    With a recording ``telemetry`` sink, every point records into its own
-    child sink and the snapshots merge into ``telemetry`` in ``values``
-    order — the same protocol :func:`sweep_parallel` uses, so serial and
-    parallel sweeps of the same work accumulate identical counters.
+    With a recording ``telemetry`` sink, every ``(point, trace)`` unit
+    records into its own child sink and the snapshots merge into
+    ``telemetry`` per point in ``traces`` order, points in ``values``
+    order — the fold :func:`sweep_parallel` uses, so serial and parallel
+    sweeps of the same work accumulate identical counters.
     """
+    values = list(values)
     sink = get_telemetry(telemetry)
-    points = []
-    for value in values:
-        point, snapshot = _evaluate_point(make_predictor, value, traces,
-                                          make_provider, engine, use_cache,
-                                          collect_telemetry=sink.enabled)
-        if snapshot is not None:
-            sink.merge_snapshot(snapshot)
-        points.append(point)
-    return points
-
-
-def _simulate_unit(payload: tuple) -> tuple[float, dict | None]:
-    """Worker-side body for one ``(point, trace)`` work unit (module-level
-    so process pools can pickle it).
-
-    ``seed`` is ``(plane_key, batch)`` when the caller materialized the
-    trace's batch, or ``None``.  The batch is adopted into the provider's
-    materialization cache (:func:`seed_plane_cache`), so the worker's own
-    ``materialize`` call is a cache hit instead of a recompute.
-
-    Telemetry is recorded into a unit-local sink installed as the
-    process-global active sink for the unit's duration, so worker-side
-    bookkeeping (materialize recomputes, engine spans) lands in the
-    snapshot that travels back for the deterministic fold.
-    """
-    (value, trace, seed, make_predictor, make_provider, engine, use_cache,
-     collect_telemetry) = payload
-    if seed is not None:
-        plane_key, batch = seed
-        seed_plane_cache(plane_key, trace, batch)
-    sink = Telemetry() if collect_telemetry else None
-    scope = use_telemetry(sink) if sink is not None else nullcontext()
-    with scope:
-        provider = make_provider() if make_provider is not None else None
-        result = simulate(make_predictor(value), trace, provider,
-                          engine=engine, use_cache=use_cache, telemetry=sink)
-    return result.misp_per_ki, (sink.snapshot() if sink is not None else None)
-
-
-def _probe_provider(make_provider, engine):
-    """The provider instance whose batches the caller materializes for a
-    sweep: the caller's factory when given, the batched engine's default
-    otherwise (``None`` when the resolved engine would never consume a
-    batch)."""
-    if make_provider is not None:
-        try:
-            return make_provider()
-        except Exception:
-            return None  # the broken factory will surface in the workers
-    try:
-        if isinstance(get_engine(engine), BatchedEngine):
-            return BranchGhistProvider()
-    except ValueError:
-        pass  # unknown engine name: let simulate raise it, not the probe
-    return None
+    units = _units(make_predictor, values, traces, make_provider, engine,
+                   use_cache, sink.enabled)
+    return _points(values, list(traces),
+                   [_simulate_unit(unit) for unit in units], sink)
 
 
 def sweep_parallel(make_predictor: Callable[[int], Predictor],
@@ -156,13 +129,8 @@ def sweep_parallel(make_predictor: Callable[[int], Predictor],
 
     The unit of work is one ``(point, trace)`` simulation, so a slow
     benchmark never straggles a whole point while other workers idle.
-    Before dispatch, the calling process materializes each trace's
-    information-vector batch once (when the provider can be keyed); each
-    unit carries its trace and that batch, and the worker adopts the batch
-    instead of recomputing it.  Units are ordered trace-major (every value
-    of the first trace, then the next trace), so a scheduler chunk holds
-    few distinct traces and pickling, which memoizes repeated objects,
-    ships each of them once per chunk.
+    Units carry their trace, never a materialized batch: each worker
+    materializes what it needs, once per chunk and trace.
 
     The pool is persistent and keyed by ``(max_workers, start_method)``
     (:func:`repro.sim.scheduler.get_scheduler`), with the start method
@@ -173,51 +141,28 @@ def sweep_parallel(make_predictor: Callable[[int], Predictor],
     results.  ``engine`` must be a registered engine *name* here, as
     engine instances do not cross process boundaries.
 
-    Results come back in ``values`` order with ``per_benchmark`` rebuilt in
-    ``traces`` order, and per-unit telemetry snapshots fold back into
-    ``telemetry`` deterministically (units merge per point in trace order,
-    points merge in values order), so a parallel sweep's points and merged
-    counters are identical to a serial :func:`sweep` of the same work.
+    The scheduler returns outcomes in submission order and the fold is
+    :func:`sweep`'s, so a parallel sweep's points and merged counters are
+    identical to a serial :func:`sweep` of the same work.
     """
     values = list(values)
-    names = list(traces)
     sink = get_telemetry(telemetry)
-    if max_workers is not None and max_workers <= 1 or not values or not names:
+    if max_workers is not None and max_workers <= 1 or not values \
+            or not traces:
         return sweep(make_predictor, values, traces, make_provider, engine,
                      use_cache, telemetry=sink)
+    units = _units(make_predictor, values, traces, make_provider, engine,
+                   use_cache, sink.enabled)
     try:
-        store = planes.PlaneStore()
-        probe = _probe_provider(make_provider, engine)
-        payloads = []
-        for name in names:
-            trace = store.publish_trace(traces[name])
-            seed = (store.publish_batch(trace, probe)
-                    if probe is not None else None)
-            payloads.extend((value, trace, seed, make_predictor,
-                             make_provider, engine, use_cache, sink.enabled)
-                            for value in values)
         pool = sweep_scheduler.get_scheduler(max_workers, start_method)
-        outcomes = pool.run(_simulate_unit, payloads)
+        outcomes = pool.run(_simulate_unit, units)
     except Exception as error:  # unpicklable factory, broken pool, ...
         warnings.warn(
             f"sweep_parallel falling back to serial sweep: {error!r}",
             RuntimeWarning, stacklevel=2)
         return sweep(make_predictor, values, traces, make_provider, engine,
                      use_cache, telemetry=sink)
-    points = []
-    for index, value in enumerate(values):
-        units = outcomes[index::len(values)]
-        per_benchmark = {name: misp for name, (misp, _) in zip(names, units)}
-        mean = sum(per_benchmark.values()) / len(per_benchmark)
-        points.append(SweepPoint(value=value, mean_misp_per_ki=mean,
-                                 per_benchmark=per_benchmark))
-        if sink.enabled:
-            point_sink = Telemetry()
-            for _, snapshot in units:
-                if snapshot is not None:
-                    point_sink.merge_snapshot(snapshot)
-            sink.merge_snapshot(point_sink.snapshot())
-    return points
+    return _points(values, list(traces), outcomes, sink)
 
 
 def best_history_length(make_predictor: Callable[[int], Predictor],

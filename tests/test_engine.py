@@ -34,7 +34,6 @@ from repro.sim.engine import (
     SimulationEngine,
     default_engine_name,
     get_engine,
-    register_engine,
 )
 from repro.obs import Telemetry
 from repro.sim.driver import simulate
@@ -277,17 +276,6 @@ def test_get_engine_resolution(monkeypatch):
     assert default_engine_name() == "scalar"
     assert isinstance(get_engine(None), ScalarEngine)
     assert sorted(ENGINES) == ["batched", "scalar"]
-
-
-def test_register_engine(monkeypatch):
-    class CountingEngine(ScalarEngine):
-        name = "counting"
-
-    register_engine("counting", CountingEngine)
-    try:
-        assert isinstance(get_engine("counting"), CountingEngine)
-    finally:
-        ENGINES.pop("counting", None)
 
 
 def test_simulate_engine_argument_equivalence(gcc_trace):

@@ -1,5 +1,5 @@
-"""Unit tests for what a parallel sweep publishes before dispatch
-(repro.sim.planes) and how workers adopt it (seed_plane_cache)."""
+"""Unit tests for the publishing hooks the benchmark harness still calls
+(repro.sim.planes), and for sweeps that never touch shared memory."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.history.providers import (BranchGhistProvider, ev8_info_provider,
-                                     seed_plane_cache)
+from repro.history.providers import BranchGhistProvider, ev8_info_provider
 from repro.obs import Telemetry, use_telemetry
 from repro.sim import planes
 from repro.sim.sweep import sweep, sweep_parallel
@@ -42,7 +41,8 @@ def assert_same_batch(actual, expected) -> None:
 
 
 class TestPublishAttachRoundtrip:
-    """Published traces and batches travel pickled inside the work units."""
+    """The hooks return the trace and the provider's keyed batch, and both
+    survive pickling."""
 
     def test_trace_roundtrip_is_bit_identical(self):
         trace = small_trace()
@@ -92,34 +92,6 @@ class TestLifecycle:
         planes.release_plane_store()  # idempotent
         leaked = sorted(Path("/dev/shm").glob(f"{planes.SEGMENT_PREFIX}*"))
         assert leaked == []
-
-
-class TestSeedPlaneCache:
-    """Sweep workers adopt the caller's batch via ``seed_plane_cache``."""
-
-    def test_adoption_prevents_recompute(self):
-        trace = small_trace()
-        provider = ev8_info_provider()
-        batch = provider.materialize(trace)
-        fresh = small_trace()  # same content, distinct object → cold caches
-        sink = Telemetry()
-        with use_telemetry(sink):
-            assert seed_plane_cache(provider.plane_key(), fresh, batch)
-            adopted = ev8_info_provider().materialize(fresh)
-        assert adopted is batch  # cache hit, not a recompute
-        assert "provider.materialize_computed" not in sink.counters
-
-    def test_second_seed_is_a_noop(self):
-        trace = small_trace()
-        provider = ev8_info_provider()
-        batch = provider.materialize(trace)
-        impostor = provider.materialize(small_trace())
-        assert not seed_plane_cache(provider.plane_key(), trace, impostor)
-        assert provider.materialize(trace) is batch  # existing entry wins
-
-    def test_unknown_key_is_rejected(self):
-        assert not seed_plane_cache(None, None, None)
-        assert not seed_plane_cache(("mystery", 1), None, None)
 
 
 class _NoSharedMemory:

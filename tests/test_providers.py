@@ -252,3 +252,32 @@ def test_each_trace_geometry_is_computed_once(monkeypatch):
         assert provider.materialize(trace) is not None
     compute_statistics(trace)
     assert calls == [len(trace)] * 2
+
+
+@pytest.mark.parametrize("ghist_first", [True, False])
+def test_both_providers_build_each_block_column_once(monkeypatch,
+                                                     ghist_first):
+    """Per-branch ghist and block lghist at the same path depth read one
+    memoised set of path/address/bank columns, in either order: the
+    ``block_columns`` kernel builds the path rows once and the banked
+    columns once, and only for the provider that needs them."""
+    library = kernels.require()
+    built = []
+    walk = library.block_columns
+    monkeypatch.setattr(
+        library, "block_columns",
+        lambda *args: built.append((args[3], args[6] is not None))
+        or walk(*args))
+    trace = simple_loop_trace(300, taken_pattern=(True, False))
+    ghist = BranchGhistProvider(path_depth=3)
+    lghist = BlockLghistProvider(path_depth=3)
+    if ghist_first:
+        assert ghist.materialize(trace).bank is None
+        assert built == [(3, False)]  # path rows only
+    lghist_batch = lghist.materialize(trace)
+    ghist_batch = ghist.materialize(trace)
+    assert ghist_batch.path is lghist_batch.path
+    paths = sum(depth for depth, _ in built)
+    banks = sum(banked for _, banked in built)
+    assert (paths, banks) == (3, 1)
+    assert len(built) == (2 if ghist_first else 1)

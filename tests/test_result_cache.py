@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import json
 from array import array
+from collections import deque, namedtuple
 
 import numpy as np
 import pytest
@@ -150,6 +151,36 @@ class TestResultKey:
         assert key(b"\x01\x02") == key(bytearray(b"\x01\x02"))
         assert key(b"") == key(bytearray())
         assert key(b"") != key(b"\x00")
+
+    def test_sequence_subclasses_key_by_type_and_items(self, trace):
+        def key(value):
+            predictor = _gshare()
+            predictor.extra = value
+            return result_key(predictor, trace, None, 0, "scalar")
+
+        class Tagged(list):
+            pass
+
+        pair, other = namedtuple("P", "a b"), namedtuple("Q", "a b")
+        assert key(pair(1, 2)) == key(pair(1, 2))
+        assert key(pair(1, 2)) != key(pair(1, 3))
+        assert key(pair(1, 2)) != key(other(1, 2))
+        assert key(pair(1, 2)) != key((1, 2))
+        assert key(Tagged([1])) != key([1])
+        assert key(deque([1])) != key([1])
+        tagged = Tagged([1])
+        tagged.note = "x"
+        assert key(tagged) != key(Tagged([1]))
+
+    def test_namedtuple_attribute_runs_cached(self, cache_env, trace):
+        pair = namedtuple("P", "a b")
+
+        def run():
+            predictor = _gshare()
+            predictor.extra = pair(1, 2)
+            return simulate(predictor, trace, use_cache=True).cache
+
+        assert (run(), run()) == ("miss", "hit")
 
     def test_counter_init_direction_keys(self, trace):
         def key(array):

@@ -1,5 +1,5 @@
 """Integration tests: the persistent work-stealing scheduler under
-``sweep_parallel`` (determinism, materialize-once, fallbacks)."""
+``sweep_parallel`` (determinism, worker-side materialization, fallbacks)."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ import pytest
 
 from repro.history.providers import ev8_info_provider
 from repro.obs import Telemetry, use_telemetry
-from repro.sim import planes, scheduler, simulate
-from repro.sim.sweep import _simulate_unit, sweep, sweep_parallel
+from repro.sim import planes, scheduler
+from repro.sim.sweep import sweep, sweep_parallel
 from repro.traces.model import Trace
 from repro.workloads.spec95 import spec95_trace
 
@@ -86,7 +86,8 @@ class TestDeterminism:
                           for name, stats in parallel_sink.spans.items()}
         assert serial_spans == parallel_spans
 
-    def test_units_are_trace_major_and_carry_their_batch(self, monkeypatch):
+    def test_units_are_trace_major_and_carry_only_their_trace(
+            self, monkeypatch):
         seen = []
         real_run = scheduler.SweepScheduler.run
 
@@ -102,13 +103,11 @@ class TestDeterminism:
         assert [(unit[0], unit[1]) for unit in seen] \
             == [(value, traces[name]) for name in traces
                 for value in [4, 6, 8]]
-        key = ev8_info_provider().plane_key()
-        for unit in seen:
-            assert unit[2][0] == key
-            assert unit[2][1] is ev8_info_provider().materialize(unit[1])
+        assert all(unit[2:] == (history_predictor, ev8_info_provider,
+                                "batched", False, False) for unit in seen)
 
     def test_parallel_matches_serial_without_a_batch(self):
-        # The scalar engine consumes no batch, so units ship none.
+        # The scalar engine never materializes a batch in any process.
         values = [4, 6]
         serial = sweep(history_predictor, values, fresh_traces(1_000),
                        engine="scalar", use_cache=False)
@@ -126,35 +125,41 @@ class TestDeterminism:
         assert len(chunks) > 3  # finer than one-chunk-per-worker
 
 
-class TestMaterializeOnce:
-    def test_each_trace_materialized_exactly_once_process_wide(self):
-        """A 3-point sweep over fresh traces materializes each trace once,
-        in the calling process, and every worker unit adopts that batch
-        (zero worker-side recomputes)."""
-        traces = fresh_traces()
+class TestWorkerMaterialization:
+    def test_caller_computes_no_batch(self):
+        """Workers materialize for themselves: a 2-worker sweep computes no
+        batch in the calling process and still matches the serial sweep."""
+        values = [4, 6, 8]
         sink = Telemetry()
         with use_telemetry(sink):
-            sweep_parallel(history_predictor, [4, 6, 8], traces,
-                           ev8_info_provider, engine="batched",
-                           max_workers=2, use_cache=False, telemetry=sink)
-        assert sink.counters["provider.materialize_computed"] == len(traces)
-
-
-    def test_worker_unit_adopts_the_shipped_batch(self):
-        shipped = fresh_traces()["gcc"]
-        batch = ev8_info_provider().materialize(shipped)
-        received = fresh_traces()["gcc"]  # what a worker unpickles
-        sink = Telemetry()
-        with use_telemetry(sink):
-            misp, _ = _simulate_unit(
-                (6, received, (ev8_info_provider().plane_key(), batch),
-                 history_predictor, ev8_info_provider, "batched", False,
-                 False))
+            parallel = sweep_parallel(history_predictor, values,
+                                      fresh_traces(), ev8_info_provider,
+                                      engine="batched", max_workers=2,
+                                      use_cache=False)
+        assert sink.counters["scheduler.runs"] == 1  # not the serial path
         assert "provider.materialize_computed" not in sink.counters
-        expected = simulate(history_predictor(6), shipped,
-                            ev8_info_provider(), engine="batched",
-                            use_cache=False)
-        assert misp == expected.misp_per_ki
+        serial = sweep(history_predictor, values, fresh_traces(),
+                       ev8_info_provider, engine="batched", use_cache=False)
+        assert parallel == serial
+
+    def test_spawned_workers_match_the_serial_sweep(self):
+        """Under ``spawn`` (the macOS and Windows default) workers import
+        everything afresh and still reproduce the serial sweep."""
+        values = [4, 7]
+        sink = Telemetry()
+        try:
+            with use_telemetry(sink):
+                parallel = sweep_parallel(history_predictor, values,
+                                          fresh_traces(1_000),
+                                          ev8_info_provider, engine="batched",
+                                          max_workers=2, use_cache=False,
+                                          start_method="spawn")
+        finally:
+            scheduler.get_scheduler(2, "spawn").shutdown()
+        assert sink.counters["scheduler.runs"] == 1
+        serial = sweep(history_predictor, values, fresh_traces(1_000),
+                       ev8_info_provider, engine="batched", use_cache=False)
+        assert parallel == serial
 
 
 class TestFallbacks:
