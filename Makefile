@@ -29,4 +29,4 @@ examples:
 	$(PYTHON) examples/custom_workload.py
 
 clean:
-	rm -rf .trace_cache results .benchmarks
+	rm -rf .trace_cache .result_cache .benchmarks

@@ -23,15 +23,11 @@ from repro.experiments.common import (
     record_results,
     results_dir,
 )
-from repro.experiments.report import (
-    render_delta_table,
-    render_table,
-    render_timing_table,
-)
+from repro.experiments.report import render_delta_table, render_table
 
 __all__ = [
     "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table2", "table3",
     "BEST_HISTORY", "experiment_traces", "make_2bc_gskew",
     "make_fig5_configs", "record_results", "results_dir",
-    "render_delta_table", "render_table", "render_timing_table",
+    "render_delta_table", "render_table",
 ]

@@ -21,13 +21,11 @@ from repro.experiments.common import (
 from repro.ev8.predictor import EV8BranchPredictor
 from repro.history.providers import BranchGhistProvider, ev8_info_provider
 from repro.sim.compare import ComparisonTable, run_comparison
-from repro.sim.engine import SimulationEngine
 
 __all__ = ["run", "render"]
 
 
-def run(num_branches: int | None = None,
-        engine: str | SimulationEngine | None = None) -> ComparisonTable:
+def run(num_branches: int | None = None) -> ComparisonTable:
     """Run the EV8, the 512 Kbit reference, and the 8 Mbit giant."""
     traces = experiment_traces(num_branches)
     g0_64, g1_64, meta_64 = BEST_HISTORY["2bc_64k"]
@@ -44,8 +42,7 @@ def run(num_branches: int | None = None,
         "2Bc-gskew 4x64K (512Kb)": BranchGhistProvider,
         "2Bc-gskew 4x1M (8Mb)": BranchGhistProvider,
     }
-    table = run_comparison(configs, traces, provider_factories=providers,
-                           engine=engine)
+    table = run_comparison(configs, traces, provider_factories=providers)
     record_results("fig10", table)
     return table
 

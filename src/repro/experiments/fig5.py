@@ -24,18 +24,15 @@ from repro.experiments.common import (
 )
 from repro.history.providers import BranchGhistProvider
 from repro.sim.compare import ComparisonTable, run_comparison
-from repro.sim.engine import SimulationEngine
 
 __all__ = ["run", "render"]
 
 
-def run(num_branches: int | None = None,
-        engine: str | SimulationEngine | None = None) -> ComparisonTable:
+def run(num_branches: int | None = None) -> ComparisonTable:
     """Run the Fig 5 comparison grid."""
     traces = experiment_traces(num_branches)
     table = run_comparison(make_fig5_configs(), traces,
-                           provider_factory=BranchGhistProvider,
-                           engine=engine)
+                           provider_factory=BranchGhistProvider)
     record_results("fig5", table)
     return table
 

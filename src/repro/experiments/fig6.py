@@ -23,7 +23,6 @@ from repro.experiments.common import (
 from repro.experiments.report import render_delta_table
 from repro.history.providers import BranchGhistProvider
 from repro.sim.compare import ComparisonTable, run_comparison
-from repro.sim.engine import SimulationEngine
 
 __all__ = ["Fig6Result", "run", "render"]
 
@@ -44,16 +43,13 @@ class Fig6Result:
         return sum(values) / len(values)
 
 
-def run(num_branches: int | None = None,
-        engine: str | SimulationEngine | None = None) -> Fig6Result:
+def run(num_branches: int | None = None) -> Fig6Result:
     """Run both the best-history and clamped-history grids."""
     traces = experiment_traces(num_branches)
     best = run_comparison(make_fig5_configs(limited=False), traces,
-                          provider_factory=BranchGhistProvider,
-                          engine=engine)
+                          provider_factory=BranchGhistProvider)
     limited = run_comparison(make_fig5_configs(limited=True), traces,
-                             provider_factory=BranchGhistProvider,
-                             engine=engine)
+                             provider_factory=BranchGhistProvider)
     result = Fig6Result(best=best, limited=limited)
     record_results("fig6", {
         "best": best.to_dict(), "limited": limited.to_dict(),

@@ -27,7 +27,6 @@ from repro.experiments.common import (
 from repro.history.providers import BlockLghistProvider, BranchGhistProvider
 from repro.predictors.twobcgskew import SkewedIndexScheme
 from repro.sim.compare import ComparisonTable, run_comparison
-from repro.sim.engine import SimulationEngine
 
 __all__ = ["CONFIG_ORDER", "run", "render"]
 
@@ -42,8 +41,7 @@ def _predictor_factory(use_path_addresses: bool = False, name: str = ""):
                                   index_scheme=scheme, name=name)
 
 
-def run(num_branches: int | None = None,
-        engine: str | SimulationEngine | None = None) -> ComparisonTable:
+def run(num_branches: int | None = None) -> ComparisonTable:
     """Run the five information-vector variants."""
     traces = experiment_traces(num_branches)
     configs = {
@@ -63,8 +61,7 @@ def run(num_branches: int | None = None,
         "EV8 info vector": lambda: BlockLghistProvider(include_path=True,
                                                        delay_blocks=3),
     }
-    table = run_comparison(configs, traces, provider_factories=providers,
-                           engine=engine)
+    table = run_comparison(configs, traces, provider_factories=providers)
     record_results("fig7", table)
     return table
 

@@ -26,13 +26,11 @@ from repro.experiments.common import (
 from repro.history.providers import ev8_info_provider
 from repro.predictors.twobcgskew import SkewedIndexScheme
 from repro.sim.compare import ComparisonTable, run_comparison
-from repro.sim.engine import SimulationEngine
 
 __all__ = ["run", "render"]
 
 
-def run(num_branches: int | None = None,
-        engine: str | SimulationEngine | None = None) -> ComparisonTable:
+def run(num_branches: int | None = None) -> ComparisonTable:
     """Run the three size configurations of Fig 8."""
     g0, g1, meta = BEST_HISTORY["2bc_64k"]
     traces = experiment_traces(num_branches)
@@ -53,8 +51,7 @@ def run(num_branches: int | None = None,
             index_scheme=scheme(), name="EV8-size"),
     }
     table = run_comparison(configs, traces,
-                           provider_factory=ev8_info_provider,
-                           engine=engine)
+                           provider_factory=ev8_info_provider)
     record_results("fig8", table)
     return table
 

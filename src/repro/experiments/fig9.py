@@ -39,7 +39,6 @@ from repro.history.providers import (
 )
 from repro.predictors.twobcgskew import SkewedIndexScheme
 from repro.sim.compare import ComparisonTable, run_comparison
-from repro.sim.engine import SimulationEngine
 
 __all__ = ["CONFIG_ORDER", "run", "render"]
 
@@ -52,8 +51,7 @@ def _ev8(scheme: EV8IndexScheme, name: str):
                                       name=name)
 
 
-def run(num_branches: int | None = None,
-        engine: str | SimulationEngine | None = None) -> ComparisonTable:
+def run(num_branches: int | None = None) -> ComparisonTable:
     """Run the six Fig 9 configurations."""
     traces = experiment_traces(num_branches)
     g0, g1, meta = BEST_HISTORY["2bc_64k"]
@@ -86,8 +84,7 @@ def run(num_branches: int | None = None,
         "complete hash": lambda: BlockLghistProvider(**aged),
         "4x64K ghist": BranchGhistProvider,
     }
-    table = run_comparison(configs, traces, provider_factories=providers,
-                           engine=engine)
+    table = run_comparison(configs, traces, provider_factories=providers)
     record_results("fig9", table)
     return table
 

@@ -7,12 +7,7 @@ arithmetic-mean summary row.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.sim.compare import ComparisonTable
-
-__all__ = ["render_table", "render_delta_table", "render_timing_table"]
+__all__ = ["render_table", "render_delta_table"]
 
 
 def render_table(title: str, benchmarks: list[str],
@@ -55,29 +50,3 @@ def render_delta_table(title: str, benchmarks: list[str],
     return render_table(title, benchmarks, deltas, precision,
                         unit="additional misp/KI")
 
-
-def render_timing_table(title: str, table: "ComparisonTable",
-                        precision: int = 2) -> str:
-    """Render per-cell simulation throughput for a comparison grid.
-
-    One row per benchmark, one column per configuration, each cell
-    ``Mbr/s`` (millions of branches per second); a trailing line reports
-    the total wall-clock and the engine(s) that produced the grid.  This
-    is the textual companion of :func:`render_table` for the timing
-    fields :class:`~repro.sim.metrics.SimulationResult` records.
-    """
-    throughput = {
-        config: {
-            benchmark: table.result(config, benchmark).branches_per_second / 1e6
-            for benchmark in table.benchmark_names
-        }
-        for config in table.config_names
-    }
-    body = render_table(title, table.benchmark_names, throughput,
-                        precision, unit="Mbr/s")
-    engines = sorted({table.result(config, benchmark).engine
-                      for config in table.config_names
-                      for benchmark in table.benchmark_names})
-    footer = (f"total wall-clock: {table.wall_seconds():.2f} s  "
-              f"(engine: {', '.join(engines)})")
-    return body + "\n" + footer

@@ -18,7 +18,6 @@ predictor held fixed) reproduces the Fig 7 axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -129,31 +128,30 @@ class HistoryProvider:
         Returns ``None`` when this provider cannot materialize or the
         compiled tier is missing (the batched engine then falls back to the
         scalar path).  Materialization starts from reset register state,
-        matching a fresh provider instance.  Batches are cached per trace
-        under :meth:`plane_key`, so sweeps (many predictors, one trace) pay
-        the walk once.
+        matching a fresh provider instance.  Batches are memoised on the
+        trace under :meth:`plane_key`, so sweeps (many predictors, one
+        trace) pay the walk once.
         """
         key = self.plane_key()
-        if key is None:
+        if key is None or not kernels.available():
             return None
-        per_trace = _MATERIALIZED.setdefault(trace, {})
-        batch = per_trace.get(key)
-        if batch is None and kernels.available():
-            # Orchestration accounting, not simulation semantics: counted in
-            # the process-global sink of whichever process computes, never
-            # in the engine's per-run sink, so serial and parallel sweeps
-            # merge identical counters (scope one with ``use_telemetry``).
-            sink = get_telemetry(None)
-            if sink.enabled:
-                sink.count("provider.materialize_computed")
-            batch = per_trace[key] = self._batch(trace)
-        return batch
+        return trace.derived(key, self._computed_batch)
+
+    def _computed_batch(self, trace: Trace) -> VectorBatch:
+        # Orchestration accounting, not simulation semantics: counted in
+        # the process-global sink of whichever process computes, never in
+        # the engine's per-run sink, so serial and parallel sweeps merge
+        # identical counters (scope one with ``use_telemetry``).
+        sink = get_telemetry(None)
+        if sink.enabled:
+            sink.count("provider.materialize_computed")
+        return self._batch(trace)
 
     def plane_key(self) -> tuple | None:
         """Hashable configuration key for a materialized batch.
 
         A materialized batch is a pure function of (trace, this key), so
-        :meth:`materialize` caches it per trace under this key.  ``None``
+        :meth:`materialize` memoises it on the trace under this key.  ``None``
         means this provider cannot materialize at all (histories wider
         than a ``uint64`` column, or no vectorized walk).
         """
@@ -165,16 +163,6 @@ class HistoryProvider:
         raise NotImplementedError
 
 
-_MATERIALIZED: WeakKeyDictionary = WeakKeyDictionary()
-"""Per trace, every materialized batch keyed by its provider's
-:meth:`~HistoryProvider.plane_key`, and the shared block columns keyed by
-``("block_columns", path_depth)``.
-
-Each entry is a pure function of the trace and its key; cached columns are
-marked read-only because every consumer shares them.
-"""
-
-
 def _block_columns(trace: Trace, depth: int,
                    banked: bool) -> tuple[np.ndarray | None, ...]:
     """Read-only ``(path, address, bank)`` columns per branch from its
@@ -182,33 +170,34 @@ def _block_columns(trace: Trace, depth: int,
     previous block starts, the branch's own block start and that block's
     bank number.  ``address`` and ``bank`` are ``None`` unless ``banked``.
 
-    Memoised per (trace, path depth), so every provider configuration of
-    that depth reads the same arrays and the kernel builds each column
-    once.  The banked columns are built only when a banked caller first
-    asks, so a trace read only through per-branch ghist never holds them.
+    Memoised on the trace, the path rows under ``("block_columns",
+    depth)`` and the banked columns (which no depth changes) under
+    ``"block_banks"``, so every provider configuration reads the same
+    arrays and the kernel builds each column once: one call builds
+    whichever of them the request finds missing.  The banked columns are
+    built only when a banked caller first asks, so a trace read only
+    through per-branch ghist never holds them.
     """
-    per_trace = _MATERIALIZED.setdefault(trace, {})
-    key = ("block_columns", depth)
-    path, address, bank = per_trace.get(key, (None, None, None))
-    new_path, new_banks = path is None, banked and bank is None
-    if new_path or new_banks:
+    path_key = ("block_columns", depth)
+    path = trace.derived(path_key)
+    banks = trace.derived("block_banks") if banked else (None, None)
+    if path is None or banks is None:
         _, _, ordinals, starts = block_geometry(trace)
         n = len(ordinals)
-        if new_path:
-            path = np.empty((depth, n), dtype=np.uint64)
-        if new_banks:
-            address = np.empty(n, dtype=np.uint64)
-            bank = np.empty(n, dtype=np.uint64)
+        new_path = (np.empty((depth, n), dtype=np.uint64) if path is None
+                    else None)
+        new_banks = ((np.empty(n, dtype=np.uint64),
+                      np.empty(n, dtype=np.uint64)) if banks is None
+                     else (None, None))
         kernels.require().block_columns(
             n, ordinals.ctypes.data, starts.ctypes.data,
-            depth if new_path else 0, path.ctypes.data if new_path else None,
-            *(column.ctypes.data if new_banks else None
-              for column in (address, bank)))
-        for column in (path, address, bank):
-            if column is not None:
-                column.setflags(write=False)  # cached columns are shared
-        per_trace[key] = (path, address, bank)
-    return path, address, bank
+            depth if path is None else 0,
+            *(column.ctypes.data if column is not None else None
+              for column in (new_path, *new_banks)))
+        path = trace.derived(path_key, lambda _: new_path)
+        if banks is None:
+            banks = trace.derived("block_banks", lambda _: new_banks)
+    return (path, *banks)
 
 
 class BranchGhistProvider(HistoryProvider):
@@ -260,7 +249,6 @@ class BranchGhistProvider(HistoryProvider):
         kernels.require().ghist_history(len(pcs), takens.ctypes.data,
                                         self._history.capacity,
                                         history.ctypes.data)
-        history.setflags(write=False)  # cached batches are shared
         path, _, _ = _block_columns(trace, self._path.depth, banked=False)
         return VectorBatch(history=history, address=pcs, branch_pc=pcs,
                            path=path, takens=takens)
@@ -337,7 +325,6 @@ class BlockLghistProvider(HistoryProvider):
             len(pcs), pcs.ctypes.data, takens.ctypes.data, ordinals.ctypes.data,
             register.include_path, register.delay_blocks, register.capacity,
             history.ctypes.data)
-        history.setflags(write=False)  # cached batches are shared
         path, address, bank = _block_columns(trace, self._path.depth,
                                              banked=True)
         return VectorBatch(history=history, address=address, branch_pc=pcs,

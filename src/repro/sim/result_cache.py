@@ -23,9 +23,10 @@ Key scheme
   name plus every attribute, recursively (table sizes, history lengths,
   update policy, index-scheme parameters, and the counter tables, so
   ``init_taken`` variants key differently);
-* the **trace content** — the four trace columns hashed once and memoized
-  per :class:`~repro.traces.model.Trace` object (the trace *name* is
-  deliberately excluded: identical content keys identically);
+* the **trace content** — the four trace columns hashed once and memoised
+  on the :class:`~repro.traces.model.Trace` (whose columns are read-only,
+  so the digest cannot go stale; the trace *name* is deliberately
+  excluded: identical content keys identically);
 * the **provider** — same structural fingerprint (``None`` keys as its own
   distinct value);
 * ``warmup_branches`` and the resolved **engine name** (engines are
@@ -58,9 +59,8 @@ import os
 import time
 import types
 from array import array
-from collections import deque
+from collections import defaultdict, deque
 from pathlib import Path
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -93,8 +93,6 @@ def cache_dir() -> Path:
 
 
 # -- fingerprinting ----------------------------------------------------------
-
-_TRACE_HASHES: WeakKeyDictionary = WeakKeyDictionary()
 
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 _SEMANTIC_SOURCES = ("predictors", "common", "history", "indexing", "ev8",
@@ -146,18 +144,15 @@ fingerprints: attaching (or detaching) an observability sink never changes
 what a simulation computes, so it may not change a cache key."""
 
 
-def _trace_content_digest(trace: Trace) -> bytes:
-    """Content hash of the four trace columns, memoized per trace object."""
-    digest = _TRACE_HASHES.get(trace)
-    if digest is None:
-        hasher = hashlib.sha256()
-        for column in (trace.starts, trace.num_instructions, trace.kinds,
-                       trace.takens):
-            hasher.update(str(column.dtype).encode())
-            hasher.update(np.ascontiguousarray(column).tobytes())
-        digest = hasher.digest()
-        _TRACE_HASHES[trace] = digest
-    return digest
+def _content_digest(trace: Trace) -> bytes:
+    """Content hash of the four trace columns (memoised on the trace by
+    :func:`result_key`)."""
+    hasher = hashlib.sha256()
+    for column in (trace.starts, trace.num_instructions, trace.kinds,
+                   trace.takens):
+        hasher.update(str(column.dtype).encode())
+        hasher.update(np.ascontiguousarray(column).tobytes())
+    return hasher.digest()
 
 
 def _update_buffer(hasher, header: bytes, data: bytes | bytearray) -> None:
@@ -178,6 +173,7 @@ def _update_buffer(hasher, header: bytes, data: bytes | bytearray) -> None:
 
 
 _SEQUENCE_TAGS = {list: b"\x00L", tuple: b"\x00T", deque: b"\x00D"}
+_CONTAINER_TYPES = frozenset({*_SEQUENCE_TAGS, dict})
 
 
 def _update(hasher, value, memo: dict[int, int]) -> None:
@@ -213,18 +209,23 @@ def _update(hasher, value, memo: dict[int, int]) -> None:
     elif isinstance(value, memoryview):
         _update_buffer(hasher, b"\x00V" + value.format.encode()
                        + repr(value.shape).encode() + b":", value.tobytes())
+    elif (isinstance(value, (list, tuple, deque, dict))
+          and type(value) not in _CONTAINER_TYPES):
+        # A subclass (a namedtuple, an OrderedDict, ...): its qualified
+        # class name keys it apart from equal items of another type, and
+        # its instance attributes, if any, follow the items.  A defaultdict's
+        # default_factory counts as one (a callable, so it is refused).
+        cls = type(value)
+        hasher.update(b"\x00Q" + cls.__module__.encode() + b"."
+                      + cls.__qualname__.encode() + b"\x00")
+        _update(hasher, dict(value) if isinstance(value, dict)
+                else list(value), memo)
+        attrs = getattr(value, "__dict__", {})
+        if isinstance(value, defaultdict):
+            attrs = {**attrs, "default_factory": value.default_factory}
+        _update(hasher, attrs, memo)
     elif isinstance(value, (list, tuple, deque)):
-        tag = _SEQUENCE_TAGS.get(type(value))
-        if tag is None:
-            # A subclass (a namedtuple, say): its qualified class name keys
-            # it apart from equal items of another type, and its instance
-            # attributes, if any, follow the items.
-            cls = type(value)
-            hasher.update(b"\x00Q" + cls.__module__.encode() + b"."
-                          + cls.__qualname__.encode() + b"\x00")
-            _update(hasher, list(value), memo)
-            _update(hasher, getattr(value, "__dict__", {}), memo)
-            return
+        tag = _SEQUENCE_TAGS[type(value)]
         hasher.update(tag + str(len(value)).encode())
         for item in value:
             _update(hasher, item, memo)
@@ -286,7 +287,7 @@ def result_key(predictor, trace: Trace, provider, warmup_branches: int,
     hasher.update(b"repro-result\x00" + _source_digest())
     _update(hasher, predictor, memo)
     hasher.update(b"\x00trace")
-    hasher.update(_trace_content_digest(trace))
+    hasher.update(trace.derived("content_digest", _content_digest))
     _update(hasher, provider, memo)
     _update(hasher, int(warmup_branches), memo)
     _update(hasher, engine_name, memo)

@@ -16,6 +16,7 @@ so they return identical points and merged telemetry counters.
 
 from __future__ import annotations
 
+import pickle
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -57,8 +58,9 @@ def _simulate_unit(unit: tuple) -> tuple[float, dict | None]:
     can pickle it).
 
     The provider's own ``materialize`` builds the trace's batch, once per
-    trace object: a worker unpickles one trace object per chunk, so later
-    units of the chunk hit the provider's per-trace cache.  With
+    trace object: a worker unpickles one trace object per chunk (with
+    nothing derived yet), so later units of the chunk hit the batch
+    memoised on it.  With
     ``collect_telemetry``, the unit records into a fresh sink passed to
     :func:`simulate` only; its snapshot travels back for the fold, while
     process-global bookkeeping (``provider.materialize_computed``) stays
@@ -136,10 +138,12 @@ def sweep_parallel(make_predictor: Callable[[int], Predictor],
     (:func:`repro.sim.scheduler.get_scheduler`), with the start method
     chosen explicitly per platform (``fork`` on Linux, ``spawn`` on
     macOS/Windows) unless overridden via ``start_method``.  When the pool
-    cannot be used (unpicklable work, restricted platform), the sweep
-    degrades to the serial path with a warning, so callers never lose
-    results.  ``engine`` must be a registered engine *name* here, as
-    engine instances do not cross process boundaries.
+    cannot be used (a factory that does not pickle, a pool that cannot
+    start or breaks), the sweep degrades to the serial path with a
+    warning, so callers never lose results.  An error the unit raises
+    itself propagates unchanged, since a serial rerun would only raise it
+    again.  ``engine`` must be a registered engine *name* here, as engine
+    instances do not cross process boundaries.
 
     The scheduler returns outcomes in submission order and the fold is
     :func:`sweep`'s, so a parallel sweep's points and merged counters are
@@ -154,15 +158,20 @@ def sweep_parallel(make_predictor: Callable[[int], Predictor],
     units = _units(make_predictor, values, traces, make_provider, engine,
                    use_cache, sink.enabled)
     try:
+        pickle.dumps((make_predictor, make_provider, engine))
+    except (pickle.PicklingError, AttributeError, TypeError) as error:
+        reason = error
+    else:
         pool = sweep_scheduler.get_scheduler(max_workers, start_method)
-        outcomes = pool.run(_simulate_unit, units)
-    except Exception as error:  # unpicklable factory, broken pool, ...
-        warnings.warn(
-            f"sweep_parallel falling back to serial sweep: {error!r}",
-            RuntimeWarning, stacklevel=2)
-        return sweep(make_predictor, values, traces, make_provider, engine,
-                     use_cache, telemetry=sink)
-    return _points(values, list(traces), outcomes, sink)
+        try:
+            outcomes = pool.run(_simulate_unit, units)
+            return _points(values, list(traces), outcomes, sink)
+        except sweep_scheduler.SchedulerUnavailable as error:
+            reason = error
+    warnings.warn(f"sweep_parallel falling back to serial sweep: {reason!r}",
+                  RuntimeWarning, stacklevel=2)
+    return sweep(make_predictor, values, traces, make_provider, engine,
+                 use_cache, telemetry=sink)
 
 
 def best_history_length(make_predictor: Callable[[int], Predictor],

@@ -21,8 +21,6 @@ would see.  The fetch-block stream is what drives:
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from repro import kernels
@@ -152,18 +150,10 @@ def build_fetch_blocks(trace: Trace) -> list[FetchBlock]:
     return blocks_out
 
 
-_CACHE: "weakref.WeakKeyDictionary[Trace, list[FetchBlock]]" = (
-    weakref.WeakKeyDictionary())
-
-
 def fetch_blocks_for(trace: Trace) -> list[FetchBlock]:
     """Memoised :func:`build_fetch_blocks` — fetch-block construction is pure
     and every block-granular experiment on the same trace reuses the result."""
-    cached = _CACHE.get(trace)
-    if cached is None:
-        cached = build_fetch_blocks(trace)
-        _CACHE[trace] = cached
-    return cached
+    return trace.derived("fetch_blocks", build_fetch_blocks)
 
 
 def _geometry_from_blocks(trace: Trace) -> tuple[np.ndarray, ...]:
@@ -201,20 +191,10 @@ def _compute_block_geometry(trace: Trace) -> tuple[np.ndarray, ...]:
     return geometry
 
 
-_GEOMETRY_CACHE: "weakref.WeakKeyDictionary[Trace, tuple]" = (
-    weakref.WeakKeyDictionary())
-
-
 def block_geometry(trace: Trace) -> tuple[np.ndarray, ...]:
     """A trace's fetch blocks as read-only columns, in fetch order:
     ``(branch_pcs, takens, ordinals, block_starts)``, the first three per
     conditional branch (``ordinals`` indexes its fetch block), the last per
-    fetch block.  Memoised: Table 2's statistics and every provider that
-    materializes the trace share one computation."""
-    cached = _GEOMETRY_CACHE.get(trace)
-    if cached is None:
-        cached = _compute_block_geometry(trace)
-        for column in cached:
-            column.setflags(write=False)
-        _GEOMETRY_CACHE[trace] = cached
-    return cached
+    fetch block.  Memoised on the trace: Table 2's statistics and every
+    provider that materializes the trace share one computation."""
+    return trace.derived("block_geometry", _compute_block_geometry)

@@ -13,9 +13,10 @@ Instructions are 4 bytes, as on Alpha, so PC bits (4, 3, 2) identify an
 instruction's slot within an aligned 8-instruction (32-byte) fetch block —
 the bits the EV8 "unshuffle" stage permutes (Section 7.1).
 
-A :class:`Trace` stores the block stream as parallel numpy arrays and lazily
-derives the flat conditional-branch view used by per-branch predictor
-simulations.
+A :class:`Trace` stores the block stream as parallel read-only numpy arrays
+and holds the one memo of everything derived from them
+(:meth:`Trace.derived`): fetch blocks, their columnar geometry, statistics,
+materialized information vectors and the content digest.
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ def _kind_error(kind: int) -> ValueError:
     return ValueError(f"block kind {kind} is not a TerminatorKind")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` (its own flags stay as they were)."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
 def _checked(values, dtype, low: int, high: int, error) -> np.ndarray:
     """``values`` as an array of ``dtype``, once every value is known to lie
     in ``low..high`` (so the conversion cannot wrap)."""
@@ -134,10 +142,15 @@ class Trace:
     Parameters are parallel arrays, one element per block execution; see
     :class:`BlockExecution` for field meanings.  ``name`` identifies the
     workload (used in reports and as a disk-cache key component).
+
+    The columns are read-only views of the arrays passed in, and no
+    attribute can be rebound, so a write raises instead of leaving
+    :meth:`derived` values stale.  A trace pickles as its name and columns
+    alone: it arrives read-only, with nothing derived yet.
     """
 
     __slots__ = ("name", "starts", "num_instructions", "kinds", "takens",
-                 "next_starts", "_branch_view", "__weakref__")
+                 "next_starts", "_derived")
 
     def __init__(self, name: str, starts: np.ndarray, num_instructions: np.ndarray,
                  kinds: np.ndarray, takens: np.ndarray,
@@ -147,14 +160,45 @@ class Trace:
         if len(lengths) != 1:
             raise ValueError(f"trace arrays have mismatched lengths: {lengths}")
         self.name = name
-        self.starts = np.asarray(starts, dtype=np.uint64)
-        self.num_instructions = _checked(num_instructions, np.uint16, 1,
-                                         MAX_BLOCK_INSTRUCTIONS, count_error)
-        self.kinds = _checked(kinds, np.uint8, min(_KINDS), max(_KINDS),
-                              _kind_error)
-        self.takens = np.asarray(takens, dtype=np.bool_)
-        self.next_starts = np.asarray(next_starts, dtype=np.uint64)
-        self._branch_view: tuple[list[int], list[bool]] | None = None
+        self.starts = _read_only(np.asarray(starts, dtype=np.uint64))
+        self.num_instructions = _read_only(_checked(
+            num_instructions, np.uint16, 1, MAX_BLOCK_INSTRUCTIONS,
+            count_error))
+        self.kinds = _read_only(_checked(kinds, np.uint8, min(_KINDS),
+                                         max(_KINDS), _kind_error))
+        self.takens = _read_only(np.asarray(takens, dtype=np.bool_))
+        self.next_starts = _read_only(np.asarray(next_starts,
+                                                 dtype=np.uint64))
+        self._derived: dict = {}
+
+    def __setattr__(self, name: str, value) -> None:
+        if hasattr(self, name):  # set once, in __init__
+            raise AttributeError(f"Trace.{name} cannot be rebound: build a "
+                                 "new Trace instead")
+        object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return (Trace, (self.name, self.starts, self.num_instructions,
+                        self.kinds, self.takens, self.next_starts))
+
+    def derived(self, key, compute=None):
+        """The value derived from this trace under ``key``, computed by
+        ``compute(trace)`` on first request (``None`` when absent and no
+        ``compute`` is given).
+
+        The trace's only memo: every pure function of a trace that is worth
+        keeping stores its value here under its own key.  Stored values are
+        shared, so every numpy array a value is, or holds as a tuple item or
+        an attribute, is marked read-only.
+        """
+        value = self._derived.get(key)
+        if value is None and compute is not None:
+            value = self._derived[key] = compute(self)
+            for item in (value, *(value if isinstance(value, tuple) else ()),
+                         *getattr(value, "__dict__", {}).values()):
+                if isinstance(item, np.ndarray):
+                    item.setflags(write=False)
+        return value
 
     # -- sizes ---------------------------------------------------------------
 
@@ -177,15 +221,9 @@ class Trace:
     def branches(self) -> tuple[list[int], list[bool]]:
         """Return ``(pcs, outcomes)`` for all dynamic conditional branches,
         as plain Python lists (fast to iterate in the simulation loop)."""
-        if self._branch_view is None:
-            cond = self.kinds == TerminatorKind.CONDITIONAL
-            pcs = (self.starts[cond]
-                   + (self.num_instructions[cond].astype(np.uint64) - 1)
-                   * INSTRUCTION_BYTES)
-            # tolist() converts in C — far faster than a per-element
-            # int()/bool() comprehension over numpy scalars.
-            self._branch_view = (pcs.tolist(), self.takens[cond].tolist())
-        return self._branch_view
+        from repro.traces.fetch import block_geometry  # fetch builds on us
+        pcs, takens, _, _ = block_geometry(self)
+        return pcs.tolist(), takens.tolist()
 
     def blocks(self):
         """Iterate :class:`BlockExecution` objects (slow path, for tests and

@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -84,30 +83,26 @@ class TraceStatistics:
         )
 
 
-_STATISTICS: "WeakKeyDictionary[Trace, TraceStatistics]" = (
-    WeakKeyDictionary())
-
-
 def _runs(values: np.ndarray) -> int:
     """Runs of equal values in a sorted array (0 when it is empty)."""
     return min(len(values), 1) + int(np.count_nonzero(np.diff(values)))
 
 
 def compute_statistics(trace: Trace) -> TraceStatistics:
-    """Compute :class:`TraceStatistics` for a trace, memoised per trace.
+    """Compute :class:`TraceStatistics` for a trace, memoised on the trace."""
+    return trace.derived("statistics", _statistics)
 
-    Block ordinals never decrease along the trace, so the branch-holding
+
+def _statistics(trace: Trace) -> TraceStatistics:
+    """Block ordinals never decrease along the trace, so the branch-holding
     blocks are the ordinal runs, and the static PCs the sorted-PC runs."""
-    cached = _STATISTICS.get(trace)
-    if cached is None:
-        branch_pcs, _, ordinals, block_starts = block_geometry(trace)
-        cached = _STATISTICS[trace] = TraceStatistics(
-            name=trace.name,
-            instruction_count=trace.instruction_count,
-            dynamic_conditional=trace.conditional_count,
-            static_conditional=_runs(np.sort(branch_pcs)),
-            taken_rate=trace.taken_rate(),
-            fetch_block_count=len(block_starts),
-            lghist_bits=_runs(ordinals),
-        )
-    return cached
+    branch_pcs, _, ordinals, block_starts = block_geometry(trace)
+    return TraceStatistics(
+        name=trace.name,
+        instruction_count=trace.instruction_count,
+        dynamic_conditional=trace.conditional_count,
+        static_conditional=_runs(np.sort(branch_pcs)),
+        taken_rate=trace.taken_rate(),
+        fetch_block_count=len(block_starts),
+        lghist_bits=_runs(ordinals),
+    )

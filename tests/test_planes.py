@@ -22,8 +22,8 @@ from tests_support_sweep import history_predictor
 
 def small_trace(name: str = "gcc", branches: int = 2_000) -> Trace:
     trace = spec95_trace(name, branches)
-    # Fresh arrays → fresh Trace object, so WeakKey-cached materialization
-    # entries from other tests never alias this one.
+    # Fresh arrays → fresh Trace object, so values other tests derived
+    # (materialized batches) are never memoised on this one.
     return Trace(trace.name, trace.starts.copy(),
                  trace.num_instructions.copy(), trace.kinds.copy(),
                  trace.takens.copy(), trace.next_starts.copy())

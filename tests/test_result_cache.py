@@ -8,7 +8,7 @@ import dataclasses
 import hashlib
 import json
 from array import array
-from collections import deque, namedtuple
+from collections import defaultdict, deque, namedtuple
 
 import numpy as np
 import pytest
@@ -171,6 +171,29 @@ class TestResultKey:
         tagged = Tagged([1])
         tagged.note = "x"
         assert key(tagged) != key(Tagged([1]))
+
+    def test_dict_subclasses_key_by_type_and_items(self, trace):
+        def key(value):
+            predictor = _gshare()
+            predictor.extra = value
+            return result_key(predictor, trace, None, 0, "scalar")
+
+        class Tagged(dict):
+            pass
+
+        assert key(Tagged({1: 2})) == key(Tagged({1: 2}))
+        assert key(Tagged({1: 2})) != key({1: 2})
+        assert key(Tagged({1: 2})) != key(Tagged({1: 3}))
+        tagged = Tagged({1: 2})
+        tagged.note = "x"
+        assert key(tagged) != key(Tagged({1: 2}))
+
+    @pytest.mark.parametrize("factory", [list, int])
+    def test_defaultdicts_are_uncacheable(self, trace, factory):
+        predictor = _gshare()
+        predictor.extra = defaultdict(factory, {1: 2})
+        with pytest.raises(UncacheableError):
+            result_key(predictor, trace, None, 0, "scalar")
 
     def test_namedtuple_attribute_runs_cached(self, cache_env, trace):
         pair = namedtuple("P", "a b")

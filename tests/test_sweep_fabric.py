@@ -6,6 +6,7 @@ from __future__ import annotations
 import pickle
 import sys
 import threading
+import warnings
 
 import pytest
 
@@ -21,8 +22,8 @@ from tests_support_sweep import (history_predictor, kill_worker,
 
 
 def fresh_traces(branches: int = 2_500) -> dict[str, Trace]:
-    """Distinct trace objects per call, so every test starts with cold
-    WeakKey materialization caches."""
+    """Distinct trace objects per call, so every test starts with nothing
+    derived (no fetch blocks or materialized batches memoised)."""
     out = {}
     for name in ("gcc", "compress"):
         trace = spec95_trace(name, branches)
@@ -190,6 +191,15 @@ class TestFallbacks:
                                     use_cache=False)
         assert [p.value for p in points] == [4, 6]
         assert sink.counters["scheduler.pools_started"] == 1
+
+    def test_unit_error_propagates_without_a_serial_rerun(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="workload error 1"):
+                sweep_parallel(raise_workload_error, [1], fresh_traces(),
+                               max_workers=2)
+        assert not [warning for warning in caught
+                    if issubclass(warning.category, RuntimeWarning)]
 
     def test_single_worker_short_circuits_to_serial(self):
         traces = fresh_traces()

@@ -1,8 +1,18 @@
 """Tests for the trace model."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from conftest import simple_loop_trace
+from repro import kernels
+from repro.history.providers import BranchGhistProvider, ev8_info_provider
+from repro.predictors import GsharePredictor
+from repro.sim.driver import simulate
+from repro.sim.result_cache import result_key
+from repro.traces.fetch import block_geometry
+from repro.traces.stats import compute_statistics
 from repro.traces.model import (
     INSTRUCTION_BYTES,
     BlockExecution,
@@ -10,6 +20,8 @@ from repro.traces.model import (
     Trace,
     TraceBuilder,
 )
+
+COLUMNS = ("starts", "num_instructions", "kinds", "takens", "next_starts")
 
 
 def build_demo() -> Trace:
@@ -72,9 +84,13 @@ class TestTraceViews:
         assert pcs == [0x1008, 0x2010, 0x1008]
         assert outcomes == [False, True, True]
 
-    def test_branches_view_is_cached(self):
+    def test_branches_view_reads_the_memoised_geometry(self):
         trace = build_demo()
-        assert trace.branches() is trace.branches()
+        first = trace.branches()
+        geometry = trace.derived("block_geometry")
+        assert geometry is not None
+        assert trace.branches() == first
+        assert trace.derived("block_geometry") is geometry
 
     def test_static_pcs(self):
         trace = build_demo()
@@ -139,3 +155,83 @@ class TestValidation:
             Trace("bad", np.zeros(2, dtype=np.uint64),
                   np.ones(3, dtype=np.uint16), np.zeros(2, dtype=np.uint8),
                   np.zeros(2, dtype=np.bool_), np.zeros(2, dtype=np.uint64))
+
+
+class TestReadOnlyColumns:
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_writing_a_column_raises(self, column):
+        trace = build_demo()
+        with pytest.raises(ValueError):
+            getattr(trace, column)[0] = 1
+
+    @pytest.mark.parametrize("attribute", (*COLUMNS, "name"))
+    def test_rebinding_an_attribute_raises(self, attribute):
+        trace = build_demo()
+        with pytest.raises(AttributeError):
+            setattr(trace, attribute, getattr(trace, attribute))
+
+    def test_columns_view_the_arrays_passed_in(self):
+        takens = np.array([True, False])
+        trace = Trace("views", np.array([0, 4], dtype=np.uint64),
+                      np.ones(2, dtype=np.uint16),
+                      np.full(2, int(TerminatorKind.CONDITIONAL), np.uint8),
+                      takens, np.array([4, 8], dtype=np.uint64))
+        assert np.shares_memory(trace.takens, takens)
+        assert takens.flags.writeable  # the caller's array is left alone
+
+    def test_flipping_outcomes_after_a_simulation_raises(self):
+        # Before the columns were read-only, this write went through and
+        # every later simulate replayed the memoised, stale fetch blocks.
+        trace = simple_loop_trace(300, taken_pattern=(True, True, False))
+        simulate(GsharePredictor(1 << 10, 10), trace, BranchGhistProvider(),
+                 use_cache=False)
+        with pytest.raises(ValueError):
+            trace.takens ^= True
+        with pytest.raises(ValueError):
+            np.logical_not(trace.takens, out=trace.takens)
+
+
+class TestDerivedMemo:
+    def test_computes_once_and_stores_read_only(self):
+        trace = build_demo()
+        calls = []
+
+        def compute(of):
+            calls.append(of)
+            return np.arange(3), (np.zeros(2), None)
+
+        first = trace.derived("probe", compute)
+        assert trace.derived("probe", compute) is first
+        assert trace.derived("probe") is first
+        assert calls == [trace]
+        assert not first[0].flags.writeable
+        assert trace.derived("absent") is None
+
+    def test_pickle_never_ships_derived_values(self):
+        trace = simple_loop_trace(300, taken_pattern=(True, False))
+        before = len(pickle.dumps(trace))
+        block_geometry(trace)
+        compute_statistics(trace)
+        assert ev8_info_provider().materialize(trace) is not None
+        assert BranchGhistProvider().materialize(trace) is not None
+        result_key(GsharePredictor(1 << 10, 10), trace, None, 0, "scalar")
+        assert len(pickle.dumps(trace)) == before
+
+    def test_unpickled_trace_is_read_only_and_derives_afresh(self,
+                                                             monkeypatch):
+        trace = simple_loop_trace(300, taken_pattern=(True, False))
+        geometry = block_geometry(trace)
+        library = kernels.require()
+        calls = []
+        walk = library.fetch_geometry
+        monkeypatch.setattr(library, "fetch_geometry",
+                            lambda *args: calls.append(args[0]) or walk(*args))
+        shipped = pickle.loads(pickle.dumps(trace))
+        for column in COLUMNS:
+            assert not getattr(shipped, column).flags.writeable
+            np.testing.assert_array_equal(getattr(shipped, column),
+                                          getattr(trace, column))
+        for got, expected in zip(block_geometry(shipped), geometry,
+                                 strict=True):
+            np.testing.assert_array_equal(got, expected)
+        assert calls == [len(trace)] * 2  # the counting and filling passes
