@@ -28,19 +28,17 @@ its strength.  ``update`` implements the usual saturating-counter step in
 this encoding; ``strengthen`` and ``weaken`` expose the half-steps the
 partial update policy needs.
 
-:meth:`SplitCounterArray.batch_access` is the batched simulation engine's
-replay of a single table (:mod:`repro.sim.engine`): the compiled
-``counter_replay`` kernel (:mod:`repro.kernels`) walks a whole
-predict-then-train index/outcome stream over the array's own buffers,
-bit-identically to calling ``predict`` + ``update`` per branch, shared
-hysteresis included.
+This module is the scalar oracle.  The batched engine's compiled replay
+kernels (:mod:`repro.kernels`, driven by
+:meth:`repro.predictors.base.BatchCapable.batch_access`) restate these
+steps on the arrays' raw buffers, and :meth:`SplitCounterArray.count_replayed`
+accounts their traffic from the kernels' event codes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.obs import NULL_TELEMETRY, NullTelemetry
 
 __all__ = ["SplitCounterArray", "ARM_ASSERT", "ARM_CLEAR", "ARM_FLIP",
@@ -294,46 +292,6 @@ class SplitCounterArray:
                 self._telemetry.count(self._tele_names[1])
             self._prediction[index] = 1 if taken else 0
             # Stay weak after a direction flip (00 <-> 10 transition).
-
-    # -- batched access ------------------------------------------------------
-
-    @property
-    def batch_supported(self) -> bool:
-        """Whether :meth:`batch_access` is available: whether the compiled
-        replay tier loaded.  Every hysteresis sharing ratio is inside the
-        envelope."""
-        return kernels.available()
-
-    def batch_access(self, indices: np.ndarray,
-                     takens: np.ndarray) -> np.ndarray:
-        """Predict-then-train over a whole access stream.
-
-        Equivalent to ``self.predict(i)`` then ``self.update(i, t)`` per
-        element, in stream order: returns the per-access predictions (bool
-        array) and leaves every counter in the same final state the scalar
-        walk would, shared hysteresis included.  The compiled
-        ``counter_replay`` kernel writes one event code per access (bit 0
-        the prediction, bits 1-2 the ``ARM_*`` write arm, bit 3 the
-        sharing-conflict bit), and telemetry is reduced from the codes.
-        """
-        indices = np.asarray(indices)
-        takens = np.asarray(takens, dtype=np.bool_)
-        if indices.shape != takens.shape:
-            raise ValueError(
-                f"index/outcome streams have mismatched shapes: "
-                f"{indices.shape} vs {takens.shape}")
-        lib = kernels.require()
-        indices = kernels.stream(indices)
-        takens = kernels.stream(takens, np.bool_)
-        bank = kernels.banks(self)
-        codes = np.empty(len(indices), dtype=np.uint8)
-        lib.counter_replay(len(codes), indices.ctypes.data, takens.ctypes.data,
-                           bank.ctypes.data, codes.ctypes.data)
-        if self._telemetry.enabled:
-            values, weights = np.unique(codes, return_counts=True)
-            self.count_replayed(weights, np.ones(len(values), dtype=np.bool_),
-                                (values >> 1) & 3, (values & 8) != 0)
-        return (codes & 1).view(np.bool_)
 
     def set_counter(self, index: int, value: int) -> None:
         """Force a counter to a conventional 2-bit value (0..3). Test hook."""

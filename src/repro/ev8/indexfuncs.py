@@ -196,5 +196,7 @@ class EV8IndexScheme(IndexScheme):
             (type(self), self.wordline_mode, self.use_block_bank),
             lambda vector: self.compute(vector, configs), 1)
 
+    # Overridden here so that compute_batch can be wrapped per scheme
+    # (see SkewedIndexScheme.compute_batch).
     def compute_batch(self, batch, configs):
         return super().compute_batch(batch, configs)

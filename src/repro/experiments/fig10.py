@@ -49,11 +49,3 @@ def run(num_branches: int | None = None) -> ComparisonTable:
 
 def render(table: ComparisonTable) -> str:
     return table.render("Fig 10: limits of using global history")
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -41,11 +41,3 @@ def render(table: ComparisonTable) -> str:
     return table.render(
         "Fig 5: branch prediction accuracy for various global history "
         "schemes (misp/KI, best history lengths)")
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

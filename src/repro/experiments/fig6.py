@@ -72,11 +72,3 @@ def render(result: Fig6Result) -> str:
     return render_delta_table(
         "Fig 6: additional mispredictions when using log2(table size) "
         "history length", result.best.benchmark_names, base, other)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -70,11 +70,3 @@ def render(table: ComparisonTable) -> str:
     return table.render(
         "Fig 7: impact of the information vector on branch prediction "
         "accuracy (4x64K 2Bc-gskew)")
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -59,11 +59,3 @@ def run(num_branches: int | None = None) -> ComparisonTable:
 def render(table: ComparisonTable) -> str:
     return table.render(
         "Fig 8: adjusting table sizes in the predictor (EV8 info vector)")
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

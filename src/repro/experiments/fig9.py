@@ -91,11 +91,3 @@ def run(num_branches: int | None = None) -> ComparisonTable:
 
 def render(table: ComparisonTable) -> str:
     return table.render("Fig 9: effect of wordline indices")
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

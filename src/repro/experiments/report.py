@@ -12,12 +12,14 @@ __all__ = ["render_table", "render_delta_table"]
 
 def render_table(title: str, benchmarks: list[str],
                  columns: dict[str, dict[str, float]],
-                 precision: int = 3, unit: str = "misp/KI") -> str:
-    """Render ``columns[config][benchmark] -> value`` as an ASCII table."""
+                 precision: int = 3, unit: str | None = "misp/KI") -> str:
+    """Render ``columns[config][benchmark] -> value`` as an ASCII table,
+    headed by the title and, unless ``unit`` is ``None``, the unit."""
     names = list(columns)
     width = max(12, *(len(name) + 2 for name in names))
     bench_width = max(10, *(len(name) + 2 for name in benchmarks))
-    lines = [f"{title}  ({unit})"]
+    heading = title if unit is None else f"{title}  ({unit})"
+    lines = [heading] if heading else []
     header = "".join([f"{'benchmark':<{bench_width}}"]
                      + [f"{name:>{width}}" for name in names])
     lines.append(header)

@@ -100,7 +100,7 @@ def run_all(num_branches: int | None = None, use_cache: bool = True,
     ]
     with _runtime_defaults(use_cache), use_telemetry(telemetry) as sink:
         for title, module, finding in _SECTIONS:
-            started = time.time()
+            started = time.perf_counter()
             with sink.span(module.__name__.rsplit(".", 1)[-1]):
                 result = module.run(num_branches)
             rendered = module.render(result)
@@ -111,7 +111,7 @@ def run_all(num_branches: int | None = None, use_cache: bool = True,
             lines.append("```")
             lines.append(rendered)
             lines.append("```")
-            lines.append(f"*({time.time() - started:.0f}s)*")
+            lines.append(f"*({time.perf_counter() - started:.0f}s)*")
             lines.append("")
         if sink.enabled:
             lines.append("## Telemetry summary")

@@ -82,11 +82,3 @@ def render(result: Table2Result) -> str:
             f"{row['paper_static']:>11d}"
             f"{row['paper_branches_per_ki']:>12.1f}")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

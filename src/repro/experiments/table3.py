@@ -54,11 +54,3 @@ def render(result: Table3Result) -> str:
     paper_mean = sum(PAPER_TABLE3.values()) / len(PAPER_TABLE3)
     lines.append(f"{'amean':<10}{result.mean():>8.2f}{paper_mean:>8.2f}")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

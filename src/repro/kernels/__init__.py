@@ -3,12 +3,12 @@
 
 Two libraries are built this way.  ``replay.c`` holds the replay kernels:
 every batched predictor replays its precomputed index streams through one
-C predict-then-train kernel, which updates the predictor's own table
-buffers in place and writes one event code per position: the single-table
-ones (bimodal, gshare, GAs) through ``counter_replay``, by way of
-:meth:`repro.common.counters.SplitCounterArray.batch_access`, and the
-update-coupled ones (2Bc-gskew and the EV8 built on it, e-gskew, bi-mode
-and YAGS) through a kernel each.  It also holds the trace-side walks:
+C predict-then-train kernel, called by
+:meth:`repro.predictors.base.BatchCapable.batch_access`, which updates the
+predictor's own table buffers in place and writes one event code per
+position: the single-table ones (bimodal, gshare, GAs) through
+``counter_replay``, and the update-coupled ones (2Bc-gskew and the EV8
+built on it, e-gskew, bi-mode and YAGS) through a kernel each.  It also holds the trace-side walks:
 ``fetch_geometry`` builds :func:`repro.traces.fetch.block_geometry`, and
 ``ghist_history``, ``lghist_history`` and ``block_columns`` build the
 columns of every

@@ -88,11 +88,11 @@ class Predictor:
 class BatchCapable:
     """Mixin for predictors that can replay a whole trace in bulk.
 
-    Opting in means implementing :meth:`batch_access`: given a
+    Opting in gives a predictor :meth:`batch_access`: given a
     :class:`~repro.history.providers.VectorBatch` (the trace's information
-    vectors and outcomes as parallel arrays), return the per-branch
+    vectors and outcomes as parallel arrays), it returns the per-branch
     predictions the scalar ``access`` loop would have produced, **bit for
-    bit**, and leave the predictor tables in the same final state.  The
+    bit**, and leaves the predictor tables in the same final state.  The
     batched engine (:class:`repro.sim.engine.BatchedEngine`) verifies
     :meth:`batch_supported` first and falls back to the scalar engine when a
     configuration cannot honor the equivalence guarantee (an index function
@@ -102,11 +102,21 @@ class BatchCapable:
     :meth:`_index_tables`; :mod:`repro.indexing.gf2` compiles it into the
     byte tables that give the batch's index streams (:meth:`_index_streams`),
     replayed through **one** compiled predict-then-train kernel per
-    predictor (see :mod:`repro.kernels`): a single-table predictor through
-    :meth:`repro.common.counters.SplitCounterArray.batch_access`, an
-    update-coupled one through its own kernel.  Telemetry comes from that
-    same replay, as a reduction of the kernel's event codes.
+    predictor (see :mod:`repro.kernels`).  The defaults replay one table,
+    ``self._counters``, through ``counter_replay``; a multi-table predictor
+    names its kernel in :attr:`_KERNEL` and overrides
+    :meth:`_kernel_tables` and :meth:`_count_events`.  Telemetry comes from
+    that same replay, as a reduction of the kernel's event codes.
+
+    Each opted-in class binds ``batch_access = BatchCapable.batch_access``
+    in its own body, so that perfbench's tracer can time each class's
+    replay on its own.
     """
+
+    #: The ``replay.c`` kernel :meth:`batch_access` calls, and the dtype of
+    #: the event code it writes per position (bit 0 the prediction).
+    _KERNEL = "counter_replay"
+    _CODES = np.uint8
 
     def _index_tables(self) -> ByteTables:
         """The compiled tables of this configuration's scalar index function
@@ -130,6 +140,51 @@ class BatchCapable:
         with self._telemetry.span("index"):
             return self._index_tables()(batch)
 
+    def _kernel_tables(self) -> tuple:
+        """The kernel's arguments between the takens and the codes: table
+        descriptor arrays (passed by address, and kept alive by the caller
+        for the call) and flags."""
+        return (kernels.banks(self._counters),)
+
+    def _count_events(self, values: np.ndarray, weights: np.ndarray) -> None:
+        """Every ``bank.*`` counter of the scalar walk, from the histogram
+        of the kernel's event codes: ``weights[v]`` positions wrote the
+        distinct code ``values[v]``.
+
+        ``counter_replay`` codes: bit 0 the prediction, bits 1-2 the write
+        arm (``ARM_*`` from :mod:`repro.common.counters`), bit 3 the
+        sharing-conflict bit.
+        """
+        self._counters.count_replayed(
+            weights, np.ones(len(values), dtype=np.bool_),
+            (values >> 1) & 3, (values & 8) != 0)
+
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
-        """Predict-then-train over the whole batch; returns predictions."""
-        raise NotImplementedError
+        """Predict-then-train over the whole batch; returns predictions.
+
+        The index streams, the outcomes and :meth:`_kernel_tables` go to
+        the :attr:`_KERNEL` kernel, which walks them in stream order on the
+        tables' own buffers, restating the scalar ``access``, and writes
+        one event code per position; telemetry is reduced from the codes
+        (:meth:`_count_events`).
+        """
+        lib = kernels.require()
+        streams = [kernels.stream(column)
+                   for column in self._index_streams(batch)]
+        takens = kernels.stream(batch.takens, np.bool_)
+        if any(len(column) != len(batch) for column in (*streams, takens)):
+            raise ValueError("every index stream and the outcomes must have "
+                             "one entry per branch of the batch")
+        tables = self._kernel_tables()
+        codes = np.empty(len(batch), dtype=self._CODES)
+        getattr(lib, self._KERNEL)(
+            len(codes), *map(_argument, (*streams, takens, *tables, codes)))
+        if self._telemetry.enabled:
+            self._count_events(*np.unique(codes, return_counts=True))
+        return (codes & 1).astype(np.bool_)
+
+
+def _argument(value):
+    """A kernel argument as ``ctypes`` takes it: an array by the address of
+    its first element, anything else as it is."""
+    return value.ctypes.data if isinstance(value, np.ndarray) else value

@@ -8,10 +8,8 @@ baseline and the BIM component of 2Bc-gskew (Section 4.1), where it
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.common.counters import SplitCounterArray
-from repro.history.providers import InfoVector, VectorBatch
+from repro.history.providers import InfoVector
 from repro.indexing.gf2 import ByteTables, byte_tables
 from repro.predictors.base import BatchCapable, Predictor
 
@@ -54,9 +52,7 @@ class BimodalPredictor(BatchCapable, Predictor):
     def _index_tables(self) -> ByteTables:
         return byte_tables((type(self), self._mask), self._index)
 
-    def batch_access(self, batch: VectorBatch) -> np.ndarray:
-        (indices,) = self._index_streams(batch)
-        return self._counters.batch_access(indices, batch.takens)
+    batch_access = BatchCapable.batch_access  # see BatchCapable
 
     @property
     def storage_bits(self) -> int:

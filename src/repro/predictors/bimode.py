@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import kernels
 from repro.common.counters import ARM_NONE, SplitCounterArray
-from repro.history.providers import InfoVector, VectorBatch
+from repro.history.providers import InfoVector
 from repro.indexing.fold import gshare_index
 from repro.indexing.gf2 import ByteTables, byte_tables
 from repro.predictors.base import BatchCapable, Predictor
@@ -104,35 +104,17 @@ class BiModePredictor(BatchCapable, Predictor):
                             self.history_length, self.direction_bits),
                            self._indices)
 
-    def batch_access(self, batch: VectorBatch) -> np.ndarray:
-        """Batched replay: the choice and direction index streams are
-        compiled from :meth:`_indices` (:mod:`repro.indexing.gf2`), then the
-        compiled ``bimode_replay`` kernel (``repro/kernels/replay.c``) walks
-        them in stream order, restating :meth:`access` and :meth:`_train` on
-        the tables' raw buffers.
+    # Event code per position: bit 0 the prediction, bit 1 the choice,
+    # bits 2-3 the selected direction table's write arm and bits 4-5 the
+    # choice table's (ARM_* from repro.common.counters).
+    _KERNEL = "bimode_replay"
+    batch_access = BatchCapable.batch_access  # see BatchCapable
 
-        Event code per position: bit 0 the prediction, bit 1 the choice,
-        bits 2-3 the selected direction table's write arm and bits 4-5 the
-        choice table's (``ARM_*`` from :mod:`repro.common.counters`);
-        telemetry is reduced from the codes.
-        """
-        lib = kernels.require()
-        choice_idx, direction_idx = self._index_streams(batch)
-        takens = kernels.stream(batch.takens, np.bool_)
-        codes = np.empty(len(batch), dtype=np.uint8)
-        banks = kernels.banks(self.choice, self.not_taken_table,
-                              self.taken_table)
-        lib.bimode_replay(len(codes), kernels.address(choice_idx),
-                          kernels.address(direction_idx),
-                          kernels.address(takens), banks.ctypes.data,
-                          codes.ctypes.data)
-        if self._telemetry.enabled:
-            self._count_events(codes)
-        return (codes & 1).view(np.bool_)
+    def _kernel_tables(self) -> tuple:
+        return (kernels.banks(self.choice, self.not_taken_table,
+                              self.taken_table),)
 
-    def _count_events(self, codes: np.ndarray) -> None:
-        """Every ``bank.*`` counter of the scalar walk, from the codes."""
-        values, weights = np.unique(codes, return_counts=True)
+    def _count_events(self, values: np.ndarray, weights: np.ndarray) -> None:
         choice = (values >> 1) & 1
         self.choice.count_replayed(weights, np.ones(len(values),
                                                     dtype=np.bool_),

@@ -18,7 +18,7 @@ import numpy as np
 from repro import kernels
 from repro.common.bitops import mask
 from repro.common.counters import SplitCounterArray
-from repro.history.providers import InfoVector, VectorBatch
+from repro.history.providers import InfoVector
 from repro.indexing.fold import info_word
 from repro.indexing.gf2 import ByteTables, byte_tables
 from repro.indexing.skew import skew_index
@@ -102,32 +102,17 @@ class EGskewPredictor(BatchCapable, Predictor):
         return byte_tables((type(self), self.index_bits, self.history_length,
                             self.g0_history_length), self._indices)
 
-    def batch_access(self, batch: VectorBatch) -> np.ndarray:
-        """Batched replay: the three index streams are compiled from
-        :meth:`_indices` (:mod:`repro.indexing.gf2`), then the compiled
-        ``egskew_replay`` kernel (``repro/kernels/replay.c``) walks them in
-        stream order, restating :meth:`access` and :meth:`_train_with_reads`
-        on the banks' raw buffers.
+    # Event code per position: bit 0 the prediction, then each bank's write
+    # arm (ARM_* from repro.common.counters) in bits 1-2 (BIM), 3-4 (G0)
+    # and 5-6 (G1).
+    _KERNEL = "egskew_replay"
+    batch_access = BatchCapable.batch_access  # see BatchCapable
 
-        Event code per position: bit 0 the prediction, then each bank's
-        write arm (``ARM_*`` from :mod:`repro.common.counters`) in bits 1-2
-        (BIM), 3-4 (G0) and 5-6 (G1); telemetry is reduced from the codes.
-        """
-        lib = kernels.require()
-        streams = self._index_streams(batch)
-        takens = kernels.stream(batch.takens, np.bool_)
-        codes = np.empty(len(batch), dtype=np.uint8)
-        banks = kernels.banks(self.bim, self.g0, self.g1)
-        lib.egskew_replay(len(codes), *map(kernels.address, streams),
-                          kernels.address(takens), banks.ctypes.data,
-                          self.update_policy == "partial", codes.ctypes.data)
-        if self._telemetry.enabled:
-            self._count_events(codes)
-        return (codes & 1).view(np.bool_)
+    def _kernel_tables(self) -> tuple:
+        return (kernels.banks(self.bim, self.g0, self.g1),
+                self.update_policy == "partial")
 
-    def _count_events(self, codes: np.ndarray) -> None:
-        """Every ``bank.*`` counter of the scalar walk, from the codes."""
-        values, weights = np.unique(codes, return_counts=True)
+    def _count_events(self, values: np.ndarray, weights: np.ndarray) -> None:
         reads = np.ones(len(values), dtype=np.bool_)
         for shift, bank in ((1, self.bim), (3, self.g0), (5, self.g1)):
             bank.count_replayed(weights, reads, (values >> shift) & 3)

@@ -8,11 +8,9 @@ scheme the paper cites as a conventional aliased predictor [27]).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.common.bitops import mask, xor_fold
 from repro.common.counters import SplitCounterArray
-from repro.history.providers import InfoVector, VectorBatch
+from repro.history.providers import InfoVector
 from repro.indexing.gf2 import ByteTables, byte_tables
 from repro.predictors.base import BatchCapable, Predictor
 
@@ -64,9 +62,7 @@ class GAsPredictor(BatchCapable, Predictor):
         return byte_tables(
             (type(self), self.history_length, self.address_bits), self._index)
 
-    def batch_access(self, batch: VectorBatch) -> np.ndarray:
-        (indices,) = self._index_streams(batch)
-        return self._counters.batch_access(indices, batch.takens)
+    batch_access = BatchCapable.batch_access  # see BatchCapable
 
     @property
     def storage_bits(self) -> int:

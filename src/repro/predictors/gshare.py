@@ -8,11 +8,9 @@ baseline that the de-aliased schemes are measured against.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.common.bitops import mask
 from repro.common.counters import SplitCounterArray
-from repro.history.providers import InfoVector, VectorBatch
+from repro.history.providers import InfoVector
 from repro.indexing.fold import gshare_index
 from repro.indexing.gf2 import ByteTables, byte_tables
 from repro.predictors.base import BatchCapable, Predictor
@@ -57,9 +55,7 @@ class GsharePredictor(BatchCapable, Predictor):
         return byte_tables((type(self), self.history_length, self.index_bits),
                            self._index)
 
-    def batch_access(self, batch: VectorBatch) -> np.ndarray:
-        (indices,) = self._index_streams(batch)
-        return self._counters.batch_access(indices, batch.takens)
+    batch_access = BatchCapable.batch_access  # see BatchCapable
 
     @property
     def storage_bits(self) -> int:

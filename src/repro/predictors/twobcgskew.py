@@ -28,7 +28,7 @@ from repro.common.counters import SplitCounterArray, count_selected
 from repro.history.providers import InfoVector, VectorBatch
 from repro.history.registers import DEFAULT_PATH_DEPTH
 from repro.indexing.fold import info_word
-from repro.indexing.gf2 import ByteTables, NotLinear, byte_tables
+from repro.indexing.gf2 import ByteTables, byte_tables
 from repro.indexing.skew import skew_index
 from repro.predictors.base import BatchCapable, Predictor
 
@@ -101,15 +101,6 @@ class IndexScheme:
                            lambda vector: self.compute(vector, configs),
                            path_depth)
 
-    def vectorized(self, configs: tuple[TableConfig, ...]) -> bool:
-        """Whether :meth:`tables` compile (at the providers' default path
-        depth), so :meth:`compute_batch` runs."""
-        try:
-            self.tables(configs, DEFAULT_PATH_DEPTH)
-        except NotLinear:
-            return False
-        return True
-
     def compute_batch(self, batch: VectorBatch,
                       configs: tuple[TableConfig, TableConfig, TableConfig,
                                      TableConfig]
@@ -171,6 +162,8 @@ class SkewedIndexScheme(IndexScheme):
             (type(self), self.use_path_addresses, reads, depth),
             lambda vector: self.compute(vector, configs), depth)
 
+    # Overridden in the class itself so that each scheme's compute_batch can
+    # be wrapped on its own (perfbench's tracer times it per scheme).
     def compute_batch(self, batch, configs):
         return super().compute_batch(batch, configs)
 
@@ -240,42 +233,32 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
         self._train(indices, state, taken)
         return state[-1]
 
-    def batch_supported(self) -> bool:
-        return (kernels.available()
-                and self.index_scheme.vectorized(self.configs))
+    # -- batched replay ------------------------------------------------------
 
-    def batch_access(self, batch: VectorBatch) -> np.ndarray:
-        """Batched replay: the index scheme's compiled
-        :meth:`~IndexScheme.compute_batch` gives all four index streams,
-        replayed in stream order by the compiled ``twobcgskew_replay``
-        kernel (``repro/kernels/replay.c``).
+    # The partial-update policy couples BIM/G0/G1/Meta through the majority
+    # vote and the chooser on almost every branch, so one kernel walks all
+    # four tables together, restating _read and _train on the banks' raw
+    # buffers.  Its event code layout is given in replay.c.
+    _KERNEL = "twobcgskew_replay"
+    _CODES = np.uint32
+    batch_access = BatchCapable.batch_access  # see BatchCapable
 
-        The partial-update policy couples BIM/G0/G1/Meta through the
-        majority vote and the chooser on almost every branch, so one kernel
-        walks all four tables together.  It restates :meth:`_read` and
-        :meth:`_train` on the banks' raw buffers and writes one event code
-        per position (layout in ``replay.c``); every ``bank.*``,
-        ``arbitration.*`` and ``update.*`` counter is a reduction of those
-        codes (:meth:`_count_events`).
-        """
-        lib = kernels.require()
+    def _index_tables(self) -> ByteTables:
+        return self.index_scheme.tables(self.configs, DEFAULT_PATH_DEPTH)
+
+    def _index_streams(self, batch: VectorBatch) -> tuple[np.ndarray, ...]:
+        # Through the scheme's compute_batch, which compiles for the batch's
+        # own path depth (and which perfbench's tracer times per scheme).
         with self._telemetry.span("index"):
-            streams = self.index_scheme.compute_batch(batch, self.configs)
-        takens = kernels.stream(batch.takens, np.bool_)
-        codes = np.empty(len(batch), dtype=np.uint32)
-        banks = kernels.banks(self.bim, self.g0, self.g1, self.meta)
-        lib.twobcgskew_replay(len(codes), *map(kernels.address, streams),
-                              kernels.address(takens), banks.ctypes.data,
-                              self.update_policy == "partial",
-                              codes.ctypes.data)
-        if self._telemetry.enabled:
-            self._count_events(codes)
-        return (codes & 1).astype(np.bool_)
+            return self.index_scheme.compute_batch(batch, self.configs)
 
-    def _count_events(self, codes: np.ndarray) -> None:
+    def _kernel_tables(self) -> tuple:
+        return (kernels.banks(self.bim, self.g0, self.g1, self.meta),
+                self.update_policy == "partial")
+
+    def _count_events(self, values: np.ndarray, weights: np.ndarray) -> None:
         """Every counter of the scalar walk's :meth:`_train` and bank
         reads/writes, from the kernel's event codes."""
-        values, weights = np.unique(codes, return_counts=True)
         reads = [(values >> bit) & 1 for bit in (1, 2, 3)]
         majority = (reads[0] + reads[1] + reads[2]) >= 2
         use_majority = (values >> 4) & 1 == 1

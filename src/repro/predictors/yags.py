@@ -21,7 +21,7 @@ import numpy as np
 from repro import kernels
 from repro.common.bitops import mask
 from repro.common.counters import ARM_NONE, SplitCounterArray
-from repro.history.providers import InfoVector, VectorBatch
+from repro.history.providers import InfoVector
 from repro.indexing.fold import gshare_index
 from repro.indexing.gf2 import ByteTables, byte_tables
 from repro.obs import NullTelemetry
@@ -156,36 +156,18 @@ class YagsPredictor(BatchCapable, Predictor):
                             self.history_length, self.cache_bits,
                             self.tag_bits), self._indices)
 
-    def batch_access(self, batch: VectorBatch) -> np.ndarray:
-        """Batched replay: the choice index, cache index and tag streams
-        are compiled from :meth:`_indices` (:mod:`repro.indexing.gf2`), then
-        the compiled ``yags_replay`` kernel (``repro/kernels/replay.c``)
-        walks them in stream order, restating :meth:`_access` on the raw
-        choice, counter, tag and valid buffers.
+    # Event code per position: bit 0 the prediction, bit 1 the choice,
+    # bit 2 a tag hit, bits 3-4 the probed cache's counter write arm
+    # (ARM_NONE on a miss, which allocates iff the choice erred) and bits
+    # 5-6 the choice table's (ARM_* from repro.common.counters).
+    _KERNEL = "yags_replay"
+    batch_access = BatchCapable.batch_access  # see BatchCapable
 
-        Event code per position: bit 0 the prediction, bit 1 the choice,
-        bit 2 a tag hit, bits 3-4 the probed cache's counter write arm
-        (``ARM_NONE`` on a miss, which allocates iff the choice erred) and
-        bits 5-6 the choice table's (``ARM_*`` from
-        :mod:`repro.common.counters`); telemetry is reduced from the codes.
-        """
-        lib = kernels.require()
-        choice_idx, cache_idx, tags = self._index_streams(batch)
-        takens = kernels.stream(batch.takens, np.bool_)
-        codes = np.empty(len(batch), dtype=np.uint8)
-        choice = kernels.banks(self.choice)
-        caches = kernels.yags_caches(self.taken_cache, self.not_taken_cache)
-        lib.yags_replay(len(codes), kernels.address(choice_idx),
-                        kernels.address(cache_idx), kernels.address(tags),
-                        kernels.address(takens), choice.ctypes.data,
-                        caches.ctypes.data, codes.ctypes.data)
-        if self._telemetry.enabled:
-            self._count_events(codes)
-        return (codes & 1).view(np.bool_)
+    def _kernel_tables(self) -> tuple:
+        return (kernels.banks(self.choice),
+                kernels.yags_caches(self.taken_cache, self.not_taken_cache))
 
-    def _count_events(self, codes: np.ndarray) -> None:
-        """Every ``bank.*`` counter of the scalar walk, from the codes."""
-        values, weights = np.unique(codes, return_counts=True)
+    def _count_events(self, values: np.ndarray, weights: np.ndarray) -> None:
         choice = (values >> 1) & 1
         hit = (values & 4) != 0
         self.choice.count_replayed(weights, np.ones(len(values),

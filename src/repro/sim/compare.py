@@ -60,26 +60,13 @@ class ComparisonTable:
         """ASCII table: one row per benchmark, one column per config, plus
         an arithmetic-mean row — the textual equivalent of the paper's bar
         charts."""
-        width = max(12, *(len(name) + 2 for name in self.config_names))
-        bench_width = max(10, *(len(name) + 2 for name in self.benchmark_names))
-        lines = []
-        if title:
-            lines.append(title)
-        header = "".join([f"{'benchmark':<{bench_width}}"]
-                         + [f"{name:>{width}}" for name in self.config_names])
-        lines.append(header)
-        lines.append("-" * len(header))
-        for benchmark in self.benchmark_names:
-            row = [f"{benchmark:<{bench_width}}"]
-            for config in self.config_names:
-                row.append(f"{self.misp_per_ki(config, benchmark):>{width}.{precision}f}")
-            lines.append("".join(row))
-        lines.append("-" * len(header))
-        mean_row = [f"{'amean':<{bench_width}}"]
-        for config in self.config_names:
-            mean_row.append(f"{self.mean(config):>{width}.{precision}f}")
-        lines.append("".join(mean_row))
-        return "\n".join(lines)
+        # Imported here: repro.experiments imports this module.
+        from repro.experiments.report import render_table
+        columns = {config: {benchmark: self.misp_per_ki(config, benchmark)
+                            for benchmark in self.benchmark_names}
+                   for config in self.config_names}
+        return render_table(title, self.benchmark_names, columns, precision,
+                            unit=None)
 
     def wall_seconds(self, config: str | None = None) -> float:
         """Total simulation wall-clock, for one configuration or the grid."""

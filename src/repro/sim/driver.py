@@ -7,10 +7,13 @@ for the long-global-history predictors studied, immediate update versus
 commit-time update changes the misprediction counts insignificantly.
 
 The walk itself lives in the pluggable engine layer
-(:mod:`repro.sim.engine`): the default :class:`~repro.sim.engine.ScalarEngine`
-iterates the trace's fetch-block stream one branch at a time, while the
+(:mod:`repro.sim.engine`): the default
 :class:`~repro.sim.engine.BatchedEngine` replays opted-in table predictors
-in vectorized numpy passes with bit-identical counts.  A
+through one compiled predict-then-train kernel each, over index streams
+computed for the whole trace, with counts bit-identical to the reference
+:class:`~repro.sim.engine.ScalarEngine`.  The scalar engine iterates the
+trace's fetch-block stream one branch at a time; every predictor or
+configuration outside the batched envelope falls back to it.  A
 :class:`~repro.history.providers.HistoryProvider` decides what information
 vector each branch is predicted with (per-branch ghist, block lghist, aged
 lghist, ...), which is how one simulation loop serves both conventional

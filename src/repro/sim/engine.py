@@ -12,10 +12,10 @@ simulation.  This module makes that hot path a swappable component:
   (:meth:`~repro.history.providers.HistoryProvider.materialize`), the whole
   trace's index streams are gathered from GF(2) byte tables compiled from
   each predictor's scalar index function (:mod:`repro.indexing.gf2`) and
-  replayed in stream order by one compiled predict-then-train kernel per predictor
-  (:mod:`repro.kernels`; single-table predictors reach theirs through
-  :meth:`repro.common.counters.SplitCounterArray.batch_access`).  This is
-  the default engine.
+  replayed in stream order by one compiled predict-then-train kernel per
+  predictor (:mod:`repro.kernels`, called by
+  :meth:`~repro.predictors.base.BatchCapable.batch_access`).  This is the
+  default engine.
 
 The contract is strict: ``BatchedEngine`` must produce **bit-identical**
 ``mispredictions``/``branches`` to ``ScalarEngine`` (and equivalent final

@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.counters import SplitCounterArray
+from repro.history.providers import VectorBatch
 from repro.obs import Telemetry
+from repro.predictors.bimodal import BimodalPredictor
 
 
 class TestConstruction:
@@ -192,6 +194,26 @@ def _scalar_replay(size, hysteresis_size, indices, takens, sink=None):
     return array, predictions
 
 
+def _replayer(size, hysteresis_size, sink=None):
+    """A bimodal predictor over one counter array, so a batch whose
+    ``branch_pc`` is ``index << 2`` replays exactly ``index``."""
+    predictor = BimodalPredictor(size, hysteresis_entries=hysteresis_size)
+    if sink is not None:
+        predictor.attach_telemetry(sink)
+    return predictor
+
+
+def _batch_replay(predictor, indices, takens):
+    """The batched replay of an index/outcome stream; the predictions."""
+    indices = np.asarray(indices, dtype=np.uint64)
+    zeros = np.zeros(len(indices), dtype=np.uint64)
+    batch = VectorBatch(history=zeros, address=zeros,
+                        branch_pc=indices << np.uint64(2),
+                        path=np.zeros((0, len(indices)), dtype=np.uint64),
+                        takens=np.asarray(takens, dtype=np.bool_))
+    return predictor.batch_access(batch)
+
+
 def _random_stream(size, length, seed=0):
     rng = np.random.default_rng(seed)
     # Skewed indices so hysteresis groups see real collision runs.
@@ -208,9 +230,9 @@ def _assert_replay_with_telemetry(size, hysteresis_size):
     scalar_sink, batched_sink = Telemetry(), Telemetry()
     reference, expected = _scalar_replay(size, hysteresis_size, indices,
                                          takens, scalar_sink)
-    array = SplitCounterArray(size, hysteresis_size)
-    array.attach_telemetry(batched_sink)
-    assert array.batch_access(indices, takens).tolist() == expected
+    predictor = _replayer(size, hysteresis_size, batched_sink)
+    assert _batch_replay(predictor, indices, takens).tolist() == expected
+    array = predictor._counters
     assert array._prediction == reference._prediction
     assert array._hysteresis == reference._hysteresis
     counters = scalar_sink.snapshot()["counters"]
@@ -219,7 +241,8 @@ def _assert_replay_with_telemetry(size, hysteresis_size):
 
 
 class TestBatchAccess:
-    """``batch_access`` must replay a whole stream bit-identically to the
+    """The batched replay of one counter table (``counter_replay``, through
+    a bimodal predictor) must replay a whole stream bit-identically to the
     scalar predict/update walk — including shared/half-size hysteresis,
     where partners couple through one strength bit (Section 4.4)."""
 
@@ -230,25 +253,25 @@ class TestBatchAccess:
         indices, takens = _random_stream(size, 3000, seed=size)
         reference, expected = _scalar_replay(size, hysteresis_size,
                                              indices, takens)
-        array = SplitCounterArray(size, hysteresis_size)
-        predictions = array.batch_access(indices, takens)
+        predictor = _replayer(size, hysteresis_size)
+        predictions = _batch_replay(predictor, indices, takens)
         assert predictions.tolist() == expected
-        assert array._prediction == reference._prediction
-        assert array._hysteresis == reference._hysteresis
+        assert predictor._counters._prediction == reference._prediction
+        assert predictor._counters._hysteresis == reference._hysteresis
 
     def test_chunking_does_not_change_results(self):
         """Replaying a stream in two ``batch_access`` calls equals replaying
         it in one: the table state carries across calls."""
         indices, takens = _random_stream(64, 2000, seed=7)
-        whole = SplitCounterArray(64, 16)
-        split = SplitCounterArray(64, 16)
-        whole_predictions = whole.batch_access(indices, takens)
+        whole = _replayer(64, 16)
+        split = _replayer(64, 16)
+        whole_predictions = _batch_replay(whole, indices, takens)
         split_predictions = np.concatenate(
-            [split.batch_access(indices[:700], takens[:700]),
-             split.batch_access(indices[700:], takens[700:])])
+            [_batch_replay(split, indices[:700], takens[:700]),
+             _batch_replay(split, indices[700:], takens[700:])])
         assert (whole_predictions == split_predictions).all()
-        assert whole._prediction == split._prediction
-        assert whole._hysteresis == split._hysteresis
+        assert whole._counters._prediction == split._counters._prediction
+        assert whole._counters._hysteresis == split._counters._hysteresis
 
     def test_partner_interference_through_shared_bit(self):
         """The Section 4.4 aliasing scenario, replayed in one batch: hammering
@@ -261,11 +284,11 @@ class TestBatchAccess:
         takens = np.array([True] * 5 + [False, True, False] * 10)
         reference, expected = _scalar_replay(size, hysteresis_size,
                                              indices, takens)
-        array = SplitCounterArray(size, hysteresis_size)
-        predictions = array.batch_access(indices, takens)
+        predictor = _replayer(size, hysteresis_size)
+        predictions = _batch_replay(predictor, indices, takens)
         assert predictions.tolist() == expected
-        assert array._prediction == reference._prediction
-        assert array._hysteresis == reference._hysteresis
+        assert predictor._counters._prediction == reference._prediction
+        assert predictor._counters._hysteresis == reference._hysteresis
 
     @given(st.lists(st.tuples(st.integers(0, 15), st.booleans()),
                     max_size=60))
@@ -273,11 +296,11 @@ class TestBatchAccess:
         indices = np.array([index for index, _ in accesses], dtype=np.int64)
         takens = np.array([taken for _, taken in accesses], dtype=np.bool_)
         reference, expected = _scalar_replay(16, 4, indices, takens)
-        array = SplitCounterArray(16, 4)
-        predictions = array.batch_access(indices, takens)
+        predictor = _replayer(16, 4)
+        predictions = _batch_replay(predictor, indices, takens)
         assert predictions.tolist() == expected
-        assert array._prediction == reference._prediction
-        assert array._hysteresis == reference._hysteresis
+        assert predictor._counters._prediction == reference._prediction
+        assert predictor._counters._hysteresis == reference._hysteresis
 
     @pytest.mark.parametrize("size,hysteresis_size", [(64, 32), (64, 16)])
     def test_shared_hysteresis_telemetry_matches_scalar(self, size,
@@ -287,10 +310,19 @@ class TestBatchAccess:
     def test_ratio_32_matches_scalar_replay(self):
         """A sharing ratio far beyond the paper's 2 is inside the
         envelope."""
-        assert SplitCounterArray(256, 8).batch_supported
+        assert BimodalPredictor(256, hysteresis_entries=8).batch_supported()
         _assert_replay_with_telemetry(256, 8)
 
     def test_ev8_ratio_two_is_supported(self):
         # The paper's G0/Meta configuration: half-size hysteresis.
-        assert SplitCounterArray(1 << 16, 1 << 15).batch_supported
+        assert BimodalPredictor(
+            1 << 16, hysteresis_entries=1 << 15).batch_supported()
 
+    def test_rejects_outcomes_shorter_than_the_batch(self):
+        """The kernel reads one outcome per branch, so a short outcome
+        column is refused before its address is passed."""
+        indices, takens = _random_stream(16, 40)
+        predictor = _replayer(16, 4)
+        with pytest.raises(ValueError, match="one entry per branch"):
+            _batch_replay(predictor, indices, takens[:-1])
+        assert predictor._counters._prediction == bytearray(16)

@@ -1,8 +1,8 @@
 """Differential fuzzing: the scalar ↔ batched contract, whole-predictor.
 
-``tests/test_counters.py`` locks ``SplitCounterArray.batch_access`` against
-the scalar counter walk per component; these tests lock the contract at the
-level the engines actually rely on.  Every ``BatchCapable`` predictor has a
+``tests/test_counters.py`` locks the single-table ``counter_replay`` against
+the scalar counter walk, shared hysteresis included; these tests lock the
+contract at the level the engines actually rely on.  Every ``BatchCapable`` predictor has a
 config strategy in :data:`FUZZ_CASES` (a meta-test fails when one does not),
 and one parametrized test runs them all: Hypothesis generates random
 predictor configurations (per-table sizes, history lengths, hysteresis
