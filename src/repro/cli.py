@@ -65,12 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--branches", type=int, default=100_000)
     sweep.add_argument("--lengths", type=int, nargs="+",
                        default=[0, 4, 8, 12, 16, 20])
-    sweep.add_argument("--parallel", action="store_true",
-                       help="fan the sweep out over the persistent "
-                            "worker pool")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="worker processes for --parallel "
-                            "(default: one per CPU)")
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="worker processes; more than one fans the "
+                            "sweep out over the persistent pool")
     return parser
 
 
@@ -164,14 +161,10 @@ def _gshare_factory(entries: int, history: int):
 def _command_sweep(args) -> int:
     import functools
     from repro import spec95_trace
-    from repro.sim.sweep import sweep as run_sweep, sweep_parallel
+    from repro.sim.sweep import sweep_parallel
     traces = {args.benchmark: spec95_trace(args.benchmark, args.branches)}
-    factory = functools.partial(_gshare_factory, args.entries)
-    if args.parallel:
-        points = sweep_parallel(factory, args.lengths, traces,
-                                max_workers=args.workers)
-    else:
-        points = run_sweep(factory, args.lengths, traces)
+    points = sweep_parallel(functools.partial(_gshare_factory, args.entries),
+                            args.lengths, traces, max_workers=args.workers)
     best = min(points, key=lambda point: point.mean_misp_per_ki)
     for point in points:
         marker = "  <- best" if point is best else ""

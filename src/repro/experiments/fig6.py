@@ -63,12 +63,7 @@ def run(num_branches: int | None = None) -> Fig6Result:
 
 
 def render(result: Fig6Result) -> str:
-    base = {config: {benchmark: result.best.misp_per_ki(config, benchmark)
-                     for benchmark in result.best.benchmark_names}
-            for config in result.best.config_names}
-    other = {config: {benchmark: result.limited.misp_per_ki(config, benchmark)
-                      for benchmark in result.best.benchmark_names}
-             for config in result.best.config_names}
     return render_delta_table(
         "Fig 6: additional mispredictions when using log2(table size) "
-        "history length", result.best.benchmark_names, base, other)
+        "history length", result.best.benchmark_names,
+        result.best.grid("misp_per_ki"), result.limited.grid("misp_per_ki"))

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from repro.experiments import (
@@ -25,7 +26,8 @@ from repro.experiments import (
     table3,
 )
 from repro.obs import NullTelemetry, Telemetry, render_summary, use_telemetry
-from repro.sim.result_cache import CACHE_ENV_VAR
+from repro.sim.result_cache import (CACHE_DIR_ENV_VAR, CACHE_ENV_VAR,
+                                    cache_enabled)
 from repro.workloads.spec95 import default_trace_branches
 
 __all__ = ["run_all", "main"]
@@ -56,23 +58,28 @@ _SECTIONS = (
 
 
 @contextmanager
-def _runtime_defaults(use_cache: bool):
-    """Default the result-cache environment for the duration of a run.
-
-    Experiment modules resolve ``use_cache=None`` through the environment,
-    so setting this variable routes every figure through the persistent
-    result cache.  An already-set variable always wins (the user's
-    environment overrides our default), and a variable we set is removed
-    afterwards.
-    """
-    ours = use_cache and CACHE_ENV_VAR not in os.environ
-    if ours:
+def _result_cache(use_cache: bool):
+    """Route every simulation of the run through a result cache (see
+    :func:`run_all`).  Experiment modules resolve ``use_cache=None``
+    through the environment, so the two variables are set for the run and
+    restored afterwards."""
+    saved = {name: os.environ.get(name)
+             for name in (CACHE_ENV_VAR, CACHE_DIR_ENV_VAR)}
+    private = not use_cache or (saved[CACHE_ENV_VAR] is not None
+                                and not cache_enabled())
+    with ExitStack() as stack:
         os.environ[CACHE_ENV_VAR] = "1"
-    try:
-        yield
-    finally:
-        if ours:
-            os.environ.pop(CACHE_ENV_VAR, None)
+        if private:
+            os.environ[CACHE_DIR_ENV_VAR] = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-results-"))
+        try:
+            yield
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
 
 
 def run_all(num_branches: int | None = None, use_cache: bool = True,
@@ -80,9 +87,14 @@ def run_all(num_branches: int | None = None, use_cache: bool = True,
     """Run every experiment; return the consolidated Markdown report.
 
     Every section runs on the library's default engine (``batched``, or
-    whatever ``REPRO_SIM_ENGINE`` names) with the persistent result cache
-    enabled, so a repeated invocation skips all unchanged simulations; an
-    explicit ``REPRO_RESULT_CACHE`` environment setting takes precedence.
+    whatever ``REPRO_SIM_ENGINE`` names) through a result cache, so each
+    distinct cell simulates once however many figures show it (Fig 6's
+    best grid is Fig 5's; Fig 9's "4x64K ghist" is Fig 5's
+    2Bc-gskew-512Kb).  With ``use_cache`` (and ``REPRO_RESULT_CACHE``
+    unset or true) that is the persistent cache, so a repeated invocation
+    skips every unchanged simulation; otherwise it is a private temporary
+    directory deleted when the run ends, whatever
+    ``REPRO_RESULT_CACHE_DIR`` names.
 
     A recording ``telemetry`` sink is installed as the process-global
     active sink for the duration (so every simulation, trace-cache and
@@ -98,7 +110,7 @@ def run_all(num_branches: int | None = None, use_cache: bool = True,
         f"everywhere.",
         "",
     ]
-    with _runtime_defaults(use_cache), use_telemetry(telemetry) as sink:
+    with _result_cache(use_cache), use_telemetry(telemetry) as sink:
         for title, module, finding in _SECTIONS:
             started = time.perf_counter()
             with sink.span(module.__name__.rsplit(".", 1)[-1]):
@@ -129,7 +141,9 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - CLI
     parser.add_argument("--output", type=Path, default=None,
                         help="write the report to a file instead of stdout")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the persistent result cache")
+                        help="simulate through a private result cache "
+                             "deleted on exit instead of the persistent "
+                             "one")
     parser.add_argument("--telemetry", type=Path, default=None,
                         metavar="FILE",
                         help="record telemetry and write it to FILE "

@@ -18,8 +18,8 @@ simulation stack records into:
 
 Sinks serialize to JSON and CSV (:meth:`Telemetry.to_json` /
 :meth:`Telemetry.to_csv`), merge deterministically
-(:meth:`Telemetry.merge_snapshot` — the mechanism ``sweep`` and
-``sweep_parallel`` use to fold per-unit sinks back together), and render a
+(:meth:`Telemetry.merge_snapshot` — the mechanism ``run_cells`` uses to
+fold pool units' sinks back together), and render a
 human summary (:func:`render_summary`, the table ``runall`` appends to its
 report).
 

@@ -16,9 +16,9 @@ from typing import Callable
 
 from repro.history.providers import HistoryProvider
 from repro.predictors.base import Predictor
-from repro.sim.driver import simulate
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import SimulationResult
+from repro.sim.sweep import Cell, run_cells
 from repro.traces.model import Trace
 
 __all__ = ["ComparisonTable", "run_comparison"]
@@ -56,17 +56,22 @@ class ComparisonTable:
         series = self.series(config)
         return sum(series) / len(series)
 
+    def grid(self, field: str) -> dict[str, dict[str, object]]:
+        """One :class:`~repro.sim.metrics.SimulationResult` field of every
+        cell, ``{config: {benchmark: value}}``."""
+        return {config: {benchmark: getattr(self.cells[config][benchmark],
+                                            field)
+                         for benchmark in self.benchmark_names}
+                for config in self.config_names}
+
     def render(self, title: str = "", precision: int = 3) -> str:
         """ASCII table: one row per benchmark, one column per config, plus
         an arithmetic-mean row — the textual equivalent of the paper's bar
         charts."""
         # Imported here: repro.experiments imports this module.
         from repro.experiments.report import render_table
-        columns = {config: {benchmark: self.misp_per_ki(config, benchmark)
-                            for benchmark in self.benchmark_names}
-                   for config in self.config_names}
-        return render_table(title, self.benchmark_names, columns, precision,
-                            unit=None)
+        return render_table(title, self.benchmark_names,
+                            self.grid("misp_per_ki"), precision, unit=None)
 
     def wall_seconds(self, config: str | None = None) -> float:
         """Total simulation wall-clock, for one configuration or the grid."""
@@ -77,32 +82,10 @@ class ComparisonTable:
 
     def to_dict(self) -> dict:
         """JSON-friendly dump (used by the bench harness to record runs)."""
-        return {
-            "configs": self.config_names,
-            "benchmarks": self.benchmark_names,
-            "misp_per_ki": {
-                config: {benchmark: self.misp_per_ki(config, benchmark)
-                         for benchmark in self.benchmark_names}
-                for config in self.config_names
-            },
-            "wall_seconds": {
-                config: {
-                    benchmark: self.cells[config][benchmark].wall_seconds
-                    for benchmark in self.benchmark_names
-                }
-                for config in self.config_names
-            },
-            "engine": {
-                config: {benchmark: self.cells[config][benchmark].engine
-                         for benchmark in self.benchmark_names}
-                for config in self.config_names
-            },
-            "cache": {
-                config: {benchmark: self.cells[config][benchmark].cache
-                         for benchmark in self.benchmark_names}
-                for config in self.config_names
-            },
-        }
+        return {"configs": self.config_names,
+                "benchmarks": self.benchmark_names,
+                **{field: self.grid(field) for field in
+                   ("misp_per_ki", "wall_seconds", "engine", "cache")}}
 
 
 def run_comparison(configs: dict[str, PredictorFactory],
@@ -120,20 +103,17 @@ def run_comparison(configs: dict[str, PredictorFactory],
     the predictor stays fixed).  ``engine`` selects the simulation engine
     for every cell (name, instance, or None for the environment default);
     ``use_cache`` opts the cells into the persistent result cache (None
-    defers to ``REPRO_RESULT_CACHE``).
+    defers to ``REPRO_RESULT_CACHE``).  The cells run config-major
+    through :func:`repro.sim.sweep.run_cells`, the runner sweeps use.
     """
+    cells = [Cell(make_predictor, provider_factories[config]
+                  if provider_factories is not None else provider_factory,
+                  trace)
+             for config, make_predictor in configs.items()
+             for trace in traces.values()]
+    results = iter(run_cells(cells, engine, use_cache))
     table = ComparisonTable(config_names=list(configs),
                             benchmark_names=list(traces))
-    for config_name, predictor_factory in configs.items():
-        table.cells[config_name] = {}
-        for benchmark_name, trace in traces.items():
-            if provider_factories is not None:
-                provider = provider_factories[config_name]()
-            elif provider_factory is not None:
-                provider = provider_factory()
-            else:
-                provider = None
-            result = simulate(predictor_factory(), trace, provider,
-                              engine=engine, use_cache=use_cache)
-            table.cells[config_name][benchmark_name] = result
+    table.cells = {config: {name: next(results) for name in traces}
+                   for config in configs}
     return table

@@ -87,9 +87,11 @@ def simulate(predictor: Predictor, trace: Trace,
         if key is not None:
             cached = result_cache.load(key, telemetry=sink)
             if cached is not None:
-                if sink.enabled:
-                    cached = replace(cached, telemetry=sink.snapshot())
-                return cached
+                # Display names are not in the key: report the live ones.
+                return replace(cached, predictor_name=predictor.name,
+                               trace_name=trace.name,
+                               telemetry=(sink.snapshot() if sink.enabled
+                                          else None))
             started = time.perf_counter()
             result = replace(
                 resolved.run(predictor, trace, provider, warmup_branches,

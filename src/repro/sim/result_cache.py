@@ -22,7 +22,12 @@ Key scheme
 * the **predictor** — structural fingerprint of the live object: type
   name plus every attribute, recursively (table sizes, history lengths,
   update policy, index-scheme parameters, and the counter tables, so
-  ``init_taken`` variants key differently);
+  ``init_taken`` variants key differently), except its own display
+  ``name``.  No predictor reads its ``name`` while predicting or
+  training, so a configuration a figure reuses under a new label is the
+  same simulation and hits; a hit reports the live predictor's name.  The
+  ``name`` of an object the predictor holds (a cascade's components)
+  still keys;
 * the **trace content** — the four trace columns hashed once and memoised
   on the :class:`~repro.traces.model.Trace` (whose columns are read-only,
   so the digest cannot go stale; the trace *name* is deliberately
@@ -43,7 +48,9 @@ exposing neither ``__dict__`` nor ``__slots__``, ...) raise
 :class:`UncacheableError`; the driver then simply runs uncached.
 
 The cache activates when ``REPRO_RESULT_CACHE`` is truthy (the experiment
-runner enables it by default); files live under ``REPRO_RESULT_CACHE_DIR``
+runner always simulates through one: this persistent cache by default, a
+private temporary directory under ``--no-cache``); files live under
+``REPRO_RESULT_CACHE_DIR``
 (default ``.result_cache/``).  Corrupt or unreadable entries are treated as
 misses and rewritten.  Each result's ``cache`` field records provenance:
 ``"off"``, ``"miss"`` (simulated, then stored) or ``"hit"``.
@@ -176,12 +183,15 @@ _SEQUENCE_TAGS = {list: b"\x00L", tuple: b"\x00T", deque: b"\x00D"}
 _CONTAINER_TYPES = frozenset({*_SEQUENCE_TAGS, dict})
 
 
-def _update(hasher, value, memo: dict[int, int]) -> None:
+def _update(hasher, value, memo: dict[int, int],
+            skipped: frozenset[str] = _TELEMETRY_ATTRS) -> None:
     """Feed one value into the hash, recursively and type-tagged.
 
     ``memo`` maps ``id`` of already-visited composite objects to their
     visit ordinal, so shared substructure and cycles hash deterministically
     (the ordinal depends only on traversal order, never on addresses).
+    ``skipped`` names the attributes left out of this object (never of
+    the objects it holds).
     """
     if value is None:
         hasher.update(b"\x00N")
@@ -269,7 +279,7 @@ def _update(hasher, value, memo: dict[int, int]) -> None:
                     attrs[slot] = getattr(value, slot)
         attrs.update(getattr(value, "__dict__", {}))
         for name in sorted(attrs):
-            if name in _TELEMETRY_ATTRS:
+            if name in skipped:
                 continue
             _update(hasher, name, memo)
             _update(hasher, attrs[name], memo)
@@ -285,7 +295,7 @@ def result_key(predictor, trace: Trace, provider, warmup_branches: int,
     hasher = hashlib.sha256()
     memo: dict[int, int] = {}
     hasher.update(b"repro-result\x00" + _source_digest())
-    _update(hasher, predictor, memo)
+    _update(hasher, predictor, memo, _TELEMETRY_ATTRS | {"name"})
     hasher.update(b"\x00trace")
     hasher.update(trace.derived("content_digest", _content_digest))
     _update(hasher, provider, memo)

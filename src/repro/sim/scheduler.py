@@ -1,30 +1,21 @@
-"""Persistent work-stealing scheduler for sweep work units.
-
-An earlier ``sweep_parallel`` built a fresh default
-``ProcessPoolExecutor`` per call and submitted one task per sweep *point*
-(each task simulating every trace serially).  That shape has three costs:
-pool startup is paid on every sweep of a multi-sweep experiment, a slow
-point straggles while other workers idle, and the executor's default start
-method is platform lore rather than a choice.
-
-This module replaces all three:
+"""Persistent work-stealing scheduler for the cells
+:func:`repro.sim.sweep.run_cells` runs on more than one worker:
 
 * **persistent pools** — :func:`get_scheduler` memoizes
   :class:`SweepScheduler` instances per ``(max_workers, start_method)``, so
-  successive ``sweep_parallel`` calls reuse one warm pool.  :func:`shutdown_schedulers` (also registered ``atexit``) tears
-  them down.
+  successive sweeps reuse one warm pool; :func:`shutdown_schedulers` (also
+  registered ``atexit``) tears them down.
 * **explicit start method** — :func:`default_start_method` picks ``fork``
   where it is safe and cheap (Linux) and ``spawn`` where fork is a trap or
   unavailable (macOS, Windows), and callers may override per sweep.
-* **work-stealing chunking** — callers enqueue fine-grained ``(point,
-  trace)`` units; the scheduler groups them into chunks of roughly
+* **work-stealing chunking** — callers enqueue fine-grained units (one
+  cell each); the scheduler groups them into chunks of roughly
   ``n / (workers * 4)`` units so idle workers steal remaining chunks from
   the shared queue instead of waiting on a straggler, while per-unit
   dispatch overhead stays amortized.
 
 Results always come back in submission order — the scheduler adds
-concurrency, never nondeterminism; the sweep layer owns the deterministic
-fold on top.
+concurrency, never nondeterminism.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import Telemetry, use_telemetry
 
 
 class TestParser:
@@ -50,6 +51,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "<- best" in out
         assert out.count("h=") == 2
+
+    def test_sweep_on_two_workers_matches_serial(self, capsys):
+        argv = ["sweep", "compress", "--branches", "5000",
+                "--lengths", "0", "4", "8"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        sink = Telemetry()
+        with use_telemetry(sink):
+            assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert sink.counters["scheduler.runs"] == 1  # ran on the pool
+
+    def test_sweep_has_no_parallel_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "li", "--parallel"])
 
     def test_experiment_table3(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))

@@ -13,12 +13,13 @@ from collections import defaultdict, deque, namedtuple
 import numpy as np
 import pytest
 
-from conftest import simple_loop_trace
+from conftest import scalar_predictions, simple_loop_trace
+from repro.cli import _PREDICTOR_CHOICES, _make_predictor
 from repro.common.counters import SplitCounterArray
 from repro.ev8.predictor import EV8BranchPredictor
 from repro.history.providers import BlockLghistProvider, BranchGhistProvider
 from repro.obs import Telemetry, use_telemetry
-from repro.predictors import GsharePredictor, YagsPredictor
+from repro.predictors import CascadePredictor, GsharePredictor, YagsPredictor
 from repro.sim import result_cache
 from repro.sim.driver import simulate
 from repro.sim.metrics import SimulationResult
@@ -33,6 +34,7 @@ from repro.sim.result_cache import (
     store,
 )
 from repro.traces.io import TraceCache
+from repro.workloads.spec95 import spec95_trace
 
 
 @pytest.fixture
@@ -102,6 +104,38 @@ class TestResultKey:
         second = simple_loop_trace(200, name="b")
         assert result_key(_gshare(), first, None, 0, "scalar") == \
             result_key(_gshare(), second, None, 0, "scalar")
+
+    @pytest.mark.parametrize("name", _PREDICTOR_CHOICES)
+    def test_display_name_is_not_a_simulation_input(self, name):
+        # Two instances that differ only in their display name key alike
+        # and predict alike, branch for branch.
+        trace = spec95_trace("gcc", 2_000)
+
+        def provider():
+            return (EV8BranchPredictor.make_provider() if name == "ev8"
+                    else BranchGhistProvider())
+
+        first, renamed = _make_predictor(name), _make_predictor(name)
+        renamed.name = "renamed"
+        assert result_key(first, trace, provider(), 0, "scalar") == \
+            result_key(renamed, trace, provider(), 0, "scalar")
+        assert np.array_equal(
+            scalar_predictions(first, trace, provider()),
+            scalar_predictions(renamed, trace, provider()))
+
+    def test_configuration_still_keys_under_one_name(self, trace):
+        assert result_key(GsharePredictor(1 << 10, 10, name="g"), trace,
+                          None, 0, "scalar") != \
+            result_key(GsharePredictor(1 << 11, 10, name="g"), trace, None,
+                       0, "scalar")
+
+        # Only the top-level name is left out; a held predictor's still keys.
+        def cascade(primary_name):
+            return CascadePredictor(GsharePredictor(1 << 10, 10,
+                                                    name=primary_name),
+                                    _gshare(), name="c")
+        assert result_key(cascade("a"), trace, None, 0, "scalar") != \
+            result_key(cascade("b"), trace, None, 0, "scalar")
 
     def test_uncacheable_inputs_raise(self, trace):
         predictor = _gshare()
@@ -366,6 +400,17 @@ class TestDriverPlumbing:
         result = simulate(predictor, trace)
         assert result.cache == "off"
         assert result.branches == 400
+
+    def test_hit_reports_the_live_names(self, cache_env, trace):
+        first = simulate(GsharePredictor(1 << 10, 10, name="before"), trace)
+        renamed = simulate(GsharePredictor(1 << 10, 10, name="after"),
+                           simple_loop_trace(400, name="other",
+                                             taken_pattern=(True, True,
+                                                            False)))
+        assert (first.cache, renamed.cache) == ("miss", "hit")
+        assert (renamed.predictor_name, renamed.trace_name) \
+            == ("after", "other")
+        assert renamed.mispredictions == first.mispredictions
 
     def test_hit_matches_fresh_simulation(self, cache_env, trace):
         simulate(_gshare(), trace, engine="batched", warmup_branches=50)

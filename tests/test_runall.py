@@ -6,10 +6,13 @@ import re
 import pytest
 
 from repro.experiments.runall import run_all
+from repro.obs import Telemetry
 
 
 def _without_timings(report: str) -> list[str]:
-    """The report's lines, less each section's ``*(Ns)*`` wall-time line."""
+    """The report's lines, less each section's ``*(Ns)*`` wall-time line
+    and the telemetry summary."""
+    report = report.split("## Telemetry summary")[0].rstrip()
     return [line for line in report.splitlines()
             if not re.fullmatch(r"\*\(\d+s\)\*", line)]
 
@@ -34,9 +37,33 @@ def test_run_all_produces_complete_report(tmp_path, monkeypatch):
     assert set(sum((list(row.values()) for row in
                     first_run["cache"].values()), [])) == {"miss"}
     # ...so a repeated invocation replays every cell from the cache.
-    report_again = run_all(num_branches=4000)
+    again = Telemetry()
+    report_again = run_all(num_branches=4000, telemetry=again)
+    assert "engine.batched_runs" not in again.counters
     assert _without_timings(report_again) == _without_timings(report)
     second_run = json.loads((tmp_path / "fig5.json").read_text())
     assert set(sum((list(row.values()) for row in
                     second_run["cache"].values()), [])) == {"hit"}
     assert second_run["misp_per_ki"] == first_run["misp_per_ki"]
+
+
+@pytest.mark.slow
+def test_each_distinct_cell_simulates_once(tmp_path, monkeypatch):
+    # 280 cells, 160 distinct simulations: figures reuse configurations,
+    # some under new labels, and the result cache runs each one once.
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
+    monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path / "cache"))
+    cached = Telemetry()
+    report = run_all(num_branches=4000, telemetry=cached)
+    assert cached.counters["result_cache.stores"] == 160
+    assert cached.counters["engine.batched_runs"] == 160
+    # Without the persistent cache: a private one, deleted afterwards,
+    # whatever the environment names.
+    monkeypatch.setenv("REPRO_RESULT_CACHE", "1")
+    monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path / "kept"))
+    uncached = Telemetry()
+    report_uncached = run_all(num_branches=4000, use_cache=False,
+                              telemetry=uncached)
+    assert uncached.counters["engine.batched_runs"] == 160
+    assert _without_timings(report_uncached) == _without_timings(report)
+    assert not (tmp_path / "kept").exists()

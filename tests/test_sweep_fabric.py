@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import functools
 import pickle
 import sys
 import threading
@@ -13,7 +14,7 @@ import pytest
 from repro.history.providers import ev8_info_provider
 from repro.obs import Telemetry, use_telemetry
 from repro.sim import planes, scheduler
-from repro.sim.sweep import sweep, sweep_parallel
+from repro.sim.sweep import Cell, run_cells, sweep, sweep_parallel
 from repro.traces.model import Trace
 from repro.workloads.spec95 import spec95_trace
 
@@ -89,10 +90,11 @@ class TestDeterminism:
 
     def test_units_are_trace_major_and_carry_only_their_trace(
             self, monkeypatch):
-        seen = []
+        seen, units = [], []
         real_run = scheduler.SweepScheduler.run
 
         def spy(pool, fn, payloads):
+            units.append(fn)
             seen.extend(payloads)
             return real_run(pool, fn, payloads)
 
@@ -101,11 +103,14 @@ class TestDeterminism:
         sweep_parallel(history_predictor, [4, 6, 8], traces,
                        ev8_info_provider, engine="batched", max_workers=2,
                        use_cache=False)
-        assert [(unit[0], unit[1]) for unit in seen] \
-            == [(value, traces[name]) for name in traces
+        assert [(cell.make_predictor.args, cell.trace) for cell in seen] \
+            == [((value,), traces[name]) for name in traces
                 for value in [4, 6, 8]]
-        assert all(unit[2:] == (history_predictor, ev8_info_provider,
-                                "batched", False, False) for unit in seen)
+        assert all(cell.make_predictor.func is history_predictor
+                   and cell.make_provider is ev8_info_provider
+                   for cell in seen)
+        assert [unit.keywords for unit in units] \
+            == [dict(engine="batched", use_cache=False, record=False)]
 
     def test_parallel_matches_serial_without_a_batch(self):
         # The scalar engine never materializes a batch in any process.
@@ -220,6 +225,21 @@ class TestPersistentScheduler:
                                max_workers=2, use_cache=False)
         assert sink.counters["scheduler.runs"] == 2
         assert sink.counters["scheduler.pools_started"] == 1
+
+    def test_workers_forked_under_a_sink_record_nothing_later(self):
+        # A fork copies the process-global sink into the workers; a later
+        # run without telemetry must not record into that copy.
+        scheduler.shutdown_schedulers()
+        with use_telemetry(Telemetry()):
+            sweep_parallel(history_predictor, [4], fresh_traces(1_000),
+                           ev8_info_provider, engine="batched",
+                           max_workers=2, use_cache=False)
+        trace = fresh_traces(1_000)["gcc"]
+        cells = [Cell(functools.partial(history_predictor, value),
+                      ev8_info_provider, trace) for value in (4, 6)]
+        results = run_cells(cells, engine="batched", use_cache=False,
+                            workers=2)
+        assert [result.telemetry for result in results] == [None, None]
 
     def test_get_scheduler_memoizes_per_key(self):
         try:
