@@ -1,35 +1,14 @@
 """Shared low-level building blocks: bit operations, saturating counters,
 deterministic randomness."""
 
-from repro.common.bitops import (
-    bit,
-    bits,
-    concat_bits,
-    mask,
-    parity,
-    parity_of_bits,
-    popcount,
-    reverse_bits,
-    rotate_left,
-    rotate_right,
-    set_bit,
-    xor_fold,
-)
+from repro.common.bitops import bit, bits, mask, xor_fold
 from repro.common.counters import SplitCounterArray
 from repro.common.rng import DEFAULT_SEED, rng_for, seed_from_name
 
 __all__ = [
     "bit",
     "bits",
-    "concat_bits",
     "mask",
-    "parity",
-    "parity_of_bits",
-    "popcount",
-    "reverse_bits",
-    "rotate_left",
-    "rotate_right",
-    "set_bit",
     "xor_fold",
     "SplitCounterArray",
     "DEFAULT_SEED",

@@ -2,28 +2,14 @@
 
 All predictor index functions in this repository are ultimately built from a
 small set of primitive operations on non-negative integers interpreted as bit
-vectors: extracting bit fields, XOR-folding long vectors down to a fixed
-width, and computing parities of selected bit subsets.  Keeping them here (and
-testing them exhaustively) lets the index-function modules read like the
-equations in the paper.
+vectors: masking, extracting bits and bit fields, and XOR-folding long vectors
+down to a fixed width.  Keeping them here (and testing them exhaustively) lets
+the index-function modules read like the equations in the paper.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "bit",
-    "bits",
-    "mask",
-    "set_bit",
-    "concat_bits",
-    "xor_fold",
-    "parity",
-    "parity_of_bits",
-    "popcount",
-    "reverse_bits",
-    "rotate_left",
-    "rotate_right",
-]
+__all__ = ["bit", "bits", "mask", "xor_fold"]
 
 
 def mask(width: int) -> int:
@@ -65,35 +51,6 @@ def bits(value: int, low: int, width: int) -> int:
     return (value >> low) & mask(width)
 
 
-def set_bit(value: int, position: int, bit_value: int) -> int:
-    """Return ``value`` with bit ``position`` forced to ``bit_value``.
-
-    >>> set_bit(0b1000, 0, 1)
-    9
-    >>> set_bit(0b1001, 3, 0)
-    1
-    """
-    if bit_value not in (0, 1):
-        raise ValueError(f"bit value must be 0 or 1, got {bit_value}")
-    cleared = value & ~(1 << position)
-    return cleared | (bit_value << position)
-
-
-def concat_bits(*fields: tuple[int, int]) -> int:
-    """Concatenate ``(value, width)`` fields, first field ending up most
-    significant.
-
-    >>> concat_bits((0b10, 2), (0b011, 3))
-    19
-    """
-    result = 0
-    for value, width in fields:
-        if width < 0:
-            raise ValueError(f"field width must be non-negative, got {width}")
-        result = (result << width) | (value & mask(width))
-    return result
-
-
 def xor_fold(value: int, width: int) -> int:
     """Fold an arbitrarily long bit vector down to ``width`` bits by XORing
     successive ``width``-wide segments.
@@ -116,81 +73,3 @@ def xor_fold(value: int, width: int) -> int:
         folded ^= value & segment_mask
         value >>= width
     return folded
-
-
-def parity(value: int) -> int:
-    """Return the XOR of all bits of ``value`` (0 or 1).
-
-    >>> parity(0b1011)
-    1
-    >>> parity(0b1001)
-    0
-    """
-    return popcount(value) & 1
-
-
-def parity_of_bits(value: int, positions: tuple[int, ...] | list[int]) -> int:
-    """Return the XOR of the bits of ``value`` at the given positions.
-
-    This is the primitive behind every "large tree of XOR gates" bit in the
-    EV8 unshuffle functions (Section 7.1 step 3).
-
-    >>> parity_of_bits(0b1010, (1, 3))
-    0
-    >>> parity_of_bits(0b1010, (0, 1))
-    1
-    """
-    acc = 0
-    for position in positions:
-        acc ^= (value >> position) & 1
-    return acc
-
-
-def popcount(value: int) -> int:
-    """Return the number of set bits in ``value``.
-
-    >>> popcount(0b1011)
-    3
-    """
-    if value < 0:
-        raise ValueError(f"popcount requires a non-negative value, got {value}")
-    return value.bit_count()
-
-
-def reverse_bits(value: int, width: int) -> int:
-    """Return ``value`` with its low ``width`` bits reversed.
-
-    >>> reverse_bits(0b0011, 4)
-    12
-    """
-    result = 0
-    for _ in range(width):
-        result = (result << 1) | (value & 1)
-        value >>= 1
-    return result
-
-
-def rotate_left(value: int, amount: int, width: int) -> int:
-    """Rotate the low ``width`` bits of ``value`` left by ``amount``.
-
-    >>> rotate_left(0b0011, 1, 4)
-    6
-    >>> rotate_left(0b1001, 1, 4)
-    3
-    """
-    if width <= 0:
-        raise ValueError(f"rotate width must be positive, got {width}")
-    amount %= width
-    value &= mask(width)
-    return ((value << amount) | (value >> (width - amount))) & mask(width)
-
-
-def rotate_right(value: int, amount: int, width: int) -> int:
-    """Rotate the low ``width`` bits of ``value`` right by ``amount``.
-
-    >>> rotate_right(0b0011, 1, 4)
-    9
-    """
-    if width <= 0:
-        raise ValueError(f"rotate width must be positive, got {width}")
-    return rotate_left(value, width - (amount % width), width)

@@ -186,10 +186,6 @@ class Telemetry(NullTelemetry):
                 mine["count"] += record["count"]
                 mine["seconds"] += record["seconds"]
 
-    def merge(self, other: "Telemetry") -> None:
-        """Fold another live sink into this one."""
-        self.merge_snapshot(other.snapshot())
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self, path: str | Path | None = None) -> str:

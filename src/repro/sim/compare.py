@@ -73,13 +73,6 @@ class ComparisonTable:
         return render_table(title, self.benchmark_names,
                             self.grid("misp_per_ki"), precision, unit=None)
 
-    def wall_seconds(self, config: str | None = None) -> float:
-        """Total simulation wall-clock, for one configuration or the grid."""
-        configs = [config] if config is not None else self.config_names
-        return sum(self.cells[name][benchmark].wall_seconds
-                   for name in configs
-                   for benchmark in self.benchmark_names)
-
     def to_dict(self) -> dict:
         """JSON-friendly dump (used by the bench harness to record runs)."""
         return {"configs": self.config_names,

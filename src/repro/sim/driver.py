@@ -88,8 +88,9 @@ def simulate(predictor: Predictor, trace: Trace,
             cached = result_cache.load(key, telemetry=sink)
             if cached is not None:
                 # Display names are not in the key: report the live ones.
+                # This call simulated nothing, so it took no wall time.
                 return replace(cached, predictor_name=predictor.name,
-                               trace_name=trace.name,
+                               trace_name=trace.name, wall_seconds=0.0,
                                telemetry=(sink.snapshot() if sink.enabled
                                           else None))
             started = time.perf_counter()

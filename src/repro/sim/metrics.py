@@ -28,8 +28,8 @@ class SimulationResult:
     the simulation engine that produced the result; they do not participate
     in the paper's accuracy metrics.  ``cache`` records result-cache
     provenance: ``"off"`` (caching inactive), ``"miss"`` (simulated and
-    stored) or ``"hit"`` (loaded from the persistent result cache, with
-    the *original* run's ``wall_seconds``).
+    stored) or ``"hit"`` (loaded from the persistent result cache;
+    ``wall_seconds`` is 0.0, since that call simulated nothing).
 
     ``telemetry`` is the observability snapshot
     (:meth:`repro.obs.Telemetry.snapshot`) stamped when the run executed

@@ -36,8 +36,8 @@ Key scheme
   distinct value);
 * ``warmup_branches`` and the resolved **engine name** (engines are
   count-equivalent by contract, but keying them separately keeps the cache
-  honest if that contract is ever violated and keeps ``wall_seconds``
-  provenance attributable).
+  honest if that contract is ever violated and keeps each stored
+  ``wall_seconds`` attributable to the engine that spent it).
 
 Buffers (``bytes``/``bytearray``, numpy arrays and scalars, ``array.array``,
 ``memoryview``) key by element type plus content; a uniform buffer (every
@@ -53,7 +53,10 @@ private temporary directory under ``--no-cache``); files live under
 ``REPRO_RESULT_CACHE_DIR``
 (default ``.result_cache/``).  Corrupt or unreadable entries are treated as
 misses and rewritten.  Each result's ``cache`` field records provenance:
-``"off"``, ``"miss"`` (simulated, then stored) or ``"hit"``.
+``"off"``, ``"miss"`` (simulated, then stored) or ``"hit"``.  A stored
+entry keeps the ``wall_seconds`` of the run that simulated it, and
+:func:`load` returns that value; :func:`repro.sim.driver.simulate` reports
+a hit with ``wall_seconds`` 0.0, since that call simulated nothing.
 """
 
 from __future__ import annotations
@@ -309,7 +312,8 @@ def result_key(predictor, trace: Trace, provider, warmup_branches: int,
 
 def load(key: str,
          telemetry: NullTelemetry | None = None) -> SimulationResult | None:
-    """The cached result for ``key`` (with ``cache="hit"``), or ``None``.
+    """The cached result for ``key`` (with ``cache="hit"`` and the stored
+    run's ``wall_seconds``), or ``None``.
 
     Unreadable or structurally invalid entries count as misses.  Telemetry
     distinguishes the three outcomes: ``result_cache.hits`` (entry present

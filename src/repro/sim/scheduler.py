@@ -2,12 +2,12 @@
 :func:`repro.sim.sweep.run_cells` runs on more than one worker:
 
 * **persistent pools** — :func:`get_scheduler` memoizes
-  :class:`SweepScheduler` instances per ``(max_workers, start_method)``, so
-  successive sweeps reuse one warm pool; :func:`shutdown_schedulers` (also
-  registered ``atexit``) tears them down.
+  :class:`SweepScheduler` instances per worker count, so successive sweeps
+  reuse one warm pool; :func:`shutdown_schedulers` (also registered
+  ``atexit``) tears them down.
 * **explicit start method** — :func:`default_start_method` picks ``fork``
   where it is safe and cheap (Linux) and ``spawn`` where fork is a trap or
-  unavailable (macOS, Windows), and callers may override per sweep.
+  unavailable (macOS, Windows).
 * **work-stealing chunking** — callers enqueue fine-grained units (one
   cell each); the scheduler groups them into chunks of roughly
   ``n / (workers * 4)`` units so idle workers steal remaining chunks from
@@ -46,10 +46,9 @@ class SchedulerUnavailable(RuntimeError):
 
 
 def default_start_method() -> str:
-    """The multiprocessing start method used when callers do not choose:
-    ``fork`` on Linux (cheap, inherits warm module caches), ``spawn``
-    everywhere fork is unsafe or missing (macOS's framework-library
-    restrictions, Windows)."""
+    """The multiprocessing start method of every pool: ``fork`` on Linux
+    (cheap, inherits warm module caches), ``spawn`` everywhere fork is
+    unsafe or missing (macOS's framework-library restrictions, Windows)."""
     if sys.platform in ("win32", "darwin"):
         return "spawn"
     return "fork"
@@ -69,23 +68,22 @@ class SweepScheduler:
     discarded so the next ``run`` starts fresh.
     """
 
-    def __init__(self, max_workers: int | None = None,
-                 start_method: str | None = None) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = max_workers or os.cpu_count() or 1
-        self.start_method = start_method or default_start_method()
         self._executor: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._executor is None:
+                method = default_start_method()
                 try:
-                    context = multiprocessing.get_context(self.start_method)
+                    context = multiprocessing.get_context(method)
                     self._executor = ProcessPoolExecutor(
                         max_workers=self.max_workers, mp_context=context)
                 except (ValueError, OSError, PermissionError) as error:
                     raise SchedulerUnavailable(
-                        f"cannot start a {self.start_method!r} process pool: "
+                        f"cannot start a {method!r} process pool: "
                         f"{error!r}") from error
                 sink = get_telemetry(None)
                 if sink.enabled:
@@ -151,22 +149,19 @@ class SweepScheduler:
             executor.shutdown(wait=True, cancel_futures=True)
 
 
-_SCHEDULERS: dict[tuple[int, str], SweepScheduler] = {}
+_SCHEDULERS: dict[int, SweepScheduler] = {}
 _SCHEDULERS_LOCK = threading.Lock()
 
 
-def get_scheduler(max_workers: int | None = None,
-                  start_method: str | None = None) -> SweepScheduler:
-    """The memoized scheduler for ``(max_workers, start_method)`` — the
-    persistence point that lets successive sweeps reuse one warm pool."""
+def get_scheduler(max_workers: int | None = None) -> SweepScheduler:
+    """The memoized scheduler for ``max_workers`` (default: one per CPU) —
+    the persistence point that lets successive sweeps reuse one warm
+    pool."""
     workers = max_workers or os.cpu_count() or 1
-    method = start_method or default_start_method()
     with _SCHEDULERS_LOCK:
-        scheduler = _SCHEDULERS.get((workers, method))
+        scheduler = _SCHEDULERS.get(workers)
         if scheduler is None:
-            scheduler = SweepScheduler(max_workers=workers,
-                                       start_method=method)
-            _SCHEDULERS[(workers, method)] = scheduler
+            scheduler = _SCHEDULERS[workers] = SweepScheduler(workers)
         return scheduler
 
 

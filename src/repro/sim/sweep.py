@@ -73,8 +73,7 @@ def run_cells(cells: list[Cell],
               engine: str | SimulationEngine | None = None,
               use_cache: bool | None = None,
               telemetry: NullTelemetry | None = None,
-              workers: int = 1,
-              start_method: str | None = None) -> list[SimulationResult]:
+              workers: int = 1) -> list[SimulationResult]:
     """Simulate every cell; results come back in ``cells`` order.
 
     Serially (``workers`` 1), each cell records straight into
@@ -99,7 +98,7 @@ def run_cells(cells: list[Cell],
         except (pickle.PicklingError, AttributeError, TypeError) as error:
             reason = error
         else:
-            pool = sweep_scheduler.get_scheduler(workers, start_method)
+            pool = sweep_scheduler.get_scheduler(workers)
             try:
                 results = pool.run(unit, cells)
             except sweep_scheduler.SchedulerUnavailable as error:
@@ -145,7 +144,6 @@ def sweep_parallel(make_predictor: Callable[[int], Predictor],
                    max_workers: int | None = None,
                    use_cache: bool | None = None,
                    telemetry: NullTelemetry | None = None,
-                   start_method: str | None = None,
                    ) -> list[SweepPoint]:
     """:func:`sweep` fanned out over the persistent work-stealing pool.
 
@@ -156,10 +154,10 @@ def sweep_parallel(make_predictor: Callable[[int], Predictor],
     objects, ships each of them once per chunk.  Each worker materializes
     what it needs, once per chunk and trace.
 
-    The pool is persistent and keyed by ``(max_workers, start_method)``
-    (default: one worker per CPU), with the start method chosen explicitly
-    per platform (``fork`` on Linux, ``spawn`` on macOS/Windows) unless
-    overridden via ``start_method``.  One worker runs serially, and a pool
+    The pool is persistent and keyed by ``max_workers`` (default: one
+    worker per CPU), with the start method chosen per platform
+    (:func:`~repro.sim.scheduler.default_start_method`: ``fork`` on Linux,
+    ``spawn`` on macOS/Windows).  One worker runs serially, and a pool
     that cannot be used degrades to the serial path with a warning
     (:func:`run_cells`).  ``engine`` must be a registered engine *name*
     here, as engine instances do not cross process boundaries.  Points
@@ -170,7 +168,7 @@ def sweep_parallel(make_predictor: Callable[[int], Predictor],
                   trace)
              for trace in traces.values() for value in values]
     results = run_cells(cells, engine, use_cache, telemetry,
-                        max_workers or os.cpu_count() or 1, start_method)
+                        max_workers or os.cpu_count() or 1)
     points = []
     for index, value in enumerate(values):
         per_benchmark = {name: result.misp_per_ki for name, result

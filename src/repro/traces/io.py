@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.obs import NullTelemetry, get_telemetry
+from repro.obs import get_telemetry
 from repro.traces.model import Trace
 
 __all__ = ["TRACE_COLUMNS", "GENERATOR_SOURCES", "trace_columns",
@@ -111,14 +111,9 @@ class TraceCache:
     1
     """
 
-    def __init__(self, directory: str | os.PathLike | None = None,
-                 telemetry: NullTelemetry | None = None) -> None:
+    def __init__(self, directory: str | os.PathLike | None = None) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
         self._memory: dict[str, Trace] = {}
-        # None defers to the process-global active sink per lookup, so a
-        # long-lived cache instance still reports into whichever sink is
-        # active when it is consulted (e.g. under ``use_telemetry``).
-        self._telemetry = telemetry
 
     def _key(self, name: str, parameters: dict) -> str:
         canonical = json.dumps(parameters, sort_keys=True, default=str)
@@ -131,14 +126,14 @@ class TraceCache:
         persisting it on first use.  An in-memory layer avoids re-reading the
         archive within a process.
 
-        Telemetry distinguishes the four outcomes:
+        The sink active at the lookup records which of four outcomes it was:
         ``trace_cache.memory_hits``, ``trace_cache.disk_hits``,
         ``trace_cache.cold_misses`` (no archive — generated and stored) and
         ``trace_cache.corrupt_regenerated`` (archive present but unreadable
         — dropped, regenerated, rewritten); generation wall time lands in
         the ``trace_cache.generate_seconds`` histogram.
         """
-        sink = get_telemetry(self._telemetry)
+        sink = get_telemetry()
         key = self._key(name, parameters)
         trace = self._memory.get(key)
         if trace is not None:

@@ -65,23 +65,6 @@ class TraceStatistics:
             return float(self.instruction_count)
         return self.instruction_count / self.dynamic_conditional
 
-    def scaled_to_instructions(self, target: int) -> "TraceStatistics":
-        """Return statistics linearly rescaled to a trace of ``target``
-        instructions (used to present Table 2 on the paper's 100M basis
-        while simulating shorter traces)."""
-        if self.instruction_count == 0:
-            return self
-        factor = target / self.instruction_count
-        return TraceStatistics(
-            name=self.name,
-            instruction_count=target,
-            dynamic_conditional=round(self.dynamic_conditional * factor),
-            static_conditional=self.static_conditional,
-            taken_rate=self.taken_rate,
-            fetch_block_count=round(self.fetch_block_count * factor),
-            lghist_bits=round(self.lghist_bits * factor),
-        )
-
 
 def _runs(values: np.ndarray) -> int:
     """Runs of equal values in a sorted array (0 when it is empty)."""

@@ -12,9 +12,6 @@ from repro.workloads.behaviors import (
     LoopBehavior,
     MarkovBehavior,
     PatternBehavior,
-    PredicateBehavior,
-    PredicatePool,
-    RandomBehavior,
 )
 from repro.workloads.smt import SMTResult, interleave_blocks, simulate_smt
 from repro.workloads.generator import (
@@ -40,8 +37,6 @@ __all__ = [
     "ConditionCell",
     "ConditionFollowerBehavior",
     "ConditionLeaderBehavior",
-    "PredicateBehavior",
-    "PredicatePool",
     "SMTResult",
     "interleave_blocks",
     "simulate_smt",
@@ -50,7 +45,6 @@ __all__ = [
     "LoopBehavior",
     "MarkovBehavior",
     "PatternBehavior",
-    "RandomBehavior",
     "BehaviorMix",
     "WorkloadProfile",
     "generate_program",

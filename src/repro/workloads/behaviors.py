@@ -56,9 +56,6 @@ __all__ = [
     "GlobalCorrelatedBehavior",
     "LocalCorrelatedBehavior",
     "MarkovBehavior",
-    "RandomBehavior",
-    "PredicatePool",
-    "PredicateBehavior",
     "ConditionCell",
     "ConditionLeaderBehavior",
     "ConditionFollowerBehavior",
@@ -71,12 +68,9 @@ class ExecutionContext(Protocol):
     ``global_history`` packs the most recent conditional-branch outcomes as
     an integer with bit 0 = most recent outcome (1 = taken).
     ``occurrence(branch_id)`` counts prior executions of the branch.
-    ``time`` is the resolved-branch counter (drives
-    :class:`PredicatePool` evolution).
     """
 
     global_history: int
-    time: int
 
     def occurrence(self, branch_id: int) -> int: ...
 
@@ -178,15 +172,6 @@ class BiasedBehavior(Behavior):
 
     def outcome(self, branch_id: int, ctx: ExecutionContext) -> bool:
         return self._random() < self.p_taken
-
-
-class RandomBehavior(BiasedBehavior):
-    """A fully unpredictable 50/50 branch."""
-
-    __slots__ = ()
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        super().__init__(rng, 0.5)
 
 
 class LoopBehavior(Behavior):
@@ -371,129 +356,6 @@ class MarkovBehavior(Behavior):
         if draw >= stay:
             self._state = not self._state
         return self._state
-
-
-class PredicatePool:
-    """A set of hidden, slowly-varying binary program predicates.
-
-    Real inter-branch correlation is *redundant*: many static branches test
-    the same program state (flags, loop bounds, object kinds), so the
-    information predicting one branch is reflected in several nearby branch
-    outcomes.  That redundancy is what makes the EV8's compressed lghist
-    carry as much usable information as full per-branch history (Section
-    8.3) — dropping individual bits loses little because the signal is
-    spread over many bits.
-
-    The pool models that state: ``size`` binary predicates, each flipping
-    with a small per-resolved-branch probability (so a predicate persists
-    for ~1/flip_probability branches).  Branch behaviours read predicates
-    through :class:`PredicateBehavior`; each reading branch *reflects* the
-    predicate into the architectural history stream.
-
-    Time is the executor's resolved-branch counter; the pool advances lazily
-    via pre-drawn geometric flip schedules, so reads are O(flips), not
-    O(branches).
-    """
-
-    __slots__ = ("size", "_values", "_flip_probabilities", "_next_flip",
-                 "_rng", "_time")
-
-    def __init__(self, rng: np.random.Generator, size: int,
-                 flip_probabilities) -> None:
-        if size < 1:
-            raise ValueError(f"pool needs at least one predicate, got {size}")
-        flip_probabilities = list(flip_probabilities)
-        if len(flip_probabilities) != size:
-            raise ValueError(
-                f"need one flip probability per predicate: {size} vs "
-                f"{len(flip_probabilities)}")
-        if any(not 0.0 < p < 1.0 for p in flip_probabilities):
-            raise ValueError("flip probabilities must be in (0, 1)")
-        self.size = size
-        self._rng = np.random.default_rng(child_seed(rng))
-        self._values = [bool(b) for b in self._rng.integers(0, 2, size)]
-        self._flip_probabilities = flip_probabilities
-        self._time = 0
-        self._next_flip = [self._draw_flip(i, 0) for i in range(size)]
-
-    def _draw_flip(self, index: int, now: int) -> int:
-        return now + int(self._rng.geometric(self._flip_probabilities[index]))
-
-    def advance_to(self, time: int) -> None:
-        """Bring every predicate up to the given branch-time."""
-        if time <= self._time:
-            return
-        for index in range(self.size):
-            while self._next_flip[index] <= time:
-                self._values[index] = not self._values[index]
-                self._next_flip[index] = self._draw_flip(
-                    index, self._next_flip[index])
-        self._time = time
-
-    def value(self, index: int, time: int) -> bool:
-        """Current value of one predicate at branch-time ``time``."""
-        self.advance_to(time)
-        return self._values[index]
-
-    def mean_persistence(self, index: int) -> float:
-        """Expected branches between flips of a predicate."""
-        return 1.0 / self._flip_probabilities[index]
-
-
-class PredicateBehavior(Behavior):
-    """A branch testing one or more hidden predicates.
-
-    With a single predicate the outcome is the predicate (optionally
-    inverted) — a direct *reflection*, trivially learnable from any other
-    recent reflection of the same predicate.  With several predicates the
-    outcome is a fixed random Boolean function of them, learnable once the
-    history context pins all of them down.
-
-    The executor context must expose ``time`` (resolved-branch counter).
-    """
-
-    __slots__ = ("pool", "predicate_ids", "_invert", "_table")
-
-    def __init__(self, rng: np.random.Generator, pool: PredicatePool,
-                 predicate_ids: list[int], noise: float = 0.0) -> None:
-        super().__init__(rng, noise)
-        if not predicate_ids:
-            raise ValueError("need at least one predicate id")
-        if any(not 0 <= i < pool.size for i in predicate_ids):
-            raise ValueError(
-                f"predicate ids out of range for pool of {pool.size}")
-        if len(predicate_ids) > 8:
-            raise ValueError(
-                f"at most 8 predicates per branch, got {len(predicate_ids)}")
-        self.pool = pool
-        self.predicate_ids = list(predicate_ids)
-        self._invert: bool | None = None
-        self._table: list[bool] | None = None
-
-    def _setup(self, rng: np.random.Generator) -> None:
-        if len(self.predicate_ids) == 1:
-            self._invert = bool(rng.integers(0, 2))
-        else:
-            self._invert = False
-            self._table = [bool(b) for b in rng.integers(
-                0, 2, 1 << len(self.predicate_ids))]
-
-    @property
-    def invert(self) -> bool:
-        """Whether a single-predicate branch tests the predicate's
-        complement."""
-        self._stream()
-        return self._invert
-
-    def outcome(self, branch_id: int, ctx) -> bool:
-        invert = self.invert  # opens the stream: _setup draws the table
-        time = ctx.time
-        if self._table is None:
-            return self.pool.value(self.predicate_ids[0], time) ^ invert
-        index = 0
-        for position, predicate in enumerate(self.predicate_ids):
-            index |= int(self.pool.value(predicate, time)) << position
-        return self._table[index]
 
 
 class ConditionCell:

@@ -425,8 +425,8 @@ class Executor:
     maintaining the architectural global history that correlated behaviours
     observe."""
 
-    __slots__ = ("builder", "global_history", "time", "max_branches",
-                 "max_blocks", "_branches_emitted", "_occurrences")
+    __slots__ = ("builder", "global_history", "max_branches", "max_blocks",
+                 "_branches_emitted", "_occurrences")
 
     def __init__(self, name: str, max_branches: int,
                  max_blocks: int | None = None) -> None:
@@ -434,9 +434,6 @@ class Executor:
             raise ValueError(f"max_branches must be >= 1, got {max_branches}")
         self.builder = TraceBuilder(name)
         self.global_history = 0
-        self.time = 0
-        """Resolved-branch counter; the clock for
-        :class:`~repro.workloads.behaviors.PredicatePool` evolution."""
         self.max_branches = max_branches
         self.max_blocks = max_blocks
         self._branches_emitted = 0
@@ -466,7 +463,6 @@ class Executor:
         outcome = branch.behavior.next(branch.branch_id, self)
         self.global_history = (
             ((self.global_history << 1) | int(outcome)) & _HISTORY_MASK)
-        self.time += 1
         self._occurrences[branch.branch_id] = (
             self._occurrences.get(branch.branch_id, 0) + 1)
         return outcome

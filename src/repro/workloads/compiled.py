@@ -51,7 +51,6 @@ from repro.workloads.behaviors import (
     LoopBehavior,
     MarkovBehavior,
     PatternBehavior,
-    RandomBehavior,
 )
 from repro.workloads.cfg import (
     CallNode,
@@ -93,9 +92,9 @@ _LIMIT = 2**62
 """Addresses and trip counts the int64 tables hold with room to spare."""
 
 _BEHAVIOURS = frozenset({
-    BiasedBehavior, RandomBehavior, ConditionLeaderBehavior,
-    ConditionFollowerBehavior, PatternBehavior, GlobalCorrelatedBehavior,
-    LocalCorrelatedBehavior, MarkovBehavior})
+    BiasedBehavior, ConditionLeaderBehavior, ConditionFollowerBehavior,
+    PatternBehavior, GlobalCorrelatedBehavior, LocalCorrelatedBehavior,
+    MarkovBehavior})
 """Behaviour types with a C row (:class:`LoopBehavior` has its own
 check); a subclass, or any other type, runs in Python."""
 
@@ -296,7 +295,7 @@ class _Run:
             code, state = DISPATCHER, owner._state
         else:
             noise = owner.noise
-            if kind is BiasedBehavior or kind is RandomBehavior:
+            if kind is BiasedBehavior:
                 code, p = BIASED, owner.p_taken
             elif kind is ConditionLeaderBehavior:
                 code, p, cell = LEADER, owner.p_taken, self._cell(owner.cell)

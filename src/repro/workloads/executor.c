@@ -4,11 +4,10 @@
  * tables of int64 rows and hands this file one run_t that points at them.
  * execute() walks the program with an explicit frame stack, keeping all
  * executor state in those tables (global history, branch counts,
- * behaviour state, the limits; not the resolve clock, which only
- * PredicateBehavior reads, and it always runs in Python), and writes the
- * five trace columns.  It returns to Python only to ask for something it
- * cannot make itself, before any side effect of the step that needs it,
- * so the call can simply be made again once Python has answered:
+ * behaviour state, the limits), and writes the five trace columns.  It
+ * returns to Python only to ask for something it cannot make itself,
+ * before any side effect of the step that needs it, so the call can
+ * simply be made again once Python has answered:
  *
  *   ST_DRAWS     stream `request` must be opened (its set-up products
  *                written) and hold at least `need` buffered draws;

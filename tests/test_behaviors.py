@@ -18,18 +18,16 @@ from repro.workloads.behaviors import (
     LoopBehavior,
     MarkovBehavior,
     PatternBehavior,
-    PredicateBehavior,
-    PredicatePool,
-    RandomBehavior,
 )
 
 
 class FakeContext:
-    """Minimal ExecutionContext for driving behaviours directly."""
+    """Minimal ExecutionContext for driving behaviours directly, counting
+    the outcomes it records."""
 
     def __init__(self):
         self.global_history = 0
-        self.time = 0
+        self.recorded = 0
         self.counts = {}
 
     def occurrence(self, branch_id):
@@ -37,7 +35,7 @@ class FakeContext:
 
     def record(self, branch_id, taken):
         self.global_history = (self.global_history << 1) | int(taken)
-        self.time += 1
+        self.recorded += 1
         self.counts[branch_id] = self.counts.get(branch_id, 0) + 1
 
 
@@ -77,7 +75,7 @@ class TestBiased:
             BiasedBehavior(rng, 0.5, noise=-0.1)
 
     def test_random_behavior_is_balanced(self, rng, ctx):
-        behavior = RandomBehavior(rng)
+        behavior = BiasedBehavior(rng, 0.5)
         rate = sum(behavior.next(0, ctx) for _ in range(5000)) / 5000
         assert rate == pytest.approx(0.5, abs=0.05)
 
@@ -221,22 +219,17 @@ def _child(parent):
     return np.random.default_rng(parent.integers(0, 2**63))
 
 
-def _pool(parent):
-    return PredicatePool(parent, 3, [0.01, 0.03, 0.002])
-
-
-def _with_noise(child, value, noise=NOISE):
-    return (not value) if noise and child.random() < noise else value
+def _with_noise(child, value):
+    return (not value) if child.random() < NOISE else value
 
 
 def _bit_table(child, size):
     return [bool(b) for b in child.integers(0, 2, size=size)]
 
 
-def _ref_biased(parent, p_taken, noise=NOISE):
+def _ref_biased(parent, p_taken):
     child = _child(parent)
-    return lambda ctx: _with_noise(child, bool(child.random() < p_taken),
-                                   noise)
+    return lambda ctx: _with_noise(child, bool(child.random() < p_taken))
 
 
 def _ref_loop(parent, mean_trips, trip_jitter):
@@ -311,29 +304,13 @@ def _ref_leader(parent, p_taken):
 
 
 def _cell_leader(ctx):
-    return bool(ctx.time % 7 < 3)  # stands in for a leader branch
+    return bool(ctx.recorded % 7 < 3)  # stands in for a leader branch
 
 
 def _ref_follower(parent):
     child = _child(parent)
     invert = bool(child.integers(0, 2))
     return lambda ctx: _with_noise(child, _cell_leader(ctx) ^ invert)
-
-
-def _ref_predicate(parent, ids):
-    pool = _pool(parent)
-    child = _child(parent)
-    invert = bool(child.integers(0, 2)) if len(ids) == 1 else False
-    table = _bit_table(child, 1 << len(ids)) if len(ids) > 1 else None
-
-    def step(ctx):
-        if table is None:
-            return _with_noise(child, pool.value(ids[0], ctx.time) ^ invert)
-        index = 0
-        for position, predicate in enumerate(ids):
-            index |= int(pool.value(predicate, ctx.time)) << position
-        return _with_noise(child, table[index])
-    return step
 
 
 def _stepping(behavior, enter=False):
@@ -357,8 +334,6 @@ def _follower(parent):
 CASES = {
     "biased": (lambda rng: _stepping(BiasedBehavior(rng, 0.7, noise=NOISE)),
                lambda rng: _ref_biased(rng, 0.7)),
-    "random": (lambda rng: _stepping(RandomBehavior(rng)),
-               lambda rng: _ref_biased(rng, 0.5, noise=0.0)),
     "loop": (lambda rng: _stepping(LoopBehavior(rng, 5, noise=NOISE),
                                    enter=True),
              lambda rng: _ref_loop(rng, 5, 0.0)),
@@ -382,14 +357,6 @@ CASES = {
                    rng, ConditionCell(), 0.4, noise=NOISE)),
                lambda rng: _ref_leader(rng, 0.4)),
     "follower": (_follower, _ref_follower),
-    "predicate-single": (
-        lambda rng: _stepping(PredicateBehavior(rng, _pool(rng), [1],
-                                                noise=NOISE)),
-        lambda rng: _ref_predicate(rng, [1])),
-    "predicate-multi": (
-        lambda rng: _stepping(PredicateBehavior(rng, _pool(rng), [0, 2],
-                                                noise=NOISE)),
-        lambda rng: _ref_predicate(rng, [0, 2])),
 }
 
 
@@ -409,7 +376,7 @@ def test_outcomes_match_eager_scalar_reference(case):
     parent = np.random.default_rng(2024)
     reference_parent = np.random.default_rng(2024)
     assert _run(build(parent)) == _run(reference(reference_parent))
-    # One parent draw per behaviour (and pool), exactly as before.
+    # One parent draw per behaviour, exactly as before.
     assert parent.random() == reference_parent.random()
 
 

@@ -4,20 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.bitops import (
-    bit,
-    bits,
-    concat_bits,
-    mask,
-    parity,
-    parity_of_bits,
-    popcount,
-    reverse_bits,
-    rotate_left,
-    rotate_right,
-    set_bit,
-    xor_fold,
-)
+from repro.common.bitops import bit, bits, mask, xor_fold
 
 values = st.integers(min_value=0, max_value=2**80 - 1)
 widths = st.integers(min_value=1, max_value=64)
@@ -37,7 +24,7 @@ class TestMask:
     @given(widths)
     def test_mask_has_width_bits(self, width):
         assert mask(width).bit_length() == width
-        assert popcount(mask(width)) == width
+        assert mask(width).bit_count() == width
 
 
 class TestBitAccess:
@@ -58,36 +45,6 @@ class TestBitAccess:
 
     def test_bits_zero_width(self):
         assert bits(0xFFFF, 3, 0) == 0
-
-    def test_set_bit(self):
-        assert set_bit(0, 3, 1) == 8
-        assert set_bit(0b1111, 2, 0) == 0b1011
-        assert set_bit(0b1111, 2, 1) == 0b1111
-
-    def test_set_bit_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            set_bit(0, 0, 2)
-
-    @given(values, st.integers(min_value=0, max_value=70))
-    def test_set_then_get(self, value, position):
-        for bit_value in (0, 1):
-            assert bit(set_bit(value, position, bit_value), position) == bit_value
-
-
-class TestConcat:
-    def test_concat_order(self):
-        # First field is most significant.
-        assert concat_bits((0b1, 1), (0b00, 2)) == 0b100
-        assert concat_bits((3, 2), (0, 3), (5, 3)) == 0b11000101
-
-    def test_concat_masks_overflow(self):
-        assert concat_bits((0b111, 2)) == 0b11
-
-    @given(st.lists(st.tuples(st.integers(0, 255),
-                              st.integers(1, 8)), min_size=1, max_size=6))
-    def test_total_width(self, fields):
-        total = sum(width for _, width in fields)
-        assert concat_bits(*fields) < (1 << total)
 
 
 class TestXorFold:
@@ -113,69 +70,3 @@ class TestXorFold:
         # Folding distributes over XOR — the property that makes folded
         # indices stable under partial history updates.
         assert xor_fold(a ^ b, width) == xor_fold(a, width) ^ xor_fold(b, width)
-
-
-class TestParity:
-    def test_examples(self):
-        assert parity(0) == 0
-        assert parity(1) == 1
-        assert parity(0b1011) == 1
-        assert parity(0b1001) == 0
-
-    @given(values)
-    def test_parity_is_popcount_lsb(self, value):
-        assert parity(value) == popcount(value) % 2
-
-    def test_parity_of_bits(self):
-        assert parity_of_bits(0b1110, (1, 2, 3)) == 1
-        assert parity_of_bits(0b1110, (1, 2)) == 0
-        assert parity_of_bits(0b1110, ()) == 0
-
-    @given(values, st.lists(st.integers(0, 79), max_size=10))
-    def test_parity_of_bits_matches_manual(self, value, positions):
-        expected = 0
-        for position in positions:
-            expected ^= (value >> position) & 1
-        assert parity_of_bits(value, positions) == expected
-
-
-class TestRotate:
-    def test_rotate_left(self):
-        assert rotate_left(0b0001, 1, 4) == 0b0010
-        assert rotate_left(0b1000, 1, 4) == 0b0001
-        assert rotate_left(0b1001, 2, 4) == 0b0110
-
-    def test_rotate_right_inverse(self):
-        assert rotate_right(rotate_left(0b1011, 3, 4), 3, 4) == 0b1011
-
-    @given(st.integers(0, 2**16 - 1), st.integers(0, 40), widths)
-    def test_rotation_round_trip(self, value, amount, width):
-        value &= mask(width)
-        assert rotate_right(rotate_left(value, amount, width),
-                            amount, width) == value
-
-    @given(st.integers(0, 2**16 - 1), widths)
-    def test_full_rotation_is_identity(self, value, width):
-        value &= mask(width)
-        assert rotate_left(value, width, width) == value
-
-
-class TestReverse:
-    def test_examples(self):
-        assert reverse_bits(0b0011, 4) == 0b1100
-        assert reverse_bits(0b1, 1) == 0b1
-
-    @given(st.integers(0, 2**20 - 1), st.integers(1, 20))
-    def test_involution(self, value, width):
-        value &= mask(width)
-        assert reverse_bits(reverse_bits(value, width), width) == value
-
-
-class TestPopcount:
-    def test_examples(self):
-        assert popcount(0) == 0
-        assert popcount(0xFF) == 8
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            popcount(-1)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
+from repro.common.rng import DEFAULT_SEED
 from repro.workloads import cfg, compiled
 from repro.workloads.behaviors import (
     BiasedBehavior,
@@ -27,9 +28,6 @@ from repro.workloads.behaviors import (
     LoopBehavior,
     MarkovBehavior,
     PatternBehavior,
-    PredicateBehavior,
-    PredicatePool,
-    RandomBehavior,
 )
 from repro.workloads.cfg import (
     CallNode,
@@ -43,6 +41,8 @@ from repro.workloads.cfg import (
     StaticBranch,
     Straight,
 )
+from repro.workloads.generator import generate_program
+from repro.workloads.spec95 import SPEC95_BENCHMARKS, profile_for
 
 COLUMNS = ("starts", "num_instructions", "kinds", "takens", "next_starts")
 LOOP_CAP = 40
@@ -118,7 +118,7 @@ def build(recipe) -> Program:
             made_one = BiasedBehavior(rng, (0.0, 0.3, 0.9, 1.0)[shape],
                                       noise=noise)
         elif kind == "random":
-            made_one = RandomBehavior(rng)
+            made_one = BiasedBehavior(rng, 0.5)
         elif kind in ("loop", "jittered-loop"):
             jitter = 0.6 if kind == "jittered-loop" else 0.0
             made_one = LoopBehavior(rng, (1, 3, 8, 60)[shape],
@@ -231,6 +231,15 @@ def test_compiled_executor_matches_the_python_executor(recipe):
             assert state(ours) == state(reference)
 
 
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 43])
+def test_generated_programs_are_covered(seed):
+    """The generator builds only what the C tables express, so every
+    stand-in trace comes from the compiled executor."""
+    for name in SPEC95_BENCHMARKS:
+        program = generate_program(profile_for(name).with_seed(seed))
+        assert compiled.covers(program), name
+
+
 def _single(behavior_of, node_of=IfNode, function_type=Function) -> Program:
     """A one-function program around one branch, built afresh."""
     rng = np.random.default_rng(1)
@@ -305,19 +314,6 @@ def test_out_of_range_count_raises_as_the_python_executor_does():
         Executor("wide", max_branches=50).run(program.main)
 
 
-def _predicate_program(seed: int) -> Program:
-    rng = np.random.default_rng(seed)
-    pool = PredicatePool(rng, 2, [0.01, 0.05])
-    function = Function("f", Sequence([
-        IfNode(StaticBranch(0, PredicateBehavior(rng, pool, [1])),
-               Straight(2)),
-        IfNode(StaticBranch(1, BiasedBehavior(rng, 0.3, noise=0.1)),
-               Straight(1))]))
-    return Program("pred", [function],
-                   DispatchNode(rng, [function], np.array([[1.0]])),
-                   code_base=0x1000)
-
-
 def test_program_run_takes_the_compiled_path(monkeypatch):
     recipe = (5, [("if", ("biased", 0.15, 1, None, False), 1,
                    ("straight", 2), None)], 300, None)
@@ -327,14 +323,6 @@ def test_program_run_takes_the_compiled_path(monkeypatch):
         raise AssertionError("ran the Python executor")
     monkeypatch.setattr(Executor, "run", refuse)
     assert _outcome(lambda: build(recipe).run(300)) == expected
-
-
-def test_predicate_behavior_takes_the_python_path():
-    program = _predicate_program(3)
-    assert not compiled.covers(program)
-    assert compiled.run(program, 200, None) is None
-    expected = _outcome(_python(_predicate_program(3), 200, None))
-    assert _outcome(lambda: program.run(200)) == expected
 
 
 class _Custom(BiasedBehavior):

@@ -1,5 +1,5 @@
-"""Tests for condition groups and the predicate pool — the correlation
-substrate of the synthetic workloads."""
+"""Tests for condition groups — the correlation substrate of the synthetic
+workloads."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,12 @@ from repro.workloads.behaviors import (
     ConditionCell,
     ConditionFollowerBehavior,
     ConditionLeaderBehavior,
-    PredicateBehavior,
-    PredicatePool,
 )
 
 
 class FakeContext:
     def __init__(self):
         self.global_history = 0
-        self.time = 0
         self.counts = {}
 
     def occurrence(self, branch_id):
@@ -72,73 +69,6 @@ class TestConditionGroups:
         a = ConditionFollowerBehavior(np.random.default_rng(5), cell)
         b = ConditionFollowerBehavior(np.random.default_rng(5), cell)
         assert a.invert == b.invert
-
-
-class TestPredicatePool:
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            PredicatePool(rng, 0, [])
-        with pytest.raises(ValueError):
-            PredicatePool(rng, 2, [0.1])
-        with pytest.raises(ValueError):
-            PredicatePool(rng, 1, [0.0])
-
-    def test_values_stable_within_persistence(self, rng):
-        pool = PredicatePool(rng, 4, [1e-9] * 4)  # effectively never flips
-        initial = [pool.value(i, 0) for i in range(4)]
-        assert [pool.value(i, 10_000) for i in range(4)] == initial
-
-    def test_values_flip_over_time(self, rng):
-        pool = PredicatePool(rng, 1, [0.5])
-        observed = {pool.value(0, t) for t in range(0, 100)}
-        assert observed == {True, False}
-
-    def test_time_monotonic_consistency(self, rng):
-        """Reading at the same time twice gives the same value; advancing
-        never rewinds."""
-        pool = PredicatePool(rng, 2, [0.1, 0.2])
-        at_50 = pool.value(0, 50)
-        assert pool.value(0, 50) == at_50
-        pool.value(1, 80)
-        assert pool.value(0, 80) in (True, False)
-
-    def test_mean_persistence(self, rng):
-        pool = PredicatePool(rng, 1, [0.01])
-        assert pool.mean_persistence(0) == pytest.approx(100.0)
-
-    def test_flip_frequency_tracks_probability(self, rng):
-        pool = PredicatePool(rng, 1, [0.05])
-        flips = 0
-        previous = pool.value(0, 0)
-        for t in range(1, 4000):
-            current = pool.value(0, t)
-            if current != previous:
-                flips += 1
-            previous = current
-        assert flips == pytest.approx(4000 * 0.05, rel=0.3)
-
-
-class TestPredicateBehavior:
-    def test_single_predicate_reflection(self, rng, ctx):
-        pool = PredicatePool(rng, 2, [1e-9, 1e-9])
-        behavior = PredicateBehavior(rng, pool, [0])
-        expected = pool.value(0, 0) ^ behavior.invert
-        assert behavior.next(0, ctx) == expected
-
-    def test_multi_predicate_deterministic(self, rng, ctx):
-        pool = PredicatePool(rng, 3, [1e-9] * 3)
-        behavior = PredicateBehavior(rng, pool, [0, 2])
-        first = behavior.next(0, ctx)
-        assert all(behavior.next(0, ctx) == first for _ in range(10))
-
-    def test_validation(self, rng):
-        pool = PredicatePool(rng, 2, [0.1, 0.1])
-        with pytest.raises(ValueError):
-            PredicateBehavior(rng, pool, [])
-        with pytest.raises(ValueError):
-            PredicateBehavior(rng, pool, [5])
-        with pytest.raises(ValueError):
-            PredicateBehavior(rng, pool, list(range(9)))
 
 
 class TestGroupsInPrograms:

@@ -21,6 +21,7 @@ from repro.history.providers import BlockLghistProvider, BranchGhistProvider
 from repro.obs import Telemetry, use_telemetry
 from repro.predictors import CascadePredictor, GsharePredictor, YagsPredictor
 from repro.sim import result_cache
+from repro.sim.compare import run_comparison
 from repro.sim.driver import simulate
 from repro.sim.metrics import SimulationResult
 from repro.sim.result_cache import (
@@ -422,6 +423,25 @@ class TestDriverPlumbing:
         assert hit.mispredictions == fresh.mispredictions
         assert hit.branches == fresh.branches
 
+    def test_hit_reports_no_wall_time(self, cache_env, trace):
+        first = simulate(_gshare(), trace)
+        second = simulate(_gshare(), trace)
+        assert first.cache == "miss" and first.wall_seconds > 0.0
+        assert (second.cache, second.wall_seconds) == ("hit", 0.0)
+        # The stored entry keeps the time of the run that simulated it.
+        entry, = cache_env.glob("*.json")
+        assert json.loads(entry.read_text())["wall_seconds"] \
+            == first.wall_seconds
+
+    def test_cached_comparison_reports_no_wall_time(self, cache_env, trace):
+        configs = {"small": _gshare,
+                   "large": lambda: GsharePredictor(1 << 12, 12)}
+        run_comparison(configs, {"loop": trace})
+        second = run_comparison(configs, {"loop": trace}).to_dict()
+        assert second["cache"] == {name: {"loop": "hit"} for name in configs}
+        assert second["wall_seconds"] \
+            == {name: {"loop": 0.0} for name in configs}
+
 
 class TestResultCacheTelemetry:
     """The cache telemetry distinguishes its three lookup outcomes."""
@@ -493,45 +513,51 @@ class TestTraceCacheTelemetry:
     def test_cold_miss_then_memory_then_disk(self, tmp_path):
         sink = Telemetry()
         calls = []
-        cache = TraceCache(tmp_path, telemetry=sink)
-        cache.get_or_generate("t", {"n": 1}, self._generator(calls))
-        assert sink.counters == {"trace_cache.cold_misses": 1}
-        assert sink.histograms["trace_cache.generate_seconds"]["count"] == 1
+        cache = TraceCache(tmp_path)
+        with use_telemetry(sink):
+            cache.get_or_generate("t", {"n": 1}, self._generator(calls))
+            assert sink.counters == {"trace_cache.cold_misses": 1}
+            assert sink.histograms["trace_cache.generate_seconds"][
+                "count"] == 1
 
-        cache.get_or_generate("t", {"n": 1}, self._generator(calls))
-        assert sink.counters["trace_cache.memory_hits"] == 1
+            cache.get_or_generate("t", {"n": 1}, self._generator(calls))
+            assert sink.counters["trace_cache.memory_hits"] == 1
 
-        cache.clear_memory()
-        cache.get_or_generate("t", {"n": 1}, self._generator(calls))
-        assert sink.counters["trace_cache.disk_hits"] == 1
+            cache.clear_memory()
+            cache.get_or_generate("t", {"n": 1}, self._generator(calls))
+            assert sink.counters["trace_cache.disk_hits"] == 1
         assert len(calls) == 1  # generated exactly once throughout
 
     def test_corrupt_npz_is_regenerated_and_rewritten(self, tmp_path):
         sink = Telemetry()
         calls = []
-        cache = TraceCache(tmp_path, telemetry=sink)
-        first = cache.get_or_generate("t", {"n": 1}, self._generator(calls))
-        archive, = tmp_path.glob("*.npz")
-        archive.write_bytes(b"\x00garbage, not a zip archive")
+        cache = TraceCache(tmp_path)
+        with use_telemetry(sink):
+            first = cache.get_or_generate("t", {"n": 1},
+                                          self._generator(calls))
+            archive, = tmp_path.glob("*.npz")
+            archive.write_bytes(b"\x00garbage, not a zip archive")
 
-        cache.clear_memory()
-        regenerated = cache.get_or_generate("t", {"n": 1},
-                                            self._generator(calls))
-        assert len(calls) == 2
-        assert regenerated.conditional_count == first.conditional_count
-        assert sink.counters["trace_cache.corrupt_regenerated"] == 1
-        assert sink.counters["trace_cache.cold_misses"] == 1
-        assert sink.histograms["trace_cache.generate_seconds"]["count"] == 2
+            cache.clear_memory()
+            regenerated = cache.get_or_generate("t", {"n": 1},
+                                                self._generator(calls))
+            assert len(calls) == 2
+            assert regenerated.conditional_count == first.conditional_count
+            assert sink.counters["trace_cache.corrupt_regenerated"] == 1
+            assert sink.counters["trace_cache.cold_misses"] == 1
+            assert sink.histograms["trace_cache.generate_seconds"][
+                "count"] == 2
 
-        # The regeneration rewrote the archive: next lookup is a disk hit.
-        cache.clear_memory()
-        cache.get_or_generate("t", {"n": 1}, self._generator(calls))
-        assert len(calls) == 2
-        assert sink.counters["trace_cache.disk_hits"] == 1
+            # The regeneration rewrote the archive: next lookup is a disk
+            # hit.
+            cache.clear_memory()
+            cache.get_or_generate("t", {"n": 1}, self._generator(calls))
+            assert len(calls) == 2
+            assert sink.counters["trace_cache.disk_hits"] == 1
 
     def test_defers_to_active_sink_when_unbound(self, tmp_path):
         sink = Telemetry()
-        cache = TraceCache(tmp_path)  # no sink bound at construction
+        cache = TraceCache(tmp_path)
         with use_telemetry(sink):
             cache.get_or_generate("t", {"n": 1}, self._generator([]))
         assert sink.counters == {"trace_cache.cold_misses": 1}

@@ -47,16 +47,6 @@ class TestStatistics:
         stats = compute_statistics(chain_trace())
         assert stats.dynamic_conditional_thousands == pytest.approx(0.003)
 
-    def test_scaling(self):
-        stats = compute_statistics(chain_trace())
-        scaled = stats.scaled_to_instructions(100_000_000)
-        assert scaled.instruction_count == 100_000_000
-        assert scaled.dynamic_conditional == 30_000_000
-        assert scaled.static_conditional == stats.static_conditional
-        # Ratios are scale-invariant.
-        assert scaled.lghist_to_ghist_ratio == pytest.approx(
-            stats.lghist_to_ghist_ratio)
-
     def test_no_branches(self):
         builder = TraceBuilder("jumps")
         builder.add(0x0, 4, TerminatorKind.JUMP, True, 0x0)

@@ -148,20 +148,22 @@ class TestWorkerMaterialization:
                        ev8_info_provider, engine="batched", use_cache=False)
         assert parallel == serial
 
-    def test_spawned_workers_match_the_serial_sweep(self):
+    def test_spawned_workers_match_the_serial_sweep(self, monkeypatch):
         """Under ``spawn`` (the macOS and Windows default) workers import
         everything afresh and still reproduce the serial sweep."""
         values = [4, 7]
         sink = Telemetry()
+        scheduler.shutdown_schedulers()  # the next pool starts under spawn
+        monkeypatch.setattr(scheduler, "default_start_method",
+                            lambda: "spawn")
         try:
             with use_telemetry(sink):
                 parallel = sweep_parallel(history_predictor, values,
                                           fresh_traces(1_000),
                                           ev8_info_provider, engine="batched",
-                                          max_workers=2, use_cache=False,
-                                          start_method="spawn")
+                                          max_workers=2, use_cache=False)
         finally:
-            scheduler.get_scheduler(2, "spawn").shutdown()
+            scheduler.shutdown_schedulers()
         assert sink.counters["scheduler.runs"] == 1
         serial = sweep(history_predictor, values, fresh_traces(1_000),
                        ev8_info_provider, engine="batched", use_cache=False)
