@@ -9,15 +9,24 @@ responses to the single bits of its input, so :func:`compile_tables` probes
 the scalar function (an :class:`~repro.history.providers.InfoVector` in, one
 index or a tuple of indices out) on each bit of ``history``, ``address``,
 ``branch_pc``, ``bank`` and each ``path`` row, and turns each input byte
-that reaches an index into a 256-entry table.  A batch's index streams are
-then one lookup per such byte, XORed together (:class:`ByteTables`), with
-the indices packed in ``uint64`` lanes of 16, 32 or 64 bits, the narrowest
-that holds the widest probed response.
+that reaches an index into a 256-entry table.  A batch's indices are then
+one lookup per such byte, XORed together (:class:`ByteTables`), with the
+indices packed in ``uint64`` lanes of 16, 32 or 64 bits, the narrowest that
+holds the widest probed response.
+
+The gather itself runs in C, inside each replay kernel: binding the tables
+to a batch (:meth:`ByteTables.bind`) only builds the flat lookup descriptor
+the kernel reads, and ``gather_block`` in ``kernels/replay.c`` XORs the
+lookups of one L1-resident block of rows at a time, which the kernel then
+replays before gathering the next.  :meth:`ByteTables.__call__` runs the same
+gather on its own (``gf2_gather``) and returns the index streams.
 
 The scalar function stays the only definition of each hash.  The zero
 vector must map to zero, and 64 seeded random full-width vectors must match
-the scalar function; one that fails is not batched (:class:`NotLinear`), so
-its predictor reports ``batch_supported() == False`` and runs scalar.
+the scalar function (checked by XORing table entries here, so compiling
+needs no compiled tier); one that fails is not batched
+(:class:`NotLinear`), so its predictor reports ``batch_supported() ==
+False`` and runs scalar.
 """
 
 from __future__ import annotations
@@ -28,17 +37,19 @@ from typing import Callable, Hashable
 
 import numpy as np
 
+from repro import kernels
 from repro.history.providers import InfoVector, VectorBatch
 
-__all__ = ["FIELDS", "NotLinear", "ByteTables", "compile_tables",
-           "byte_tables"]
+__all__ = ["FIELDS", "MAX_WORDS", "NotLinear", "ByteTables", "Lookups",
+           "compile_tables", "byte_tables"]
 
 FIELDS = ("history", "address", "branch_pc", "bank")
 """The information-vector fields every probe covers; ``path`` rows are
 added as ``path0`` (the youngest, the paper's Z), ``path1`` and so on."""
 
-_BLOCK_ROWS = 32768
-"""Rows gathered per block: a block's ``uint64`` columns take 256 KiB each."""
+MAX_WORDS = 4
+"""The most packed ``uint64`` words an index function may fill per row: the
+gather's block holds ``GATHER_WORDS`` of them (``kernels/replay.c``)."""
 
 IndexFunction = Callable[[InfoVector], "int | tuple[int, ...]"]
 
@@ -48,64 +59,77 @@ _TABLES: dict[Hashable, "ByteTables | NotLinear"] = {}
 
 class NotLinear(ValueError):
     """A scalar index function the byte tables cannot represent: nonzero at
-    the zero vector, wider than 64 bits, or not linear over GF(2)."""
+    the zero vector, wider than 64 bits, more than :data:`MAX_WORDS` words
+    of indices, or not linear over GF(2)."""
+
+
+@dataclass(frozen=True, eq=False)
+class Lookups:
+    """:class:`ByteTables` bound to one batch: the flat ``uint64``
+    descriptor the compiled gather reads (``LOOKUP_HEADER`` words, then one
+    byte-plane address, packed word and table address per lookup; see
+    ``kernels/replay.c``), passed to a kernel by the address of
+    ``descriptor``.  It holds everything the descriptor points into, the
+    tables and the batch's columns as contiguous ``uint64`` arrays (copies
+    where a column needed converting), for as long as it lives."""
+
+    tables: "ByteTables"
+    descriptor: np.ndarray
+    rows: int
+    columns: tuple[np.ndarray, ...]
+
+    def streams(self) -> tuple[np.ndarray, ...]:
+        """The gathered indices, one ``uint64`` stream each."""
+        streams = np.empty((self.tables.outputs, self.rows), dtype=np.uint64)
+        kernels.require().gf2_gather(self.rows, self.descriptor.ctypes.data,
+                                     streams.ctypes.data)
+        return tuple(streams)
 
 
 @dataclass(frozen=True, eq=False)
 class ByteTables:
-    """A compiled index function: ``tables(batch)`` returns one ``uint64``
-    stream per index, equal row for row to the scalar function.  Each
-    lookup XORs ``table[byte of field]`` into packed word ``word``; a field
-    the batch lacks (no bank, fewer path rows) reads as zero, as in
-    :class:`~repro.history.providers.InfoVector`."""
+    """A compiled index function.  Each lookup XORs ``table[byte of
+    field]`` into packed word ``word``, and index ``k`` is lane ``k`` of
+    the packed words; a field the batch lacks (no bank, fewer path rows)
+    reads as zero, as in :class:`~repro.history.providers.InfoVector`.
+    ``tables.bind(batch)`` gives the descriptor a replay kernel gathers
+    from, and ``tables(batch)`` the index streams, equal row for row to
+    the scalar function."""
 
     outputs: int
     lane_bits: int
     lookups: list[tuple[str, int, int, np.ndarray]]
 
-    def __call__(self, batch: VectorBatch) -> tuple[np.ndarray, ...]:
-        lanes = 64 // self.lane_bits
-        words = -(-self.outputs // lanes)
-        n = len(batch)
-        packed = np.empty((words, n), dtype="<u8")
+    @property
+    def words(self) -> int:
+        """Packed ``uint64`` words per row."""
+        return -(-self.outputs * self.lane_bits // 64)
+
+    def bind(self, batch: VectorBatch) -> Lookups:
+        """The lookup descriptor of ``batch``'s columns."""
         columns = {"history": batch.history, "address": batch.address,
                    "branch_pc": batch.branch_pc, "bank": batch.bank,
                    **{f"path{row}": batch.path[row]
                       for row in range(batch.path_depth)}}
-        octets: dict[str, np.ndarray] = {}
-        lookups = []
+        planes: dict[str, np.ndarray] = {}
+        entries = []
         for field, byte, word, table in self.lookups:
             if columns.get(field) is None:
                 continue
-            if field not in octets:
-                octets[field] = np.ascontiguousarray(
-                    columns[field], "<u8").view(np.uint8)
-            lookups.append((octets[field], byte, word, table))
-        # Row blocks keep each block's fields and packed words in cache
-        # across its lookups; whole columns would stream through memory
-        # once per lookup.
-        for start in range(0, n, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, n)
-            fresh = set(range(words))
-            for column, byte, word, table in lookups:
-                plane = column[8 * start + byte:8 * stop:8]
-                if word in fresh:
-                    # A byte never leaves the 256-entry table, so "wrap"
-                    # changes no index; it lets take write in place.
-                    table.take(plane, out=packed[word, start:stop],
-                               mode="wrap")
-                    fresh.discard(word)
-                else:
-                    packed[word, start:stop] ^= table.take(plane)
-            for word in fresh:
-                packed[word, start:stop] = 0
-        if lanes == 1:
-            return tuple(packed)
-        split = packed.view(f"<u{self.lane_bits // 8}").reshape(words, n,
-                                                                lanes)
-        streams = np.empty((words, lanes, n), dtype=np.uint64)
-        np.copyto(streams, split.transpose(0, 2, 1))
-        return tuple(streams.reshape(words * lanes, n)[:self.outputs])
+            if field not in planes:
+                planes[field] = np.ascontiguousarray(columns[field], "<u8")
+                if len(planes[field]) != len(batch):
+                    raise ValueError(f"the {field} column has "
+                                     f"{len(planes[field])} rows, not "
+                                     f"{len(batch)}")
+            entries += (planes[field].ctypes.data + byte, word,
+                        table.ctypes.data)
+        descriptor = np.array([len(entries) // 3, self.words, self.lane_bits,
+                               self.outputs, *entries], dtype=np.uint64)
+        return Lookups(self, descriptor, len(batch), tuple(planes.values()))
+
+    def __call__(self, batch: VectorBatch) -> tuple[np.ndarray, ...]:
+        return self.bind(batch).streams()
 
 
 def compile_tables(index: IndexFunction, path_depth: int = 0) -> ByteTables:
@@ -134,6 +158,9 @@ def compile_tables(index: IndexFunction, path_depth: int = 0) -> ByteTables:
     if min(probed, default=0) < 0 or widest > 64:
         raise NotLinear("an index is negative or more than 64 bits wide")
     lane_bits = next(bits for bits in (16, 32, 64) if widest <= bits)
+    if -(-len(zero) * lane_bits // 64) > MAX_WORDS:
+        raise NotLinear(f"{len(zero)} indices of {lane_bits} bits fill more "
+                        f"than {MAX_WORDS} packed words")
     lookups = []
     for field in fields:
         for byte in range(8):
@@ -152,15 +179,17 @@ def compile_tables(index: IndexFunction, path_depth: int = 0) -> ByteTables:
                     lookups.append((field, byte, word, table))
     tables = ByteTables(len(zero), lane_bits, lookups)
     rng = random.Random(2002)
-    samples = [{field: rng.getrandbits(64) for field in fields}
-               for _ in range(64)]
-    columns = np.array([[sample[field] for sample in samples]
-                        for field in fields], dtype=np.uint64)
-    got = tables(VectorBatch(*columns[:3], path=columns[4:],
-                             takens=np.zeros(len(samples), dtype=np.bool_),
-                             bank=columns[3]))
-    for row, sample in enumerate(samples):
-        if tuple(int(stream[row]) for stream in got) != evaluate(sample):
+    lanes, lane_mask = 64 // lane_bits, (1 << lane_bits) - 1
+    entries = [(field, 8 * byte, word, table.tolist())
+               for field, byte, word, table in lookups]
+    for _ in range(64):
+        sample = {field: rng.getrandbits(64) for field in fields}
+        packed = [0] * tables.words
+        for field, shift, word, table in entries:
+            packed[word] ^= table[(sample[field] >> shift) & 0xFF]
+        got = tuple(packed[k // lanes] >> lane_bits * (k % lanes) & lane_mask
+                    for k in range(len(zero)))
+        if got != evaluate(sample):
             raise NotLinear(f"the index function is not linear over GF(2): "
                             f"it differs on {sample}")
     return tables

@@ -2,13 +2,18 @@
 :mod:`ctypes`.
 
 Two libraries are built this way.  ``replay.c`` holds the replay kernels:
-every batched predictor replays its precomputed index streams through one
-C predict-then-train kernel, called by
-:meth:`repro.predictors.base.BatchCapable.batch_access`, which updates the
+every batched predictor replays through one C predict-then-train kernel,
+called by :meth:`repro.predictors.base.BatchCapable.batch_access` with the
+lookup descriptor of its GF(2) byte tables
+(:class:`repro.indexing.gf2.Lookups`).  The kernel gathers the indices of
+one L1-resident block of rows at a time (``gather_block``, which
+``gf2_gather`` also runs on its own for
+:class:`~repro.indexing.gf2.ByteTables`), replays the block on the
 predictor's own table buffers in place and writes one event code per
-position: the single-table ones (bimodal, gshare, GAs) through
+position: the single-table predictors (bimodal, gshare, GAs) through
 ``counter_replay``, and the update-coupled ones (2Bc-gskew and the EV8
-built on it, e-gskew, bi-mode and YAGS) through a kernel each.  It also holds the trace-side walks:
+built on it, e-gskew, bi-mode and YAGS) through a kernel each.  It also
+holds the trace-side walks:
 ``fetch_geometry`` builds :func:`repro.traces.fetch.block_geometry`, and
 ``ghist_history``, ``lghist_history`` and ``block_columns`` build the
 columns of every
@@ -60,11 +65,12 @@ _BUILD_TIMEOUT_S = 120
 
 _POINTER, _INT64 = ctypes.c_void_p, ctypes.c_int64
 _SIGNATURES = (
+    ("gf2_gather", (_INT64, *[_POINTER] * 2)),
     ("counter_replay", (_INT64, *[_POINTER] * 4)),
-    ("twobcgskew_replay", (_INT64, *[_POINTER] * 6, ctypes.c_int, _POINTER)),
-    ("egskew_replay", (_INT64, *[_POINTER] * 5, ctypes.c_int, _POINTER)),
-    ("bimode_replay", (_INT64, *[_POINTER] * 5)),
-    ("yags_replay", (_INT64, *[_POINTER] * 7)),
+    ("twobcgskew_replay", (_INT64, *[_POINTER] * 3, ctypes.c_int, _POINTER)),
+    ("egskew_replay", (_INT64, *[_POINTER] * 3, ctypes.c_int, _POINTER)),
+    ("bimode_replay", (_INT64, *[_POINTER] * 4)),
+    ("yags_replay", (_INT64, *[_POINTER] * 5)),
     ("fetch_geometry", (_INT64, *[_POINTER] * 4, ctypes.c_int,
                         *[_POINTER] * 5)),
     ("ghist_history", (_INT64, _POINTER, ctypes.c_int, _POINTER)),
@@ -73,7 +79,7 @@ _SIGNATURES = (
     ("block_columns", (_INT64, _POINTER, _POINTER, _INT64,
                        *[_POINTER] * 3)),
 )
-"""Argument types per kernel.  Every pointer, table descriptors
+"""Argument types per kernel.  Every pointer, lookup and table descriptors
 included, passes as a plain address: building ``ctypes.Structure`` types
 at import time measurably changes how much memory the process keeps
 resident."""

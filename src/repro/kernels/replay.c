@@ -2,7 +2,8 @@
  * the single-table ones (bimodal, gshare, GAs) and the update-coupled ones
  * (2Bc-gskew and the EV8 built on it, e-gskew, bi-mode and YAGS).
  *
- * Each kernel walks precomputed index streams in stream order and reads and
+ * Each kernel gathers its indices from GF(2) byte tables a block of rows at
+ * a time (gather_block), walks the block in stream order and reads and
  * writes the predictor's own table buffers in place (the bytearray /
  * array.array buffers of repro.common.counters.SplitCounterArray and of the
  * YAGS tag caches), restating the scalar predict/update methods exactly.
@@ -87,6 +88,91 @@ static inline unsigned step(const bank_t *bank, uint64_t index,
     return ARM_FLIP;
 }
 
+/* ---- The GF(2) index gather -----------------------------------------------
+ *
+ * Every batched index is an XOR of byte-table lookups
+ * (repro.indexing.gf2.ByteTables): a lookup XORs table[byte b of a column]
+ * into one packed uint64 word, and index k is lane k of the packed words,
+ * lanes lane_bits (16, 32 or 64) wide.  A lookup descriptor arrives as
+ * uint64 words: LOOKUP_HEADER header words (lookups, packed words, lane
+ * bits, indices), then three words per lookup: the address of its byte
+ * plane (the column's first row plus byte b, so row r's byte is
+ * plane[8 * r]), its packed word and the address of its 256-entry table.
+ *
+ * gather_block fills the packed words of up to GATHER_ROWS rows, lookup by
+ * lookup, into a block on the caller's stack, so the block and the table
+ * being read stay in L1; each kernel then walks the block row by row,
+ * reading its indices through lane views. */
+#define GATHER_ROWS 256
+#define GATHER_WORDS 4
+#define LOOKUP_HEADER 4
+
+/* The block sizes, for the tests (repro.indexing.gf2.MAX_WORDS must equal
+ * GATHER_WORDS). */
+const int gather_rows = GATHER_ROWS;
+const int gather_words = GATHER_WORDS;
+
+typedef uint64_t block_t[GATHER_WORDS][GATHER_ROWS];
+
+static inline int block_rows(int64_t n, int64_t start)
+{
+    return n - start < GATHER_ROWS ? (int)(n - start) : GATHER_ROWS;
+}
+
+static inline void gather_block(const uint64_t *lookups, int64_t start,
+                                int rows, block_t block)
+{
+    for (uint64_t w = 0; w < lookups[1]; w++)
+        for (int r = 0; r < rows; r++)
+            block[w][r] = 0;
+    const uint64_t *entry = lookups + LOOKUP_HEADER;
+    for (uint64_t l = 0; l < lookups[0]; l++, entry += 3) {
+        const uint8_t *plane = (const uint8_t *)(uintptr_t)entry[0]
+            + 8 * start;
+        uint64_t *word = block[entry[1]];
+        const uint64_t *table = (const uint64_t *)(uintptr_t)entry[2];
+        for (int r = 0; r < rows; r++)
+            word[r] ^= table[plane[8 * r]];
+    }
+}
+
+/* Index k's view of a block: (word[r] >> shift) & mask. */
+typedef struct {
+    const uint64_t *word;
+    unsigned shift;
+    uint64_t mask;
+} lane_t;
+
+static inline lane_t lane_at(const uint64_t *lookups, block_t block, int k)
+{
+    unsigned bits = (unsigned)lookups[2], per_word = 64 / bits;
+    lane_t lane = {block[k / per_word], (k % per_word) * bits,
+                   bits >= 64 ? ~(uint64_t)0 : ((uint64_t)1 << bits) - 1};
+    return lane;
+}
+
+static inline uint64_t lane_read(lane_t lane, int r)
+{
+    return (lane.word[r] >> lane.shift) & lane.mask;
+}
+
+/* repro.indexing.gf2.ByteTables over a batch: index k of row r goes to
+ * streams[k * n + r]. */
+void gf2_gather(int64_t n, const uint64_t *lookups, uint64_t *streams)
+{
+    block_t block;
+    int indices = (int)lookups[3];
+    for (int64_t start = 0; start < n; start += GATHER_ROWS) {
+        int rows = block_rows(n, start);
+        gather_block(lookups, start, rows, block);
+        for (int k = 0; k < indices; k++) {
+            lane_t lane = lane_at(lookups, block, k);
+            for (int r = 0; r < rows; r++)
+                streams[k * n + start + r] = lane_read(lane, r);
+        }
+    }
+}
+
 /* 2Bc-gskew update arms (TwoBcGskewPredictor._train_partial). */
 enum { UPDATE_SUPPRESSED = 0, UPDATE_STRENGTHENED = 1,
        UPDATE_CHOOSER_FIXED = 2, UPDATE_FULL = 3 };
@@ -112,120 +198,145 @@ static inline uint32_t arm_bits(unsigned step_result, int b)
  *   bits 16-19 the sharing-conflict bit of BIM, G0, G1 and Meta
  * The banks are spelled out one by one rather than looped over: the
  * compiler then keeps every index and read in a register. */
-void twobcgskew_replay(int64_t n, const uint64_t *bim_idx,
-                       const uint64_t *g0_idx, const uint64_t *g1_idx,
-                       const uint64_t *meta_idx, const uint8_t *takens,
-                       const uint64_t *bank_words, int partial,
-                       uint32_t *codes)
+void twobcgskew_replay(int64_t n, const uint64_t *lookups,
+                       const uint8_t *takens, const uint64_t *bank_words,
+                       int partial, uint32_t *codes)
 {
     const bank_t bim = bank_at(bank_words);
     const bank_t g0 = bank_at(bank_words + BANK_WORDS);
     const bank_t g1 = bank_at(bank_words + 2 * BANK_WORDS);
     const bank_t meta = bank_at(bank_words + 3 * BANK_WORDS);
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t bi = masked(&bim, bim_idx[i]);
-        uint64_t g0i = masked(&g0, g0_idx[i]);
-        uint64_t g1i = masked(&g1, g1_idx[i]);
-        uint64_t mi = masked(&meta, meta_idx[i]);
-        unsigned taken = takens[i] != 0;
-        unsigned p_bim = bim.prediction[bi];
-        unsigned p_g0 = g0.prediction[g0i];
-        unsigned p_g1 = g1.prediction[g1i];
-        unsigned use_majority = meta.prediction[mi];
-        unsigned majority = p_bim + p_g0 + p_g1 >= 2;
-        unsigned overall = use_majority ? majority : p_bim;
-        unsigned update, train;
-        uint32_t code = overall | p_bim << 1 | p_g0 << 2 | p_g1 << 3
-            | use_majority << 4 | taken << 5;
-        unsigned meta_step = ARM_NONE;
-        if (!partial) {
-            update = UPDATE_FULL;
-            train = TRAIN_ALL;
-            if (p_bim != majority)
-                meta_step = step(&meta, mi, majority == taken);
-        } else if (overall == taken) {
-            if (p_bim == p_g0 && p_g0 == p_g1) {
-                update = UPDATE_SUPPRESSED;
-                train = TRAIN_NONE;
-            } else {
-                update = UPDATE_STRENGTHENED;
-                train = use_majority ? TRAIN_CORRECT : TRAIN_BIM;
+    block_t block;
+    const lane_t bim_lane = lane_at(lookups, block, 0);
+    const lane_t g0_lane = lane_at(lookups, block, 1);
+    const lane_t g1_lane = lane_at(lookups, block, 2);
+    const lane_t meta_lane = lane_at(lookups, block, 3);
+    for (int64_t start = 0; start < n; start += GATHER_ROWS) {
+        int rows = block_rows(n, start);
+        gather_block(lookups, start, rows, block);
+        for (int r = 0; r < rows; r++) {
+            int64_t i = start + r;
+            uint64_t bi = masked(&bim, lane_read(bim_lane, r));
+            uint64_t g0i = masked(&g0, lane_read(g0_lane, r));
+            uint64_t g1i = masked(&g1, lane_read(g1_lane, r));
+            uint64_t mi = masked(&meta, lane_read(meta_lane, r));
+            unsigned taken = takens[i] != 0;
+            unsigned p_bim = bim.prediction[bi];
+            unsigned p_g0 = g0.prediction[g0i];
+            unsigned p_g1 = g1.prediction[g1i];
+            unsigned use_majority = meta.prediction[mi];
+            unsigned majority = p_bim + p_g0 + p_g1 >= 2;
+            unsigned overall = use_majority ? majority : p_bim;
+            unsigned update, train;
+            uint32_t code = overall | p_bim << 1 | p_g0 << 2 | p_g1 << 3
+                | use_majority << 4 | taken << 5;
+            unsigned meta_step = ARM_NONE;
+            if (!partial) {
+                update = UPDATE_FULL;
+                train = TRAIN_ALL;
                 if (p_bim != majority)
                     meta_step = step(&meta, mi, majority == taken);
-            }
-        } else {
-            update = UPDATE_FULL;
-            train = TRAIN_ALL;
-            if (p_bim != majority) {
-                meta_step = step(&meta, mi, majority == taken);
-                /* The chooser re-read after its update. */
-                unsigned new_use_majority = meta.prediction[mi];
-                if ((new_use_majority ? majority : p_bim) == taken) {
-                    update = UPDATE_CHOOSER_FIXED;
-                    train = new_use_majority ? TRAIN_CORRECT : TRAIN_BIM;
+            } else if (overall == taken) {
+                if (p_bim == p_g0 && p_g0 == p_g1) {
+                    update = UPDATE_SUPPRESSED;
+                    train = TRAIN_NONE;
+                } else {
+                    update = UPDATE_STRENGTHENED;
+                    train = use_majority ? TRAIN_CORRECT : TRAIN_BIM;
+                    if (p_bim != majority)
+                        meta_step = step(&meta, mi, majority == taken);
+                }
+            } else {
+                update = UPDATE_FULL;
+                train = TRAIN_ALL;
+                if (p_bim != majority) {
+                    meta_step = step(&meta, mi, majority == taken);
+                    /* The chooser re-read after its update. */
+                    unsigned new_use_majority = meta.prediction[mi];
+                    if ((new_use_majority ? majority : p_bim) == taken) {
+                        update = UPDATE_CHOOSER_FIXED;
+                        train = new_use_majority ? TRAIN_CORRECT : TRAIN_BIM;
+                    }
                 }
             }
+            unsigned correct_only = train == TRAIN_CORRECT;
+            unsigned bim_step = ARM_NONE, g0_step = ARM_NONE,
+                g1_step = ARM_NONE;
+            if (train != TRAIN_NONE && (!correct_only || p_bim == taken))
+                bim_step = step(&bim, bi, taken);
+            if (train >= TRAIN_CORRECT && (!correct_only || p_g0 == taken))
+                g0_step = step(&g0, g0i, taken);
+            if (train >= TRAIN_CORRECT && (!correct_only || p_g1 == taken))
+                g1_step = step(&g1, g1i, taken);
+            codes[i] = code | update << 6 | arm_bits(bim_step, 0)
+                | arm_bits(g0_step, 1) | arm_bits(g1_step, 2)
+                | arm_bits(meta_step, 3);
         }
-        unsigned correct_only = train == TRAIN_CORRECT;
-        unsigned bim_step = ARM_NONE, g0_step = ARM_NONE, g1_step = ARM_NONE;
-        if (train != TRAIN_NONE && (!correct_only || p_bim == taken))
-            bim_step = step(&bim, bi, taken);
-        if (train >= TRAIN_CORRECT && (!correct_only || p_g0 == taken))
-            g0_step = step(&g0, g0i, taken);
-        if (train >= TRAIN_CORRECT && (!correct_only || p_g1 == taken))
-            g1_step = step(&g1, g1i, taken);
-        codes[i] = code | update << 6 | arm_bits(bim_step, 0)
-            | arm_bits(g0_step, 1) | arm_bits(g1_step, 2)
-            | arm_bits(meta_step, 3);
     }
 }
 
 /* bank_words: one table (bimodal, gshare, GAs), any hysteresis sharing.
  * Event code (uint8) per position: bit 0 the prediction, bits 1-2 the write
  * arm, bit 3 the sharing-conflict bit. */
-void counter_replay(int64_t n, const uint64_t *idx, const uint8_t *takens,
-                    const uint64_t *bank_words, uint8_t *codes)
+void counter_replay(int64_t n, const uint64_t *lookups,
+                    const uint8_t *takens, const uint64_t *bank_words,
+                    uint8_t *codes)
 {
     const bank_t bank = bank_at(bank_words);
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t index = masked(&bank, idx[i]);
-        unsigned prediction = bank.prediction[index];
-        codes[i] = (uint8_t)(prediction
-                             | step(&bank, index, takens[i] != 0) << 1);
+    block_t block;
+    const lane_t lane = lane_at(lookups, block, 0);
+    for (int64_t start = 0; start < n; start += GATHER_ROWS) {
+        int rows = block_rows(n, start);
+        gather_block(lookups, start, rows, block);
+        for (int r = 0; r < rows; r++) {
+            int64_t i = start + r;
+            uint64_t index = masked(&bank, lane_read(lane, r));
+            unsigned prediction = bank.prediction[index];
+            codes[i] = (uint8_t)(prediction
+                                 | step(&bank, index, takens[i] != 0) << 1);
+        }
     }
 }
 
 /* bank_words: BIM, G0, G1 (private hysteresis).  Event code (uint8) per
  * position: bit 0 the prediction, then each bank's write arm in bits 1-2
  * (BIM), 3-4 (G0) and 5-6 (G1). */
-void egskew_replay(int64_t n, const uint64_t *bim_idx,
-                   const uint64_t *g0_idx, const uint64_t *g1_idx,
+void egskew_replay(int64_t n, const uint64_t *lookups,
                    const uint8_t *takens, const uint64_t *bank_words,
                    int partial, uint8_t *codes)
 {
     const bank_t bim = bank_at(bank_words);
     const bank_t g0 = bank_at(bank_words + BANK_WORDS);
     const bank_t g1 = bank_at(bank_words + 2 * BANK_WORDS);
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t bi = masked(&bim, bim_idx[i]);
-        uint64_t g0i = masked(&g0, g0_idx[i]);
-        uint64_t g1i = masked(&g1, g1_idx[i]);
-        unsigned taken = takens[i] != 0;
-        unsigned p_bim = bim.prediction[bi];
-        unsigned p_g0 = g0.prediction[g0i];
-        unsigned p_g1 = g1.prediction[g1i];
-        unsigned prediction = p_bim + p_g0 + p_g1 >= 2;
-        /* A correct prediction under partial update strengthens only the
-         * banks that voted with it; otherwise every bank steps. */
-        unsigned every = !partial || prediction != taken;
-        unsigned bim_arm = every || p_bim == taken
-            ? step(&bim, bi, taken) & 3 : ARM_NONE;
-        unsigned g0_arm = every || p_g0 == taken
-            ? step(&g0, g0i, taken) & 3 : ARM_NONE;
-        unsigned g1_arm = every || p_g1 == taken
-            ? step(&g1, g1i, taken) & 3 : ARM_NONE;
-        codes[i] = (uint8_t)(prediction | bim_arm << 1 | g0_arm << 3
-                             | g1_arm << 5);
+    block_t block;
+    const lane_t bim_lane = lane_at(lookups, block, 0);
+    const lane_t g0_lane = lane_at(lookups, block, 1);
+    const lane_t g1_lane = lane_at(lookups, block, 2);
+    for (int64_t start = 0; start < n; start += GATHER_ROWS) {
+        int rows = block_rows(n, start);
+        gather_block(lookups, start, rows, block);
+        for (int r = 0; r < rows; r++) {
+            int64_t i = start + r;
+            uint64_t bi = masked(&bim, lane_read(bim_lane, r));
+            uint64_t g0i = masked(&g0, lane_read(g0_lane, r));
+            uint64_t g1i = masked(&g1, lane_read(g1_lane, r));
+            unsigned taken = takens[i] != 0;
+            unsigned p_bim = bim.prediction[bi];
+            unsigned p_g0 = g0.prediction[g0i];
+            unsigned p_g1 = g1.prediction[g1i];
+            unsigned prediction = p_bim + p_g0 + p_g1 >= 2;
+            /* A correct prediction under partial update strengthens only the
+             * banks that voted with it; otherwise every bank steps. */
+            unsigned every = !partial || prediction != taken;
+            unsigned bim_arm = every || p_bim == taken
+                ? step(&bim, bi, taken) & 3 : ARM_NONE;
+            unsigned g0_arm = every || p_g0 == taken
+                ? step(&g0, g0i, taken) & 3 : ARM_NONE;
+            unsigned g1_arm = every || p_g1 == taken
+                ? step(&g1, g1i, taken) & 3 : ARM_NONE;
+            codes[i] = (uint8_t)(prediction | bim_arm << 1 | g0_arm << 3
+                                 | g1_arm << 5);
+        }
     }
 }
 
@@ -233,27 +344,35 @@ void egskew_replay(int64_t n, const uint64_t *bim_idx,
  * code (uint8) per position: bit 0 the prediction, bit 1 the choice, bits
  * 2-3 the selected direction table's write arm, bits 4-5 the choice
  * table's. */
-void bimode_replay(int64_t n, const uint64_t *choice_idx,
-                   const uint64_t *direction_idx, const uint8_t *takens,
-                   const uint64_t *bank_words, uint8_t *codes)
+void bimode_replay(int64_t n, const uint64_t *lookups,
+                   const uint8_t *takens, const uint64_t *bank_words,
+                   uint8_t *codes)
 {
     bank_t banks[3];
     for (int b = 0; b < 3; b++)
         banks[b] = bank_at(bank_words + BANK_WORDS * b);
     const bank_t *choice = &banks[0];
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t ci = masked(choice, choice_idx[i]);
-        unsigned taken = takens[i] != 0;
-        unsigned c = choice->prediction[ci];
-        const bank_t *direction = &banks[1 + c];
-        uint64_t di = masked(direction, direction_idx[i]);
-        unsigned prediction = direction->prediction[di];
-        unsigned direction_arm = step(direction, di, taken) & 3;
-        /* The choice erred but the stream did not: leave it alone. */
-        unsigned choice_arm = c != taken && prediction == taken
-            ? ARM_NONE : step(choice, ci, taken) & 3;
-        codes[i] = (uint8_t)(prediction | c << 1 | direction_arm << 2
-                             | choice_arm << 4);
+    block_t block;
+    const lane_t choice_lane = lane_at(lookups, block, 0);
+    const lane_t direction_lane = lane_at(lookups, block, 1);
+    for (int64_t start = 0; start < n; start += GATHER_ROWS) {
+        int rows = block_rows(n, start);
+        gather_block(lookups, start, rows, block);
+        for (int r = 0; r < rows; r++) {
+            int64_t i = start + r;
+            uint64_t ci = masked(choice, lane_read(choice_lane, r));
+            unsigned taken = takens[i] != 0;
+            unsigned c = choice->prediction[ci];
+            const bank_t *direction = &banks[1 + c];
+            uint64_t di = masked(direction, lane_read(direction_lane, r));
+            unsigned prediction = direction->prediction[di];
+            unsigned direction_arm = step(direction, di, taken) & 3;
+            /* The choice erred but the stream did not: leave it alone. */
+            unsigned choice_arm = c != taken && prediction == taken
+                ? ARM_NONE : step(choice, ci, taken) & 3;
+            codes[i] = (uint8_t)(prediction | c << 1 | direction_arm << 2
+                                 | choice_arm << 4);
+        }
     }
 }
 
@@ -294,10 +413,9 @@ typedef struct {
  * bit 2 a tag hit, bits 3-4 the probed cache's counter write arm (ARM_NONE
  * on a miss, which allocates iff the choice erred) and bits 5-6 the choice
  * table's. */
-void yags_replay(int64_t n, const uint64_t *choice_idx,
-                 const uint64_t *cache_idx, const uint64_t *tags,
-                 const uint8_t *takens, const uint64_t *bank_words,
-                 const uint64_t *cache_words, uint8_t *codes)
+void yags_replay(int64_t n, const uint64_t *lookups, const uint8_t *takens,
+                 const uint64_t *bank_words, const uint64_t *cache_words,
+                 uint8_t *codes)
 {
     bank_t choice_bank = bank_at(bank_words);
     const bank_t *choice = &choice_bank;
@@ -309,36 +427,45 @@ void yags_replay(int64_t n, const uint64_t *choice_idx,
         caches[k].valid = (uint8_t *)(uintptr_t)words[BANK_WORDS + 1];
         caches[k].tag_width = (int)words[BANK_WORDS + 2];
     }
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t ci = masked(choice, choice_idx[i]);
-        unsigned taken = takens[i] != 0;
-        unsigned c = choice->prediction[ci];
-        /* A taken choice probes the not-taken cache, and vice versa. */
-        const cache_t *cache = &caches[c];
-        const bank_t *counters = &cache->counters;
-        uint64_t xi = masked(counters, cache_idx[i]);
-        uint64_t tag = tags[i];
-        unsigned code, choice_arm;
-        if (cache->valid[xi] && load_tag(cache->tags, cache->tag_width, xi)
-                == tag) {
-            unsigned prediction = counters->prediction[xi];
-            code = prediction | 4 | (step(counters, xi, taken) & 3) << 3;
-            /* The cache corrected the bias: leave the choice alone. */
-            choice_arm = c != taken && prediction == taken
-                ? ARM_NONE : step(choice, ci, taken) & 3;
-        } else {
-            code = c | ARM_NONE << 3;
-            if (c != taken) {
-                /* Allocate the exception, weak towards the outcome. */
-                store_tag(cache->tags, cache->tag_width, xi, tag);
-                cache->valid[xi] = 1;
-                counters->prediction[xi] = (uint8_t)taken;
-                counters->hysteresis[xi & (counters->hysteresis_size - 1)]
-                    = 0;
+    block_t block;
+    const lane_t choice_lane = lane_at(lookups, block, 0);
+    const lane_t cache_lane = lane_at(lookups, block, 1);
+    const lane_t tag_lane = lane_at(lookups, block, 2);
+    for (int64_t start = 0; start < n; start += GATHER_ROWS) {
+        int rows = block_rows(n, start);
+        gather_block(lookups, start, rows, block);
+        for (int r = 0; r < rows; r++) {
+            int64_t i = start + r;
+            uint64_t ci = masked(choice, lane_read(choice_lane, r));
+            unsigned taken = takens[i] != 0;
+            unsigned c = choice->prediction[ci];
+            /* A taken choice probes the not-taken cache, and vice versa. */
+            const cache_t *cache = &caches[c];
+            const bank_t *counters = &cache->counters;
+            uint64_t xi = masked(counters, lane_read(cache_lane, r));
+            uint64_t tag = lane_read(tag_lane, r);
+            unsigned code, choice_arm;
+            if (cache->valid[xi] && load_tag(cache->tags, cache->tag_width, xi)
+                    == tag) {
+                unsigned prediction = counters->prediction[xi];
+                code = prediction | 4 | (step(counters, xi, taken) & 3) << 3;
+                /* The cache corrected the bias: leave the choice alone. */
+                choice_arm = c != taken && prediction == taken
+                    ? ARM_NONE : step(choice, ci, taken) & 3;
+            } else {
+                code = c | ARM_NONE << 3;
+                if (c != taken) {
+                    /* Allocate the exception, weak towards the outcome. */
+                    store_tag(cache->tags, cache->tag_width, xi, tag);
+                    cache->valid[xi] = 1;
+                    counters->prediction[xi] = (uint8_t)taken;
+                    counters->hysteresis[xi & (counters->hysteresis_size - 1)]
+                        = 0;
+                }
+                choice_arm = step(choice, ci, taken) & 3;
             }
-            choice_arm = step(choice, ci, taken) & 3;
+            codes[i] = (uint8_t)(code | c << 1 | choice_arm << 5);
         }
-        codes[i] = (uint8_t)(code | c << 1 | choice_arm << 5);
     }
 }
 

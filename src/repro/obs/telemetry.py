@@ -267,12 +267,17 @@ def _bank_rows(counters: Mapping[str, int]) -> dict[str, dict[str, int]]:
     return banks
 
 
+_INDEX_LEGEND = ("(replay/index times lookup-descriptor set-up; the "
+                 "byte-table gather runs inside the replay kernel)")
+
+
 def render_summary(snapshot: Mapping) -> str:
     """Render a snapshot as the fixed-width summary table ``runall`` embeds.
 
     Sections: per-bank traffic (reads / prediction writes / hysteresis
     writes / sharing conflicts), then every non-bank counter, then
-    histograms and spans.  Empty sections are omitted.
+    histograms and spans.  Empty sections are omitted.  When an ``index``
+    span is present, one legend line says what it times.
     """
     counters = snapshot.get("counters", {})
     lines: list[str] = []
@@ -316,6 +321,8 @@ def render_summary(snapshot: Mapping) -> str:
     if spans:
         width = max(len(path) for path in spans)
         lines.append("Spans  (count / total seconds)")
+        if any(path.rsplit("/", 1)[-1] == "index" for path in spans):
+            lines.append(_INDEX_LEGEND)
         for path in sorted(spans):
             record = spans[path]
             lines.append(f"{path:<{width}}  {int(record['count']):>8} "

@@ -15,7 +15,7 @@ import numpy as np
 from repro import kernels
 from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
-from repro.indexing.gf2 import ByteTables, NotLinear
+from repro.indexing.gf2 import ByteTables, Lookups, NotLinear
 from repro.obs import NULL_TELEMETRY, NullTelemetry
 
 __all__ = ["Predictor", "BatchCapable"]
@@ -99,10 +99,11 @@ class BatchCapable:
     that is not linear over GF(2), or no compiled replay tier).
 
     Implementations name their scalar index function and what it reads in
-    :meth:`_index_tables`; :mod:`repro.indexing.gf2` compiles it into the
-    byte tables that give the batch's index streams (:meth:`_index_streams`),
-    replayed through **one** compiled predict-then-train kernel per
-    predictor (see :mod:`repro.kernels`).  The defaults replay one table,
+    :meth:`_index_tables`; :mod:`repro.indexing.gf2` compiles it into byte
+    tables, bound to the batch as one lookup descriptor (:meth:`_lookups`).
+    **One** compiled predict-then-train kernel per predictor (see
+    :mod:`repro.kernels`) gathers the indices from it a block of rows at a
+    time and replays each block.  The defaults replay one table,
     ``self._counters``, through ``counter_replay``; a multi-table predictor
     names its kernel in :attr:`_KERNEL` and overrides
     :meth:`_kernel_tables` and :meth:`_count_events`.  Telemetry comes from
@@ -134,11 +135,12 @@ class BatchCapable:
             return False
         return True
 
-    def _index_streams(self, batch: VectorBatch) -> tuple[np.ndarray, ...]:
-        """The scalar index function's outputs over ``batch``, one
-        ``uint64`` stream each, timed as the ``index`` telemetry span."""
+    def _lookups(self, batch: VectorBatch) -> Lookups:
+        """The lookup descriptor of the index tables over ``batch``, timed
+        as the ``index`` telemetry span (set-up only: the gather runs inside
+        the kernel)."""
         with self._telemetry.span("index"):
-            return self._index_tables()(batch)
+            return self._index_tables().bind(batch)
 
     def _kernel_tables(self) -> tuple:
         """The kernel's arguments between the takens and the codes: table
@@ -162,23 +164,24 @@ class BatchCapable:
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
         """Predict-then-train over the whole batch; returns predictions.
 
-        The index streams, the outcomes and :meth:`_kernel_tables` go to
-        the :attr:`_KERNEL` kernel, which walks them in stream order on the
-        tables' own buffers, restating the scalar ``access``, and writes
-        one event code per position; telemetry is reduced from the codes
+        The lookup descriptor (:meth:`_lookups`), the outcomes and
+        :meth:`_kernel_tables` go to the :attr:`_KERNEL` kernel, which
+        gathers the indices and walks them in stream order on the tables'
+        own buffers, restating the scalar ``access``, and writes one event
+        code per position; telemetry is reduced from the codes
         (:meth:`_count_events`).
         """
         lib = kernels.require()
-        streams = [kernels.stream(column)
-                   for column in self._index_streams(batch)]
+        lookups = self._lookups(batch)
         takens = kernels.stream(batch.takens, np.bool_)
-        if any(len(column) != len(batch) for column in (*streams, takens)):
-            raise ValueError("every index stream and the outcomes must have "
-                             "one entry per branch of the batch")
+        if len(takens) != len(batch):
+            raise ValueError("the outcomes must have one entry per branch "
+                             "of the batch")
         tables = self._kernel_tables()
         codes = np.empty(len(batch), dtype=self._CODES)
         getattr(lib, self._KERNEL)(
-            len(codes), *map(_argument, (*streams, takens, *tables, codes)))
+            len(codes), *map(_argument, (lookups.descriptor, takens, *tables,
+                                         codes)))
         if self._telemetry.enabled:
             self._count_events(*np.unique(codes, return_counts=True))
         return (codes & 1).astype(np.bool_)

@@ -28,7 +28,7 @@ from repro.common.counters import SplitCounterArray, count_selected
 from repro.history.providers import InfoVector, VectorBatch
 from repro.history.registers import DEFAULT_PATH_DEPTH
 from repro.indexing.fold import info_word
-from repro.indexing.gf2 import ByteTables, byte_tables
+from repro.indexing.gf2 import ByteTables, Lookups, byte_tables
 from repro.indexing.skew import skew_index
 from repro.predictors.base import BatchCapable, Predictor
 
@@ -80,9 +80,10 @@ class IndexScheme:
     Injected into :class:`TwoBcGskewPredictor`; the default is the academic
     skewed family below, and :mod:`repro.ev8.indexfuncs` provides the
     hardware-constrained EV8 functions.  A scheme defines :meth:`compute`
-    only: :meth:`compute_batch` is compiled from it into GF(2) byte tables
-    (:mod:`repro.indexing.gf2`), so a linear scheme runs batched with one
-    definition of its hash, and a non-linear one runs scalar.
+    only: it is compiled into GF(2) byte tables (:mod:`repro.indexing.gf2`),
+    which :meth:`compute_batch` binds to a batch, so a linear scheme runs
+    batched with one definition of its hash, and a non-linear one runs
+    scalar.
     """
 
     def compute(self, vector: InfoVector,
@@ -103,11 +104,12 @@ class IndexScheme:
 
     def compute_batch(self, batch: VectorBatch,
                       configs: tuple[TableConfig, TableConfig, TableConfig,
-                                     TableConfig]
-                      ) -> tuple[np.ndarray, ...]:
-        """:meth:`compute` over a whole batch, one ``uint64`` stream per
-        table (bit-identical)."""
-        return self.tables(configs, batch.path_depth)(batch)
+                                     TableConfig]) -> Lookups:
+        """The lookup descriptor of :meth:`compute` over a whole batch: the
+        replay kernel gathers the four indices from it, bit-identical to
+        :meth:`compute`, and ``.streams()`` returns them as ``uint64``
+        streams."""
+        return self.tables(configs, batch.path_depth).bind(batch)
 
 
 class SkewedIndexScheme(IndexScheme):
@@ -246,7 +248,7 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
     def _index_tables(self) -> ByteTables:
         return self.index_scheme.tables(self.configs, DEFAULT_PATH_DEPTH)
 
-    def _index_streams(self, batch: VectorBatch) -> tuple[np.ndarray, ...]:
+    def _lookups(self, batch: VectorBatch) -> Lookups:
         # Through the scheme's compute_batch, which compiles for the batch's
         # own path depth (and which perfbench's tracer times per scheme).
         with self._telemetry.span("index"):

@@ -2,19 +2,23 @@
 
 The compiler builds every batched index stream from the scalar index
 function the reference engine calls, so these tests hold the compiled
-streams to that function row by row, check that what cannot be compiled
-runs scalar instead of failing, and check that tables are shared exactly
-where the index functions are the same.
+streams (gathered by the C ``gather_block`` that every replay kernel runs)
+to that function row by row, at block and lane edges too, check that what
+cannot be compiled runs scalar instead of failing, and check that tables
+are shared exactly where the index functions are the same.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_rows, vector_batches
+from conftest import batch_rows, table_state, vector_batches
+from repro import kernels
 from repro.ev8.config import EV8_CONFIG
 from repro.ev8.indexfuncs import EV8IndexScheme
 from repro.ev8.predictor import EV8BranchPredictor
@@ -42,12 +46,14 @@ def scalar_and_compiled(predictor):
     if isinstance(predictor, TwoBcGskewPredictor):
         scheme, configs = predictor.index_scheme, predictor.configs
         return (predictor.indices,
-                lambda batch: scheme.compute_batch(batch, configs))
+                lambda batch: scheme.compute_batch(batch, configs).streams())
+    def compiled(batch):
+        return predictor._index_tables()(batch)
+
     scalar = getattr(predictor, "_indices", None)
     if scalar is None:
-        return (lambda vector: (predictor._index(vector),),
-                predictor._index_streams)
-    return scalar, predictor._index_streams
+        return (lambda vector: (predictor._index(vector),)), compiled
+    return scalar, compiled
 
 
 def assert_rows_match(scalar, streams, batch):
@@ -89,7 +95,8 @@ class TestCompiledEqualsScalar:
         batch = VectorBatch(batch.history, batch.address, batch.branch_pc,
                             rows, batch.takens, batch.bank)
         assert_rows_match(lambda vector: scheme.compute(vector, configs),
-                          scheme.compute_batch(batch, configs), batch)
+                          scheme.compute_batch(batch, configs).streams(),
+                          batch)
 
 
 def _some_predictors():
@@ -142,20 +149,119 @@ def test_index_that_is_always_zero_reads_zero():
         [2**64 - 1] * 5, [0] * 5, [2**63 - 1] * 5]
 
 
+# -- the C gather's blocks and lanes -----------------------------------------
+
+def _block_constant(name: str) -> int:
+    """``gather_rows`` or ``gather_words``: the C gather's block size."""
+    return ctypes.c_int.in_dll(kernels.require(), name).value
+
+
 @pytest.mark.parametrize("predictor", _some_predictors(),
                          ids=lambda predictor: predictor.name)
 @settings(max_examples=10, deadline=None)
 @given(batch=vector_batches(min_size=8))
 def test_row_blocks_join_seamlessly(predictor, batch):
-    """Gathering in blocks of three rows gives the scalar indices too."""
+    """The drawn rows, repeated past two of the gather's blocks, give the
+    scalar indices on both sides of every block seam."""
+    rows = np.arange(2 * _block_constant("gather_rows") + 3) % len(batch)
+    long = VectorBatch(batch.history[rows], batch.address[rows],
+                       batch.branch_pc[rows], batch.path[:, rows],
+                       batch.takens[rows],
+                       None if batch.bank is None else batch.bank[rows])
     scalar, compiled = scalar_and_compiled(predictor)
-    blocks = gf2._BLOCK_ROWS
-    gf2._BLOCK_ROWS = 3
-    try:
-        streams = compiled(batch)
-    finally:
-        gf2._BLOCK_ROWS = blocks
-    assert_rows_match(scalar, streams, batch)
+    assert_rows_match(scalar, compiled(long), long)
+
+
+def test_block_holds_max_words():
+    assert _block_constant("gather_words") == gf2.MAX_WORDS
+
+
+def test_more_words_than_the_block_holds_is_refused():
+    with pytest.raises(gf2.NotLinear, match="packed words"):
+        gf2.compile_tables(lambda vector: (vector.history,) * (
+            gf2.MAX_WORDS + 1))
+
+
+def _random_batch(rows: int, depth: int, bank: bool,
+                  seed: int = 0) -> VectorBatch:
+    rng = np.random.default_rng(seed)
+
+    def column():
+        return rng.integers(0, 2**64, size=rows, dtype=np.uint64)
+
+    return VectorBatch(column(), column(), column(),
+                       np.array([column() for _ in range(depth)],
+                                dtype=np.uint64).reshape(depth, rows),
+                       rng.random(rows) < 0.6, column() if bank else None)
+
+
+def _assert_replays_like_scalar(make, batch):
+    """Indices row by row, then strict batched predictions and final table
+    bytes, against the scalar ``access`` walk of the same rows."""
+    batched, scalar = make(), make()
+    assert batched.batch_supported()
+    scalar_index, compiled = scalar_and_compiled(batched)
+    assert_rows_match(scalar_index, compiled(batch), batch)
+    expected = [scalar.access(vector, bool(taken)) for vector, taken in
+                zip(batch_rows(batch), batch.takens)]
+    assert batched.batch_access(batch).tolist() == expected
+    assert table_state(batched) == table_state(scalar)
+
+
+def _skewed_with_path():
+    return TwoBcGskewPredictor(*SMALL, index_scheme=SkewedIndexScheme(True))
+
+
+_EDGE_CASES = {
+    "ev8-16bit": (EV8BranchPredictor, 3, True, 16),
+    "ev8-no-bank": (EV8BranchPredictor, 3, False, 16),
+    "gshare-32bit": (lambda: GsharePredictor(1 << 20, 24), 0, True, 32),
+    "yags-64bit": (lambda: YagsPredictor(64, 16, 5, tag_bits=40), 1, True,
+                   64),
+    **{f"path-depth-{depth}": (_skewed_with_path, depth, True, 16)
+       for depth in range(4)},
+}
+
+
+@pytest.mark.parametrize("blocks,extra", [(0, 0), (0, 1), (1, -1), (1, 0),
+                                          (1, 1), (2, 3)],
+                         ids=lambda value: str(value))
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_block_and_lane_edges(case, blocks, extra):
+    """Batches of 0, 1, R - 1, R, R + 1 and 2R + 3 rows, R the gather's
+    block, in 16-, 32- and 64-bit lanes (YAGS's three indices fill three
+    words), over 0 to 3 path rows and without a bank column."""
+    make, depth, bank, lane_bits = _EDGE_CASES[case]
+    rows = blocks * _block_constant("gather_rows") + extra
+    batch = _random_batch(rows, depth, bank, seed=rows)
+    instance = make()
+    tables = (instance.index_scheme.tables(instance.configs, depth)
+              if isinstance(instance, TwoBcGskewPredictor)
+              else instance._index_tables())
+    assert tables.lane_bits == lane_bits
+    _assert_replays_like_scalar(make, batch)
+
+
+def test_converted_columns_stay_alive_for_the_kernel():
+    """Path rows of a transposed array and an ``int64`` history column are
+    converted to contiguous ``uint64`` copies, which the descriptor must
+    keep alive through the replay."""
+    rows = 2 * _block_constant("gather_rows") + 3
+    batch = _random_batch(rows, 3, True, seed=11)
+    path = np.ascontiguousarray(batch.path.T).T
+    assert not path[0].flags.c_contiguous
+    history = (batch.history >> np.uint64(1)).astype(np.int64)
+    converted = VectorBatch(history, batch.address, batch.branch_pc, path,
+                            batch.takens, batch.bank)
+    _assert_replays_like_scalar(_skewed_with_path, converted)
+
+
+def test_short_column_is_refused_before_its_address_is_passed():
+    batch = _random_batch(10, 1, True)
+    short = VectorBatch(batch.history, batch.address, batch.branch_pc,
+                        batch.path, batch.takens, batch.bank[:-1])
+    with pytest.raises(ValueError, match="bank column has 9 rows"):
+        EV8BranchPredictor().batch_access(short)
 
 
 # -- what does not compile runs scalar ----------------------------------------

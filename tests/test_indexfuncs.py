@@ -206,7 +206,7 @@ class TestComputeBatch:
 
     @staticmethod
     def check_rows(scheme, batch):
-        columns = scheme.compute_batch(batch, CONFIGS)
+        columns = scheme.compute_batch(batch, CONFIGS).streams()
         for i, vector in enumerate(batch_rows(batch)):
             assert tuple(int(c[i]) for c in columns) == \
                 scheme.compute(vector, CONFIGS), i

@@ -186,6 +186,25 @@ class TestRenderSummary:
         assert "result_cache.hit_seconds" in text
         assert "run" in text
 
+    def test_index_span_gets_a_legend(self):
+        """The gather runs inside the kernel, so the summary says that the
+        ``index`` span is descriptor set-up only, and only when it is
+        there."""
+        sink = Telemetry()
+        with sink.span("replay"):
+            pass
+        assert "gather" not in render_summary(sink.snapshot())
+        with sink.span("replay"):
+            with sink.span("index"):
+                pass
+        text = render_summary(sink.snapshot()).splitlines()
+        legend = [line for line in text if "gather" in line]
+        assert legend == ["(replay/index times lookup-descriptor set-up; "
+                          "the byte-table gather runs inside the replay "
+                          "kernel)"]
+        assert text.index(legend[0]) == text.index(
+            "Spans  (count / total seconds)") + 1
+
     def test_empty_snapshot(self):
         assert render_summary(Telemetry().snapshot()) \
             == "(no telemetry recorded)"
