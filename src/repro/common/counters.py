@@ -31,34 +31,17 @@ partial update policy needs.
 This module is the scalar oracle.  The batched engine's compiled replay
 kernels (:mod:`repro.kernels`, driven by
 :meth:`repro.predictors.base.BatchCapable.batch_access`) restate these
-steps on the arrays' raw buffers, and :meth:`SplitCounterArray.count_replayed`
-accounts their traffic from the kernels' event codes.
+steps on the arrays' raw buffers and count their traffic where these
+methods count it, into slots that :meth:`SplitCounterArray.record` names.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from collections.abc import Sequence
 
 from repro.obs import NULL_TELEMETRY, NullTelemetry
 
-__all__ = ["SplitCounterArray", "ARM_ASSERT", "ARM_CLEAR", "ARM_FLIP",
-           "ARM_NONE", "count_selected"]
-
-# The write arms of one ``update`` step (the branches of ``_step_towards``)
-# plus "not updated", as the compiled replay kernels (``repro/kernels``)
-# report them per position in their event codes (see
-# :meth:`SplitCounterArray.count_replayed`).
-ARM_ASSERT, ARM_CLEAR, ARM_FLIP, ARM_NONE = 0, 1, 2, 3
-
-
-def count_selected(sink: NullTelemetry, name: str, weights: np.ndarray,
-                   selected: np.ndarray, scale: int = 1) -> None:
-    """Count ``scale`` times the weight of the ``selected`` event codes
-    under ``name``; nothing when that is zero, as the scalar walk never
-    counts a zero."""
-    total = int(weights[selected].sum()) * scale
-    if total:
-        sink.count(name, total)
+__all__ = ["SplitCounterArray"]
 
 
 def _weak_directions(size: int, init_taken: bool) -> bytearray:
@@ -140,10 +123,9 @@ class SplitCounterArray:
           (the Section 4.4 hazard: one strength bit serving counters that
           currently point opposite ways).
 
-        Every counter update op issues exactly one write — the write target
-        is a pure function of the pre-write (direction, strength, outcome),
-        which is what lets the vectorized replays account identically to
-        the scalar walk.
+        Every counter update op issues exactly one write, and the compiled
+        replay kernels count it where :meth:`_step_towards` does, so both
+        engines record the same traffic (:meth:`record`).
         """
         self._telemetry = sink
         prefix = f"bank.{label}"
@@ -164,31 +146,15 @@ class SplitCounterArray:
                     self._telemetry.count(names[3])
                     break
 
-    def count_replayed(self, weights: np.ndarray, read: np.ndarray,
-                       arm: np.ndarray,
-                       conflict: np.ndarray | None = None) -> None:
-        """Account the traffic of a replay kernel that read and wrote this
-        array's raw bytes itself, from the histogram of its event codes.
-
-        ``weights[v]`` is the number of positions whose event code is the
-        ``v``-th distinct code; ``read[v]`` says whether that code read this
-        array at fetch time, ``arm[v]`` which ``ARM_*`` update arm it took
-        here and, with shared hysteresis, ``conflict[v]`` whether its
-        hysteresis write hit a sharing group of disagreeing directions.  The
-        counts equal the scalar :meth:`predict` / :meth:`update` accounting.
-        """
+    def record(self, counts: Sequence[int]) -> None:
+        """Record the traffic a replay kernel counted on this array's raw
+        buffers: its four slots, in the order of the counters above.  Zeros
+        are skipped, as the scalar walk never counts a zero."""
         if not self._telemetry.enabled:
             return
-        names = self._tele_names
-        selections = [(names[0], read), (names[1], arm == ARM_FLIP),
-                      (names[2], arm <= ARM_CLEAR)]
-        if self.hysteresis_size != self.size:
-            if conflict is None:
-                raise ValueError(
-                    "shared hysteresis needs the sharing-conflict bits")
-            selections.append((names[3], conflict))
-        for name, selected in selections:
-            count_selected(self._telemetry, name, weights, selected)
+        for name, value in zip(self._tele_names, counts):
+            if value:
+                self._telemetry.count(name, value)
 
     # -- index plumbing ----------------------------------------------------
 

@@ -14,8 +14,9 @@ of the four logical predictor components"*:
 This module computes the bit-accurate physical coordinates of every logical
 table entry and proves the layout sound: the mapping is a bijection onto
 ``banks x wordlines x 832`` bits.  It exists for structural verification
-(tests assert the logical predictor state and the physical image agree) and
-for layout inspection (`examples/frontend_pipeline.py`).
+(``tests/test_arrays.py`` asserts the logical predictor state and the
+physical image agree) and for layout inspection through the public
+:class:`WordlineLayout`.
 """
 
 from __future__ import annotations

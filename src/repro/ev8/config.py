@@ -47,10 +47,6 @@ class EV8Config:
     """Each bank has 64 wordlines (Section 7.1)."""
     word_bits: int = 3
     """8 predictions per word — one aligned fetch block (Section 7.1)."""
-    history_delay_blocks: int = 3
-    """lghist is three fetch blocks old (Section 5.1)."""
-    path_depth: int = 3
-    """Addresses of the three last fetch blocks feed the index (Section 5.2)."""
 
     def tables(self) -> tuple[TableConfig, TableConfig, TableConfig, TableConfig]:
         """(BIM, G0, G1, Meta)."""

@@ -9,14 +9,16 @@ lookup descriptor of its GF(2) byte tables
 one L1-resident block of rows at a time (``gather_block``, which
 ``gf2_gather`` also runs on its own for
 :class:`~repro.indexing.gf2.ByteTables`), replays the block on the
-predictor's own table buffers in place and writes one event code per
+predictor's own table buffers in place and writes one prediction byte per
 position: the single-table predictors (bimodal, gshare, GAs) through
 ``counter_replay``, and the update-coupled ones (2Bc-gskew and the EV8
-built on it, e-gskew, bi-mode and YAGS) through a kernel each.  It also
-holds the trace-side walks:
-``fetch_geometry`` builds :func:`repro.traces.fetch.block_geometry`, and
-``ghist_history``, ``lghist_history`` and ``block_columns`` build the
-columns of every
+built on it, e-gskew, bi-mode and YAGS) through a kernel each.  Given a
+``uint64`` slot array (a null pointer when telemetry is off), the kernel
+also counts the scalar walk's telemetry events into it:
+:data:`BANK_SLOTS` per bank, then the predictor's own.  ``replay.c``
+also holds the trace-side walks: ``fetch_geometry`` builds
+:func:`repro.traces.fetch.block_geometry`, and ``ghist_history``,
+``lghist_history`` and ``block_columns`` build the columns of every
 :meth:`~repro.history.providers.HistoryProvider.materialize` batch.
 ``workloads/executor.c`` is the program executor behind
 :meth:`repro.workloads.cfg.Program.run`, loaded through :func:`library`.
@@ -54,11 +56,17 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["SOURCE", "library", "library_path", "available", "require",
-           "address", "stream", "banks", "yags_caches"]
+__all__ = ["SOURCE", "BANK_SLOTS", "library", "library_path", "available",
+           "require", "address", "stream", "banks", "yags_caches"]
 
 SOURCE = Path(__file__).with_name("replay.c")
 """The C source of every replay kernel."""
+
+BANK_SLOTS = 4
+"""The telemetry slots a kernel counts per bank (``BANK_SLOTS`` in
+``replay.c``), in :class:`~repro.common.counters.SplitCounterArray`'s
+counter order: reads, prediction writes, hysteresis writes, sharing
+conflicts."""
 
 _BUILD_TIMEOUT_S = 120
 
@@ -66,11 +74,13 @@ _BUILD_TIMEOUT_S = 120
 _POINTER, _INT64 = ctypes.c_void_p, ctypes.c_int64
 _SIGNATURES = (
     ("gf2_gather", (_INT64, *[_POINTER] * 2)),
-    ("counter_replay", (_INT64, *[_POINTER] * 4)),
-    ("twobcgskew_replay", (_INT64, *[_POINTER] * 3, ctypes.c_int, _POINTER)),
-    ("egskew_replay", (_INT64, *[_POINTER] * 3, ctypes.c_int, _POINTER)),
-    ("bimode_replay", (_INT64, *[_POINTER] * 4)),
-    ("yags_replay", (_INT64, *[_POINTER] * 5)),
+    ("counter_replay", (_INT64, *[_POINTER] * 5)),
+    ("twobcgskew_replay", (_INT64, *[_POINTER] * 3, ctypes.c_int,
+                           *[_POINTER] * 2)),
+    ("egskew_replay", (_INT64, *[_POINTER] * 3, ctypes.c_int,
+                       *[_POINTER] * 2)),
+    ("bimode_replay", (_INT64, *[_POINTER] * 5)),
+    ("yags_replay", (_INT64, *[_POINTER] * 6)),
     ("fetch_geometry", (_INT64, *[_POINTER] * 4, ctypes.c_int,
                         *[_POINTER] * 5)),
     ("ghist_history", (_INT64, _POINTER, ctypes.c_int, _POINTER)),
@@ -205,26 +215,23 @@ def stream(values: np.ndarray, dtype=np.uint64) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=dtype)
 
 
-def _bank_words(counters) -> list[int]:
-    return [address(counters._prediction), address(counters._hysteresis),
-            counters.size, counters.hysteresis_size]
-
-
 def banks(*arrays) -> np.ndarray:
     """The kernels' ``bank_t`` descriptors of some
     :class:`~repro.common.counters.SplitCounterArray` objects: four words
     each (the prediction and hysteresis buffer addresses and sizes)."""
     return np.array([word for counters in arrays
-                     for word in _bank_words(counters)], dtype=np.uint64)
+                     for word in (address(counters._prediction),
+                                  address(counters._hysteresis),
+                                  counters.size, counters.hysteresis_size)],
+                    dtype=np.uint64)
 
 
 def yags_caches(*caches) -> np.ndarray:
-    """The kernels' ``cache_t`` descriptors of some YAGS direction caches:
-    the counters' bank words, then the tag and valid buffer addresses and
-    the tag width in bytes."""
+    """The tag sides of some YAGS direction caches, as ``yags_replay``
+    takes them (their counters go with the banks): the tag and valid buffer
+    addresses and the tag width in bytes."""
     return np.array([word for cache in caches
-                     for word in (*_bank_words(cache._counters),
-                                  address(cache._tags),
+                     for word in (address(cache._tags),
                                   address(cache._valid),
                                   getattr(cache._tags, "itemsize", 1))],
                     dtype=np.uint64)

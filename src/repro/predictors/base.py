@@ -105,19 +105,21 @@ class BatchCapable:
     :mod:`repro.kernels`) gathers the indices from it a block of rows at a
     time and replays each block.  The defaults replay one table,
     ``self._counters``, through ``counter_replay``; a multi-table predictor
-    names its kernel in :attr:`_KERNEL` and overrides
-    :meth:`_kernel_tables` and :meth:`_count_events`.  Telemetry comes from
-    that same replay, as a reduction of the kernel's event codes.
+    names its kernel in :attr:`_KERNEL`, lists its counter arrays in
+    :meth:`_kernel_banks` and may override :meth:`_kernel_tables`.
+    Telemetry comes from that same replay: the kernel counts into
+    ``uint64`` slots, :data:`~repro.kernels.BANK_SLOTS` per bank and then
+    one per name of :attr:`_SLOTS`, and :meth:`_record` names them.
 
     Each opted-in class binds ``batch_access = BatchCapable.batch_access``
     in its own body, so that perfbench's tracer can time each class's
     replay on its own.
     """
 
-    #: The ``replay.c`` kernel :meth:`batch_access` calls, and the dtype of
-    #: the event code it writes per position (bit 0 the prediction).
+    #: The ``replay.c`` kernel :meth:`batch_access` calls, and the names of
+    #: the slots it counts after its banks' blocks.
     _KERNEL = "counter_replay"
-    _CODES = np.uint8
+    _SLOTS: tuple[str, ...] = ()
 
     def _index_tables(self) -> ByteTables:
         """The compiled tables of this configuration's scalar index function
@@ -142,24 +144,30 @@ class BatchCapable:
         with self._telemetry.span("index"):
             return self._index_tables().bind(batch)
 
+    def _kernel_banks(self) -> tuple[SplitCounterArray, ...]:
+        """The counter arrays the kernel replays, in the order of its bank
+        descriptors and slot blocks."""
+        return (self._counters,)
+
     def _kernel_tables(self) -> tuple:
-        """The kernel's arguments between the takens and the codes: table
-        descriptor arrays (passed by address, and kept alive by the caller
-        for the call) and flags."""
-        return (kernels.banks(self._counters),)
+        """The kernel's arguments between the takens and the predictions:
+        table descriptor arrays (passed by address, and kept alive by the
+        caller for the call) and flags."""
+        return (kernels.banks(*self._kernel_banks()),)
 
-    def _count_events(self, values: np.ndarray, weights: np.ndarray) -> None:
-        """Every ``bank.*`` counter of the scalar walk, from the histogram
-        of the kernel's event codes: ``weights[v]`` positions wrote the
-        distinct code ``values[v]``.
-
-        ``counter_replay`` codes: bit 0 the prediction, bits 1-2 the write
-        arm (``ARM_*`` from :mod:`repro.common.counters`), bit 3 the
-        sharing-conflict bit.
-        """
-        self._counters.count_replayed(
-            weights, np.ones(len(values), dtype=np.bool_),
-            (values >> 1) & 3, (values & 8) != 0)
+    def _record(self, counts: np.ndarray) -> None:
+        """Record the kernel's slots: each bank's block into that bank,
+        then the :attr:`_SLOTS` under their names, skipping zeros as the
+        scalar walk never counts a zero."""
+        values = counts.tolist()
+        banks = self._kernel_banks()
+        for k, bank in enumerate(banks):
+            bank.record(values[kernels.BANK_SLOTS * k:
+                               kernels.BANK_SLOTS * (k + 1)])
+        for name, value in zip(self._SLOTS,
+                               values[kernels.BANK_SLOTS * len(banks):]):
+            if value:
+                self._telemetry.count(name, value)
 
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
         """Predict-then-train over the whole batch; returns predictions.
@@ -167,9 +175,9 @@ class BatchCapable:
         The lookup descriptor (:meth:`_lookups`), the outcomes and
         :meth:`_kernel_tables` go to the :attr:`_KERNEL` kernel, which
         gathers the indices and walks them in stream order on the tables'
-        own buffers, restating the scalar ``access``, and writes one event
-        code per position; telemetry is reduced from the codes
-        (:meth:`_count_events`).
+        own buffers, restating the scalar ``access``, and writes one
+        prediction per position.  Under a recording sink it also counts the
+        telemetry events into slots, which :meth:`_record` records.
         """
         lib = kernels.require()
         lookups = self._lookups(batch)
@@ -178,13 +186,17 @@ class BatchCapable:
             raise ValueError("the outcomes must have one entry per branch "
                              "of the batch")
         tables = self._kernel_tables()
-        codes = np.empty(len(batch), dtype=self._CODES)
-        getattr(lib, self._KERNEL)(
-            len(codes), *map(_argument, (lookups.descriptor, takens, *tables,
-                                         codes)))
+        counts = None
         if self._telemetry.enabled:
-            self._count_events(*np.unique(codes, return_counts=True))
-        return (codes & 1).astype(np.bool_)
+            counts = np.zeros(kernels.BANK_SLOTS * len(self._kernel_banks())
+                              + len(self._SLOTS), dtype=np.uint64)
+        predictions = np.empty(len(batch), dtype=np.bool_)
+        getattr(lib, self._KERNEL)(
+            len(predictions), *map(_argument, (lookups.descriptor, takens,
+                                               *tables, predictions, counts)))
+        if counts is not None:
+            self._record(counts)
+        return predictions
 
 
 def _argument(value):

@@ -13,10 +13,7 @@ cost-effective; above 16K entries added nothing on their benchmarks).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import kernels
-from repro.common.counters import ARM_NONE, SplitCounterArray
+from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector
 from repro.indexing.fold import gshare_index
 from repro.indexing.gf2 import ByteTables, byte_tables
@@ -104,26 +101,11 @@ class BiModePredictor(BatchCapable, Predictor):
                             self.history_length, self.direction_bits),
                            self._indices)
 
-    # Event code per position: bit 0 the prediction, bit 1 the choice,
-    # bits 2-3 the selected direction table's write arm and bits 4-5 the
-    # choice table's (ARM_* from repro.common.counters).
     _KERNEL = "bimode_replay"
     batch_access = BatchCapable.batch_access  # see BatchCapable
 
-    def _kernel_tables(self) -> tuple:
-        return (kernels.banks(self.choice, self.not_taken_table,
-                              self.taken_table),)
-
-    def _count_events(self, values: np.ndarray, weights: np.ndarray) -> None:
-        choice = (values >> 1) & 1
-        self.choice.count_replayed(weights, np.ones(len(values),
-                                                    dtype=np.bool_),
-                                   values >> 4)
-        for table, selected in ((self.not_taken_table, choice == 0),
-                                (self.taken_table, choice == 1)):
-            table.count_replayed(weights, selected,
-                                 np.where(selected, (values >> 2) & 3,
-                                          ARM_NONE))
+    def _kernel_banks(self) -> tuple[SplitCounterArray, ...]:
+        return (self.choice, self.not_taken_table, self.taken_table)
 
     @property
     def storage_bits(self) -> int:

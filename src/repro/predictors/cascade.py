@@ -67,8 +67,9 @@ class CascadePredictor(Predictor):
         PC-indexed 2-bit counters gating overrides: trained towards "trust
         the backup" whenever backup and primary disagree and the backup was
         right.
-    primary_delay / backup_delay:
-        Pipeline latencies in cycles, used by :meth:`pipeline_cost`.
+    backup_delay:
+        The backup's pipeline latency in cycles, used by
+        :meth:`pipeline_cost`.
     misprediction_penalty:
         Full branch misprediction penalty in cycles (the EV8's minimum is
         14, Section 1).
@@ -76,21 +77,20 @@ class CascadePredictor(Predictor):
 
     def __init__(self, primary: Predictor, backup: Predictor,
                  chooser_entries: int = 4096,
-                 primary_delay: int = 2, backup_delay: int = 4,
+                 backup_delay: int = 4,
                  misprediction_penalty: int = 14,
                  name: str | None = None) -> None:
         if chooser_entries <= 0 or chooser_entries & (chooser_entries - 1):
             raise ValueError(
                 f"chooser_entries must be a power of two, got {chooser_entries}")
-        if not primary_delay <= backup_delay <= misprediction_penalty:
+        if not backup_delay <= misprediction_penalty:
             raise ValueError(
-                "expected primary_delay <= backup_delay <= penalty, got "
-                f"{primary_delay}/{backup_delay}/{misprediction_penalty}")
+                "expected backup_delay <= penalty, got "
+                f"{backup_delay}/{misprediction_penalty}")
         self.primary = primary
         self.backup = backup
         self.chooser = SplitCounterArray(chooser_entries)
         self._chooser_mask = chooser_entries - 1
-        self.primary_delay = primary_delay
         self.backup_delay = backup_delay
         self.misprediction_penalty = misprediction_penalty
         self.name = name or f"cascade({primary.name}->{backup.name})"

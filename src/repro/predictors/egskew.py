@@ -13,8 +13,6 @@ of the e-gskew predictor").
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import kernels
 from repro.common.bitops import mask
 from repro.common.counters import SplitCounterArray
@@ -102,20 +100,15 @@ class EGskewPredictor(BatchCapable, Predictor):
         return byte_tables((type(self), self.index_bits, self.history_length,
                             self.g0_history_length), self._indices)
 
-    # Event code per position: bit 0 the prediction, then each bank's write
-    # arm (ARM_* from repro.common.counters) in bits 1-2 (BIM), 3-4 (G0)
-    # and 5-6 (G1).
     _KERNEL = "egskew_replay"
     batch_access = BatchCapable.batch_access  # see BatchCapable
 
-    def _kernel_tables(self) -> tuple:
-        return (kernels.banks(self.bim, self.g0, self.g1),
-                self.update_policy == "partial")
+    def _kernel_banks(self) -> tuple[SplitCounterArray, ...]:
+        return (self.bim, self.g0, self.g1)
 
-    def _count_events(self, values: np.ndarray, weights: np.ndarray) -> None:
-        reads = np.ones(len(values), dtype=np.bool_)
-        for shift, bank in ((1, self.bim), (3, self.g0), (5, self.g1)):
-            bank.count_replayed(weights, reads, (values >> shift) & 3)
+    def _kernel_tables(self) -> tuple:
+        return (kernels.banks(*self._kernel_banks()),
+                self.update_policy == "partial")
 
     def _train_with_reads(self, indices, reads, prediction: bool,
                           taken: bool) -> None:

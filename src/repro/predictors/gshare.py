@@ -8,7 +8,6 @@ baseline that the de-aliased schemes are measured against.
 
 from __future__ import annotations
 
-from repro.common.bitops import mask
 from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector
 from repro.indexing.fold import gshare_index
@@ -33,7 +32,6 @@ class GsharePredictor(BatchCapable, Predictor):
         self.index_bits = entries.bit_length() - 1
         self.name = name or f"gshare-{entries // 1024}K-h{history_length}"
         self._counters = SplitCounterArray(entries)
-        self._history_mask = mask(history_length)
 
     def _index(self, vector: InfoVector) -> int:
         return gshare_index(vector.branch_pc, vector.history,

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro import kernels
 from repro.common.bitops import mask
-from repro.common.counters import SplitCounterArray, count_selected
+from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
 from repro.history.registers import DEFAULT_PATH_DEPTH
 from repro.indexing.fold import info_word
@@ -34,11 +34,6 @@ from repro.predictors.base import BatchCapable, Predictor
 
 __all__ = ["TableConfig", "IndexScheme", "SkewedIndexScheme",
            "TwoBcGskewPredictor"]
-
-# The arms of the partial update policy (``_train_partial``), as the replay
-# kernel's event codes carry them (``UPDATE_*`` in ``kernels/replay.c``).
-(_UPDATE_SUPPRESSED, _UPDATE_STRENGTHENED, _UPDATE_CHOOSER_FIXED,
- _UPDATE_FULL) = range(4)
 
 _PATH_BITS_PER_BLOCK = 2
 """Address bits taken from each previous-block address when the index scheme
@@ -203,7 +198,6 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
         self.g0 = SplitCounterArray(g0.entries, g0.hysteresis_entries)
         self.g1 = SplitCounterArray(g1.entries, g1.hysteresis_entries)
         self.meta = SplitCounterArray(meta.entries, meta.hysteresis_entries)
-        self._banks = (self.bim, self.g0, self.g1)
 
     # -- prediction --------------------------------------------------------
 
@@ -240,9 +234,13 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
     # The partial-update policy couples BIM/G0/G1/Meta through the majority
     # vote and the chooser on almost every branch, so one kernel walks all
     # four tables together, restating _read and _train on the banks' raw
-    # buffers.  Its event code layout is given in replay.c.
+    # buffers.  After the banks' slots it counts the telemetry events of
+    # _train, in this order.
     _KERNEL = "twobcgskew_replay"
-    _CODES = np.uint32
+    _SLOTS = ("arbitration.majority_chosen", "arbitration.bim_chosen",
+              "arbitration.bim_correct", "arbitration.majority_correct",
+              "arbitration.chosen_correct", "update.suppressed",
+              "update.strengthened", "update.chooser_fixed", "update.full")
     batch_access = BatchCapable.batch_access  # see BatchCapable
 
     def _index_tables(self) -> ByteTables:
@@ -254,38 +252,21 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
         with self._telemetry.span("index"):
             return self.index_scheme.compute_batch(batch, self.configs)
 
+    def _kernel_banks(self) -> tuple[SplitCounterArray, ...]:
+        return (self.bim, self.g0, self.g1, self.meta)
+
     def _kernel_tables(self) -> tuple:
-        return (kernels.banks(self.bim, self.g0, self.g1, self.meta),
+        return (kernels.banks(*self._kernel_banks()),
                 self.update_policy == "partial")
 
-    def _count_events(self, values: np.ndarray, weights: np.ndarray) -> None:
-        """Every counter of the scalar walk's :meth:`_train` and bank
-        reads/writes, from the kernel's event codes."""
-        reads = [(values >> bit) & 1 for bit in (1, 2, 3)]
-        majority = (reads[0] + reads[1] + reads[2]) >= 2
-        use_majority = (values >> 4) & 1 == 1
-        taken = (values >> 5) & 1
-        update = (values >> 6) & 3
-        sink = self._telemetry
-        for name, selected in (
-                ("arbitration.majority_chosen", use_majority),
-                ("arbitration.bim_chosen", ~use_majority),
-                ("arbitration.bim_correct", reads[0] == taken),
-                ("arbitration.majority_correct", majority == taken),
-                ("arbitration.chosen_correct", (values & 1) == taken),
-                ("update.suppressed", update == _UPDATE_SUPPRESSED),
-                ("update.strengthened", update == _UPDATE_STRENGTHENED),
-                ("update.chooser_fixed", update == _UPDATE_CHOOSER_FIXED),
-                ("update.full", update == _UPDATE_FULL)):
-            count_selected(sink, name, weights, selected)
+    def _record(self, counts: np.ndarray) -> None:
+        super()._record(counts)
         # Rationale 1 suppressed the three e-gskew bank writes a
         # total-update policy would have issued.
-        count_selected(sink, "update.suppressed_writes", weights,
-                       update == _UPDATE_SUPPRESSED, 3)
-        every = np.ones(len(values), dtype=np.bool_)
-        for k, bank in enumerate((self.bim, self.g0, self.g1, self.meta)):
-            bank.count_replayed(weights, every, (values >> (8 + 2 * k)) & 3,
-                                (values >> (16 + k)) & 1 == 1)
+        slots = dict(zip(self._SLOTS, counts[-len(self._SLOTS):].tolist()))
+        if slots["update.suppressed"]:
+            self._telemetry.count("update.suppressed_writes",
+                                  3 * slots["update.suppressed"])
 
     # -- training ------------------------------------------------------------
 

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from array import array
 
-import numpy as np
-
 from repro import kernels
 from repro.common.bitops import mask
-from repro.common.counters import ARM_NONE, SplitCounterArray
+from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector
 from repro.indexing.fold import gshare_index
 from repro.indexing.gf2 import ByteTables, byte_tables
@@ -156,28 +154,16 @@ class YagsPredictor(BatchCapable, Predictor):
                             self.history_length, self.cache_bits,
                             self.tag_bits), self._indices)
 
-    # Event code per position: bit 0 the prediction, bit 1 the choice,
-    # bit 2 a tag hit, bits 3-4 the probed cache's counter write arm
-    # (ARM_NONE on a miss, which allocates iff the choice erred) and bits
-    # 5-6 the choice table's (ARM_* from repro.common.counters).
     _KERNEL = "yags_replay"
     batch_access = BatchCapable.batch_access  # see BatchCapable
 
-    def _kernel_tables(self) -> tuple:
-        return (kernels.banks(self.choice),
-                kernels.yags_caches(self.taken_cache, self.not_taken_cache))
+    def _kernel_banks(self) -> tuple[SplitCounterArray, ...]:
+        return (self.choice, self.taken_cache._counters,
+                self.not_taken_cache._counters)
 
-    def _count_events(self, values: np.ndarray, weights: np.ndarray) -> None:
-        choice = (values >> 1) & 1
-        hit = (values & 4) != 0
-        self.choice.count_replayed(weights, np.ones(len(values),
-                                                    dtype=np.bool_),
-                                   values >> 5)
-        for cache, probed in ((self.taken_cache, choice == 0),
-                              (self.not_taken_cache, choice == 1)):
-            cache._counters.count_replayed(
-                weights, probed & hit,
-                np.where(probed, (values >> 3) & 3, ARM_NONE))
+    def _kernel_tables(self) -> tuple:
+        return (kernels.banks(*self._kernel_banks()),
+                kernels.yags_caches(self.taken_cache, self.not_taken_cache))
 
     @property
     def storage_bits(self) -> int:

@@ -120,8 +120,6 @@ class WorkloadProfile:
     loop_trip_sigma: float = 0.8
     """Log-normal sigma of per-loop mean trip counts."""
     loop_jitter: float = 0.2
-    shallow_lag_span: tuple[int, int] = (1, 8)
-    deep_lag_span: tuple[int, int] = (10, 30)
     leader_concentration: float = 0.8
     """Beta(a, a) parameter for condition-group leader bias: small values
     concentrate leader probabilities near 0/1 (predictable first tests, as
@@ -130,8 +128,6 @@ class WorkloadProfile:
     group_followers_span: tuple[int, int] = (2, 6)
     """Followers per condition group (inclusive span).  Larger groups mean
     rarer (unpredictable) leaders and more redundancy."""
-    correlation_taps: int = 3
-    """History taps per correlated branch."""
     noise: float = 0.04
     """Baseline outcome noise on structured behaviours."""
     easy_bias: float = 0.04

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 from array import array
 
@@ -103,6 +104,15 @@ def scalar_predictions(predictor, trace, provider) -> np.ndarray:
                 predictions.append(predictor.access(vector, taken))
         provider.end_block(block)
     return np.asarray(predictions, dtype=np.bool_)
+
+
+def trace_digest(trace: Trace) -> str:
+    """SHA-256 over the five trace columns, in column order."""
+    hasher = hashlib.sha256()
+    for column in (trace.starts, trace.num_instructions, trace.kinds,
+                   trace.takens, trace.next_starts):
+        hasher.update(np.ascontiguousarray(column).tobytes())
+    return hasher.hexdigest()
 
 
 def simple_loop_trace(iterations: int = 200, name: str = "loop",

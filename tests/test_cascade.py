@@ -23,8 +23,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_cascade(chooser_entries=100)
         with pytest.raises(ValueError):
-            make_cascade(primary_delay=5, backup_delay=3)
-        with pytest.raises(ValueError):
             make_cascade(backup_delay=20, misprediction_penalty=14)
 
     def test_storage_is_sum_plus_chooser(self):

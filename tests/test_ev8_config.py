@@ -36,8 +36,6 @@ class TestTable1:
         assert EV8_CONFIG.banks == 4
         assert 1 << EV8_CONFIG.wordline_bits == 64
         assert 1 << EV8_CONFIG.word_bits == 8
-        assert EV8_CONFIG.history_delay_blocks == 3
-        assert EV8_CONFIG.path_depth == 3
 
 
 class TestValidation:

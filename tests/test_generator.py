@@ -1,7 +1,11 @@
 """Tests for random program generation from workload profiles."""
 
+import functools
+from dataclasses import fields, replace
+
 import pytest
 
+from conftest import trace_digest
 from repro.traces.io import TraceCache
 from repro.workloads.generator import (
     BehaviorMix,
@@ -16,6 +20,38 @@ def small_profile(**overrides) -> WorkloadProfile:
     defaults = dict(name="unit", static_branches=40, num_functions=4)
     defaults.update(overrides)
     return WorkloadProfile(**defaults)
+
+
+# A clearly different value for every WorkloadProfile field.
+CHANGED_FIELDS = {
+    "name": "unit-renamed",
+    "static_branches": 80,
+    "num_functions": 8,
+    "mix": BehaviorMix(markov=0.9),
+    "loop_fraction": 0.6,
+    "mean_loop_trips": 30.0,
+    "loop_trip_sigma": 0.1,
+    "loop_jitter": 0.0,
+    "leader_concentration": 5.0,
+    "group_followers_span": (10, 14),
+    "noise": 0.3,
+    "easy_bias": 0.3,
+    "hard_bias_span": (0.05, 0.15),
+    "taken_bias_fraction": 0.9,
+    "mean_lead_instructions": 12.0,
+    "else_probability": 0.9,
+    "chain_probability": 0.9,
+    "max_nest_depth": 1,
+    "call_probability": 0.5,
+    "dispatch_affinity": 0.05,
+    "code_base": 0x4000_0000,
+    "root_seed": 99,
+}
+
+
+@functools.cache
+def _digest(profile: WorkloadProfile) -> str:
+    return trace_digest(generate_trace(profile, 4000))
 
 
 class TestBehaviorMix:
@@ -128,15 +164,25 @@ class TestProfileHelpers:
                                         "num_branches": 300_000})
                 for name, profile in spec95_profiles().items()}
         assert keys == {
-            "compress": "compress-v1-b93d177d4fc0ad5e",
-            "gcc": "gcc-v1-6b83db2e4410bb1f",
-            "go": "go-v1-24cf52384bde70bc",
-            "ijpeg": "ijpeg-v1-d60082a11855caf2",
-            "li": "li-v1-4d6c8fe18a997098",
-            "m88ksim": "m88ksim-v1-74227c557dc0f75d",
-            "perl": "perl-v1-425803d9d81b95f7",
-            "vortex": "vortex-v1-38d3e6c407ad6473",
+            "compress": "compress-v1-74f4e1f26bdf75fe",
+            "gcc": "gcc-v1-cb79c017d5e482f7",
+            "go": "go-v1-8cbc6458467a9f6d",
+            "ijpeg": "ijpeg-v1-7c5c0870a93c2d14",
+            "li": "li-v1-9437d8c274bb92e0",
+            "m88ksim": "m88ksim-v1-c21c2fa799047e25",
+            "perl": "perl-v1-dbb3995fbe63b387",
+            "vortex": "vortex-v1-2cbff9a0266c38ea",
         }
+
+    @pytest.mark.parametrize("field",
+                             [field.name for field in fields(WorkloadProfile)])
+    def test_every_field_changes_the_trace(self, field):
+        # Every field is part of the trace-cache key, so each must shape
+        # the generated trace; a field the generator ignores only splits
+        # the cache.  120 static branches draw every behaviour class.
+        profile = small_profile(static_branches=120)
+        changed = replace(profile, **{field: CHANGED_FIELDS[field]})
+        assert _digest(changed) != _digest(profile)
 
     def test_with_seed(self):
         profile = small_profile()

@@ -21,13 +21,12 @@ Regenerate both after an *intentional* semantic change with::
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from conftest import trace_digest
 from repro.ev8.predictor import EV8BranchPredictor
 from repro.experiments.common import make_fig5_configs
 from repro.history.providers import BranchGhistProvider
@@ -75,15 +74,6 @@ def test_golden_mispredictions(engine):
     expected = json.loads(FIXTURE.read_text())
     assert expected["branches_per_trace"] == BRANCHES
     assert _measure(engine) == expected["counts"]
-
-
-def trace_digest(trace) -> str:
-    """SHA-256 over the five trace columns, in column order."""
-    hasher = hashlib.sha256()
-    for column in (trace.starts, trace.num_instructions, trace.kinds,
-                   trace.takens, trace.next_starts):
-        hasher.update(np.ascontiguousarray(column).tobytes())
-    return hasher.hexdigest()
 
 
 def _trace_digests() -> dict[str, dict[str, str]]:

@@ -18,9 +18,13 @@ import json
 
 import pytest
 
+from repro.ev8.predictor import EV8BranchPredictor
+from repro.experiments.common import make_fig5_configs
+from repro.history.providers import BranchGhistProvider, ev8_info_provider
 from repro.obs import (NULL_TELEMETRY, NullTelemetry, Telemetry,
                        get_telemetry, render_summary, set_telemetry,
                        use_telemetry)
+from repro.predictors import BimodalPredictor, EGskewPredictor
 from repro.predictors.twobcgskew import TableConfig, TwoBcGskewPredictor
 from repro.sim.engine import BatchedEngine, ScalarEngine
 from repro.sim.sweep import sweep, sweep_parallel
@@ -34,6 +38,22 @@ def small_2bcgskew(update_policy: str = "partial") -> TwoBcGskewPredictor:
         TableConfig(1024, 0), TableConfig(2048, 9, 1024),
         TableConfig(2048, 13), TableConfig(2048, 11, 1024),
         update_policy=update_policy)
+
+
+# Every batched kernel at realistic table occupancy: the Table 1 EV8 on its
+# own provider (shared hysteresis at ratio 2), the Fig 5 set (2Bc-gskew,
+# bi-mode, gshare, YAGS), e-gskew, and a bimodal sharing hysteresis at
+# ratio 4.
+COUNTER_CASES = {
+    "2bc-gskew-small": (small_2bcgskew, BranchGhistProvider),
+    "ev8-table1": (EV8BranchPredictor, ev8_info_provider),
+    "egskew": (lambda: EGskewPredictor(1 << 14, 12, 8), BranchGhistProvider),
+    "bimodal-hysteresis-ratio-4": (
+        lambda: BimodalPredictor(1 << 12, hysteresis_entries=1 << 10),
+        BranchGhistProvider),
+    **{name: (make, BranchGhistProvider)
+       for name, make in make_fig5_configs().items()},
+}
 
 
 # -- sink unit tests ----------------------------------------------------------
@@ -280,23 +300,26 @@ class TestEngineInvariants:
                 >= sink.spans[child]["seconds"]
         assert sink.span_depth == 0
 
-    def test_batched_counters_match_scalar(self, instrumented_run,
-                                           gcc_trace):
+    @pytest.mark.parametrize("case", sorted(COUNTER_CASES))
+    def test_batched_counters_match_scalar(self, case, gcc_trace):
         """A recording sink on the batched engine sees the scalar run's
-        bank, arbitration and update counters, and ``engine.branches``
-        carries the replayed position count."""
-        _, snapshot, _ = instrumented_run
-        sink = Telemetry()
-        result = BatchedEngine(strict=True).run(small_2bcgskew(), gcc_trace,
-                                                telemetry=sink)
+        bank, arbitration and update counters, key for key, and
+        ``engine.branches`` carries the replayed position count."""
+        make, make_provider = COUNTER_CASES[case]
+        sinks = Telemetry(), Telemetry()
+        scalar, batched = (
+            engine.run(make(), gcc_trace, make_provider(), telemetry=sink)
+            for engine, sink in zip((ScalarEngine(),
+                                     BatchedEngine(strict=True)), sinks))
 
         def predictor_counters(counters):
             return {name: value for name, value in counters.items()
                     if not name.startswith("engine.")}
 
-        assert predictor_counters(sink.counters) \
-            == predictor_counters(snapshot["counters"])
-        assert sink.counters["engine.branches"] == result.branches
+        assert predictor_counters(sinks[1].counters) \
+            == predictor_counters(sinks[0].counters)
+        assert batched.mispredictions == scalar.mispredictions
+        assert sinks[1].counters["engine.branches"] == batched.branches
 
     def test_partial_update_suppresses_hysteresis_writes(self, gcc_trace):
         """The Section 4.2 claim, measured: the partial policy issues
