@@ -1,12 +1,12 @@
-"""End-to-end sweep throughput: persistent pool + trace-major work units.
+"""End-to-end sweep throughput: the thread runner against a process pool.
 
 The gate: a Table-1-sized EV8 history sweep (>= 12 points over 4 SPEC95
-stand-in traces) through ``sweep_parallel`` — persistent pool, trace-major
-``(point, trace)`` work units that carry only their trace, each worker
-materializing once per chunk and trace — must beat a reproduction of the
-whole-point orchestration (fresh default ``ProcessPoolExecutor``,
-whole-point tasks that pickle every trace and re-materialize its
-information vectors in every task) by **>= 1.1x end-to-end wall-clock**,
+stand-in traces) through ``sweep_parallel`` — trace-major ``(point,
+trace)`` cells on threads in the calling process, sharing each trace's
+materialized batch, while the replay kernels release the GIL — must beat
+a reproduction of the whole-point orchestration (fresh default
+``ProcessPoolExecutor``, whole-point tasks that pickle every trace and
+re-materialize its information vectors in every task) by **>= 1.1x end-to-end wall-clock**,
 while producing **bit-identical** ``SweepPoint.per_benchmark`` values.
 Both arms run the ``batched`` engine, so the same replay kernel, and the
 ratio measures orchestration alone.  A second, smaller pass asserts the

@@ -66,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lengths", type=int, nargs="+",
                        default=[0, 4, 8, 12, 16, 20])
     sweep.add_argument("--workers", type=int, default=1,
-                       help="worker processes; more than one fans the "
-                            "sweep out over the persistent pool")
+                       help="threads; more than one runs the sweep's "
+                            "cells side by side in this process")
     return parser
 
 
@@ -152,8 +152,8 @@ def _command_experiment(name: str, args) -> int:
 
 
 def _gshare_factory(entries: int, history: int):
-    """Module-level sweep factory: ``sweep_parallel`` ships factories to
-    worker processes, so this must be picklable (a lambda is not)."""
+    """The sweep's predictor factory, bound to ``entries`` with
+    ``functools.partial``."""
     from repro import GsharePredictor
     return GsharePredictor(entries, history)
 

@@ -139,9 +139,9 @@ class HistoryProvider:
 
     def _computed_batch(self, trace: Trace) -> VectorBatch:
         # Orchestration accounting, not simulation semantics: counted in
-        # the process-global sink of whichever process computes, never in
-        # the engine's per-run sink, so serial and parallel sweeps merge
-        # identical counters (scope one with ``use_telemetry``).
+        # the process-global sink, never in the engine's per-run sink, so
+        # serial and parallel sweeps merge identical counters (scope one
+        # with ``use_telemetry``).
         sink = get_telemetry(None)
         if sink.enabled:
             sink.count("provider.materialize_computed")

@@ -19,9 +19,14 @@ simulation stack records into:
 Sinks serialize to JSON and CSV (:meth:`Telemetry.to_json` /
 :meth:`Telemetry.to_csv`), merge deterministically
 (:meth:`Telemetry.merge_snapshot` — the mechanism ``run_cells`` uses to
-fold pool units' sinks back together), and render a
-human summary (:func:`render_summary`, the table ``runall`` appends to its
-report).
+fold the sinks of cells run on threads back together, in cell order), and
+render a human summary (:func:`render_summary`, the table ``runall``
+appends to its report).
+
+A recording sink's mutators take its lock, so threads may count into one
+sink (a threaded sweep's cells count ``provider.materialize_computed``
+into the process-global sink).  Spans nest by one stack per sink, so
+each thread that opens spans records them into its own sink.
 
 A process-global *active* sink (default: the null sink) lets deep layers —
 the trace cache, the result cache, experiment modules — record without
@@ -37,6 +42,7 @@ artifacts.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -94,7 +100,7 @@ class Telemetry(NullTelemetry):
     under ``"b/a"``, and a parent's time always covers its children's.
     """
 
-    __slots__ = ("counters", "histograms", "spans", "_stack")
+    __slots__ = ("counters", "histograms", "spans", "_stack", "_lock")
 
     enabled = True
 
@@ -103,45 +109,50 @@ class Telemetry(NullTelemetry):
         self.histograms: dict[str, dict[str, float]] = {}
         self.spans: dict[str, dict[str, float]] = {}
         self._stack: list[str] = []
+        self._lock = threading.RLock()
 
     # -- recording -----------------------------------------------------------
 
     def count(self, name: str, value: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + int(value)
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + int(value)
 
     def observe(self, name: str, value: float) -> None:
         value = float(value)
-        stats = self.histograms.get(name)
-        if stats is None:
-            self.histograms[name] = {"count": 1, "total": value,
-                                     "min": value, "max": value}
-        else:
-            stats["count"] += 1
-            stats["total"] += value
-            if value < stats["min"]:
-                stats["min"] = value
-            if value > stats["max"]:
-                stats["max"] = value
+        with self._lock:
+            stats = self.histograms.get(name)
+            if stats is None:
+                self.histograms[name] = {"count": 1, "total": value,
+                                         "min": value, "max": value}
+            else:
+                stats["count"] += 1
+                stats["total"] += value
+                if value < stats["min"]:
+                    stats["min"] = value
+                if value > stats["max"]:
+                    stats["max"] = value
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
         if "/" in name:
             raise ValueError(f"span names must not contain '/': {name!r}")
-        self._stack.append(name)
-        path = "/".join(self._stack)
+        with self._lock:
+            self._stack.append(name)
+            path = "/".join(self._stack)
         started = time.perf_counter()
         try:
             yield
         finally:
             elapsed = time.perf_counter() - started
-            popped = self._stack.pop()
-            assert popped == name  # context-manager discipline guarantees LIFO
-            record = self.spans.get(path)
-            if record is None:
-                self.spans[path] = {"count": 1, "seconds": elapsed}
-            else:
-                record["count"] += 1
-                record["seconds"] += elapsed
+            with self._lock:
+                popped = self._stack.pop()
+                assert popped == name  # one thread's spans nest LIFO
+                record = self.spans.get(path)
+                if record is None:
+                    self.spans[path] = {"count": 1, "seconds": elapsed}
+                else:
+                    record["count"] += 1
+                    record["seconds"] += elapsed
 
     @property
     def span_depth(self) -> int:
@@ -151,40 +162,42 @@ class Telemetry(NullTelemetry):
     # -- folding -------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        return {
-            "counters": dict(self.counters),
-            "histograms": {name: dict(stats)
-                           for name, stats in self.histograms.items()},
-            "spans": {path: dict(record)
-                      for path, record in self.spans.items()},
-        }
+        with self._lock:
+            return {
+                "counters": dict(self.counters),
+                "histograms": {name: dict(stats)
+                               for name, stats in self.histograms.items()},
+                "spans": {path: dict(record)
+                          for path, record in self.spans.items()},
+            }
 
     def merge_snapshot(self, snapshot: Mapping) -> None:
         """Fold another sink's :meth:`snapshot` into this one.
 
         Counters and span/histogram counts add; histogram min/max widen.
         Merging is associative and, for counters, commutative — merging
-        per-worker snapshots in any fixed order yields the same counters a
+        per-cell snapshots in any fixed order yields the same counters a
         serial run records.
         """
-        for name, value in snapshot.get("counters", {}).items():
-            self.count(name, value)
-        for name, stats in snapshot.get("histograms", {}).items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = dict(stats)
-            else:
-                mine["count"] += stats["count"]
-                mine["total"] += stats["total"]
-                mine["min"] = min(mine["min"], stats["min"])
-                mine["max"] = max(mine["max"], stats["max"])
-        for path, record in snapshot.get("spans", {}).items():
-            mine = self.spans.get(path)
-            if mine is None:
-                self.spans[path] = dict(record)
-            else:
-                mine["count"] += record["count"]
-                mine["seconds"] += record["seconds"]
+        with self._lock:
+            for name, value in snapshot.get("counters", {}).items():
+                self.count(name, value)
+            for name, stats in snapshot.get("histograms", {}).items():
+                mine = self.histograms.get(name)
+                if mine is None:
+                    self.histograms[name] = dict(stats)
+                else:
+                    mine["count"] += stats["count"]
+                    mine["total"] += stats["total"]
+                    mine["min"] = min(mine["min"], stats["min"])
+                    mine["max"] = max(mine["max"], stats["max"])
+            for path, record in snapshot.get("spans", {}).items():
+                mine = self.spans.get(path)
+                if mine is None:
+                    self.spans[path] = dict(record)
+                else:
+                    mine["count"] += record["count"]
+                    mine["seconds"] += record["seconds"]
 
     # -- serialization -------------------------------------------------------
 

@@ -16,13 +16,6 @@ from repro.sim.metrics import (
     aggregate_misp_per_ki,
     misp_per_ki,
 )
-from repro.sim.scheduler import (
-    SchedulerUnavailable,
-    SweepScheduler,
-    default_start_method,
-    get_scheduler,
-    shutdown_schedulers,
-)
 from repro.sim.sweep import (
     SweepPoint,
     best_history_length,
@@ -45,11 +38,6 @@ __all__ = [
     "SimulationResult",
     "aggregate_misp_per_ki",
     "misp_per_ki",
-    "SchedulerUnavailable",
-    "SweepScheduler",
-    "default_start_method",
-    "get_scheduler",
-    "shutdown_schedulers",
     "SweepPoint",
     "best_history_length",
     "sweep",

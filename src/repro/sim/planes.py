@@ -1,9 +1,10 @@
 """Publishing hooks that :func:`repro.sim.sweep.sweep_parallel` no longer
 calls.
 
-A parallel sweep ships each trace inside its pickled work units, and every
-worker materializes the batches it needs for itself.  Nothing here shares
-memory between processes, and nothing in ``repro`` calls this module.
+A parallel sweep runs its cells on threads that share each trace and its
+materialized batches (:func:`repro.sim.sweep.run_cells`).  Nothing here
+shares memory between processes, and nothing in ``repro`` calls this
+module.
 
 These names exist only because the benchmark harness (``perfbench/``)
 still references them: its tracer wraps ``PlaneStore.publish_trace`` and

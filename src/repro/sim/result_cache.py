@@ -66,6 +66,7 @@ import functools
 import hashlib
 import json
 import os
+import threading
 import time
 import types
 from array import array
@@ -364,7 +365,8 @@ def store(key: str, result: SimulationResult,
     payload.pop("cache", None)  # provenance is per-invocation, not stored
     payload.pop("telemetry", None)  # snapshots describe the producing run
     path = directory / f"{key}.json"
-    temporary = directory / f".{key}.{os.getpid()}.tmp"
+    temporary = (directory
+                 / f".{key}.{os.getpid()}.{threading.get_ident()}.tmp")
     temporary.write_text(json.dumps(payload, indent=2, sort_keys=True))
     os.replace(temporary, path)
     if sink.enabled:

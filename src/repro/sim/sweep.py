@@ -9,25 +9,26 @@ Every simulation a grid asks for is a :class:`Cell`: a predictor factory,
 a provider factory and a trace.  :func:`sweep`, :func:`sweep_parallel` and
 :func:`repro.sim.compare.run_comparison` each build one list of cells and
 pass it to :func:`run_cells`, which runs the cells in the order given,
-serially or as units on the persistent pool, and calls :func:`simulate`
-per cell.  A parallel sweep is a serial sweep with the loop moved into
-worker processes: both return identical points and accumulate identical
-telemetry counters.
+serially or on threads in the calling process, and calls
+:func:`simulate` per cell.  Threads suffice because the replay kernels
+and the trace-side walks are ``ctypes`` calls that release the GIL; the
+cells share each trace and its memo (:meth:`Trace.derived`), so a batch
+is materialized once whichever thread asks first.  A parallel sweep is a
+serial sweep with the loop spread over threads: both return identical
+points and accumulate identical telemetry counters.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import pickle
-import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.history.providers import HistoryProvider
-from repro.obs import NULL_TELEMETRY, NullTelemetry, Telemetry, get_telemetry
+from repro.obs import NullTelemetry, Telemetry, get_telemetry
 from repro.predictors.base import Predictor
-from repro.sim import scheduler as sweep_scheduler
 from repro.sim.driver import simulate
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import SimulationResult
@@ -49,26 +50,6 @@ class Cell:
     trace: Trace
 
 
-def _simulate_cell(cell: Cell, engine, use_cache: bool | None,
-                   telemetry: NullTelemetry | None) -> SimulationResult:
-    provider = (cell.make_provider() if cell.make_provider is not None
-                else None)
-    return simulate(cell.make_predictor(), cell.trace, provider,
-                    engine=engine, use_cache=use_cache, telemetry=telemetry)
-
-
-def _pool_unit(cell: Cell, engine, use_cache: bool | None,
-               record: bool) -> SimulationResult:
-    """One cell on a pool worker (module-level so it pickles).  With
-    ``record``, it records into a fresh sink whose snapshot travels back
-    on the result's ``telemetry``; process-global bookkeeping
-    (``provider.materialize_computed``) stays in the worker.  Without, it
-    records nothing, not even into a recording sink that a forked worker
-    inherited as its process-global one."""
-    return _simulate_cell(cell, engine, use_cache,
-                          Telemetry() if record else NULL_TELEMETRY)
-
-
 def run_cells(cells: list[Cell],
               engine: str | SimulationEngine | None = None,
               use_cache: bool | None = None,
@@ -77,40 +58,41 @@ def run_cells(cells: list[Cell],
     """Simulate every cell; results come back in ``cells`` order.
 
     Serially (``workers`` 1), each cell records straight into
-    ``telemetry``.  With more workers the cells run as units on the
-    persistent pool (:func:`repro.sim.scheduler.get_scheduler`), each
-    recording into its own sink whose snapshot merges into ``telemetry``
-    in cell order, so both paths accumulate identical counters.  When the
-    pool cannot be used (a factory that does not pickle, a pool that
-    cannot start or breaks), the cells run serially with a warning; an
-    error a cell raises itself propagates unchanged, since a serial rerun
-    would only raise it again.  Nothing here computes a result key: only
-    ``use_cache`` makes :func:`simulate` key a cell.
+    ``telemetry``.  With more workers the cells run on that many threads
+    of a pool made for this call and joined before it returns.  Each cell
+    then records into its own sink, and the sinks merge into
+    ``telemetry`` in cell order, so both paths accumulate identical
+    counters.  The process-global sink counts ``scheduler.runs`` and
+    ``scheduler.units`` for a threaded call.  An error a cell raises
+    propagates unchanged, and the cells not yet started are cancelled.
+    Nothing here computes a result key: only ``use_cache`` makes
+    :func:`simulate` key a cell.
     """
     sink = get_telemetry(telemetry)
-    if workers > 1 and cells:
-        unit = functools.partial(_pool_unit, engine=engine,
-                                 use_cache=use_cache, record=sink.enabled)
-        try:
-            # Probe the factories, not the traces, before dispatch.
-            pickle.dumps((unit, [(cell.make_predictor, cell.make_provider)
-                                 for cell in cells]))
-        except (pickle.PicklingError, AttributeError, TypeError) as error:
-            reason = error
-        else:
-            pool = sweep_scheduler.get_scheduler(workers)
-            try:
-                results = pool.run(unit, cells)
-            except sweep_scheduler.SchedulerUnavailable as error:
-                reason = error
-            else:
-                for result in results:
-                    if result.telemetry is not None:
-                        sink.merge_snapshot(result.telemetry)
-                return results
-        warnings.warn(f"sweep_parallel falling back to serial sweep: "
-                      f"{reason!r}", RuntimeWarning, stacklevel=3)
-    return [_simulate_cell(cell, engine, use_cache, sink) for cell in cells]
+
+    def run(cell: Cell, cell_sink: NullTelemetry) -> SimulationResult:
+        provider = (cell.make_provider() if cell.make_provider is not None
+                    else None)
+        return simulate(cell.make_predictor(), cell.trace, provider,
+                        engine=engine, use_cache=use_cache,
+                        telemetry=cell_sink)
+
+    if workers <= 1 or not cells:
+        return [run(cell, sink) for cell in cells]
+    global_sink = get_telemetry(None)
+    if global_sink.enabled:
+        global_sink.count("scheduler.runs")
+        global_sink.count("scheduler.units", len(cells))
+    sinks = [Telemetry() if sink.enabled else sink for _ in cells]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        results = list(pool.map(run, cells, sinks))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    if sink.enabled:
+        for cell_sink in sinks:
+            sink.merge_snapshot(cell_sink.snapshot())
+    return results
 
 
 @dataclass(frozen=True)
@@ -140,28 +122,22 @@ def sweep_parallel(make_predictor: Callable[[int], Predictor],
                    values: Iterable[int],
                    traces: dict[str, Trace],
                    make_provider: Callable[[], HistoryProvider] | None = None,
-                   engine: str | None = None,
+                   engine: str | SimulationEngine | None = None,
                    max_workers: int | None = None,
                    use_cache: bool | None = None,
                    telemetry: NullTelemetry | None = None,
                    ) -> list[SweepPoint]:
-    """:func:`sweep` fanned out over the persistent work-stealing pool.
+    """:func:`sweep` with its cells spread over ``max_workers`` threads
+    (default: one per CPU; one runs serially, see :func:`run_cells`).
 
     One cell per ``(point, trace)``, so a slow benchmark never straggles a
-    whole point while other workers idle.  Cells are trace-major (every
-    value of the first trace, then the next trace): a scheduler chunk then
-    holds few distinct traces, and pickling, which memoizes repeated
-    objects, ships each of them once per chunk.  Each worker materializes
-    what it needs, once per chunk and trace.
-
-    The pool is persistent and keyed by ``max_workers`` (default: one
-    worker per CPU), with the start method chosen per platform
-    (:func:`~repro.sim.scheduler.default_start_method`: ``fork`` on Linux,
-    ``spawn`` on macOS/Windows).  One worker runs serially, and a pool
-    that cannot be used degrades to the serial path with a warning
-    (:func:`run_cells`).  ``engine`` must be a registered engine *name*
-    here, as engine instances do not cross process boundaries.  Points
-    come in ``values`` order, ``per_benchmark`` in ``traces`` order.
+    whole point while other threads idle.  Cells are trace-major (every
+    value of the first trace, then the next trace), so the threads work on
+    one trace at a time and its materialized batch is computed once, by
+    whichever cell asks first.  ``engine`` may be a name or an instance
+    (engines are stateless).  Points come in ``values`` order,
+    ``per_benchmark`` in ``traces`` order.  Scalar-engine cells hold the
+    GIL throughout, so threads give them the serial counts but no speed.
     """
     values = list(values)
     cells = [Cell(functools.partial(make_predictor, value), make_provider,

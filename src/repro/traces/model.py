@@ -21,6 +21,7 @@ materialized information vectors and the content digest.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -150,7 +151,7 @@ class Trace:
     """
 
     __slots__ = ("name", "starts", "num_instructions", "kinds", "takens",
-                 "next_starts", "_derived")
+                 "next_starts", "_derived", "_derive_lock")
 
     def __init__(self, name: str, starts: np.ndarray, num_instructions: np.ndarray,
                  kinds: np.ndarray, takens: np.ndarray,
@@ -170,6 +171,7 @@ class Trace:
         self.next_starts = _read_only(np.asarray(next_starts,
                                                  dtype=np.uint64))
         self._derived: dict = {}
+        self._derive_lock = threading.RLock()
 
     def __setattr__(self, name: str, value) -> None:
         if hasattr(self, name):  # set once, in __init__
@@ -190,14 +192,25 @@ class Trace:
         keeping stores its value here under its own key.  Stored values are
         shared, so every numpy array a value is, or holds as a tuple item or
         an attribute, is marked read-only.
+
+        Threads that share the trace compute each key once: a miss takes
+        the trace's lock, which is re-entrant because ``compute`` may
+        request other keys (``materialize`` asks for ``block_geometry``).
+        A hit takes no lock.
         """
         value = self._derived.get(key)
-        if value is None and compute is not None:
-            value = self._derived[key] = compute(self)
-            for item in (value, *(value if isinstance(value, tuple) else ()),
-                         *getattr(value, "__dict__", {}).values()):
-                if isinstance(item, np.ndarray):
-                    item.setflags(write=False)
+        if value is not None or compute is None:
+            return value
+        with self._derive_lock:
+            value = self._derived.get(key)
+            if value is None:
+                value = compute(self)
+                for item in (value,
+                             *(value if isinstance(value, tuple) else ()),
+                             *getattr(value, "__dict__", {}).values()):
+                    if isinstance(item, np.ndarray):
+                        item.setflags(write=False)
+                self._derived[key] = value
         return value
 
     # -- sizes ---------------------------------------------------------------

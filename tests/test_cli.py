@@ -61,7 +61,7 @@ class TestCommands:
         with use_telemetry(sink):
             assert main(argv + ["--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
-        assert sink.counters["scheduler.runs"] == 1  # ran on the pool
+        assert sink.counters["scheduler.runs"] == 1  # ran threaded
 
     def test_sweep_has_no_parallel_flag(self):
         with pytest.raises(SystemExit):

@@ -8,6 +8,8 @@ synthetic and stand-in SPEC traces.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -288,7 +290,6 @@ def test_simulate_engine_argument_equivalence(gcc_trace):
 
 
 def _make_gshare(history_length: int) -> GsharePredictor:
-    """Module-level factory: picklable, as sweep_parallel requires."""
     return GsharePredictor(1 << 12, history_length)
 
 
@@ -304,12 +305,13 @@ def test_sweep_parallel_matches_serial_sweep(gcc_trace):
         assert parallel_point.per_benchmark == serial_point.per_benchmark
 
 
-def test_sweep_parallel_falls_back_on_unpicklable_factory(gcc_trace):
+def test_sweep_parallel_runs_a_lambda_factory(gcc_trace):
     traces = {"gcc": gcc_trace}
     factory = lambda length: GsharePredictor(1 << 12, length)  # noqa: E731
-    with pytest.warns(RuntimeWarning, match="falling back to serial"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         points = sweep_parallel(factory, [4, 8], traces, max_workers=2)
-    assert [p.value for p in points] == [4, 8]
+    assert points == sweep(_make_gshare, [4, 8], traces)
 
 
 def test_simulation_engine_protocol_repr():

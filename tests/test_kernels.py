@@ -155,7 +155,6 @@ def test_no_compiler_walks_the_trace_side_in_python(monkeypatch):
     unchanged, no provider materializes, and a batched run or a parallel
     sweep falls back to the scalar counts."""
     from repro.history.providers import ev8_info_provider
-    from repro.sim.scheduler import shutdown_schedulers
     from repro.sim.sweep import sweep, sweep_parallel
     from repro.traces import fetch
     from repro.traces.stats import compute_statistics
@@ -185,15 +184,9 @@ def test_no_compiler_walks_the_trace_side_in_python(monkeypatch):
                                    ev8_info_provider())
     assert result.mispredictions == reference.mispredictions
 
-    # A cold pool, so its workers fork without a compiler too, and none of
-    # them outlives the patch.
-    shutdown_schedulers()
-    try:
-        parallel = sweep_parallel(history_predictor, [4, 8], traces,
-                                  ev8_info_provider, engine="batched",
-                                  max_workers=2, use_cache=False)
-    finally:
-        shutdown_schedulers()
+    parallel = sweep_parallel(history_predictor, [4, 8], traces,
+                              ev8_info_provider, engine="batched",
+                              max_workers=2, use_cache=False)
     serial = sweep(history_predictor, [4, 8], fresh_traces(),
                    ev8_info_provider, engine="scalar", use_cache=False)
     assert [point.per_benchmark for point in parallel] \

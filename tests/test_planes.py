@@ -101,8 +101,8 @@ class _NoSharedMemory:
 
 class TestFallbackEquivalence:
     def test_sweep_parallel_without_shared_memory(self, monkeypatch):
-        """With shared memory unusable the sweep still runs on the pool
-        (it never needed it) and matches the serial sweep."""
+        """With shared memory unusable the sweep still runs threaded (it
+        never needed it) and matches the serial sweep."""
         monkeypatch.setattr(multiprocessing.shared_memory, "SharedMemory",
                             _NoSharedMemory)
         traces = {"gcc": small_trace("gcc"), "li": small_trace("li")}
@@ -114,7 +114,7 @@ class TestFallbackEquivalence:
             actual = sweep_parallel(history_predictor, values, traces,
                                     ev8_info_provider, engine="batched",
                                     max_workers=2, use_cache=False)
-        assert sink.counters["scheduler.runs"] == 1  # not the serial fallback
+        assert sink.counters["scheduler.runs"] == 1  # ran threaded
         assert [p.per_benchmark for p in actual] \
             == [p.per_benchmark for p in expected]
         assert [p.mean_misp_per_ki for p in actual] \

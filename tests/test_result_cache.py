@@ -7,6 +7,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import threading
 from array import array
 from collections import defaultdict, deque, namedtuple
 
@@ -360,6 +362,39 @@ class TestStorage:
         (cache_env / "partial.json").write_text('{"branches": 3}')
         assert load("bad") is None
         assert load("partial") is None
+
+    def test_threads_storing_one_key_do_not_collide(self, cache_env,
+                                                    monkeypatch):
+        # Both threads write their temporary file before either renames
+        # it: with one temporary name per process, the first rename would
+        # move the other thread's file and the second would raise.
+        barrier = threading.Barrier(2, timeout=10)
+        replace = os.replace
+
+        def replace_together(source, target):
+            barrier.wait()
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_together)
+        errors = []
+
+        def store_once():
+            try:
+                store("deadbeef", self.RESULT)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=store_once) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert dataclasses.replace(load("deadbeef"), cache="miss") \
+            == self.RESULT
+        assert sorted(path.name for path in cache_env.iterdir()) \
+            == ["deadbeef.json"]
 
 
 class TestDriverPlumbing:

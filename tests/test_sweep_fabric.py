@@ -1,12 +1,14 @@
-"""Integration tests: the persistent work-stealing scheduler under
-``sweep_parallel`` (determinism, worker-side materialization, fallbacks)."""
+"""Integration tests: ``sweep_parallel`` running its cells on threads in
+the calling process (determinism, shared per-trace memo, error paths)."""
 
 from __future__ import annotations
 
 import functools
-import pickle
+import importlib
+import multiprocessing
 import sys
 import threading
+import time
 import warnings
 
 import pytest
@@ -18,8 +20,10 @@ from repro.sim.sweep import Cell, run_cells, sweep, sweep_parallel
 from repro.traces.model import Trace
 from repro.workloads.spec95 import spec95_trace
 
-from tests_support_sweep import (history_predictor, kill_worker,
-                                 raise_workload_error)
+from tests_support_sweep import history_predictor, raise_workload_error
+
+# ``repro.sim.sweep`` the attribute is the function, so import the module.
+sweep_module = importlib.import_module("repro.sim.sweep")
 
 
 def fresh_traces(branches: int = 2_500) -> dict[str, Trace]:
@@ -36,12 +40,10 @@ def fresh_traces(branches: int = 2_500) -> dict[str, Trace]:
 
 class TestDeterminism:
     def test_parallel_points_bit_identical_to_serial(self):
-        # Units are trace-major, so an odd value count leaves a trace's
-        # units unaligned with the chunks: 3 x 2 over 3 workers gives one
-        # unit per chunk, 5 x 2 over 2 workers a chunk that straddles both
-        # traces.
+        # Cells are trace-major, so an odd value count makes the threads
+        # straddle both traces: 5 x 2 over 2 threads, 3 x 2 over 3.
         for values, workers in [([4, 6, 8, 10], 2), ([4, 6, 8], 3),
-                                ([3, 5, 7, 9, 11], 2)]:
+                                ([3, 5, 7, 9, 11], 2), ([4, 6, 8], 4)]:
             serial = sweep(history_predictor, values, fresh_traces(),
                            ev8_info_provider, engine="batched",
                            use_cache=False)
@@ -56,9 +58,9 @@ class TestDeterminism:
                 == [p.mean_misp_per_ki for p in serial]
 
     def test_persistent_workers_never_replay_an_earlier_trace(self):
-        # Two sweeps on one warm pool, same trace name, different content
-        # (the harness releases its store between passes): the second
-        # sweep must simulate its own trace.
+        # Two sweeps, same trace name, different content (the harness
+        # releases its store between passes): the second sweep must
+        # simulate its own trace.
         first = {"x": fresh_traces()["gcc"]}
         second = {"x": fresh_traces()["compress"]}
         sweep_parallel(history_predictor, [4, 4, 4, 4], first,
@@ -90,30 +92,56 @@ class TestDeterminism:
 
     def test_units_are_trace_major_and_carry_only_their_trace(
             self, monkeypatch):
-        seen, units = [], []
-        real_run = scheduler.SweepScheduler.run
+        calls = []
+        real_run_cells = sweep_module.run_cells
 
-        def spy(pool, fn, payloads):
-            units.append(fn)
-            seen.extend(payloads)
-            return real_run(pool, fn, payloads)
+        def spy(cells, *args):
+            calls.append((list(cells), args))
+            return real_run_cells(cells, *args)
 
-        monkeypatch.setattr(scheduler.SweepScheduler, "run", spy)
+        monkeypatch.setattr(sweep_module, "run_cells", spy)
         traces = fresh_traces()
         sweep_parallel(history_predictor, [4, 6, 8], traces,
                        ev8_info_provider, engine="batched", max_workers=2,
                        use_cache=False)
-        assert [(cell.make_predictor.args, cell.trace) for cell in seen] \
+        [(cells, args)] = calls
+        assert [(cell.make_predictor.args, cell.trace) for cell in cells] \
             == [((value,), traces[name]) for name in traces
                 for value in [4, 6, 8]]
         assert all(cell.make_predictor.func is history_predictor
                    and cell.make_provider is ev8_info_provider
-                   for cell in seen)
-        assert [unit.keywords for unit in units] \
-            == [dict(engine="batched", use_cache=False, record=False)]
+                   for cell in cells)
+        assert args == ("batched", False, None, 2)
+
+    def test_results_keep_cell_order_when_cells_finish_out_of_order(self):
+        # The first cell builds its predictor only after the second has
+        # built its own, so the second cell starts (and, being no slower,
+        # usually finishes) first; results still come back in cell order.
+        second_built = threading.Event()
+
+        def first():
+            assert second_built.wait(10)
+            return history_predictor(4)
+
+        def second():
+            second_built.set()
+            return history_predictor(9)
+
+        trace = fresh_traces(1_000)["gcc"]
+        cells = [Cell(first, ev8_info_provider, trace),
+                 Cell(second, ev8_info_provider, trace)]
+        threaded = run_cells(cells, engine="batched", use_cache=False,
+                             workers=2)
+        serial = [run_cells([Cell(functools.partial(history_predictor, h),
+                                  ev8_info_provider, trace)],
+                            engine="batched", use_cache=False)[0]
+                  for h in (4, 9)]
+        assert [r.mispredictions for r in threaded] \
+            == [r.mispredictions for r in serial]
+        assert serial[0].mispredictions != serial[1].mispredictions
 
     def test_parallel_matches_serial_without_a_batch(self):
-        # The scalar engine never materializes a batch in any process.
+        # The scalar engine never materializes a batch.
         values = [4, 6]
         serial = sweep(history_predictor, values, fresh_traces(1_000),
                        engine="scalar", use_cache=False)
@@ -123,115 +151,123 @@ class TestDeterminism:
         assert [p.per_benchmark for p in parallel] \
             == [p.per_benchmark for p in serial]
 
-    def test_work_stealing_chunks_preserve_order(self):
-        pool = scheduler.SweepScheduler(max_workers=3)
-        payloads = list(range(23))
-        chunks = pool.chunk_payloads(payloads)
-        assert [x for chunk in chunks for x in chunk] == payloads
-        assert len(chunks) > 3  # finer than one-chunk-per-worker
+    def test_cached_sweep_with_a_repeated_value_matches_serial(
+            self, tmp_path, monkeypatch):
+        # Four threads store the same result key at once.
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+        traces = fresh_traces()
+        serial = sweep(history_predictor, [4], traces, ev8_info_provider,
+                       engine="batched", use_cache=False)
+        parallel = sweep_parallel(history_predictor, [4, 4, 4, 4], traces,
+                                  ev8_info_provider, engine="batched",
+                                  max_workers=4, use_cache=True)
+        assert [p.per_benchmark for p in parallel] \
+            == [serial[0].per_benchmark] * 4
+        assert sorted(path.suffix for path in tmp_path.iterdir()) \
+            == [".json"] * len(traces)
 
 
-class TestWorkerMaterialization:
-    def test_caller_computes_no_batch(self):
-        """Workers materialize for themselves: a 2-worker sweep computes no
-        batch in the calling process and still matches the serial sweep."""
+class TestThreadSharedState:
+    def test_materialize_computed_matches_serial(self):
+        """Threads share each trace's memo: a 2-worker sweep computes one
+        batch per (trace, plane key), as the serial sweep does."""
         values = [4, 6, 8]
-        sink = Telemetry()
-        with use_telemetry(sink):
-            parallel = sweep_parallel(history_predictor, values,
-                                      fresh_traces(), ev8_info_provider,
-                                      engine="batched", max_workers=2,
-                                      use_cache=False)
-        assert sink.counters["scheduler.runs"] == 1  # not the serial path
-        assert "provider.materialize_computed" not in sink.counters
-        serial = sweep(history_predictor, values, fresh_traces(),
-                       ev8_info_provider, engine="batched", use_cache=False)
-        assert parallel == serial
-
-    def test_spawned_workers_match_the_serial_sweep(self, monkeypatch):
-        """Under ``spawn`` (the macOS and Windows default) workers import
-        everything afresh and still reproduce the serial sweep."""
-        values = [4, 7]
-        sink = Telemetry()
-        scheduler.shutdown_schedulers()  # the next pool starts under spawn
-        monkeypatch.setattr(scheduler, "default_start_method",
-                            lambda: "spawn")
-        try:
+        counts = []
+        for workers in (1, 2):
+            sink = Telemetry()
             with use_telemetry(sink):
-                parallel = sweep_parallel(history_predictor, values,
-                                          fresh_traces(1_000),
-                                          ev8_info_provider, engine="batched",
-                                          max_workers=2, use_cache=False)
+                sweep_parallel(history_predictor, values, fresh_traces(),
+                               ev8_info_provider, engine="batched",
+                               max_workers=workers, use_cache=False)
+            counts.append(sink.counters["provider.materialize_computed"])
+        assert counts == [2, 2]
+
+    def test_derived_key_computes_once_across_threads(self):
+        # More threads than cores, switching as often as the interpreter
+        # allows, all missing one key at once.
+        trace = fresh_traces(1_000)["gcc"]
+        count = 8
+        barrier = threading.Barrier(count, timeout=10)
+        computed, values = [], []
+
+        def compute(_):
+            computed.append(threading.get_ident())
+            time.sleep(0.05)  # widen the window a racing miss would hit
+            return object()
+
+        def request():
+            barrier.wait()
+            values.append(trace.derived("probe", compute))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=request)
+                       for _ in range(count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
         finally:
-            scheduler.shutdown_schedulers()
-        assert sink.counters["scheduler.runs"] == 1
-        serial = sweep(history_predictor, values, fresh_traces(1_000),
-                       ev8_info_provider, engine="batched", use_cache=False)
-        assert parallel == serial
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(computed) == 1
+        assert len(values) == count
+        assert all(value is values[0] for value in values)
 
-
-class TestFallbacks:
-    def test_unpicklable_factory_falls_back_to_serial(self):
+    def test_lambda_factory_runs_threaded(self):
         traces = fresh_traces()
         expected = sweep(history_predictor, [4, 6], traces,
                          ev8_info_provider, engine="batched", use_cache=False)
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            actual = sweep_parallel(lambda h: history_predictor(h), [4, 6],
-                                    traces, ev8_info_provider,
-                                    engine="batched", max_workers=2,
-                                    use_cache=False)
-        assert [p.per_benchmark for p in actual] \
-            == [p.per_benchmark for p in expected]
-
-    def test_pool_survives_an_unpicklable_sweep(self):
-        scheduler.shutdown_schedulers()
         sink = Telemetry()
-        with use_telemetry(sink):
-            with pytest.warns(RuntimeWarning, match="falling back to serial"):
-                sweep_parallel(lambda h: history_predictor(h), [4, 6],
-                               fresh_traces(), ev8_info_provider,
-                               engine="batched", max_workers=2,
-                               use_cache=False)
-            points = sweep_parallel(history_predictor, [4, 6],
-                                    fresh_traces(), ev8_info_provider,
-                                    engine="batched", max_workers=2,
-                                    use_cache=False)
-        assert [p.value for p in points] == [4, 6]
-        assert sink.counters["scheduler.pools_started"] == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with use_telemetry(sink):
+                actual = sweep_parallel(lambda h: history_predictor(h),
+                                        [4, 6], traces, ev8_info_provider,
+                                        engine="batched", max_workers=2,
+                                        use_cache=False)
+        assert sink.counters["scheduler.runs"] == 1
+        assert actual == expected
 
-    def test_unit_error_propagates_without_a_serial_rerun(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(RuntimeError, match="workload error 1"):
-                sweep_parallel(raise_workload_error, [1], fresh_traces(),
-                               max_workers=2)
-        assert not [warning for warning in caught
-                    if issubclass(warning.category, RuntimeWarning)]
-
-    def test_single_worker_short_circuits_to_serial(self):
-        traces = fresh_traces()
-        points = sweep_parallel(history_predictor, [5], traces,
-                                ev8_info_provider, engine="batched",
-                                max_workers=1, use_cache=False)
-        assert len(points) == 1 and set(points[0].per_benchmark) == set(traces)
-
-
-class TestPersistentScheduler:
-    def test_pool_survives_across_sweeps(self):
-        scheduler.shutdown_schedulers()  # force a cold pool for the count
+    def test_no_process_or_thread_outlives_a_sweep(self):
+        before = threading.active_count()
         sink = Telemetry()
         with use_telemetry(sink):
             for _ in range(2):
                 sweep_parallel(history_predictor, [4, 6], fresh_traces(),
                                ev8_info_provider, engine="batched",
                                max_workers=2, use_cache=False)
+                assert multiprocessing.active_children() == []
+                assert threading.active_count() == before
         assert sink.counters["scheduler.runs"] == 2
-        assert sink.counters["scheduler.pools_started"] == 1
+        assert sink.counters["scheduler.units"] == 8
 
-    def test_workers_forked_under_a_sink_record_nothing_later(self):
-        # A fork copies the process-global sink into the workers; a later
-        # run without telemetry must not record into that copy.
-        scheduler.shutdown_schedulers()
+    def test_cell_error_propagates_and_cancels_pending_cells(self):
+        # Every cell but the first waits up to 0.5 s before it builds its
+        # predictor, so by the time any could finish, the first cell's
+        # error has cancelled all the cells no thread had started yet.
+        started = []
+        error = RuntimeError("cell 0 failed")
+
+        def factory(value):
+            started.append(value)
+            if value == 0:
+                raise error
+            threading.Event().wait(0.5)
+            return history_predictor(4)
+
+        before = threading.active_count()
+        trace = fresh_traces(1_000)["gcc"]
+        cells = [Cell(functools.partial(factory, value), ev8_info_provider,
+                      trace) for value in range(20)]
+        with pytest.raises(RuntimeError) as raised:
+            run_cells(cells, engine="batched", use_cache=False, workers=2)
+        assert raised.value is error
+        assert 0 in started and len(started) <= 3
+        assert threading.active_count() == before
+
+    def test_cells_record_nothing_without_a_sink(self):
         with use_telemetry(Telemetry()):
             sweep_parallel(history_predictor, [4], fresh_traces(1_000),
                            ev8_info_provider, engine="batched",
@@ -243,76 +279,31 @@ class TestPersistentScheduler:
                             workers=2)
         assert [result.telemetry for result in results] == [None, None]
 
-    def test_get_scheduler_memoizes_per_key(self):
-        try:
-            a = scheduler.get_scheduler(2)
-            b = scheduler.get_scheduler(2)
-            c = scheduler.get_scheduler(3)
-            assert a is b and a is not c
-        finally:
-            scheduler.shutdown_schedulers()
 
-    def test_shutdown_allows_restart(self):
-        pool = scheduler.SweepScheduler(max_workers=2)
-        try:
-            assert pool.run(abs, [-1, -2]) == [1, 2]
-            pool.shutdown()
-            assert pool.run(abs, [-3]) == [3]
-        finally:
-            pool.shutdown()
+class TestFallbacks:
+    def test_unit_error_propagates_without_a_serial_rerun(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="workload error 1"):
+                sweep_parallel(raise_workload_error, [1], fresh_traces(),
+                               max_workers=2)
+        assert not [warning for warning in caught
+                    if issubclass(warning.category, RuntimeWarning)]
 
-    def test_workload_error_propagates_and_keeps_the_pool(self):
-        pool = scheduler.SweepScheduler(max_workers=2)
+    def test_single_worker_short_circuits_to_serial(self):
+        traces = fresh_traces()
         sink = Telemetry()
-        try:
-            with use_telemetry(sink):
-                with pytest.raises(RuntimeError,
-                                   match="workload error 1") as raised:
-                    pool.run(raise_workload_error, [1])
-                assert type(raised.value) is RuntimeError
-                assert pool.run(abs, [-4]) == [4]
-        finally:
-            pool.shutdown()
-        assert sink.counters["scheduler.pools_started"] == 1
+        with use_telemetry(sink):
+            points = sweep_parallel(history_predictor, [5], traces,
+                                    ev8_info_provider, engine="batched",
+                                    max_workers=1, use_cache=False)
+        assert len(points) == 1 and set(points[0].per_benchmark) == set(traces)
+        assert "scheduler.runs" not in sink.counters
 
-    def test_shutdown_after_a_failed_run_stops_the_pool(self):
-        # Every chunk has settled when run() raises, so shutdown() can
-        # wait for the pool's threads without racing a failing pickle.
-        before = set(threading.enumerate())
-        pool = scheduler.SweepScheduler(max_workers=2)
-        try:
-            with pytest.raises((pickle.PicklingError, AttributeError)):
-                pool.run(lambda x: x, [1, 2, 3, 4])
-        finally:
-            pool.shutdown()
-        assert set(threading.enumerate()) <= before
 
-    def test_dead_worker_makes_the_pool_unavailable(self):
-        pool = scheduler.SweepScheduler(max_workers=2)
-        sink = Telemetry()
-        try:
-            with use_telemetry(sink):
-                with pytest.raises(scheduler.SchedulerUnavailable):
-                    pool.run(kill_worker, [3])
-                assert pool.run(abs, [-5]) == [5]  # a fresh pool
-        finally:
-            pool.shutdown()
-        assert sink.counters["scheduler.pools_started"] == 2
-
-    def test_run_on_a_shut_down_executor_is_unavailable(self):
-        pool = scheduler.SweepScheduler(max_workers=2)
-        try:
-            assert pool.run(abs, [-1]) == [1]
-            pool._executor.shutdown()  # behind the scheduler's back
-            with pytest.raises(scheduler.SchedulerUnavailable):
-                pool.run(abs, [-2])
-            assert pool.run(abs, [-3]) == [3]
-        finally:
-            pool.shutdown()
-
-    def test_default_start_method_is_platform_explicit(self):
-        method = scheduler.default_start_method()
-        if sys.platform in ("win32", "darwin"):
-            assert method == "spawn"
-        else:
-            assert method == "fork"
+class TestSchedulerStub:
+    def test_stub_runs_in_order_and_shutdown_is_a_no_op(self):
+        # The benchmark harness wraps SweepScheduler.run and calls
+        # shutdown_schedulers; both must keep working while it does.
+        assert scheduler.SweepScheduler().run(abs, [-1, -2, 3]) == [1, 2, 3]
+        assert scheduler.shutdown_schedulers() is None

@@ -15,6 +15,8 @@ The invariants pin down the telemetry *semantics*, not just its plumbing:
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -127,6 +129,33 @@ class TestTelemetrySink:
         assert left.histograms["h"] == {"count": 2, "total": 10.0,
                                         "min": 1.0, "max": 9.0}
         assert left.spans["s"]["count"] == 1
+
+    def test_counts_from_many_threads_are_exact(self):
+        # Switch threads as often as the interpreter allows, so an
+        # unlocked read-add-store would lose increments.
+        sink, threads, calls = Telemetry(), 8, 5_000
+        barrier = threading.Barrier(threads, timeout=10)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def count():
+            barrier.wait()
+            for _ in range(calls):
+                sink.count("n")
+                sink.observe("h", 1.0)
+
+        try:
+            workers = [threading.Thread(target=count)
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sink.counters == {"n": threads * calls}
+        assert sink.histograms["h"]["count"] == threads * calls
 
     def test_json_round_trip(self, tmp_path):
         sink = Telemetry()

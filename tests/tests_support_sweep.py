@@ -1,13 +1,8 @@
-"""Module-level (picklable) factories shared by the sweep/fabric tests.
-
-``sweep_parallel`` ships factories across process boundaries, so the test
-factories must live in an importable module rather than as test-local
-closures.
-"""
+"""Factories shared by the sweep tests (``sweep_parallel`` runs any
+callable, lambdas included; these are shared to keep configurations equal
+across test modules)."""
 
 from __future__ import annotations
-
-import os
 
 from repro.predictors.twobcgskew import TableConfig, TwoBcGskewPredictor
 
@@ -24,7 +19,3 @@ def raise_workload_error(value: int) -> None:
     """A unit function that fails the way a workload bug would."""
     raise RuntimeError(f"workload error {value}")
 
-
-def kill_worker(value: int) -> None:
-    """A unit function that takes its worker process down with it."""
-    os._exit(value)
