@@ -24,7 +24,7 @@ render a human summary (:func:`render_summary`, the table ``runall``
 appends to its report).
 
 A recording sink's mutators take its lock, so threads may count into one
-sink (a threaded sweep's cells count ``provider.materialize_computed``
+sink (threaded cells count ``provider.materialize_computed``
 into the process-global sink).  Spans nest by one stack per sink, so
 each thread that opens spans records them into its own sink.
 
@@ -177,9 +177,11 @@ class Telemetry(NullTelemetry):
         Counters and span/histogram counts add; histogram min/max widen.
         Merging is associative and, for counters, commutative — merging
         per-cell snapshots in any fixed order yields the same counters a
-        serial run records.
+        serial run records.  The merged spans nest under the spans open
+        here, where they would have nested had they been recorded here.
         """
         with self._lock:
+            prefix = "".join(name + "/" for name in self._stack)
             for name, value in snapshot.get("counters", {}).items():
                 self.count(name, value)
             for name, stats in snapshot.get("histograms", {}).items():
@@ -192,6 +194,7 @@ class Telemetry(NullTelemetry):
                     mine["min"] = min(mine["min"], stats["min"])
                     mine["max"] = max(mine["max"], stats["max"])
             for path, record in snapshot.get("spans", {}).items():
+                path = prefix + path
                 mine = self.spans.get(path)
                 if mine is None:
                     self.spans[path] = dict(record)

@@ -6,7 +6,10 @@ produces that grid; :class:`ComparisonTable` holds it and renders the same
 rows/series the paper's bar charts report.
 
 Predictors and providers are passed as *factories* because every
-(configuration, benchmark) cell needs fresh state.
+(configuration, benchmark) cell needs fresh state.  The cells run through
+:func:`repro.sim.sweep.run_cells` on one thread per CPU: the calling
+thread keys each cell and answers result-cache hits, and only the
+simulations go to the threads.
 """
 
 from __future__ import annotations
@@ -96,17 +99,20 @@ def run_comparison(configs: dict[str, PredictorFactory],
     the predictor stays fixed).  ``engine`` selects the simulation engine
     for every cell (name, instance, or None for the environment default);
     ``use_cache`` opts the cells into the persistent result cache (None
-    defers to ``REPRO_RESULT_CACHE``).  The cells run config-major
-    through :func:`repro.sim.sweep.run_cells`, the runner sweeps use.
+    defers to ``REPRO_RESULT_CACHE``).  The cells run through
+    :func:`repro.sim.sweep.run_cells` on one thread per CPU, trace-major
+    (every configuration on the first trace, then the next trace), so the
+    threads share one trace's materialized batches at a time; the table
+    is config-major, as a serial config-major run would fill it.
     """
-    cells = [Cell(make_predictor, provider_factories[config]
-                  if provider_factories is not None else provider_factory,
-                  trace)
-             for config, make_predictor in configs.items()
-             for trace in traces.values()]
-    results = iter(run_cells(cells, engine, use_cache))
+    providers = (provider_factories if provider_factories is not None
+                 else dict.fromkeys(configs, provider_factory))
+    cells = [Cell(make_predictor, providers[config], trace)
+             for trace in traces.values()
+             for config, make_predictor in configs.items()]
+    results = run_cells(cells, engine, use_cache)
     table = ComparisonTable(config_names=list(configs),
                             benchmark_names=list(traces))
-    table.cells = {config: {name: next(results) for name in traces}
-                   for config in configs}
+    table.cells = {config: dict(zip(traces, results[index::len(configs)]))
+                   for index, config in enumerate(configs)}
     return table

@@ -77,33 +77,70 @@ def simulate(predictor: Predictor, trace: Trace,
     sink = get_telemetry(telemetry)
     if use_cache is None:
         use_cache = result_cache.cache_enabled()
-    if use_cache:
-        try:
-            # Key BEFORE running: the simulation mutates predictor state.
-            key = result_cache.result_key(predictor, trace, provider,
-                                          warmup_branches, resolved.name)
-        except result_cache.UncacheableError:
-            key = None
-        if key is not None:
-            cached = result_cache.load(key, telemetry=sink)
-            if cached is not None:
-                # Display names are not in the key: report the live ones.
-                # This call simulated nothing, so it took no wall time.
-                return replace(cached, predictor_name=predictor.name,
-                               trace_name=trace.name, wall_seconds=0.0,
-                               telemetry=(sink.snapshot() if sink.enabled
-                                          else None))
-            started = time.perf_counter()
-            result = replace(
-                resolved.run(predictor, trace, provider, warmup_branches,
-                             telemetry=sink),
-                cache="miss")
-            if sink.enabled:
-                sink.observe("result_cache.miss_seconds",
-                             time.perf_counter() - started)
-            result_cache.store(key, result, telemetry=sink)
-            if sink.enabled:
-                result = replace(result, telemetry=sink.snapshot())
-            return result
-    return resolved.run(predictor, trace, provider, warmup_branches,
-                        telemetry=sink)
+    key = (cache_key(predictor, trace, provider, warmup_branches, resolved)
+           if use_cache else None)
+    if key is not None:
+        cached = load_hit(key, predictor, trace, sink)
+        if cached is not None:
+            return cached
+    return run_and_store(predictor, trace, provider, warmup_branches,
+                         resolved, key, sink)
+
+
+# The steps of a cached simulation (key, load, run and store), shared with
+# the cell runner (:func:`repro.sim.sweep.run_cells`), which keys and loads
+# on its calling thread and runs only the misses on its pool.
+
+
+def cache_key(predictor: Predictor, trace: Trace,
+              provider: HistoryProvider | None, warmup_branches: int,
+              engine: SimulationEngine) -> str | None:
+    """The result-cache key of one simulation, or ``None`` when an input
+    cannot be fingerprinted (that simulation then runs uncached).  Key
+    before running: the simulation mutates the predictor's tables."""
+    try:
+        return result_cache.result_key(predictor, trace, provider,
+                                       warmup_branches, engine.name)
+    except result_cache.UncacheableError:
+        return None
+
+
+def as_hit(result: SimulationResult, predictor_name: str, trace_name: str,
+           sink: NullTelemetry) -> SimulationResult:
+    """``result`` as a cache hit reports it.  Display names are not in the
+    key, so a hit carries the live ones; it simulated nothing, so it took
+    no wall time."""
+    return replace(result, predictor_name=predictor_name,
+                   trace_name=trace_name, wall_seconds=0.0, cache="hit",
+                   telemetry=sink.snapshot() if sink.enabled else None)
+
+
+def load_hit(key: str, predictor: Predictor, trace: Trace,
+             sink: NullTelemetry) -> SimulationResult | None:
+    """The stored result for ``key`` as a hit, or ``None`` on a miss."""
+    cached = result_cache.load(key, telemetry=sink)
+    if cached is None:
+        return None
+    return as_hit(cached, predictor.name, trace.name, sink)
+
+
+def run_and_store(predictor: Predictor, trace: Trace,
+                  provider: HistoryProvider | None, warmup_branches: int,
+                  engine: SimulationEngine, key: str | None,
+                  sink: NullTelemetry) -> SimulationResult:
+    """Run one simulation; with a ``key``, as a cache miss whose result is
+    stored under it."""
+    if key is None:
+        return engine.run(predictor, trace, provider, warmup_branches,
+                          telemetry=sink)
+    started = time.perf_counter()
+    result = replace(engine.run(predictor, trace, provider, warmup_branches,
+                                telemetry=sink),
+                     cache="miss")
+    if sink.enabled:
+        sink.observe("result_cache.miss_seconds",
+                     time.perf_counter() - started)
+    result_cache.store(key, result, telemetry=sink)
+    if sink.enabled:
+        result = replace(result, telemetry=sink.snapshot())
+    return result

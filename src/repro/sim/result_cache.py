@@ -166,6 +166,9 @@ def _content_digest(trace: Trace) -> bytes:
     return hasher.digest()
 
 
+_UNIFORM_CHUNK = 1 << 16
+
+
 def _update_buffer(hasher, header: bytes, data: bytes | bytearray) -> None:
     """Feed one raw buffer: its type ``header`` (tag, element type, shape),
     then its bytes.
@@ -173,10 +176,20 @@ def _update_buffer(hasher, header: bytes, data: bytes | bytearray) -> None:
     A uniform buffer -- every counter table of a freshly built predictor --
     is fed in run-length form instead: the ``U`` tag, the header, the byte
     length and the single fill byte.  The leading tag keeps the two forms
-    apart, so the encoding stays injective.
+    apart, so the encoding stays injective.  A buffer longer than
+    ``_UNIFORM_CHUNK`` is tested against one chunk of its fill byte,
+    chunk by chunk, so the test never copies a large table.
     """
-    if data == data[:1] * len(data):
-        hasher.update(b"\x00U" + header + str(len(data)).encode() + b":"
+    size = len(data)
+    if size <= _UNIFORM_CHUNK:
+        uniform = data == data[:1] * size
+    else:
+        pattern = data[:1] * _UNIFORM_CHUNK
+        uniform = data.endswith(pattern) and all(
+            data.startswith(pattern, start)
+            for start in range(0, size - _UNIFORM_CHUNK, _UNIFORM_CHUNK))
+    if uniform:
+        hasher.update(b"\x00U" + header + str(size).encode() + b":"
                       + data[:1])
     else:
         hasher.update(header)

@@ -8,29 +8,34 @@ configuration by mean misp/KI across benchmarks.
 Every simulation a grid asks for is a :class:`Cell`: a predictor factory,
 a provider factory and a trace.  :func:`sweep`, :func:`sweep_parallel` and
 :func:`repro.sim.compare.run_comparison` each build one list of cells and
-pass it to :func:`run_cells`, which runs the cells in the order given,
-serially or on threads in the calling process, and calls
-:func:`simulate` per cell.  Threads suffice because the replay kernels
-and the trace-side walks are ``ctypes`` calls that release the GIL; the
-cells share each trace and its memo (:meth:`Trace.derived`), so a batch
-is materialized once whichever thread asks first.  A parallel sweep is a
-serial sweep with the loop spread over threads: both return identical
-points and accumulate identical telemetry counters.
+pass it to :func:`run_cells`, which returns the results in cell order.  On
+one worker it calls :func:`simulate` per cell.  On more, its calling
+thread keys each cell and answers result-cache hits itself, and only the
+cells it must simulate go to a pool of threads in this process, made on
+the first such cell.  Threads suffice because the replay kernels and the
+trace-side walks are ``ctypes`` calls that release the GIL; the cells
+share each trace and its memo (:meth:`Trace.derived`), so a batch is
+materialized once whichever thread asks first.  A threaded grid is a
+serial grid with the simulations spread over threads: both return
+identical results and accumulate identical telemetry counters.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import (FIRST_COMPLETED, Future, ThreadPoolExecutor,
+                                wait)
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.history.providers import HistoryProvider
 from repro.obs import NullTelemetry, Telemetry, get_telemetry
 from repro.predictors.base import Predictor
-from repro.sim.driver import simulate
-from repro.sim.engine import SimulationEngine
+from repro.sim import result_cache
+from repro.sim.driver import (as_hit, cache_key, load_hit, run_and_store,
+                              simulate)
+from repro.sim.engine import SimulationEngine, get_engine
 from repro.sim.metrics import SimulationResult
 from repro.traces.model import Trace
 
@@ -54,45 +59,126 @@ def run_cells(cells: list[Cell],
               engine: str | SimulationEngine | None = None,
               use_cache: bool | None = None,
               telemetry: NullTelemetry | None = None,
-              workers: int = 1) -> list[SimulationResult]:
+              workers: int | None = None) -> list[SimulationResult]:
     """Simulate every cell; results come back in ``cells`` order.
 
-    Serially (``workers`` 1), each cell records straight into
-    ``telemetry``.  With more workers the cells run on that many threads
-    of a pool made for this call and joined before it returns.  Each cell
-    then records into its own sink, and the sinks merge into
-    ``telemetry`` in cell order, so both paths accumulate identical
+    ``workers`` (default: one per CPU) bounds the threads that simulate.
+    With one, each cell is a :func:`simulate` call on the calling thread,
+    recording straight into ``telemetry``.  With more, the calling thread
+    walks the cells in order.  With the cache on, it builds, keys and
+    loads each cell and answers a hit itself; a cell whose key an earlier
+    cell of this call already missed shares that cell's result as a hit,
+    as a serial load would.  Every other cell goes to a thread pool, made
+    on the first such cell and joined before the call returns, so a grid
+    of hits starts no thread.  At most ``workers + 1`` keyed cells are on
+    the pool at once, one per thread and one queued, so a thread that
+    finishes a cell starts the next without waiting for the calling
+    thread.  A cell that is not keyed holds no table until its pool thread
+    builds it, so every such cell is submitted at once.
+
+    Each cell records into its own sink, and the sinks merge into
+    ``telemetry`` in cell order, so every path accumulates the serial
     counters.  The process-global sink counts ``scheduler.runs`` and
-    ``scheduler.units`` for a threaded call.  An error a cell raises
-    propagates unchanged, and the cells not yet started are cancelled.
-    Nothing here computes a result key: only ``use_cache`` makes
-    :func:`simulate` key a cell.
+    ``scheduler.units`` for the cells a pool ran.  An error a cell raises
+    propagates unchanged, no later cell starts, and the cells not yet
+    started are cancelled.
     """
+    resolved = get_engine(engine)
     sink = get_telemetry(telemetry)
-
-    def run(cell: Cell, cell_sink: NullTelemetry) -> SimulationResult:
-        provider = (cell.make_provider() if cell.make_provider is not None
-                    else None)
-        return simulate(cell.make_predictor(), cell.trace, provider,
-                        engine=engine, use_cache=use_cache,
-                        telemetry=cell_sink)
-
-    if workers <= 1 or not cells:
-        return [run(cell, sink) for cell in cells]
-    global_sink = get_telemetry(None)
-    if global_sink.enabled:
-        global_sink.count("scheduler.runs")
-        global_sink.count("scheduler.units", len(cells))
+    if use_cache is None:
+        use_cache = result_cache.cache_enabled()
+    workers = workers or os.cpu_count() or 1
+    if workers <= 1:
+        return [simulate(*_build(cell), engine=resolved, use_cache=use_cache,
+                         telemetry=sink) for cell in cells]
     sinks = [Telemetry() if sink.enabled else sink for _ in cells]
-    pool = ThreadPoolExecutor(max_workers=workers)
+    results: list[SimulationResult | Future | None] = [None] * len(cells)
+    missed: dict[str, int] = {}  # key -> the first cell of this call with it
+    shared: list[tuple[int, int, str]] = []  # (cell, cell it shares, name)
+    in_flight: set[Future] = set()
+    pool = None
     try:
-        results = list(pool.map(run, cells, sinks))
+        for index, (cell, cell_sink) in enumerate(zip(cells, sinks)):
+            if use_cache:
+                results[index], job = _key_and_load(
+                    index, cell, resolved, cell_sink, missed, shared)
+                if job is None:
+                    continue
+            else:
+                job = functools.partial(_build_and_run, cell, resolved,
+                                        cell_sink)
+            if pool is None:
+                pool = ThreadPoolExecutor(max_workers=workers)
+                _count_scheduler("scheduler.runs")
+            if len(in_flight) > workers:
+                done, in_flight = wait(in_flight,
+                                       return_when=FIRST_COMPLETED)
+                for future in done:
+                    future.result()  # a failed cell stops the walk here
+            results[index] = pool.submit(job)
+            if use_cache:  # built here: its tables are alive until it ends
+                in_flight.add(results[index])
+            _count_scheduler("scheduler.units")
+        results = [result.result() if isinstance(result, Future) else result
+                   for result in results]
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+    for index, first, predictor_name in shared:
+        results[index] = as_hit(results[first], predictor_name,
+                                cells[index].trace.name, sinks[index])
     if sink.enabled:
         for cell_sink in sinks:
             sink.merge_snapshot(cell_sink.snapshot())
     return results
+
+
+def _build(cell: Cell) -> tuple[Predictor, Trace, HistoryProvider | None]:
+    """A cell's fresh predictor, its trace and its fresh provider."""
+    return (cell.make_predictor(), cell.trace,
+            cell.make_provider() if cell.make_provider is not None else None)
+
+
+def _key_and_load(index: int, cell: Cell, engine: SimulationEngine,
+                  sink: NullTelemetry, missed: dict[str, int],
+                  shared: list[tuple[int, int, str]],
+                  ) -> tuple[SimulationResult | None, Callable | None]:
+    """Build, key and load cell ``index`` on the calling thread.
+
+    Returns ``(hit, None)`` for a cache hit.  A cell whose key an earlier
+    cell of this call missed joins ``shared`` as ``(index, that cell,
+    predictor name)``, counts the hit a serial load would, and returns
+    ``(None, None)``.  Any other cell returns ``(None, job)``, ``job``
+    simulating it; its key, if it has one, joins ``missed``.  Only the job
+    holds the predictor once this returns, so a hit's tables are freed
+    before the next cell builds its own, and the allocator reuses them.
+    """
+    predictor, trace, provider = _build(cell)
+    key = cache_key(predictor, trace, provider, 0, engine)
+    if key in missed:
+        if sink.enabled:
+            sink.count("result_cache.hits")
+        shared.append((index, missed[key], predictor.name))
+        return None, None
+    if key is not None:
+        hit = load_hit(key, predictor, trace, sink)
+        if hit is not None:
+            return hit, None
+        missed[key] = index
+    return None, functools.partial(run_and_store, predictor, trace, provider,
+                                   0, engine, key, sink)
+
+
+def _build_and_run(cell: Cell, engine: SimulationEngine,
+                   sink: NullTelemetry) -> SimulationResult:
+    """An unkeyed cell, built and run where it runs (on a pool thread)."""
+    return run_and_store(*_build(cell), 0, engine, None, sink)
+
+
+def _count_scheduler(name: str) -> None:
+    global_sink = get_telemetry(None)
+    if global_sink.enabled:
+        global_sink.count(name)
 
 
 @dataclass(frozen=True)
@@ -143,8 +229,7 @@ def sweep_parallel(make_predictor: Callable[[int], Predictor],
     cells = [Cell(functools.partial(make_predictor, value), make_provider,
                   trace)
              for trace in traces.values() for value in values]
-    results = run_cells(cells, engine, use_cache, telemetry,
-                        max_workers or os.cpu_count() or 1)
+    results = run_cells(cells, engine, use_cache, telemetry, max_workers)
     points = []
     for index, value in enumerate(values):
         per_benchmark = {name: result.misp_per_ki for name, result

@@ -189,6 +189,37 @@ class TestResultKey:
         assert key(b"") == key(bytearray())
         assert key(b"") != key(b"\x00")
 
+    def test_large_buffers_feed_what_a_whole_buffer_compare_decides(self):
+        # Past one chunk the uniform test runs chunk by chunk; it must pick
+        # the same form a compare against a full-size copy picks.
+        def fed(data):
+            hasher = hashlib.sha256()
+            result_cache._update_buffer(hasher, b"h", data)
+            return hasher.digest()
+
+        def reference(data):
+            hasher = hashlib.sha256()
+            if data == data[:1] * len(data):
+                hasher.update(b"\x00Uh" + str(len(data)).encode() + b":"
+                              + data[:1])
+            else:
+                hasher.update(b"h")
+                hasher.update(data)
+            return hasher.digest()
+
+        chunk = result_cache._UNIFORM_CHUNK
+        for size in (chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 7,
+                     1 << 20):
+            for fill in (0, 3):
+                uniform = bytearray([fill]) * size
+                assert fed(uniform) == reference(uniform)
+                assert fed(bytes(uniform)) == reference(uniform)
+                for index in {0, 1, chunk - 1, chunk, size // 2,
+                              size - chunk, size - 1} & set(range(size)):
+                    changed = bytearray(uniform)
+                    changed[index] ^= 1
+                    assert fed(changed) == reference(changed), (size, index)
+
     def test_sequence_subclasses_key_by_type_and_items(self, trace):
         def key(value):
             predictor = _gshare()

@@ -1,12 +1,16 @@
 """Smoke test for the consolidated report generator."""
 
 import json
+import os
 import re
 
 import pytest
 
+from repro.experiments.common import experiment_traces
 from repro.experiments.runall import run_all
 from repro.obs import Telemetry
+from repro.sim import compare
+from repro.workloads import spec95
 
 
 def _without_timings(report: str) -> list[str]:
@@ -67,3 +71,36 @@ def test_each_distinct_cell_simulates_once(tmp_path, monkeypatch):
     assert uncached.counters["engine.batched_runs"] == 160
     assert _without_timings(report_uncached) == _without_timings(report)
     assert not (tmp_path / "kept").exists()
+
+
+@pytest.mark.slow
+def test_threaded_grids_report_what_serial_grids_report(tmp_path,
+                                                        monkeypatch):
+    # The same run with every comparison grid forced onto one thread:
+    # same report, same counters, same span names and counts.  Both runs
+    # load their traces from disk, so neither finds the other's in memory
+    # or their batches already materialized.
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    experiment_traces(4000)
+    spec95._cache().clear_memory()
+    threaded = Telemetry()
+    report = run_all(num_branches=4000, use_cache=False, telemetry=threaded)
+    spec95._cache().clear_memory()
+    real_run_cells = compare.run_cells
+    monkeypatch.setattr(compare, "run_cells",
+                        lambda cells, *args: real_run_cells(cells, *args,
+                                                            workers=1))
+    serial = Telemetry()
+    report_serial = run_all(num_branches=4000, use_cache=False,
+                            telemetry=serial)
+    assert _without_timings(report) == _without_timings(report_serial)
+    scheduled = {name: threaded.counters.pop(name)
+                 for name in ("scheduler.runs", "scheduler.units")
+                 if name in threaded.counters}
+    assert bool(scheduled) == ((os.cpu_count() or 1) > 1)
+    assert threaded.counters == serial.counters
+    assert threaded.counters["engine.batched_runs"] == 160
+    def span_counts(sink):
+        return {path: record["count"] for path, record in sink.spans.items()}
+
+    assert span_counts(threaded) == span_counts(serial)

@@ -1,5 +1,7 @@
 """Tests for the simulation layer: driver, metrics, comparisons, sweeps."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import simple_loop_trace
@@ -105,6 +107,47 @@ class TestComparison:
         dumped = table.to_dict()
         assert dumped["misp_per_ki"]["gshare"]["vortex"] == pytest.approx(
             table.misp_per_ki("gshare", "vortex"))
+
+    def test_table_matches_a_config_major_serial_run(
+            self, compress_trace, vortex_trace, tmp_path, monkeypatch):
+        # The grid runs trace-major on threads; the table must still be
+        # what one simulate call per cell, config-major, would fill in,
+        # down to which repeat of a configuration is the cache hit.
+        configs = {
+            "gshare": lambda: GsharePredictor(1 << 12, 8),
+            "bimodal": lambda: BimodalPredictor(1 << 12),
+            "gshare again": lambda: GsharePredictor(1 << 12, 8,
+                                                    name="again"),
+        }
+        traces = {"vortex": vortex_trace, "compress": compress_trace}
+
+        def untimed(results):
+            return {config: {name: replace(result, wall_seconds=0.0)
+                             for name, result in row.items()}
+                    for config, row in results.items()}
+
+        for use_cache in (False, True):
+            monkeypatch.setenv("REPRO_RESULT_CACHE_DIR",
+                               str(tmp_path / f"grid-{use_cache}"))
+            table = run_comparison(configs, traces,
+                                   provider_factory=BranchGhistProvider,
+                                   engine="batched", use_cache=use_cache)
+            monkeypatch.setenv("REPRO_RESULT_CACHE_DIR",
+                               str(tmp_path / f"serial-{use_cache}"))
+            serial = {config: {name: simulate(make(), trace,
+                                              BranchGhistProvider(),
+                                              engine="batched",
+                                              use_cache=use_cache)
+                               for name, trace in traces.items()}
+                      for config, make in configs.items()}
+            assert table.config_names == list(configs)
+            assert table.benchmark_names == list(traces)
+            assert list(table.cells) == list(configs)
+            assert all(list(row) == list(traces)
+                       for row in table.cells.values())
+            assert untimed(table.cells) == untimed(serial)
+        assert table.grid("cache")["gshare again"] == {"vortex": "hit",
+                                                       "compress": "hit"}
 
     def test_per_config_providers(self, compress_trace):
         configs = {

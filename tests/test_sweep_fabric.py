@@ -3,6 +3,7 @@ the calling process (determinism, shared per-trace memo, error paths)."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib
 import multiprocessing
@@ -10,12 +11,14 @@ import sys
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.history.providers import ev8_info_provider
 from repro.obs import Telemetry, use_telemetry
 from repro.sim import planes, scheduler
+from repro.sim.compare import run_comparison
 from repro.sim.sweep import Cell, run_cells, sweep, sweep_parallel
 from repro.traces.model import Trace
 from repro.workloads.spec95 import spec95_trace
@@ -278,6 +281,142 @@ class TestThreadSharedState:
         results = run_cells(cells, engine="batched", use_cache=False,
                             workers=2)
         assert [result.telemetry for result in results] == [None, None]
+
+
+class TestGridPlanner:
+    """``run_cells`` keys and loads on the calling thread and sends only
+    the misses to its pool."""
+
+    @staticmethod
+    def cells(values, traces):
+        return [Cell(functools.partial(history_predictor, value),
+                     ev8_info_provider, trace)
+                for trace in traces.values() for value in values]
+
+    def test_a_grid_of_hits_never_constructs_a_pool(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+        cells = self.cells([4, 6], fresh_traces())
+        cold = run_cells(cells, engine="batched", use_cache=True, workers=2)
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("a grid of hits started a pool")
+
+        monkeypatch.setattr(sweep_module, "ThreadPoolExecutor", tripwire)
+        sink = Telemetry()
+        with use_telemetry(sink):
+            warm = run_cells(cells, engine="batched", use_cache=True,
+                             workers=2)
+        assert [result.cache for result in cold] == ["miss"] * len(cells)
+        assert [result.cache for result in warm] == ["hit"] * len(cells)
+        assert warm == [dataclasses.replace(result, cache="hit",
+                                            wall_seconds=0.0)
+                        for result in cold]
+        assert sink.counters == {"result_cache.hits": len(cells)}
+
+    def test_scheduler_counts_only_the_cells_a_pool_ran(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+        traces = fresh_traces()
+        run_cells(self.cells([4], traces), engine="batched", use_cache=True,
+                  workers=2)
+        sink = Telemetry()
+        with use_telemetry(sink):
+            run_cells(self.cells([4, 6, 8], traces), engine="batched",
+                      use_cache=True, workers=2)
+        assert sink.counters["scheduler.runs"] == 1
+        assert sink.counters["scheduler.units"] == 4  # 6 and 8, twice
+        assert sink.counters["result_cache.hits"] == 2
+
+    def test_factory_error_on_the_cached_path_stops_the_walk(
+            self, tmp_path, monkeypatch):
+        # The calling thread builds cells in order: the failing cell's
+        # error is the one raised, and no later cell is built.
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+        built = []
+        error = RuntimeError("cell 3 failed")
+
+        def factory(value):
+            built.append(value)
+            if value == 3:
+                raise error
+            return history_predictor(4 + value)
+
+        before = threading.active_count()
+        trace = fresh_traces(1_000)["gcc"]
+        cells = [Cell(functools.partial(factory, value), ev8_info_provider,
+                      trace) for value in range(8)]
+        with pytest.raises(RuntimeError) as raised:
+            run_cells(cells, engine="batched", use_cache=True, workers=2)
+        assert raised.value is error
+        assert built == [0, 1, 2, 3]
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_grid(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+        before = threading.active_count()
+        configs = {f"h{value}": functools.partial(history_predictor, value)
+                   for value in (4, 6)}
+        for use_cache in (False, True, True):
+            run_comparison(configs, fresh_traces(), ev8_info_provider,
+                           engine="batched", use_cache=use_cache)
+            assert threading.active_count() == before
+
+    def test_at_most_one_keyed_cell_per_thread_waits_on_the_pool(
+            self, tmp_path, monkeypatch):
+        # A keyed cell's tables are built before it is submitted, so every
+        # submission finds at most ``workers`` unfinished cells: one per
+        # thread, or one fewer and one queued.  Unkeyed cells are built on
+        # their threads and are all submitted at once.
+        unfinished_at_submit = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.futures = []
+
+            def submit(self, *args, **kwargs):
+                unfinished_at_submit.append(
+                    sum(not future.done() for future in self.futures))
+                self.futures.append(super().submit(*args, **kwargs))
+                return self.futures[-1]
+
+        monkeypatch.setattr(sweep_module, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+        cells = self.cells([3, 4, 5, 6, 7, 8], fresh_traces(1_000))
+        run_cells(cells, engine="batched", use_cache=True, workers=2)
+        assert len(unfinished_at_submit) == len(cells)
+        assert max(unfinished_at_submit) <= 2
+
+    def test_a_key_pending_in_the_call_is_shared_as_a_hit(
+            self, tmp_path, monkeypatch):
+        # Each miss runs slowly, so every repeat of its key is keyed while
+        # the first cell with that key is still on the pool.  The repeats
+        # must wait for it, not miss and simulate again: the cold counters
+        # are the serial ones exactly.
+        real_run_and_store = sweep_module.run_and_store
+
+        def slow_run_and_store(*args):
+            time.sleep(0.2)
+            return real_run_and_store(*args)
+
+        monkeypatch.setattr(sweep_module, "run_and_store", slow_run_and_store)
+        values = [4, 4, 4, 6, 4]
+        runs = {}
+        for workers in (1, 4):
+            monkeypatch.setenv("REPRO_RESULT_CACHE_DIR",
+                               str(tmp_path / str(workers)))
+            sink = Telemetry()
+            results = run_cells(self.cells(values, fresh_traces()),
+                                engine="batched", use_cache=True,
+                                telemetry=sink, workers=workers)
+            runs[workers] = ([dataclasses.replace(result, wall_seconds=0.0)
+                              for result in results], sink.counters)
+        assert runs[4] == runs[1]
+        assert [result.cache for result in runs[4][0]] \
+            == ["miss", "hit", "hit", "miss", "hit"] * 2
+        assert runs[4][1]["result_cache.stores"] == 4
+        assert runs[4][1]["engine.batched_runs"] == 4
 
 
 class TestFallbacks:

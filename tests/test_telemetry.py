@@ -130,6 +130,21 @@ class TestTelemetrySink:
                                         "min": 1.0, "max": 9.0}
         assert left.spans["s"]["count"] == 1
 
+    def test_merged_spans_nest_under_the_open_spans(self):
+        # As they would have had the cell recorded into this sink.
+        section, cell = Telemetry(), Telemetry()
+        with cell.span("run"):
+            with cell.span("replay"):
+                pass
+        with section.span("fig5"):
+            with section.span("grid"):
+                section.merge_snapshot(cell.snapshot())
+        section.merge_snapshot(cell.snapshot())
+        assert sorted(section.spans) == ["fig5", "fig5/grid",
+                                         "fig5/grid/run",
+                                         "fig5/grid/run/replay", "run",
+                                         "run/replay"]
+
     def test_counts_from_many_threads_are_exact(self):
         # Switch threads as often as the interpreter allows, so an
         # unlocked read-add-store would lose increments.
