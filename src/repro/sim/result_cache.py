@@ -28,10 +28,12 @@ Key scheme
   same simulation and hits; a hit reports the live predictor's name.  The
   ``name`` of an object the predictor holds (a cascade's components)
   still keys;
-* the **trace content** — the four trace columns hashed once and memoised
-  on the :class:`~repro.traces.model.Trace` (whose columns are read-only,
-  so the digest cannot go stale; the trace *name* is deliberately
-  excluded: identical content keys identically);
+* the **trace content** — :func:`~repro.traces.model.content_digest`,
+  the four trace columns hashed once and memoised on the
+  :class:`~repro.traces.model.Trace` (whose columns are read-only, so the
+  digest cannot go stale; the trace *name* is deliberately excluded:
+  identical content keys identically).  A trace the trace cache loads
+  carries the digest its archive stored, so keying it reads no column;
 * the **provider** — same structural fingerprint (``None`` keys as its own
   distinct value);
 * ``warmup_branches`` and the resolved **engine name** (engines are
@@ -77,7 +79,7 @@ import numpy as np
 
 from repro.obs import NullTelemetry, get_telemetry
 from repro.sim.metrics import SimulationResult
-from repro.traces.model import Trace
+from repro.traces.model import Trace, content_digest
 
 __all__ = ["CACHE_ENV_VAR", "CACHE_DIR_ENV_VAR", "UncacheableError",
            "cache_enabled", "cache_dir", "result_key", "load", "store"]
@@ -155,15 +157,9 @@ fingerprints: attaching (or detaching) an observability sink never changes
 what a simulation computes, so it may not change a cache key."""
 
 
-def _content_digest(trace: Trace) -> bytes:
-    """Content hash of the four trace columns (memoised on the trace by
-    :func:`result_key`)."""
-    hasher = hashlib.sha256()
-    for column in (trace.starts, trace.num_instructions, trace.kinds,
-                   trace.takens):
-        hasher.update(str(column.dtype).encode())
-        hasher.update(np.ascontiguousarray(column).tobytes())
-    return hasher.digest()
+_content_digest = content_digest
+"""The trace digest :func:`result_key` reads from the trace's memo, where
+an archive-loaded trace already holds it."""
 
 
 _UNIFORM_CHUNK = 1 << 16

@@ -1,18 +1,35 @@
 """Trace serialisation and on-disk caching.
 
-Traces are stored as compressed ``.npz`` files (one array per
-:class:`~repro.traces.model.Trace` field).  Synthetic workload generation is
-deterministic but not free, so :class:`TraceCache` memoises generated traces
-on disk keyed by ``(name, version, parameters digest)`` and salted with a
-digest of the generator's sources (:data:`GENERATOR_SOURCES`); experiments
-and benches share one cache directory and regenerate only on a key miss.
+Traces are stored as uncompressed ``.npz`` archives (format version 2):
+the trace's name, its content digest (:func:`~repro.traces.model.
+content_digest`, the value the result cache keys it by), ``starts``
+(``uint32`` when every address fits), ``num_instructions``, ``kinds``,
+``takens`` and the final block's target.  ``next_starts`` is stored only
+when it is not ``starts[1:]`` followed by that target, as it is for every
+generated trace.  An archive is written to a temporary file and renamed
+into place, so a reader never sees a torn one.
+
+:func:`load_trace` reads only the format version, the name and the digest,
+and returns a trace whose columns load on first use (:meth:`~repro.traces.
+model.Trace.deferred`); keying a loaded trace reads no column.  The first
+column access reads every column from the archive it opened, rebuilds
+``next_starts`` when it was left out, and checks the columns against the
+stored digest.
+
+Synthetic workload generation is deterministic but not free, so
+:class:`TraceCache` memoises generated traces on disk keyed by
+``(name, version, parameters digest)`` and salted with a digest of the
+generator's sources (:data:`GENERATOR_SOURCES`); experiments and benches
+share one cache directory and regenerate only on a key miss.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import threading
 import time
 import zipfile
 from pathlib import Path
@@ -21,51 +38,139 @@ from typing import Callable
 import numpy as np
 
 from repro.obs import get_telemetry
-from repro.traces.model import Trace
+from repro.traces.model import TRACE_COLUMNS, Trace, content_digest
 
-__all__ = ["TRACE_COLUMNS", "GENERATOR_SOURCES", "trace_columns",
-           "save_trace", "load_trace", "TraceCache", "default_cache_dir"]
+__all__ = ["TRACE_COLUMNS", "GENERATOR_SOURCES", "save_trace", "load_trace",
+           "TraceCache", "default_cache_dir"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+"""The archive format :func:`save_trace` writes and :func:`load_trace`
+accepts.  It is checked inside the archive, not named in its file name:
+the cache drops an archive of another version and regenerates it."""
 
-TRACE_COLUMNS = ("starts", "num_instructions", "kinds", "takens",
-                 "next_starts")
-"""The trace's array fields in canonical serialization order (the
-``.npz`` writer's archive members)."""
+_KEY_SCHEME = 1
+"""The version in every :class:`TraceCache` archive name (``gcc-v1-...``):
+that of the ``(name, parameters)`` key, which the archive format leaves
+alone."""
 
+_ARCHIVE_ERRORS = (ValueError, OSError, KeyError, zipfile.BadZipFile)
+"""What reading a corrupt archive raises.  A truncated or garbage archive
+surfaces as ``BadZipFile`` from ``np.load``'s zipfile layer (a failed CRC
+too), not as one of numpy's own errors."""
 
-def trace_columns(trace: Trace) -> list[tuple[str, np.ndarray]]:
-    """``(name, column)`` pairs in :data:`TRACE_COLUMNS` order."""
-    return [(name, getattr(trace, name)) for name in TRACE_COLUMNS]
+_MEMBERS = frozenset({"format_version", "name", "digest", "starts",
+                      "num_instructions", "kinds", "takens", "final_target"})
 
 
 def save_trace(trace: Trace, path: str | os.PathLike) -> None:
-    """Write a trace to ``path`` as a compressed ``.npz`` archive."""
+    """Write a trace to ``path`` as an uncompressed ``.npz`` archive.
+
+    The archive is written to a temporary file in the same directory and
+    renamed into place: ``path`` holds a whole archive or none, and a
+    failed write leaves no temporary file behind.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
-        path,
-        format_version=np.array([_FORMAT_VERSION]),
-        name=np.array([trace.name]),
-        **dict(trace_columns(trace)),
-    )
+    starts, next_starts = trace.starts, trace.next_starts
+    members = {
+        "format_version": np.array([_FORMAT_VERSION]),
+        "name": np.array([trace.name]),
+        "digest": np.frombuffer(
+            trace.derived("content_digest", content_digest), np.uint8),
+        "starts": (starts.astype(np.uint32)
+                   if not len(starts) or starts.max() <= 0xFFFF_FFFF
+                   else starts),
+        "num_instructions": trace.num_instructions,
+        "kinds": trace.kinds,
+        "takens": trace.takens,
+        "final_target": next_starts[-1:],
+    }
+    if not np.array_equal(next_starts[:-1], starts[1:]):
+        members["next_starts"] = next_starts
+    temporary = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(temporary, "wb") as file:
+            np.savez(file, **members)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
-def load_trace(path: str | os.PathLike) -> Trace:
-    """Load a trace previously written by :func:`save_trace`."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"][0])
+def load_trace(path: str | os.PathLike,
+               regenerate: Callable[[], Trace] | None = None) -> Trace:
+    """Open a trace previously written by :func:`save_trace`.
+
+    Reads the format version, the name and the content digest now, and
+    returns a trace that holds the digest and reads its columns on first
+    use, from the archive opened here (the path is never re-opened, so an
+    archive renamed over it in between is never mixed in).  When a column
+    then fails to read or disagrees with the digest, the columns come from
+    ``regenerate()`` instead, which must reproduce the digest; without
+    ``regenerate`` that access raises ``ValueError``.
+    """
+    archive = np.load(path, allow_pickle=False)
+    try:
+        version = int(archive["format_version"][0])
         if version != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported trace format version {version} in {path}")
-        return Trace(
-            str(data["name"][0]),
-            data["starts"],
-            data["num_instructions"],
-            data["kinds"],
-            data["takens"],
-            data["next_starts"],
-        )
+        missing = _MEMBERS.difference(archive.files)
+        if missing:
+            raise ValueError(f"trace archive {path} lacks {sorted(missing)}")
+        name = str(archive["name"][0])
+        digest = archive["digest"].tobytes()
+        if len(digest) != hashlib.sha256().digest_size:
+            raise ValueError(f"trace archive {path} has a malformed digest")
+    except BaseException:
+        archive.close()
+        raise
+    return Trace.deferred(
+        name, functools.partial(_load_columns, archive, path, digest,
+                                regenerate),
+        {"content_digest": digest})
+
+
+def _read_columns(archive) -> Trace:
+    """The trace an open version-2 archive holds, every column read."""
+    starts = archive["starts"].astype(np.uint64, copy=False)
+    if "next_starts" in archive.files:
+        next_starts = archive["next_starts"]
+    else:
+        next_starts = np.empty_like(starts)
+        next_starts[:-1] = starts[1:]
+        next_starts[-1:] = archive["final_target"]
+    return Trace(str(archive["name"][0]), starts, archive["num_instructions"],
+                 archive["kinds"], archive["takens"], next_starts)
+
+
+def _load_columns(archive, path, digest: bytes,
+                  regenerate: Callable[[], Trace] | None) -> Trace:
+    """A deferred trace's columns: read from ``archive`` and checked
+    against ``digest``, or else regenerated and checked again.
+
+    The archive is closed once the columns are settled; a load that raises
+    keeps it open, so a retry fails the same way.
+    """
+    try:
+        trace = _read_columns(archive)
+        if content_digest(trace) == digest:
+            archive.close()
+            return trace
+        problem = "its columns do not match its digest"
+    except _ARCHIVE_ERRORS as error:
+        problem = f"a column failed to read ({error})"
+    if regenerate is None:
+        raise ValueError(f"trace archive {path} is corrupt: {problem}")
+    trace = regenerate()
+    if content_digest(trace) != digest:
+        raise RuntimeError(
+            f"trace archive {path} was corrupt ({problem}), and the "
+            "regenerated trace does not match the digest the archive "
+            "stored, which may already key cached results")
+    archive.close()
+    return trace
 
 
 GENERATOR_SOURCES = ("workloads", "traces/model.py", "common/rng.py")
@@ -118,7 +223,7 @@ class TraceCache:
     def _key(self, name: str, parameters: dict) -> str:
         canonical = json.dumps(parameters, sort_keys=True, default=str)
         digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
-        return f"{name}-v{_FORMAT_VERSION}-{digest}"
+        return f"{name}-v{_KEY_SCHEME}-{digest}"
 
     def get_or_generate(self, name: str, parameters: dict,
                         generate: Callable[[], Trace]) -> Trace:
@@ -126,11 +231,17 @@ class TraceCache:
         persisting it on first use.  An in-memory layer avoids re-reading the
         archive within a process.
 
+        A trace loaded from disk reads its columns on first use
+        (:func:`load_trace`); a column that then fails to read, or disagrees
+        with the archive's digest, is regenerated by ``generate`` and the
+        archive rewritten.
+
         The sink active at the lookup records which of four outcomes it was:
         ``trace_cache.memory_hits``, ``trace_cache.disk_hits``,
         ``trace_cache.cold_misses`` (no archive — generated and stored) and
         ``trace_cache.corrupt_regenerated`` (archive present but unreadable
-        — dropped, regenerated, rewritten); generation wall time lands in
+        — dropped, regenerated, rewritten; the sink active at the first
+        column access counts one found then); generation wall time lands in
         the ``trace_cache.generate_seconds`` histogram.
         """
         sink = get_telemetry()
@@ -144,14 +255,12 @@ class TraceCache:
         corrupt = False
         if path.exists():
             try:
-                trace = load_trace(path)
+                trace = load_trace(path, functools.partial(
+                    _regenerate, generate, path))
                 if sink.enabled:
                     sink.count("trace_cache.disk_hits")
-            except (ValueError, OSError, KeyError, zipfile.BadZipFile):
-                # Corrupt/stale cache entry: drop it and regenerate.  A
-                # truncated or garbage archive surfaces as BadZipFile from
-                # np.load's zipfile layer, not as one of numpy's own errors.
-                trace = None
+            except _ARCHIVE_ERRORS:
+                # Corrupt/stale cache entry: drop it and regenerate.
                 corrupt = True
                 try:
                     path.unlink()
@@ -161,18 +270,33 @@ class TraceCache:
             if sink.enabled:
                 sink.count("trace_cache.corrupt_regenerated" if corrupt
                            else "trace_cache.cold_misses")
-            started = time.perf_counter()
-            trace = generate()
-            if sink.enabled:
-                sink.observe("trace_cache.generate_seconds",
-                             time.perf_counter() - started)
-            try:
-                save_trace(trace, path)
-            except OSError:
-                pass  # Read-only filesystem: still return the trace.
+            trace = _generate(generate, path)
         self._memory[key] = trace
         return trace
 
     def clear_memory(self) -> None:
         """Drop the in-process layer (disk entries are kept)."""
         self._memory.clear()
+
+
+def _generate(generate: Callable[[], Trace], path: Path) -> Trace:
+    """``generate()``, timed, and stored at ``path`` when it can be."""
+    sink = get_telemetry()
+    started = time.perf_counter()
+    trace = generate()
+    if sink.enabled:
+        sink.observe("trace_cache.generate_seconds",
+                     time.perf_counter() - started)
+    try:
+        save_trace(trace, path)
+    except OSError:
+        pass  # Read-only filesystem: still return the trace.
+    return trace
+
+
+def _regenerate(generate: Callable[[], Trace], path: Path) -> Trace:
+    """A loaded archive's replacement, once its columns proved corrupt."""
+    sink = get_telemetry()
+    if sink.enabled:
+        sink.count("trace_cache.corrupt_regenerated")
+    return _generate(generate, path)

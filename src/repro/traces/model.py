@@ -16,11 +16,14 @@ the bits the EV8 "unshuffle" stage permutes (Section 7.1).
 A :class:`Trace` stores the block stream as parallel read-only numpy arrays
 and holds the one memo of everything derived from them
 (:meth:`Trace.derived`): fetch blocks, their columnar geometry, statistics,
-materialized information vectors and the content digest.
+materialized information vectors and the content digest
+(:func:`content_digest`).  A trace loaded from a cache archive
+(:meth:`Trace.deferred`) reads its columns only when one is first used.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -34,6 +37,8 @@ __all__ = [
     "BlockExecution",
     "Trace",
     "TraceBuilder",
+    "TRACE_COLUMNS",
+    "content_digest",
 ]
 
 INSTRUCTION_BYTES = 4
@@ -67,6 +72,10 @@ class TerminatorKind(IntEnum):
 
 
 _KINDS = frozenset(int(kind) for kind in TerminatorKind)
+
+TRACE_COLUMNS = ("starts", "num_instructions", "kinds", "takens",
+                 "next_starts")
+"""The trace's array fields, in constructor order."""
 
 
 def count_error(count: int) -> ValueError:
@@ -150,8 +159,8 @@ class Trace:
     alone: it arrives read-only, with nothing derived yet.
     """
 
-    __slots__ = ("name", "starts", "num_instructions", "kinds", "takens",
-                 "next_starts", "_derived", "_derive_lock")
+    __slots__ = ("name", *TRACE_COLUMNS, "_pending", "_derived", "_locks",
+                 "_locks_guard")
 
     def __init__(self, name: str, starts: np.ndarray, num_instructions: np.ndarray,
                  kinds: np.ndarray, takens: np.ndarray,
@@ -160,24 +169,60 @@ class Trace:
                    len(next_starts)}
         if len(lengths) != 1:
             raise ValueError(f"trace arrays have mismatched lengths: {lengths}")
-        self.name = name
-        self.starts = _read_only(np.asarray(starts, dtype=np.uint64))
-        self.num_instructions = _read_only(_checked(
-            num_instructions, np.uint16, 1, MAX_BLOCK_INSTRUCTIONS,
-            count_error))
-        self.kinds = _read_only(_checked(kinds, np.uint8, min(_KINDS),
-                                         max(_KINDS), _kind_error))
-        self.takens = _read_only(np.asarray(takens, dtype=np.bool_))
-        self.next_starts = _read_only(np.asarray(next_starts,
-                                                 dtype=np.uint64))
-        self._derived: dict = {}
-        self._derive_lock = threading.RLock()
+        columns = (
+            np.asarray(starts, dtype=np.uint64),
+            _checked(num_instructions, np.uint16, 1, MAX_BLOCK_INSTRUCTIONS,
+                     count_error),
+            _checked(kinds, np.uint8, min(_KINDS), max(_KINDS), _kind_error),
+            np.asarray(takens, dtype=np.bool_),
+            np.asarray(next_starts, dtype=np.uint64),
+        )
+        self._init(name, None)
+        self._adopt(map(_read_only, columns))
+
+    @classmethod
+    def deferred(cls, name: str, load, derived: dict) -> "Trace":
+        """A trace whose columns are those of ``load()`` (a :class:`Trace`
+        with the same content), called on the first access to any column;
+        ``derived`` seeds its memo, so what it holds needs no column.
+
+        Threads that share the trace load it once.  A ``load`` that raises
+        leaves the trace unloaded, and the next access calls it again.
+        """
+        trace = cls.__new__(cls)
+        trace._init(name, (load, threading.Lock()))
+        trace._derived.update(derived)
+        return trace
+
+    def _init(self, name: str, pending) -> None:
+        for attribute, value in (("name", name), ("_pending", pending),
+                                 ("_derived", {}), ("_locks", {}),
+                                 ("_locks_guard", threading.Lock())):
+            object.__setattr__(self, attribute, value)
+
+    def _adopt(self, columns) -> None:
+        for attribute, column in zip(TRACE_COLUMNS, columns, strict=True):
+            object.__setattr__(self, attribute, column)
+
+    def __getattr__(self, attribute: str):
+        # Reached only for a slot not yet set: a deferred trace's columns.
+        if attribute not in TRACE_COLUMNS:
+            raise AttributeError(
+                f"'Trace' object has no attribute {attribute!r}")
+        pending = self._pending  # once: another thread may clear it
+        if pending is not None:
+            load, lock = pending
+            with lock:
+                if self._pending is not None:
+                    loaded = load()
+                    self._adopt(getattr(loaded, column)
+                                for column in TRACE_COLUMNS)
+                    object.__setattr__(self, "_pending", None)
+        return object.__getattribute__(self, attribute)
 
     def __setattr__(self, name: str, value) -> None:
-        if hasattr(self, name):  # set once, in __init__
-            raise AttributeError(f"Trace.{name} cannot be rebound: build a "
-                                 "new Trace instead")
-        object.__setattr__(self, name, value)
+        raise AttributeError(f"Trace.{name} cannot be rebound: build a "
+                             "new Trace instead")
 
     def __reduce__(self):
         return (Trace, (self.name, self.starts, self.num_instructions,
@@ -194,14 +239,17 @@ class Trace:
         an attribute, is marked read-only.
 
         Threads that share the trace compute each key once: a miss takes
-        the trace's lock, which is re-entrant because ``compute`` may
-        request other keys (``materialize`` asks for ``block_geometry``).
-        A hit takes no lock.
+        that key's lock, so misses on different keys run at once.  The lock
+        is re-entrant, and ``compute`` may request other keys
+        (``materialize`` asks for ``block_geometry``) as long as no two
+        keys' computes request each other.  A hit takes no lock.
         """
         value = self._derived.get(key)
         if value is not None or compute is None:
             return value
-        with self._derive_lock:
+        with self._locks_guard:
+            lock = self._locks.setdefault(key, threading.RLock())
+        with lock:
             value = self._derived.get(key)
             if value is None:
                 value = compute(self)
@@ -272,6 +320,20 @@ class Trace:
         return (f"Trace({self.name!r}, blocks={len(self)}, "
                 f"instructions={self.instruction_count}, "
                 f"cond_branches={self.conditional_count})")
+
+
+def content_digest(trace: Trace) -> bytes:
+    """SHA-256 of a trace's content: the dtype name and the bytes of
+    ``starts``, ``num_instructions``, ``kinds`` and ``takens``, in that
+    order.  ``next_starts`` and the name are left out, so identical
+    content digests identically.  The result cache keys traces by
+    it and trace archives store it (memoised as ``"content_digest"``)."""
+    hasher = hashlib.sha256()
+    for column in (trace.starts, trace.num_instructions, trace.kinds,
+                   trace.takens):
+        hasher.update(str(column.dtype).encode())
+        hasher.update(np.ascontiguousarray(column))
+    return hasher.digest()
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Tests for the trace model."""
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -206,6 +207,35 @@ class TestDerivedMemo:
         assert calls == [trace]
         assert not first[0].flags.writeable
         assert trace.derived("absent") is None
+
+    def test_different_keys_compute_at_once(self):
+        # Each compute waits for the other to start: under one lock per
+        # trace the first would time out before the second could start.
+        trace = build_demo()
+        started = {"a": threading.Event(), "b": threading.Event()}
+        results = {}
+
+        def request(key, other):
+            def compute(_):
+                started[key].set()
+                return started[other].wait(timeout=5)
+            results[key] = trace.derived(key, compute)
+
+        threads = [threading.Thread(target=request, args=pair)
+                   for pair in (("a", "b"), ("b", "a"))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert results == {"a": True, "b": True}
+
+    def test_a_compute_may_request_other_keys(self):
+        trace = build_demo()
+        outer = trace.derived(
+            "outer", lambda of: ("outer", of.derived("inner",
+                                                     lambda _: "inner")))
+        assert outer == ("outer", "inner")
+        assert trace.derived("inner") == "inner"
 
     def test_pickle_never_ships_derived_values(self):
         trace = simple_loop_trace(300, taken_pattern=(True, False))
