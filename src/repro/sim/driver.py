@@ -80,16 +80,16 @@ def simulate(predictor: Predictor, trace: Trace,
     key = (cache_key(predictor, trace, provider, warmup_branches, resolved)
            if use_cache else None)
     if key is not None:
-        cached = load_hit(key, predictor, trace, sink)
+        cached = load_hit(key, predictor.name, trace, sink)
         if cached is not None:
             return cached
     return run_and_store(predictor, trace, provider, warmup_branches,
                          resolved, key, sink)
 
 
-# The steps of a cached simulation (key, load, run and store), shared with
-# the cell runner (:func:`repro.sim.sweep.run_cells`), which keys and loads
-# on its calling thread and runs only the misses on its pool.
+# The steps of a cached simulation (key, load, run and store).  The cell
+# runner (:func:`repro.sim.sweep.run_cells`) shares load and store, keys
+# from fingerprints it takes once per factory, and runs only the misses.
 
 
 def cache_key(predictor: Predictor, trace: Trace,
@@ -115,13 +115,13 @@ def as_hit(result: SimulationResult, predictor_name: str, trace_name: str,
                    telemetry=sink.snapshot() if sink.enabled else None)
 
 
-def load_hit(key: str, predictor: Predictor, trace: Trace,
+def load_hit(key: str, predictor_name: str, trace: Trace,
              sink: NullTelemetry) -> SimulationResult | None:
     """The stored result for ``key`` as a hit, or ``None`` on a miss."""
     cached = result_cache.load(key, telemetry=sink)
     if cached is None:
         return None
-    return as_hit(cached, predictor.name, trace.name, sink)
+    return as_hit(cached, predictor_name, trace.name, sink)
 
 
 def run_and_store(predictor: Predictor, trace: Trace,

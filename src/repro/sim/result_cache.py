@@ -9,7 +9,8 @@ JSON file, so repeated experiment invocations skip simulation entirely.
 
 Key scheme
 ----------
-``result_key`` feeds one SHA-256 with:
+``result_key`` feeds one SHA-256 with four 32-byte digests, then the
+warmup and the engine name:
 
 * the **simulator code** — a digest of the semantics-bearing sources
   (``predictors/``, ``common/``, ``history/``, ``indexing/``, ``ev8/``,
@@ -19,27 +20,37 @@ Key scheme
   ``kernels/replay.c`` holds the trace-side materialization walks as well
   as the replay kernels, so an edit to either re-keys every cached result
   once: the first run after it re-simulates;
-* the **predictor** — structural fingerprint of the live object: type
-  name plus every attribute, recursively (table sizes, history lengths,
-  update policy, index-scheme parameters, and the counter tables, so
-  ``init_taken`` variants key differently), except its own display
-  ``name``.  No predictor reads its ``name`` while predicting or
-  training, so a configuration a figure reuses under a new label is the
-  same simulation and hits; a hit reports the live predictor's name.  The
-  ``name`` of an object the predictor holds (a cascade's components)
-  still keys;
+* the **predictor** — :func:`predictor_fingerprint`, a SHA-256 of the
+  structural walk of the live object: type name plus every attribute,
+  recursively (table sizes, history lengths, update policy, index-scheme
+  parameters, and the counter tables, so ``init_taken`` variants key
+  differently), except its own display ``name``.  No predictor reads its
+  ``name`` while predicting or training, so a configuration a figure
+  reuses under a new label is the same simulation and hits; a hit reports
+  the live predictor's name.  The ``name`` of an object the predictor
+  holds (a cascade's components) still keys;
 * the **trace content** — :func:`~repro.traces.model.content_digest`,
   the four trace columns hashed once and memoised on the
   :class:`~repro.traces.model.Trace` (whose columns are read-only, so the
   digest cannot go stale; the trace *name* is deliberately excluded:
   identical content keys identically).  A trace the trace cache loads
   carries the digest its archive stored, so keying it reads no column;
-* the **provider** — same structural fingerprint (``None`` keys as its own
-  distinct value);
+* the **provider** — :func:`fingerprint`, the same walk (``None`` keys
+  as its own distinct value);
 * ``warmup_branches`` and the resolved **engine name** (engines are
   count-equivalent by contract, but keying them separately keeps the cache
   honest if that contract is ever violated and keeps each stored
   ``wall_seconds`` attributable to the engine that spent it).
+
+``result_key`` takes the live predictor and provider, or either as its
+precomputed :class:`Fingerprint`: the two give the same key.  The cell
+runner (:func:`repro.sim.sweep.run_cells`) fingerprints each distinct
+predictor and provider factory once per call, on one object it builds,
+and keys every cell of that factory from the stored fingerprints, so a
+grid of C configurations over T traces walks C predictors, not C x T.
+That memo lives only for the call, and it relies on the factory contract
+:class:`repro.sim.sweep.Cell` states: a factory returns an equal fresh
+object on every call.
 
 Buffers (``bytes``/``bytearray``, numpy arrays and scalars, ``array.array``,
 ``memoryview``) key by element type plus content; a uniform buffer (every
@@ -82,7 +93,8 @@ from repro.sim.metrics import SimulationResult
 from repro.traces.model import Trace, content_digest
 
 __all__ = ["CACHE_ENV_VAR", "CACHE_DIR_ENV_VAR", "UncacheableError",
-           "cache_enabled", "cache_dir", "result_key", "load", "store"]
+           "Fingerprint", "cache_enabled", "cache_dir", "fingerprint",
+           "predictor_fingerprint", "result_key", "load", "store"]
 
 CACHE_ENV_VAR = "REPRO_RESULT_CACHE"
 CACHE_DIR_ENV_VAR = "REPRO_RESULT_CACHE_DIR"
@@ -298,22 +310,55 @@ def _update(hasher, value, memo: dict[int, int],
             _update(hasher, attrs[name], memo)
 
 
+class Fingerprint(bytes):
+    """The digest :func:`fingerprint` computed for one object.
+
+    :func:`result_key` takes one in place of the live predictor or
+    provider, so a grid walks each factory's object once and keys every
+    cell of it from the stored digest."""
+
+
+def fingerprint(value, skipped: frozenset[str] = _TELEMETRY_ATTRS
+                ) -> Fingerprint:
+    """SHA-256 of ``value``'s structural walk, leaving out the attributes
+    ``skipped`` names (of ``value`` only, never of the objects it holds).
+
+    Raises :class:`UncacheableError` when the walk meets a value it cannot
+    fingerprint deterministically.
+    """
+    hasher = hashlib.sha256()
+    _update(hasher, value, {}, skipped)
+    return Fingerprint(hasher.digest())
+
+
+def predictor_fingerprint(predictor) -> Fingerprint:
+    """The :func:`fingerprint` of ``predictor`` without its display
+    ``name``, which no predictor reads while it simulates."""
+    return fingerprint(predictor, _TELEMETRY_ATTRS | {"name"})
+
+
 def result_key(predictor, trace: Trace, provider, warmup_branches: int,
                engine_name: str) -> str:
     """The content-addressed cache key for one simulation's inputs.
 
-    Raises :class:`UncacheableError` when any input resists deterministic
-    fingerprinting; callers should then skip the cache for that run.
+    ``predictor`` and ``provider`` are the live objects about to be
+    simulated, or each its :class:`Fingerprint` (of the predictor, from
+    :func:`predictor_fingerprint`).  Raises :class:`UncacheableError`
+    when a live input resists deterministic fingerprinting; callers
+    should then skip the cache for that run.
     """
+    if not isinstance(predictor, Fingerprint):
+        predictor = predictor_fingerprint(predictor)
+    if not isinstance(provider, Fingerprint):
+        provider = fingerprint(provider)
     hasher = hashlib.sha256()
-    memo: dict[int, int] = {}
     hasher.update(b"repro-result\x00" + _source_digest())
-    _update(hasher, predictor, memo, _TELEMETRY_ATTRS | {"name"})
-    hasher.update(b"\x00trace")
-    hasher.update(trace.derived("content_digest", _content_digest))
-    _update(hasher, provider, memo)
-    _update(hasher, int(warmup_branches), memo)
-    _update(hasher, engine_name, memo)
+    hasher.update(b"\x00predictor" + predictor)
+    hasher.update(b"\x00trace"
+                  + trace.derived("content_digest", _content_digest))
+    hasher.update(b"\x00provider" + provider)
+    hasher.update(b"\x00warmup" + str(int(warmup_branches)).encode())
+    hasher.update(b"\x00engine" + engine_name.encode())
     return hasher.hexdigest()
 
 

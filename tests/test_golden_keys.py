@@ -16,7 +16,10 @@ Regenerate after an *intentional* change to the key scheme with::
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 from repro.ev8.predictor import EV8BranchPredictor
 from repro.experiments import fig9
@@ -89,12 +92,32 @@ def _keys() -> dict:
             "keys": keys}
 
 
-def test_result_keys_match_the_golden_keys():
+SHARED = ({"fig5/2Bc-gskew-512Kb", "fig9/4x64K ghist"},
+          {"fig9/EV8", "table1/EV8 info vector"})
+"""The labels that name one simulation: each set shares one key, and
+every label outside them has a key of its own."""
+
+
+@pytest.fixture(scope="module")
+def keys():
+    return _keys()
+
+
+def test_result_keys_match_the_golden_keys(keys):
     expected = json.loads(FIXTURE.read_text())
-    actual = _keys()
     # A different trace would change every key; say so first.
-    assert actual["trace_digest"] == expected["trace_digest"]
-    assert actual == expected
+    assert keys["trace_digest"] == expected["trace_digest"]
+    assert keys == expected
+
+
+def test_keys_share_exactly_the_expected_simulations(keys):
+    # A re-keying that splits a shared simulation, or merges two distinct
+    # ones, changes these classes even when the fixture is regenerated.
+    classes = defaultdict(set)
+    for label, key in keys["keys"].items():
+        classes[key].add(label)
+    shared = [labels for labels in classes.values() if len(labels) > 1]
+    assert sorted(map(sorted, shared)) == sorted(map(sorted, SHARED))
 
 
 if __name__ == "__main__":

@@ -94,6 +94,17 @@ class TestResultKey:
         other_trace = simple_loop_trace(400)  # different outcome pattern
         assert result_key(_gshare(), other_trace, None, 0, "batched") != base
 
+    def test_fingerprints_key_as_the_live_objects(self, trace):
+        live = result_key(_gshare(), trace, BranchGhistProvider(), 0,
+                          "batched")
+        assert result_key(result_cache.predictor_fingerprint(_gshare()),
+                          trace,
+                          result_cache.fingerprint(BranchGhistProvider()),
+                          0, "batched") == live
+        assert result_key(_gshare(), trace, result_cache.fingerprint(None),
+                          0, "batched") \
+            == result_key(_gshare(), trace, None, 0, "batched")
+
     def test_discriminates_provider_configuration(self, trace):
         aged = result_key(_gshare(), trace,
                           BlockLghistProvider(delay_blocks=3), 0, "scalar")
@@ -299,6 +310,9 @@ class TestResultKey:
             def update(self, data):
                 fed.append(len(data))
                 self._hasher.update(data)
+
+            def digest(self):
+                return self._hasher.digest()
 
             def hexdigest(self):
                 return self._hasher.hexdigest()

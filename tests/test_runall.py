@@ -1,5 +1,6 @@
 """Smoke test for the consolidated report generator."""
 
+import importlib
 import json
 import os
 import re
@@ -9,8 +10,11 @@ import pytest
 from repro.experiments.common import experiment_traces
 from repro.experiments.runall import run_all
 from repro.obs import Telemetry
-from repro.sim import compare
+from repro.sim import compare, result_cache
 from repro.workloads import spec95
+
+# ``repro.sim.sweep`` the attribute is the function, so import the module.
+sweep_module = importlib.import_module("repro.sim.sweep")
 
 
 def _without_timings(report: str) -> list[str]:
@@ -104,3 +108,35 @@ def test_threaded_grids_report_what_serial_grids_report(tmp_path,
         return {path: record["count"] for path, record in sink.spans.items()}
 
     assert span_counts(threaded) == span_counts(serial)
+
+
+@pytest.mark.slow
+def test_every_factory_runall_hands_the_planner_is_deterministic(
+        tmp_path, monkeypatch):
+    # ``run_cells`` fingerprints each factory once and keys all its cells
+    # from that one object, which holds only if a factory returns an equal
+    # fresh object on every call (the ``Cell`` contract).  Check it
+    # against every factory the report's grids use.
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    factories = {}
+    real_run_cells = sweep_module.run_cells
+
+    def spy(cells, *args, **kwargs):
+        for cell in cells:
+            factories[id(cell.make_predictor)] = (
+                cell.make_predictor, result_cache.predictor_fingerprint)
+            if cell.make_provider is not None:
+                factories[id(cell.make_provider)] = (
+                    cell.make_provider, result_cache.fingerprint)
+        return real_run_cells(cells, *args, **kwargs)
+
+    monkeypatch.setattr(compare, "run_cells", spy)
+    monkeypatch.setattr(sweep_module, "run_cells", spy)
+    run_all(num_branches=4000, use_cache=False)
+    assert factories
+    for make, fingerprint in factories.values():
+        first, second = make(), make()
+        assert first is not second
+        assert fingerprint(first) == fingerprint(second), make
+        assert getattr(first, "name", None) == getattr(second, "name",
+                                                       None), make

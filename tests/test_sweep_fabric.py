@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -313,6 +314,66 @@ class TestGridPlanner:
                                             wall_seconds=0.0)
                         for result in cold]
         assert sink.counters == {"result_cache.hits": len(cells)}
+
+    def test_a_warm_grid_calls_each_factory_once_and_simulates_nothing(
+            self, tmp_path, monkeypatch):
+        # C configurations x T traces: a cold grid builds each predictor
+        # once per simulated cell (the build that fingerprinted a factory
+        # is the one its first cell simulates), and a warm grid calls each
+        # factory once, to fingerprint it, on one worker or two.
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+        calls = Counter()
+
+        def counted(label, make):
+            def factory():
+                calls[label] += 1
+                return make()
+            return factory
+
+        values, traces = [4, 6, 8], fresh_traces()
+        factories = [counted(value, functools.partial(history_predictor,
+                                                      value))
+                     for value in values]
+        make_provider = counted("provider", ev8_info_provider)
+        cells = [Cell(factory, make_provider, trace)
+                 for trace in traces.values() for factory in factories]
+        cold = run_cells(cells, engine="batched", use_cache=True, workers=1)
+        assert calls == {**dict.fromkeys(values, len(traces)),
+                         "provider": len(cells)}
+        for workers in (1, 2):
+            calls.clear()
+            sink = Telemetry()
+            warm = run_cells(cells, engine="batched", use_cache=True,
+                             telemetry=sink, workers=workers)
+            assert calls == {**dict.fromkeys(values, 1), "provider": 1}
+            assert sink.counters == {"result_cache.hits": len(cells)}
+            assert warm == [dataclasses.replace(result, cache="hit",
+                                                wall_seconds=0.0)
+                            for result in cold]
+
+    def test_an_unfingerprintable_factory_runs_its_cells_unkeyed(
+            self, tmp_path, monkeypatch):
+        # Its object holds a callable: the factory's first cell simulates
+        # the object built to fingerprint it, every cell once, uncached.
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+        built = []
+
+        def factory():
+            predictor = history_predictor(4)
+            predictor.hook = lambda: None
+            built.append(predictor)
+            return predictor
+
+        traces = fresh_traces(1_000)
+        cells = [Cell(factory, ev8_info_provider, trace)
+                 for trace in traces.values()]
+        for workers in (1, 2):
+            built.clear()
+            results = run_cells(cells, engine="batched", use_cache=True,
+                                workers=workers)
+            assert [result.cache for result in results] == ["off"] * 2
+            assert len(built) == len(cells)
+        assert not list(tmp_path.iterdir())
 
     def test_scheduler_counts_only_the_cells_a_pool_ran(self, tmp_path,
                                                         monkeypatch):
