@@ -79,17 +79,19 @@ def simulate(predictor: Predictor, trace: Trace,
         use_cache = result_cache.cache_enabled()
     key = (cache_key(predictor, trace, provider, warmup_branches, resolved)
            if use_cache else None)
+    log = result_cache.LogSnapshot()
     if key is not None:
-        cached = load_hit(key, predictor.name, trace, sink)
+        cached = load_hit(key, predictor.name, trace, sink, log)
         if cached is not None:
             return cached
     return run_and_store(predictor, trace, provider, warmup_branches,
-                         resolved, key, sink)
+                         resolved, key, sink, log)
 
 
 # The steps of a cached simulation (key, load, run and store).  The cell
 # runner (:func:`repro.sim.sweep.run_cells`) shares load and store, keys
-# from fingerprints it takes once per factory, and runs only the misses.
+# from fingerprints it takes once per factory, reads the result log once
+# per grid, and runs only the misses.
 
 
 def cache_key(predictor: Predictor, trace: Trace,
@@ -116,9 +118,11 @@ def as_hit(result: SimulationResult, predictor_name: str, trace_name: str,
 
 
 def load_hit(key: str, predictor_name: str, trace: Trace,
-             sink: NullTelemetry) -> SimulationResult | None:
-    """The stored result for ``key`` as a hit, or ``None`` on a miss."""
-    cached = result_cache.load(key, telemetry=sink)
+             sink: NullTelemetry, log: result_cache.LogSnapshot,
+             ) -> SimulationResult | None:
+    """The stored result for ``key`` in the grid's ``log`` as a hit, or
+    ``None`` on a miss."""
+    cached = result_cache.load(key, telemetry=sink, log=log)
     if cached is None:
         return None
     return as_hit(cached, predictor_name, trace.name, sink)
@@ -127,9 +131,11 @@ def load_hit(key: str, predictor_name: str, trace: Trace,
 def run_and_store(predictor: Predictor, trace: Trace,
                   provider: HistoryProvider | None, warmup_branches: int,
                   engine: SimulationEngine, key: str | None,
-                  sink: NullTelemetry) -> SimulationResult:
+                  sink: NullTelemetry,
+                  log: result_cache.LogSnapshot | None = None,
+                  ) -> SimulationResult:
     """Run one simulation; with a ``key``, as a cache miss whose result is
-    stored under it."""
+    stored under it (a failed store warns once per grid ``log``)."""
     if key is None:
         return engine.run(predictor, trace, provider, warmup_branches,
                           telemetry=sink)
@@ -140,7 +146,7 @@ def run_and_store(predictor: Predictor, trace: Trace,
     if sink.enabled:
         sink.observe("result_cache.miss_seconds",
                      time.perf_counter() - started)
-    result_cache.store(key, result, telemetry=sink)
+    result_cache.store(key, result, telemetry=sink, log=log)
     if sink.enabled:
         result = replace(result, telemetry=sink.snapshot())
     return result

@@ -4,8 +4,9 @@ A simulation's counts are a pure function of (simulator code, predictor
 configuration, trace content, provider configuration, warmup, engine):
 re-running a figure after unrelated edits repeats work whose inputs did not
 change.  This module fingerprints those six inputs into a content-addressed
-key and stores each :class:`~repro.sim.metrics.SimulationResult` as a small
-JSON file, so repeated experiment invocations skip simulation entirely.
+key and appends each :class:`~repro.sim.metrics.SimulationResult` to one
+log per simulator version, so repeated experiment invocations skip
+simulation entirely.
 
 Key scheme
 ----------
@@ -60,21 +61,47 @@ Objects containing unhashable leaves (open files, callables, objects
 exposing neither ``__dict__`` nor ``__slots__``, ...) raise
 :class:`UncacheableError`; the driver then simply runs uncached.
 
+Storage
+-------
 The cache activates when ``REPRO_RESULT_CACHE`` is truthy (the experiment
 runner always simulates through one: this persistent cache by default, a
-private temporary directory under ``--no-cache``); files live under
-``REPRO_RESULT_CACHE_DIR``
-(default ``.result_cache/``).  Corrupt or unreadable entries are treated as
-misses and rewritten.  Each result's ``cache`` field records provenance:
-``"off"``, ``"miss"`` (simulated, then stored) or ``"hit"``.  A stored
-entry keeps the ``wall_seconds`` of the run that simulated it, and
-:func:`load` returns that value; :func:`repro.sim.driver.simulate` reports
-a hit with ``wall_seconds`` 0.0, since that call simulated nothing.
+private temporary directory under ``--no-cache``).  Results live in one
+append-only log per simulator version, ``results-<16 hex>.log`` under
+``REPRO_RESULT_CACHE_DIR`` (default ``.result_cache/``, resolved on every
+call), named for the first 8 bytes of the source digest that salts every
+key: a log of older sources is never read again.  Each record is one line,
+``<key> <compact JSON of the seven stored fields>\\n``, appended by
+:func:`store` with a single ``write`` on an ``O_APPEND`` descriptor, so
+concurrent threads and processes never interleave within a record.  That
+relies on a local file system's append semantics; NFS gives no such
+guarantee.
+
+A grid (:func:`repro.sim.sweep.run_cells`) reads the log once, on its
+first keyed cell, into a :class:`LogSnapshot` of ``{key: stored JSON}``
+that lives only as long as the call; a lone
+:func:`~repro.sim.driver.simulate` reads it once for its one key.  A
+fresh grid reads the log again, so it sees every record any process
+appended before it started.  The piece after the last newline is dropped:
+it is empty, a record whose append never finished, or one still being
+appended.  An append that finds the log ending in a torn record closes it
+with a newline first; appenders hold an exclusive ``flock`` from that
+check to their write, so one never takes another's append in flight for a
+torn one.  Readers take no lock.  A later record of a key wins,
+and a record's JSON is parsed only on a hit; one that does not parse is a
+miss, so the cell is re-simulated and appended again.  A failed append
+(no space, a directory that cannot be made) loses the record, not the
+run: the result returns as a miss.
+
+Each result's ``cache`` field records provenance: ``"off"``, ``"miss"``
+(simulated, then stored) or ``"hit"``.  A stored record keeps the
+``wall_seconds`` of the run that simulated it, and :func:`load` returns
+that value; :func:`repro.sim.driver.simulate` reports a hit with
+``wall_seconds`` 0.0, since that call simulated nothing.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import fcntl
 import functools
 import hashlib
 import json
@@ -82,6 +109,7 @@ import os
 import threading
 import time
 import types
+import warnings
 from array import array
 from collections import defaultdict, deque
 from pathlib import Path
@@ -94,7 +122,8 @@ from repro.traces.model import Trace, content_digest
 
 __all__ = ["CACHE_ENV_VAR", "CACHE_DIR_ENV_VAR", "UncacheableError",
            "Fingerprint", "cache_enabled", "cache_dir", "fingerprint",
-           "predictor_fingerprint", "result_key", "load", "store"]
+           "predictor_fingerprint", "result_key", "LogSnapshot", "log_path",
+           "load", "store"]
 
 CACHE_ENV_VAR = "REPRO_RESULT_CACHE"
 CACHE_DIR_ENV_VAR = "REPRO_RESULT_CACHE_DIR"
@@ -364,30 +393,83 @@ def result_key(predictor, trace: Trace, provider, warmup_branches: int,
 
 # -- storage -----------------------------------------------------------------
 
+_STORED_FIELDS = ("predictor_name", "trace_name", "branches",
+                  "mispredictions", "instructions", "wall_seconds", "engine")
+"""The :class:`SimulationResult` fields a log record keeps.  Provenance
+(``cache``) is per invocation and a ``telemetry`` snapshot describes the
+producing run, so neither is stored."""
 
-def load(key: str,
-         telemetry: NullTelemetry | None = None) -> SimulationResult | None:
+_APPEND_FLAGS = os.O_RDWR | os.O_APPEND | os.O_CREAT
+"""Read as well as append: :func:`_append` reads the log's last byte."""
+
+
+def log_path() -> Path:
+    """The result log of this simulator version under :func:`cache_dir`
+    (resolved on every call), named for its source digest."""
+    return cache_dir() / f"results-{_source_digest()[:8].hex()}.log"
+
+
+def _read_log(path: Path) -> dict[bytes, bytes]:
+    """``{key: stored JSON}`` for every complete record in ``path``; later
+    records of a key win, and a missing or unreadable log is empty.
+
+    The piece after the last newline is dropped: it is empty, or part of
+    a record whose append did not finish or is still in flight."""
+    try:
+        with open(path, "rb") as file:
+            data = file.read()
+    except OSError:
+        return {}
+    return dict(line.partition(b" ")[::2]
+                for line in data.split(b"\n")[:-1])
+
+
+class LogSnapshot:
+    """One grid's read of the result log, and its warn-once flag.
+
+    The log is read on the first :meth:`entry` and never again, so a grid
+    sees what any process appended before its first keyed cell, and a
+    fresh grid (a fresh snapshot) reads the log again.  Only the thread
+    that keys the grid reads entries; any thread may :meth:`warn_once`.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[bytes, bytes] | None = None
+        self._unwarned = threading.Lock()
+
+    def entry(self, key: str) -> bytes | None:
+        """The stored JSON of ``key``'s latest record, unparsed."""
+        if self._entries is None:
+            self._entries = _read_log(log_path())
+        return self._entries.get(key.encode())
+
+    def warn_once(self) -> bool:
+        """True for the first caller only: the first failed store."""
+        return self._unwarned.acquire(blocking=False)
+
+
+def load(key: str, telemetry: NullTelemetry | None = None,
+         log: LogSnapshot | None = None) -> SimulationResult | None:
     """The cached result for ``key`` (with ``cache="hit"`` and the stored
     run's ``wall_seconds``), or ``None``.
 
-    Unreadable or structurally invalid entries count as misses.  Telemetry
-    distinguishes the three outcomes: ``result_cache.hits`` (entry present
-    and valid, with the load latency in ``result_cache.hit_seconds``),
-    ``result_cache.cold_misses`` (no entry) and ``result_cache.corrupt``
-    (entry present but unreadable — the driver will re-simulate and
-    overwrite it).
+    ``log`` is the calling grid's snapshot; without one this call reads
+    the log for its one key.  A record's JSON is parsed only here, on a
+    hit.  Telemetry distinguishes the three outcomes:
+    ``result_cache.hits`` (a valid record, with the load latency in
+    ``result_cache.hit_seconds``), ``result_cache.cold_misses`` (no
+    record) and ``result_cache.corrupt`` (the key's latest record does
+    not parse -- the driver will re-simulate and append it again).
     """
     sink = get_telemetry(telemetry)
-    path = cache_dir() / f"{key}.json"
     started = time.perf_counter()
-    try:
-        text = path.read_text()
-    except OSError:
+    entry = (log if log is not None else LogSnapshot()).entry(key)
+    if entry is None:
         if sink.enabled:
             sink.count("result_cache.cold_misses")
         return None
     try:
-        payload = json.loads(text)
+        payload = json.loads(entry)
         result = SimulationResult(
             predictor_name=payload["predictor_name"],
             trace_name=payload["trace_name"],
@@ -409,19 +491,56 @@ def load(key: str,
     return result
 
 
+def _append(path: Path, record: bytes) -> None:
+    """Append ``record`` to ``path`` with one ``write``, creating the
+    directory only if the log's open finds none.
+
+    A log that does not end in a newline ends in a torn record; a newline
+    first closes it, so this record starts a line of its own.  Appenders
+    hold an exclusive ``flock`` from that check to their write: the file
+    size grows page by page during a write, so an unlocked check could
+    take another append still in flight for a torn one.
+    """
+    try:
+        descriptor = os.open(path, _APPEND_FLAGS, 0o644)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        descriptor = os.open(path, _APPEND_FLAGS, 0o644)
+    try:
+        fcntl.flock(descriptor, fcntl.LOCK_EX)  # released by the close
+        size = os.fstat(descriptor).st_size
+        if size and os.pread(descriptor, 1, size - 1) != b"\n":
+            record = b"\n" + record
+        written = os.write(descriptor, record)
+        if written != len(record):
+            raise OSError(f"wrote {written} of {len(record)} bytes")
+    finally:
+        os.close(descriptor)
+
+
 def store(key: str, result: SimulationResult,
-          telemetry: NullTelemetry | None = None) -> None:
-    """Persist one result atomically (write-to-temp, then rename)."""
+          telemetry: NullTelemetry | None = None,
+          log: LogSnapshot | None = None) -> None:
+    """Append one result to the log as ``<key> <compact JSON>\\n``.
+
+    A failed append loses the record, not the run: it counts
+    ``result_cache.store_failures`` and warns once per ``log`` (the
+    calling grid; every call without one) with a :class:`RuntimeWarning`.
+    """
     sink = get_telemetry(telemetry)
-    directory = cache_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    payload = dataclasses.asdict(result)
-    payload.pop("cache", None)  # provenance is per-invocation, not stored
-    payload.pop("telemetry", None)  # snapshots describe the producing run
-    path = directory / f"{key}.json"
-    temporary = (directory
-                 / f".{key}.{os.getpid()}.{threading.get_ident()}.tmp")
-    temporary.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    os.replace(temporary, path)
+    payload = {name: getattr(result, name) for name in _STORED_FIELDS}
+    record = (f"{key} " + json.dumps(payload, separators=(",", ":"),
+                                     sort_keys=True) + "\n").encode()
+    path = log_path()
+    try:
+        _append(path, record)
+    except OSError as error:
+        if sink.enabled:
+            sink.count("result_cache.store_failures")
+        if log is None or log.warn_once():
+            warnings.warn(f"result cache: cannot append to {path} "
+                          f"({error}); results are not persisted",
+                          RuntimeWarning, stacklevel=2)
+        return
     if sink.enabled:
         sink.count("result_cache.stores")

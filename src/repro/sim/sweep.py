@@ -10,10 +10,10 @@ a provider factory and a trace.  :func:`sweep`, :func:`sweep_parallel` and
 :func:`repro.sim.compare.run_comparison` each build one list of cells and
 pass it to :func:`run_cells`, which returns the results in cell order.  Its
 calling thread keys each cell and answers result-cache hits itself,
-fingerprinting each distinct factory once, and builds a predictor only for
-a cell it must simulate.  On one worker it runs those cells itself; on
-more, they go to a pool of threads in this process, made on the first
-such cell.  Threads suffice because the replay kernels and the
+fingerprinting each distinct factory once and reading the result log
+once, and builds a predictor only for a cell it must simulate.  On one
+worker it runs those cells itself; on more, they go to a pool of threads
+in this process, made on the first such cell.  Threads suffice because the replay kernels and the
 trace-side walks are ``ctypes`` calls that release the GIL; the cells
 share each trace and its memo (:meth:`Trace.derived`), so a batch is
 materialized once whichever thread asks first.  A threaded grid is a
@@ -162,6 +162,11 @@ class _Planner:
     thread (a pool thread's allocations stay in its own ``malloc`` arena
     and kept about 1.3 MiB more resident after a cold grid).  A factory
     whose object cannot be fingerprinted leaves its cells unkeyed.
+
+    The planner's :class:`~repro.sim.result_cache.LogSnapshot` reads the
+    result log on the first keyed cell's load, and every later load of
+    the call answers from it; each miss's store appends to the log and
+    shares the snapshot's warn-once flag for a failed append.
     """
 
     def __init__(self, engine: SimulationEngine) -> None:
@@ -172,6 +177,7 @@ class _Planner:
                                 tuple[result_cache.Fingerprint | None,
                                       str | None]] = {}
         self.missed: dict[str, int] = {}  # key -> first cell with it
+        self.log = result_cache.LogSnapshot()  # read on the first load
         self.shared: list[tuple[int, int, str]] = []  # (cell, first, name)
 
     def _fingerprint(self, factory: Callable, fingerprint: Callable):
@@ -216,7 +222,7 @@ class _Planner:
                     sink.count("result_cache.hits")
                 self.shared.append((index, self.missed[key], name))
                 return None, None
-            hit = load_hit(key, name, cell.trace, sink)
+            hit = load_hit(key, name, cell.trace, sink, self.log)
             if hit is not None:
                 return hit, None
             self.missed[key] = index
@@ -225,7 +231,8 @@ class _Planner:
         if provider is None and cell.make_provider is not None:
             provider = cell.make_provider()
         return None, functools.partial(run_and_store, predictor, cell.trace,
-                                       provider, 0, self.engine, key, sink)
+                                       provider, 0, self.engine, key, sink,
+                                       self.log)
 
 
 def _build_and_run(cell: Cell, engine: SimulationEngine,

@@ -5,10 +5,14 @@ the result cache and the trace cache."""
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
+import warnings
 from array import array
 from collections import defaultdict, deque, namedtuple
 
@@ -33,6 +37,7 @@ from repro.sim.result_cache import (
     cache_dir,
     cache_enabled,
     load,
+    log_path,
     result_key,
     store,
 )
@@ -55,6 +60,20 @@ def trace():
 
 def _gshare():
     return GsharePredictor(1 << 10, 10)
+
+
+def _records() -> list[tuple[str, dict]]:
+    """Every line of the result log as ``(key, stored fields)``."""
+    text = log_path().read_text()
+    assert text.endswith("\n")
+    return [(key, json.loads(payload)) for key, payload
+            in (line.split(" ", 1) for line in text.splitlines())]
+
+
+def _append_line(line: str) -> None:
+    log_path().parent.mkdir(parents=True, exist_ok=True)
+    with open(log_path(), "a") as log:
+        log.write(line)
 
 
 class TestEnvironment:
@@ -394,33 +413,39 @@ class TestStorage:
 
     def test_stored_payload_omits_cache_provenance(self, cache_env):
         store("deadbeef", self.RESULT)
-        payload = json.loads((cache_env / "deadbeef.json").read_text())
-        assert "cache" not in payload
+        (key, payload), = _records()
+        assert key == "deadbeef"
+        assert "cache" not in payload and "telemetry" not in payload
         assert payload["mispredictions"] == 37
+        # One compact line per record, in a log named for the sources.
+        assert " " not in log_path().read_text().split(" ", 1)[1]
+        assert [path.name for path in cache_env.iterdir()] \
+            == [log_path().name]
+        assert log_path().name == \
+            f"results-{result_cache._source_digest().hex()[:16]}.log"
 
     def test_missing_entry_is_none(self, cache_env):
         assert load("0" * 64) is None
 
     def test_corrupt_entry_is_a_miss(self, cache_env):
-        cache_env.mkdir(parents=True, exist_ok=True)
-        (cache_env / "bad.json").write_text("{not json")
-        (cache_env / "partial.json").write_text('{"branches": 3}')
+        _append_line('bad {not json\npartial {"branches": 3}\nbare\n')
         assert load("bad") is None
         assert load("partial") is None
+        assert load("bare") is None
 
     def test_threads_storing_one_key_do_not_collide(self, cache_env,
                                                     monkeypatch):
-        # Both threads write their temporary file before either renames
-        # it: with one temporary name per process, the first rename would
-        # move the other thread's file and the second would raise.
+        # Both threads have the log open before either appends: each
+        # record must still land whole, on a line of its own.
+        cache_env.mkdir(parents=True)
         barrier = threading.Barrier(2, timeout=10)
-        replace = os.replace
+        open_log = os.open
 
-        def replace_together(source, target):
+        def open_together(*args):
             barrier.wait()
-            replace(source, target)
+            return open_log(*args)
 
-        monkeypatch.setattr(os, "replace", replace_together)
+        monkeypatch.setattr(os, "open", open_together)
         errors = []
 
         def store_once():
@@ -438,8 +463,9 @@ class TestStorage:
         assert errors == []
         assert dataclasses.replace(load("deadbeef"), cache="miss") \
             == self.RESULT
-        assert sorted(path.name for path in cache_env.iterdir()) \
-            == ["deadbeef.json"]
+        assert [key for key, _ in _records()] == ["deadbeef"] * 2
+        assert [path.name for path in cache_env.iterdir()] \
+            == [log_path().name]
 
 
 class TestDriverPlumbing:
@@ -453,7 +479,7 @@ class TestDriverPlumbing:
     def test_miss_then_hit(self, cache_env, trace):
         first = simulate(_gshare(), trace, engine="batched")
         assert first.cache == "miss"
-        assert list(cache_env.glob("*.json"))
+        assert len(_records()) == 1
         second = simulate(_gshare(), trace, engine="batched")
         assert second.cache == "hit"
         assert second.mispredictions == first.mispredictions
@@ -509,9 +535,8 @@ class TestDriverPlumbing:
         assert first.cache == "miss" and first.wall_seconds > 0.0
         assert (second.cache, second.wall_seconds) == ("hit", 0.0)
         # The stored entry keeps the time of the run that simulated it.
-        entry, = cache_env.glob("*.json")
-        assert json.loads(entry.read_text())["wall_seconds"] \
-            == first.wall_seconds
+        (_, payload), = _records()
+        assert payload["wall_seconds"] == first.wall_seconds
 
     def test_cached_comparison_reports_no_wall_time(self, cache_env, trace):
         configs = {"small": _gshare,
@@ -521,6 +546,179 @@ class TestDriverPlumbing:
         assert second["cache"] == {name: {"loop": "hit"} for name in configs}
         assert second["wall_seconds"] \
             == {name: {"loop": 0.0} for name in configs}
+
+
+_APPENDER = """
+import sys, threading
+from repro.sim.metrics import SimulationResult
+from repro.sim.result_cache import store
+
+def append(thread):
+    for index in range(200):
+        key = f"{sys.argv[1]}-{thread}-{index}"
+        store(key, SimulationResult(
+            predictor_name=key, trace_name="t", branches=index,
+            mispredictions=thread, instructions=4 * index,
+            wall_seconds=0.5, engine="batched", cache="miss"))
+
+threads = [threading.Thread(target=append, args=(thread,))
+           for thread in range(4)]
+print("ready", flush=True)
+sys.stdin.readline()
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+"""
+
+
+class TestResultLog:
+    """One append-only log per simulator version: each store is one
+    append, a grid reads the log once, and a torn or corrupt record is
+    re-simulated, never returned."""
+
+    CONFIGS = {"small": _gshare,
+               "large": lambda: GsharePredictor(1 << 12, 12)}
+
+    def test_a_torn_final_line_misses_then_hits(self, cache_env, trace):
+        first = simulate(_gshare(), trace)
+        data = log_path().read_bytes()
+        log_path().write_bytes(data[:len(data) // 2])
+        sink = Telemetry()
+        again = simulate(_gshare(), trace, telemetry=sink)
+        assert again.cache == "miss"
+        assert sink.counters["result_cache.cold_misses"] == 1
+        assert sink.counters["result_cache.stores"] == 1
+        healed = simulate(_gshare(), trace)
+        assert healed.cache == "hit"
+        assert healed.mispredictions == first.mispredictions
+        # The torn piece stays a line of its own; the record after it is
+        # whole.
+        torn, whole, tail = log_path().read_bytes().split(b"\n")
+        assert (torn, tail) == (data[:len(data) // 2], b"")
+        assert whole.split(b" ")[0] == data.split(b" ")[0]
+        assert json.loads(whole.split(b" ", 1)[1])["mispredictions"] \
+            == first.mispredictions
+
+    def test_a_broken_record_re_simulates_then_the_next_grid_hits(
+            self, cache_env, trace):
+        run_comparison(self.CONFIGS, {"loop": trace})
+        key = _records()[0][0]
+        _append_line(f'{key} {{"branches": 400, "engi\n')
+        sink = Telemetry()
+        with use_telemetry(sink):
+            table = run_comparison(self.CONFIGS, {"loop": trace})
+        assert sorted(result.cache for row in table.cells.values()
+                      for result in row.values()) == ["hit", "miss"]
+        assert sink.counters["result_cache.corrupt"] == 1
+        assert sink.counters["result_cache.hits"] == 1
+        assert sink.counters["result_cache.stores"] == 1
+        assert sink.counters["engine.batched_runs"] == 1
+        lines = log_path().read_text().splitlines()
+        assert [line.split(" ", 1)[0] for line in lines[2:]] == [key, key]
+        sink = Telemetry()
+        with use_telemetry(sink):
+            table = run_comparison(self.CONFIGS, {"loop": trace})
+        assert sink.counters == {"result_cache.hits": 2}
+
+    def test_processes_and_threads_append_whole_records(self, cache_env):
+        environment = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        appenders = [subprocess.Popen(
+            [sys.executable, "-c", _APPENDER, name], env=environment,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            for name in ("a", "b")]
+        for appender in appenders:
+            assert appender.stdout.readline() == "ready\n"
+        for appender in appenders:  # both start appending together
+            appender.stdin.write("go\n")
+            appender.stdin.close()
+        for appender in appenders:
+            assert appender.wait(timeout=60) == 0
+            appender.stdout.close()
+        records = _records()
+        expected = {f"{name}-{thread}-{index}" for name in ("a", "b")
+                    for thread in range(4) for index in range(200)}
+        assert len(records) == len(expected)
+        assert {key for key, _ in records} == expected
+        snapshot = result_cache.LogSnapshot()
+        for key in expected:
+            loaded = load(key, log=snapshot)
+            assert (loaded.predictor_name, loaded.instructions) \
+                == (key, 4 * int(key.rsplit("-", 1)[1]))
+
+    def test_a_warm_fig9_grid_opens_the_log_once(self, cache_env, tmp_path,
+                                                 monkeypatch):
+        from repro.experiments import fig9
+
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "records"))
+        log = os.fspath(log_path())
+        opened = []
+
+        def counted(kind, real):
+            def wrapper(file, *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)) \
+                        and os.fspath(file) == log:
+                    opened.append(kind)
+                return real(file, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr("builtins.open", counted("read", open))
+        monkeypatch.setattr(os, "open", counted("append", os.open))
+        fig9.run(4000)
+        # The first append finds no directory, makes it and opens again.
+        assert opened == ["read"] + ["append"] * 49
+        opened.clear()
+        sink = Telemetry()
+        with use_telemetry(sink):
+            table = fig9.run(4000)
+        assert opened == ["read"]
+        assert sink.counters["result_cache.hits"] \
+            == sum(map(len, table.cells.values())) == 48
+
+
+class TestStoreFailure:
+    """A failed append loses the record, not the simulated result."""
+
+    def test_a_cache_dir_under_a_regular_file(self, tmp_path, monkeypatch,
+                                              trace):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(blocker / "cache"))
+        sink = Telemetry()
+        with pytest.warns(RuntimeWarning, match="not persisted"):
+            result = simulate(_gshare(), trace, use_cache=True,
+                              telemetry=sink)
+        fresh = simulate(_gshare(), trace, use_cache=False)
+        assert result.cache == "miss"
+        assert result.mispredictions == fresh.mispredictions
+        assert sink.counters["result_cache.cold_misses"] == 1
+        assert sink.counters["result_cache.store_failures"] == 1
+        assert "result_cache.stores" not in sink.counters
+
+    def test_a_full_disk_warns_once_per_grid(self, cache_env, monkeypatch,
+                                             trace):
+        def full(descriptor, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        configs = {**TestResultLog.CONFIGS,
+                   "medium": lambda: GsharePredictor(1 << 11, 11)}
+        sink = Telemetry()
+        with monkeypatch.context() as patch, \
+                warnings.catch_warnings(record=True) as caught, \
+                use_telemetry(sink):
+            patch.setattr(os, "write", full)
+            warnings.simplefilter("always")
+            table = run_comparison(configs, {"loop": trace})
+        assert [warning.category for warning in caught] == [RuntimeWarning]
+        assert os.strerror(errno.ENOSPC) in str(caught[0].message)
+        assert {result.cache for row in table.cells.values()
+                for result in row.values()} == {"miss"}
+        assert sink.counters["result_cache.store_failures"] == 3
+        assert "result_cache.stores" not in sink.counters
+        # Nothing was stored, so the next grid misses every cell again.
+        again = run_comparison(configs, {"loop": trace})
+        assert {result.cache for row in again.cells.values()
+                for result in row.values()} == {"miss"}
 
 
 class TestResultCacheTelemetry:
@@ -543,8 +741,8 @@ class TestResultCacheTelemetry:
 
     def test_corrupt_entry_counts_and_is_rewritten(self, cache_env, trace):
         simulate(_gshare(), trace, engine="batched")
-        entry, = cache_env.glob("*.json")
-        entry.write_text("{definitely not json")
+        (key, _), = _records()
+        log_path().write_text(f"{key} {{definitely not json\n")
         sink = Telemetry()
         recovered = simulate(_gshare(), trace, engine="batched",
                              telemetry=sink)
@@ -560,8 +758,7 @@ class TestResultCacheTelemetry:
         assert healed.mispredictions == recovered.mispredictions
 
     def test_structurally_invalid_entry_is_corrupt(self, cache_env):
-        cache_env.mkdir(parents=True, exist_ok=True)
-        (cache_env / "partial.json").write_text('{"branches": 3}')
+        _append_line('partial {"branches": 3}\n')
         sink = Telemetry()
         assert load("partial", telemetry=sink) is None
         assert sink.counters == {"result_cache.corrupt": 1}

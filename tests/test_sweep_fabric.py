@@ -18,7 +18,7 @@ import pytest
 
 from repro.history.providers import ev8_info_provider
 from repro.obs import Telemetry, use_telemetry
-from repro.sim import planes, scheduler
+from repro.sim import planes, result_cache, scheduler
 from repro.sim.compare import run_comparison
 from repro.sim.sweep import Cell, run_cells, sweep, sweep_parallel
 from repro.traces.model import Trace
@@ -167,8 +167,9 @@ class TestDeterminism:
                                   max_workers=4, use_cache=True)
         assert [p.per_benchmark for p in parallel] \
             == [serial[0].per_benchmark] * 4
-        assert sorted(path.suffix for path in tmp_path.iterdir()) \
-            == [".json"] * len(traces)
+        log, = tmp_path.iterdir()
+        assert log.name == result_cache.log_path().name
+        assert len(log.read_text().splitlines()) == len(traces)
 
 
 class TestThreadSharedState:
